@@ -128,19 +128,34 @@ func (s *Store) Read(off, length int64) ([]byte, bool) {
 		return nil, true
 	}
 	buf := make([]byte, length)
-	covered := int64(0)
-	end := off + length
+	return buf, s.ReadInto(off, buf)
+}
+
+// ReadInto fills dst with the bytes stored at [off, off+len(dst)) and
+// reports whether the entire range had been written. dst may hold
+// anything on entry (callers reuse it): gaps are zeroed explicitly.
+func (s *Store) ReadInto(off int64, dst []byte) bool {
+	pos, end := off, off+int64(len(dst)) // dst[:pos-off] is final
 	i := sort.Search(len(s.extents), func(i int) bool {
 		return s.extents[i].end() > off
 	})
+	covered := true
 	for ; i < len(s.extents) && s.extents[i].off < end; i++ {
 		e := s.extents[i]
 		from := max64(e.off, off)
 		to := min64(e.end(), end)
-		copy(buf[from-off:to-off], e.data[from-e.off:to-e.off])
-		covered += to - from
+		if from > pos {
+			clear(dst[pos-off : from-off])
+			covered = false
+		}
+		copy(dst[from-off:to-off], e.data[from-e.off:to-e.off])
+		pos = to
 	}
-	return buf, covered == length
+	if pos < end {
+		clear(dst[pos-off:])
+		covered = false
+	}
+	return covered
 }
 
 // Trim discards all data in [off, off+length).

@@ -244,3 +244,78 @@ func TestCoveredOverwriteDoesNotAllocate(t *testing.T) {
 		t.Fatal("covered overwrite corrupted data")
 	}
 }
+
+// seededStore builds a store and its flat reference (never-written
+// bytes are zero) from a seeded sequence of writes and trims.
+func seededStore(t testing.TB, seed int64, space int64) (*Store, []byte) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	s := New()
+	ref := make([]byte, space)
+	for op := 0; op < 40; op++ {
+		off := rng.Int63n(space - 32)
+		n := rng.Int63n(32) + 1
+		if rng.Intn(4) == 0 {
+			s.Trim(off, n)
+			clear(ref[off : off+n])
+			continue
+		}
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(rng.Intn(255) + 1) // never zero: a gap is unmistakable
+		}
+		if err := s.Write(off, data); err != nil {
+			t.Fatal(err)
+		}
+		copy(ref[off:], data)
+	}
+	return s, ref
+}
+
+// checkReadInto reads [off, off+n) into a dirty buffer and compares the
+// bytes with the flat reference and both results with Read.
+func checkReadInto(t testing.TB, s *Store, ref []byte, off, n int64) {
+	t.Helper()
+	dst := bytes.Repeat([]byte{0xEE}, int(n))
+	full := s.ReadInto(off, dst)
+	if !bytes.Equal(dst, ref[off:off+n]) {
+		t.Fatalf("ReadInto(%d, %d bytes) = %v, want %v", off, n, dst, ref[off:off+n])
+	}
+	got, wantFull := s.Read(off, n)
+	if full != wantFull || (n > 0 && !bytes.Equal(dst, got)) {
+		t.Fatalf("ReadInto(%d, %d bytes) = %v full=%v, Read = %v full=%v", off, n, dst, full, got, wantFull)
+	}
+}
+
+// TestReadIntoDirtyDst pins the reuse contract: whatever dst held, every
+// gap comes back zero — leading, trailing, between extents, and over a
+// range nothing was ever written to.
+func TestReadIntoDirtyDst(t *testing.T) {
+	const space = 256
+	for seed := int64(1); seed <= 50; seed++ {
+		s, ref := seededStore(t, seed, space)
+		rng := rand.New(rand.NewSource(seed))
+		checkReadInto(t, s, ref, 0, space)
+		checkReadInto(t, s, ref, 17, 0)
+		for i := 0; i < 200; i++ {
+			off := rng.Int63n(space)
+			checkReadInto(t, s, ref, off, rng.Int63n(space-off+1))
+		}
+	}
+	empty := New()
+	checkReadInto(t, empty, make([]byte, 64), 3, 61)
+}
+
+func FuzzReadInto(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(255))
+	f.Add(int64(7), uint8(100), uint8(0))
+	f.Add(int64(42), uint8(31), uint8(33))
+	f.Fuzz(func(t *testing.T, seed int64, off, n uint8) {
+		const space = 256
+		s, ref := seededStore(t, seed, space)
+		if int64(off)+int64(n) > space {
+			n = uint8(space - int64(off))
+		}
+		checkReadInto(t, s, ref, int64(off), int64(n))
+	})
+}

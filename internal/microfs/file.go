@@ -91,62 +91,55 @@ func (f *file) write(p *sim.Proc, data []byte, n int64) (int64, error) {
 
 // Read implements vfs.File.
 func (f *file) Read(p *sim.Proc, buf []byte) (int, error) {
-	out, n, err := f.read(p, int64(len(buf)), true)
-	if n > 0 && out != nil {
-		copy(buf, out)
-	}
+	n, err := f.read(p, int64(len(buf)), buf)
 	return int(n), err
 }
 
 // ReadN implements vfs.File.
 func (f *file) ReadN(p *sim.Proc, n int64) (int64, error) {
-	_, got, err := f.read(p, n, false)
-	return got, err
+	return f.read(p, n, nil)
 }
 
-func (f *file) read(p *sim.Proc, n int64, wantData bool) ([]byte, int64, error) {
+// read reads up to n bytes at the handle's position, into buf when it
+// is non-nil (len(buf) >= n) and for timing only otherwise.
+func (f *file) read(p *sim.Proc, n int64, buf []byte) (int64, error) {
 	inst := f.inst
 	defer inst.enter(p)()
 	if f.closed {
-		return nil, 0, vfs.ErrClosed
+		return 0, vfs.ErrClosed
 	}
 	if !f.readable {
-		return nil, 0, vfs.ErrWriteOnly
+		return 0, vfs.ErrWriteOnly
 	}
 	if f.pos >= f.ino.size {
-		return nil, 0, nil // EOF
+		return 0, nil // EOF
 	}
 	if f.pos+n > f.ino.size {
 		n = f.ino.size - f.pos
 	}
 	runs, err := inst.runsFor(f.ino, f.pos, n)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	hb := inst.pool.BlockSize()
-	var out []byte
-	if wantData {
-		out = make([]byte, 0, n)
-	}
 	var got int64
 	for _, r := range runs {
 		data, err := inst.cfg.Plane.Read(p, r.devOff, r.n, hb)
 		if err != nil {
-			return nil, got, err
+			return got, err
 		}
-		if wantData {
-			if data == nil {
-				// Backing device does not capture payloads.
-				data = make([]byte, r.n)
-			}
-			out = append(out, data...)
+		if buf != nil {
+			// A backing device that does not capture payloads returns
+			// nil: the run reads as zeros, never as what buf held.
+			dst := buf[got : got+r.n]
+			clear(dst[copy(dst, data):])
 		}
 		got += r.n
 	}
 	f.pos += got
 	inst.stats.Reads++
 	inst.stats.BytesRead += got
-	return out, got, nil
+	return got, nil
 }
 
 // SeekTo implements vfs.File.

@@ -1,8 +1,12 @@
 package nvmeof
 
 import (
+	"runtime"
 	"testing"
 	"time"
+
+	"github.com/nvme-cr/nvmecr/internal/model"
+	"github.com/nvme-cr/nvmecr/internal/plane"
 )
 
 // TestBatchedSteadyStateAllocs is the polled-path allocation gate: the
@@ -53,5 +57,68 @@ func TestDeviceBoundBytesPerOp(t *testing.T) {
 	// sat at ~25KB/op. Gate at half the payload size.
 	if bpo := res.AllocedBytesPerOp(); bpo > 8192 {
 		t.Errorf("device-bound steady state allocates %d B/op for 16KB commands, want <=8192", bpo)
+	}
+}
+
+// TestReadPathAllocBytes is the read-path allocation gate: a read costs
+// one allocation of its own size (the response payload the host hands
+// up) through a TCPPlane, and one more where a stripe has to interleave
+// its members' buffers. Heap bytes are process-wide (the in-process
+// targets included), so a fresh slice per READ on either end of the
+// socket, or a staging copy in a plane, trips it.
+func TestReadPathAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const childSize = 8 * model.MB
+	const length = 1 * model.MB
+	children := make([]plane.Plane, 2)
+	for i := range children {
+		_, addr := startTarget(t, map[uint32]int64{1: childSize})
+		pool, err := DialPool(addr, 1, PoolConfig{
+			QueuePairs: 1,
+			Batch:      BatchConfig{Enabled: true, MergeWrites: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pool.Close() })
+		if children[i], err = NewTCPPlane(pool, 0, childSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	striped, err := NewStripedPlane(children, 128*model.KB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		plane plane.Plane
+		max   float64
+	}{
+		{"tcpplane", children[0], 1.1},
+		{"striped(2)", striped, 2.1},
+	} {
+		if err := tc.plane.Write(nil, 0, length, make([]byte, length), 0); err != nil {
+			t.Fatal(err)
+		}
+		read := func(n int) {
+			for i := 0; i < n; i++ {
+				if got, err := tc.plane.Read(nil, 0, length, 0); err != nil || int64(len(got)) != length {
+					t.Fatalf("%s: read %d bytes, %v", tc.name, len(got), err)
+				}
+			}
+		}
+		read(4) // lazy per-connection buffers
+		const reads = 32
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		read(reads)
+		runtime.ReadMemStats(&after)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(reads*length)
+		t.Logf("%s: %.3f heap bytes allocated per byte read", tc.name, perByte)
+		if perByte > tc.max {
+			t.Errorf("%s: %.3f heap bytes allocated per byte read, want <= %.1f", tc.name, perByte, tc.max)
+		}
 	}
 }

@@ -359,7 +359,7 @@ func (h *Host) unregisterSlot(s *hostSlot) {
 // is reused across iterations: delivery is by value into each waiter's
 // buffered channel, so nothing here escapes per command.
 func (h *Host) readLoop() {
-	br := bufio.NewReaderSize(h.conn, 1<<20)
+	br := bufio.NewReaderSize(h.conn, sockBufSize)
 	// The version is consulted lazily, after each response's fixed
 	// header is read: the CONNECT completion is parsed while the
 	// negotiated version is still being decided, but any response that

@@ -294,6 +294,28 @@ func readCommandFn(r io.Reader, version func() uint16) (*Command, error) {
 // MaxDataLen capsule does not pin 8 MiB per slot forever.
 const maxReuseBuf = 1 << 20
 
+// reuseBuf returns an n-byte slice over *bufp's backing when it fits,
+// and otherwise a fresh allocation that *bufp retains only up to
+// maxReuseBuf. The bytes are whatever the last user left there.
+func reuseBuf(bufp *[]byte, n int) []byte {
+	if cap(*bufp) >= n {
+		return (*bufp)[:n]
+	}
+	buf := make([]byte, n)
+	if n <= maxReuseBuf {
+		*bufp = buf
+	}
+	return buf
+}
+
+// sockBufSize sizes the bufio staging on both ends of a queue pair's
+// socket. It only has to batch headers and small capsules: bufio hands
+// any transfer of at least its buffer size straight to the socket, so
+// at 64 KiB a checkpoint-sized payload is read into, and written from,
+// the buffer that already holds it instead of crossing a staging copy
+// on each end.
+const sockBufSize = 64 << 10
+
 // protoScratchLen sizes the caller-owned scratch the *Into/*Scratch
 // capsule codecs stage fixed headers and extensions in. A header sliced
 // from a local array escapes to the heap when handed to an io.Reader or
@@ -345,15 +367,7 @@ func readCommandInto(r io.Reader, version func() uint16, c *Command, bufp *[]byt
 		return fmt.Errorf("nvmeof: in-capsule data %d exceeds limit", dataLen)
 	}
 	if dataLen > 0 {
-		buf := *bufp
-		if cap(buf) >= int(dataLen) {
-			buf = buf[:dataLen]
-		} else {
-			buf = make([]byte, dataLen)
-			if dataLen <= maxReuseBuf {
-				*bufp = buf
-			}
-		}
+		buf := reuseBuf(bufp, int(dataLen))
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package nvmeof
 
 import (
+	"runtime"
 	"sync/atomic"
 )
 
@@ -128,7 +129,14 @@ func (r *indexRing) push(v uint16) bool {
 				return true
 			}
 		case d < 0:
-			return false // full: consumer has not cleared this cell yet
+			// The cell still carries last lap's ticket. Full only if no
+			// consumer has claimed it; otherwise one sits between its
+			// ticket CAS and its release, and reporting full would make
+			// the caller drop v (a freed slot index) for good.
+			if int32(tail-r.head.Load()) > int32(r.mask) {
+				return false
+			}
+			runtime.Gosched()
 		}
 		// d > 0: another producer claimed this ticket; retry.
 	}
@@ -149,7 +157,12 @@ func (r *indexRing) pop() (uint16, bool) {
 				return v, true
 			}
 		case d < 0:
-			return 0, false // empty
+			// Unpublished. Empty only if no producer has claimed the
+			// cell; otherwise wait out the one mid-publish.
+			if int32(r.tail.Load()-head) <= 0 {
+				return 0, false
+			}
+			runtime.Gosched()
 		}
 	}
 }

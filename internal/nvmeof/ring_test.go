@@ -3,6 +3,7 @@ package nvmeof
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -121,6 +122,46 @@ func TestIndexRingConcurrent(t *testing.T) {
 		if v >= cap/2 {
 			t.Fatalf("drained index %d was never pushed", v)
 		}
+	}
+}
+
+// TestIndexRingFullRingCycle is the free list as a host uses it: every
+// index starts in the ring, so it runs within a few in-flight commands
+// of full, and a release lands on the cell an acquire claimed a moment
+// ago. A push that meets a consumer between its ticket CAS and its
+// release must wait, not report "full" — freeSlot cannot retry, so the
+// index would be gone, and enough of those read as "queue full" with
+// nothing in flight. Likewise a pop must not report "empty" while a
+// producer is mid-publish.
+func TestIndexRingFullRingCycle(t *testing.T) {
+	const workers = 64
+	const perWorker = 50000
+	r := newIndexRing(hostQueueDepth, math.MaxUint32-1000)
+	for i := 0; i < hostQueueDepth; i++ {
+		r.push(uint16(i))
+	}
+	var popFail, pushFail atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				v, ok := r.pop()
+				if !ok {
+					popFail.Add(1)
+					continue
+				}
+				if !r.push(v) {
+					pushFail.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if popFail.Load() != 0 || pushFail.Load() != 0 || r.occupancy() != hostQueueDepth {
+		t.Fatalf("ring of %d never below %d held: %d pops reported empty, %d pushes reported full, %d indices left",
+			hostQueueDepth, hostQueueDepth-workers, popFail.Load(), pushFail.Load(), r.occupancy())
 	}
 }
 

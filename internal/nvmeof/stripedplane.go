@@ -1,6 +1,7 @@
 package nvmeof
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -679,19 +680,46 @@ func (s *StripedPlane) writeGrouped(snap []memberView, spans []balancer.StripeSp
 // the member-read helpers: the member answered, but captures nothing.
 var errNilRead = errors.New("nvmeof: member read returned nil")
 
+// checkChunk holds a member's answer to the read contract: nil means it
+// captures nothing (errNilRead), any other length than asked is an error.
+func checkChunk(m memberView, chunk []byte, length int64) error {
+	if chunk == nil {
+		return errNilRead
+	}
+	if int64(len(chunk)) != length {
+		return fmt.Errorf("nvmeof: stripe member %d returned %d bytes, want %d", m.idx, len(chunk), length)
+	}
+	return nil
+}
+
+// scatter places chunk, read from member-local address a of a group's
+// members, at its striped addresses in out, whose first byte is striped
+// address off: a maps to ((a/unit)*groups + group)*unit + a%unit.
+func (s *StripedPlane) scatter(out []byte, off int64, group int, a int64, chunk []byte) {
+	unit, groups := s.logical.Unit, int64(s.logical.Targets)
+	for len(chunk) > 0 {
+		in := a % unit
+		n := min(unit-in, int64(len(chunk)))
+		at := (a/unit*groups+int64(group))*unit + in - off
+		copy(out[at:at+n], chunk[:n])
+		a, chunk = a+n, chunk[n:]
+	}
+}
+
 // readSpan serves one group-span from the snapshot's live members:
 // verify-reads mode reads every live member and repairs divergence;
 // otherwise one member is picked round-robin (first-live under the
 // simulator, for determinism) and siblings are tried on failure. The
-// result lands in out. errNilRead reports a non-capturing member.
-func (s *StripedPlane) readSpan(p *sim.Proc, snap []memberView, group int, targetOff, length int64, out []byte, cmdUnit int64) error {
+// result is the serving member's own buffer, in member-local order.
+// errNilRead reports a non-capturing member.
+func (s *StripedPlane) readSpan(p *sim.Proc, snap []memberView, group int, targetOff, length int64, cmdUnit int64) ([]byte, error) {
 	var liveBuf [inlineChildren]memberView
 	live := liveMembers(s.groupMembers(snap, group), liveBuf[:0])
 	if len(live) == 0 {
-		return fmt.Errorf("nvmeof: read group %d: %w", group, ErrNoReplica)
+		return nil, fmt.Errorf("nvmeof: read group %d: %w", group, ErrNoReplica)
 	}
 	if s.verifyReads.Load() && len(live) > 1 {
-		return s.readVerify(p, live, group, targetOff, length, out, cmdUnit)
+		return s.readVerify(p, live, group, targetOff, length, cmdUnit)
 	}
 	start := 0
 	if p == nil && len(live) > 1 {
@@ -708,62 +736,42 @@ func (s *StripedPlane) readSpan(p *sim.Proc, snap []memberView, group int, targe
 			}
 			continue
 		}
-		if chunk == nil {
-			return errNilRead
+		if err := checkChunk(m, chunk, length); err != nil {
+			return nil, err
 		}
-		if int64(len(chunk)) != length {
-			return fmt.Errorf("nvmeof: stripe member %d returned %d bytes, want %d", m.idx, len(chunk), length)
-		}
-		copy(out, chunk)
-		return nil
+		return chunk, nil
 	}
-	return lastErr
+	return nil, lastErr
 }
 
 // readVerify reads every live member of a group, compares, and repairs
-// divergent copies from the lowest-index live member (the authority).
-// Divergence can only exist on bytes whose write was never
-// acknowledged — an acked write landed on every attached member — so
-// any of the copies is a legal result; picking the lowest index makes
-// repair deterministic.
-func (s *StripedPlane) readVerify(p *sim.Proc, live []memberView, group int, targetOff, length int64, out []byte, cmdUnit int64) error {
+// divergent copies from the lowest-index live member (the authority),
+// whose buffer it returns. Divergence can only exist on bytes whose
+// write was never acknowledged — an acked write landed on every
+// attached member — so any of the copies is a legal result; picking
+// the lowest index makes repair deterministic.
+func (s *StripedPlane) readVerify(p *sim.Proc, live []memberView, group int, targetOff, length int64, cmdUnit int64) ([]byte, error) {
 	copies := make([][]byte, len(live))
 	for i, m := range live {
 		chunk, err := m.child.Read(p, targetOff, length, cmdUnit)
 		if err != nil {
-			return fmt.Errorf("nvmeof: verify read group %d member %d: %w", group, m.idx, err)
+			return nil, fmt.Errorf("nvmeof: verify read group %d member %d: %w", group, m.idx, err)
 		}
-		if chunk == nil {
-			return errNilRead
-		}
-		if int64(len(chunk)) != length {
-			return fmt.Errorf("nvmeof: stripe member %d returned %d bytes, want %d", m.idx, len(chunk), length)
+		if err := checkChunk(m, chunk, length); err != nil {
+			return nil, err
 		}
 		copies[i] = chunk
 	}
 	authority := copies[0]
 	for i := 1; i < len(live); i++ {
-		if !bytesEqual(copies[i], authority) {
+		if !bytes.Equal(copies[i], authority) {
 			inc(&s.repairs)
 			if err := live[i].child.Write(p, targetOff, length, authority, cmdUnit); err != nil {
-				return fmt.Errorf("nvmeof: read-repair group %d member %d: %w", group, live[i].idx, err)
+				return nil, fmt.Errorf("nvmeof: read-repair group %d member %d: %w", group, live[i].idx, err)
 			}
 		}
 	}
-	copy(out, authority)
-	return nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return authority, nil
 }
 
 // Read implements plane.Plane. The nil contract is all-or-nothing: a
@@ -780,27 +788,41 @@ func (s *StripedPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]by
 	var snapBuf [inlineChildren]memberView
 	snap := s.snapshot(snapBuf[:0])
 	spans := s.logical.Spans(off, length)
-	if p == nil && len(spans) > 1 {
-		var buf [inlineStripeGroups]stripeGroup
-		if groups, ok := groupSpans(spans, buf[:]); ok {
-			return s.readGrouped(snap, groups, off, length)
+	if len(spans) == 1 {
+		// One group holds the whole range in order: nothing to
+		// interleave, so the member's buffer is the result.
+		sp := spans[0]
+		out, err := s.readSpan(p, snap, sp.Target, sp.TargetOff, sp.Length, cmdUnit)
+		if errors.Is(err, errNilRead) {
+			return nil, nil
 		}
+		return out, err
 	}
 	out := make([]byte, length)
-	sawNil := false
-	var mu sync.Mutex
-	err := s.forEachSpan(p, spans, func(sp balancer.StripeSpan) error {
-		err := s.readSpan(p, snap, sp.Target, sp.TargetOff, sp.Length, out[sp.Off-off:sp.Off-off+sp.Length], cmdUnit)
-		if errors.Is(err, errNilRead) {
-			mu.Lock()
-			sawNil = true
-			mu.Unlock()
-			return nil
+	var errs []error
+	var buf [inlineStripeGroups]stripeGroup
+	if groups, ok := groupSpans(spans, buf[:]); ok && p == nil {
+		errs = s.readGrouped(snap, groups, off, out)
+	} else {
+		// Span at a time and in order: under the simulator determinism
+		// is the point and the children charge virtual time. Every span
+		// is attempted, as forEachSpan does for writes.
+		errs = make([]error, len(spans))
+		for i, sp := range spans {
+			chunk, err := s.readSpan(p, snap, sp.Target, sp.TargetOff, sp.Length, cmdUnit)
+			if err == nil {
+				copy(out[sp.Off-off:], chunk)
+			}
+			errs[i] = err
 		}
-		return err
-	})
-	if err != nil {
-		return nil, err
+	}
+	sawNil := false
+	for _, err := range errs {
+		if errors.Is(err, errNilRead) {
+			sawNil = true
+		} else if err != nil {
+			return nil, err
+		}
 	}
 	if sawNil {
 		return nil, nil
@@ -809,96 +831,49 @@ func (s *StripedPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]by
 }
 
 // readGrouped issues the read as contiguous per-group extents, each
-// served by the group's live members, and scatters each group's bytes
-// back into stripe order. A mirrored group with several live members
-// splits its extent across them — the mirror reads at RAID-0 aggregate
-// bandwidth. The nil contract holds: any consulted member returning
-// nil makes the whole read nil.
-func (s *StripedPlane) readGrouped(snap []memberView, groups []stripeGroup, off, length int64) ([]byte, error) {
-	staging := make([]byte, length)
-	// Each group's extent lands contiguously in staging in group order,
-	// then scatters to the striped layout.
-	var offsBuf [inlineStripeGroups]int64
-	offs := offsBuf[:0]
-	pos := int64(0)
-	for gi := range groups {
-		offs = append(offs, pos)
-		pos += groups[gi].length
-	}
-	var errsBuf [inlineStripeGroups]error
-	var nilsBuf [inlineStripeGroups]bool
-	errs, nils := errsBuf[:len(groups)], nilsBuf[:len(groups)]
-	if len(groups) > inlineStripeGroups {
-		errs, nils = make([]error, len(groups)), make([]bool, len(groups))
-	}
+// served by the group's live members and scattered into stripe order
+// in out as it arrives; the result is one error slot per group. A
+// mirrored group with several live members splits its extent across
+// them — the mirror reads at RAID-0 aggregate bandwidth.
+func (s *StripedPlane) readGrouped(snap []memberView, groups []stripeGroup, off int64, out []byte) []error {
+	errs := make([]error, len(groups))
 	var wg sync.WaitGroup
 	for gi := range groups {
-		g := &groups[gi]
 		wg.Add(1)
-		go func(gi int, g *stripeGroup) {
+		go func(gi int, g stripeGroup) {
 			defer wg.Done()
-			err := s.readGroupExtent(snap, g.target, g.targetOff, g.length, staging[offs[gi]:offs[gi]+g.length])
-			if errors.Is(err, errNilRead) {
-				nils[gi] = true
-				return
-			}
-			errs[gi] = err
-		}(gi, g)
+			errs[gi] = s.readGroupExtent(snap, g.target, g.targetOff, g.length, out, off)
+		}(gi, groups[gi])
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, n := range nils {
-		if n {
-			return nil, nil
-		}
-	}
-	out := make([]byte, length)
-	for gi := range groups {
-		g := &groups[gi]
-		chunk := staging[offs[gi] : offs[gi]+g.length]
-		// Walk the striped address space restricted to this group: the
-		// group's extent is contiguous member-local, so stripe units
-		// peel off the front in striped-address order.
-		pos := int64(0)
-		for cur := off; cur < off+length && pos < g.length; {
-			stripeNo := cur / s.logical.Unit
-			in := cur % s.logical.Unit
-			n := s.logical.Unit - in
-			if rest := off + length - cur; n > rest {
-				n = rest
-			}
-			if int(stripeNo%int64(s.logical.Targets)) == g.target {
-				copy(out[cur-off:cur-off+n], chunk[pos:pos+n])
-				pos += n
-			}
-			cur += n
-		}
-	}
-	return out, nil
+	return errs
 }
 
-// readGroupExtent serves one group's contiguous extent: split across
+// readGroupExtent serves one group's contiguous extent into its striped
+// places in out (whose first byte is striped address off): split across
 // the live members when there are several and the extent is large
 // enough to amortize the extra commands, one member otherwise. Any
 // split-part failure falls back to whole-extent failover.
-func (s *StripedPlane) readGroupExtent(snap []memberView, group int, targetOff, length int64, out []byte) error {
+func (s *StripedPlane) readGroupExtent(snap []memberView, group int, targetOff, length int64, out []byte, off int64) error {
 	var liveBuf [inlineChildren]memberView
 	live := liveMembers(s.groupMembers(snap, group), liveBuf[:0])
 	if len(live) == 0 {
 		return fmt.Errorf("nvmeof: read group %d: %w", group, ErrNoReplica)
 	}
+	whole := func() error {
+		chunk, err := s.readSpan(nil, snap, group, targetOff, length, 0)
+		if err == nil {
+			s.scatter(out, off, group, targetOff, chunk)
+		}
+		return err
+	}
 	if s.verifyReads.Load() || len(live) == 1 || length < 2*s.logical.Unit {
-		return s.readSpan(nil, snap, group, targetOff, length, out, 0)
+		return whole()
 	}
 	// Split the extent into one contiguous part per live member.
 	part := length / int64(len(live))
 	var wg sync.WaitGroup
 	errs := make([]error, len(live))
-	nils := make([]bool, len(live))
 	for i, m := range live {
 		start := int64(i) * part
 		end := start + part
@@ -909,24 +884,18 @@ func (s *StripedPlane) readGroupExtent(snap []memberView, group int, targetOff, 
 		go func(i int, m memberView, start, end int64) {
 			defer wg.Done()
 			chunk, err := m.child.Read(nil, targetOff+start, end-start, 0)
-			if err != nil {
-				errs[i] = err
-				return
+			if err == nil {
+				err = checkChunk(m, chunk, end-start)
 			}
-			if chunk == nil {
-				nils[i] = true
-				return
+			if err == nil {
+				s.scatter(out, off, group, targetOff+start, chunk)
 			}
-			if int64(len(chunk)) != end-start {
-				errs[i] = fmt.Errorf("nvmeof: stripe member %d returned %d bytes, want %d", m.idx, len(chunk), end-start)
-				return
-			}
-			copy(out[start:end], chunk)
+			errs[i] = err
 		}(i, m, start, end)
 	}
 	wg.Wait()
-	for _, n := range nils {
-		if n {
+	for _, err := range errs {
+		if errors.Is(err, errNilRead) {
 			return errNilRead
 		}
 	}
@@ -936,7 +905,7 @@ func (s *StripedPlane) readGroupExtent(snap []memberView, group int, targetOff, 
 			// member failover rather than reasoning about which parts
 			// survived.
 			inc(&s.failovers)
-			return s.readSpan(nil, snap, group, targetOff, length, out, 0)
+			return whole()
 		}
 	}
 	return nil

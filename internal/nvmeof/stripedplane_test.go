@@ -306,3 +306,67 @@ func TestStripedPlaneConcurrentOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStripedPlaneReadScatterTable walks reads whose offsets and lengths
+// sit on, one before and one after stripe-unit boundaries, over 2 and 3
+// groups unmirrored and 2-way mirrored — healthy, with one member down,
+// and in verify-reads mode — each against one flat plane holding the
+// same bytes. It covers every way a member's buffer is placed into the
+// result: returned as is, scattered whole, scattered per split part,
+// and scattered from the verify path's authority copy.
+func TestStripedPlaneReadScatterTable(t *testing.T) {
+	const unit = 64
+	const childSize = 16 * unit
+	for _, groups := range []int{2, 3} {
+		for _, replicas := range []int{1, 2} {
+			modes := []string{"healthy"}
+			if replicas > 1 {
+				modes = append(modes, "member-down", "verify")
+			}
+			for _, mode := range modes {
+				t.Run(fmt.Sprintf("groups=%d/r=%d/%s", groups, replicas, mode), func(t *testing.T) {
+					sp, _ := mirroredOverMem(t, groups, replicas, childSize, unit)
+					oracle := newMemPlane(sp.Size(), true)
+					pattern := make([]byte, sp.Size())
+					rand.New(rand.NewSource(int64(groups*10 + replicas))).Read(pattern)
+					if err := sp.Write(nil, 0, sp.Size(), pattern, 0); err != nil {
+						t.Fatal(err)
+					}
+					if err := oracle.Write(nil, 0, sp.Size(), pattern, 0); err != nil {
+						t.Fatal(err)
+					}
+					switch mode {
+					case "member-down":
+						if err := sp.SetChildDown(sp.Geometry().Member(groups-1, 0)); err != nil {
+							t.Fatal(err)
+						}
+					case "verify":
+						sp.SetVerifyReads(true)
+					}
+					edges := []int64{-1, 0, 1}
+					for k := int64(0); k <= int64(groups)+1; k++ {
+						for _, d := range edges {
+							off := k*unit + d
+							for j := int64(0); j <= 2*int64(groups)+1; j++ {
+								for _, e := range edges {
+									length := j*unit + e
+									if off < 0 || length <= 0 || off+length > sp.Size() {
+										continue
+									}
+									got, err := sp.Read(nil, off, length, 0)
+									if err != nil {
+										t.Fatalf("read [%d,+%d): %v", off, length, err)
+									}
+									want, _ := oracle.Read(nil, off, length, 0)
+									if !bytes.Equal(got, want) {
+										t.Fatalf("read [%d,+%d) differs from the single-plane oracle", off, length)
+									}
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -139,7 +139,9 @@ func (ns *MemNamespace) writeAt(off int64, data []byte) uint16 {
 	return StatusOK
 }
 
-func (ns *MemNamespace) readAt(off, length int64) ([]byte, uint16) {
+// readAt serves a READ into *bufp's backing (see reuseBuf): the result
+// is only valid until the caller's next readAt with the same bufp.
+func (ns *MemNamespace) readAt(off, length int64, bufp *[]byte) ([]byte, uint16) {
 	if off < 0 || length < 0 || off+length > ns.size {
 		return nil, StatusOutOfRange
 	}
@@ -149,7 +151,7 @@ func (ns *MemNamespace) readAt(off, length int64) ([]byte, uint16) {
 	if d := ns.serviceDelay(length); d > 0 {
 		time.Sleep(d)
 	}
-	buf := make([]byte, length)
+	buf := reuseBuf(bufp, int(length))
 	for covered := int64(0); covered < length; {
 		cur := off + covered
 		si := cur / stripeBytes
@@ -159,9 +161,8 @@ func (ns *MemNamespace) readAt(off, length int64) ([]byte, uint16) {
 		}
 		s := &ns.stripes[si]
 		s.mu.Lock()
-		data, _ := s.store.Read(cur, n)
+		s.store.ReadInto(cur, buf[covered:covered+n])
 		s.mu.Unlock()
-		copy(buf[covered:], data)
 		covered += n
 	}
 	return buf, StatusOK
@@ -423,8 +424,8 @@ func (t *Target) serve(conn net.Conn) {
 		return
 	}
 	defer t.deregister(qp)
-	br := bufio.NewReaderSize(conn, 1<<20)
-	bw := bufio.NewWriterSize(conn, 1<<20)
+	br := bufio.NewReaderSize(conn, sockBufSize)
+	bw := bufio.NewWriterSize(conn, sockBufSize)
 
 	// Slot pool: the reader acquires a slot, parses into it, and hands
 	// its index to the service loop, which returns it after answering.
@@ -481,6 +482,10 @@ func (t *Target) serve(conn net.Conn) {
 
 	var connected *MemNamespace
 	admin := false // CONNECT with NSID 0 makes this an admin queue pair
+	// readBuf backs every READ payload this queue pair returns. One is
+	// enough: this loop is serial, and writeResponseScratch has handed the
+	// whole payload to bw (copied or sent) before the next command runs.
+	var readBuf []byte
 	var prevWireWrite time.Duration
 	var respScratch [protoScratchLen]byte
 	for idx := range sq {
@@ -548,7 +553,7 @@ func (t *Target) serve(conn net.Conn) {
 			if connected == nil {
 				resp.Status = StatusNotConnected
 			} else {
-				data, status := connected.readAt(int64(cmd.Offset), int64(cmd.Length))
+				data, status := connected.readAt(int64(cmd.Offset), int64(cmd.Length), &readBuf)
 				resp.Status = status
 				resp.Data = data
 			}

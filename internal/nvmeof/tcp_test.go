@@ -532,7 +532,7 @@ func TestCloseDrainsInflightWrite(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close never returned after the WRITE drained")
 	}
-	if got, _ := ns.readAt(0, 18); string(got) != "in-flight-at-close" {
+	if got, _ := ns.readAt(0, 18, new([]byte)); string(got) != "in-flight-at-close" {
 		t.Errorf("drained write not durable: %q", got)
 	}
 }
@@ -588,5 +588,57 @@ func TestBadMagicRejected(t *testing.T) {
 	buf.Write(make([]byte, 64))
 	if _, err := ReadResponse(&buf); err == nil {
 		t.Error("zero-magic response accepted")
+	}
+}
+
+// TestReadAfterLargerTransferReturnsZeros pins the reused READ buffer:
+// a queue pair that has just answered a large READ (and taken a large
+// WRITE) must still return zeros for every byte nothing was written to
+// — a never-written range, a half-written one, and one crossing a
+// namespace stripe — never the previous payload's bytes.
+func TestReadAfterLargerTransferReturnsZeros(t *testing.T) {
+	_, addr := startTarget(t, map[uint32]int64{1: 8 * model.MB})
+	h, err := Dial(addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	big := bytes.Repeat([]byte{0xAB}, 256*1024)
+	dirty := func() {
+		t.Helper()
+		if err := h.WriteAt(0, big); err != nil {
+			t.Fatal(err)
+		}
+		got, err := h.ReadAt(0, int64(len(big)))
+		if err != nil || !bytes.Equal(got, big) {
+			t.Fatalf("large read-back: err=%v", err)
+		}
+	}
+	half := bytes.Repeat([]byte{0xCD}, 2048)
+	if err := h.WriteAt(2*model.MB, half); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.WriteAt(stripeBytes-512, half[:512]); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		off  int64
+		want []byte
+	}{
+		{"never written", 4 * model.MB, make([]byte, 4096)},
+		{"half written", 2 * model.MB, append(append([]byte(nil), half...), make([]byte, 2048)...)},
+		{"gap before data", 2*model.MB - 1024, append(make([]byte, 1024), half...)},
+		{"across a namespace stripe", stripeBytes - 1024,
+			append(append(make([]byte, 512), half[:512]...), make([]byte, 1024)...)},
+	} {
+		dirty()
+		got, err := h.ReadAt(tc.off, int64(len(tc.want)))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got, tc.want) {
+			t.Errorf("%s: read [%d,+%d) returned stale or wrong bytes", tc.name, tc.off, len(tc.want))
+		}
 	}
 }

@@ -143,8 +143,12 @@ func (t *TCPPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, 
 	if length == 0 {
 		return nil, nil
 	}
-	out := make([]byte, 0, length)
 	const maxChunk = MaxDataLen / 2
+	if length <= maxChunk {
+		// Single capsule: the queue's buffer already belongs to the caller.
+		return t.host.ReadAt(t.base+off, length)
+	}
+	out := make([]byte, 0, length)
 	for got := int64(0); got < length; got += maxChunk {
 		end := got + maxChunk
 		if end > length {

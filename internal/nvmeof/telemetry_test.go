@@ -86,11 +86,16 @@ func TestPoolRoundTripTelemetry(t *testing.T) {
 	if ts.BytesIn != bytesOut {
 		t.Errorf("target bytes in = %d, initiator bytes out = %d", ts.BytesIn, bytesOut)
 	}
-	if ts.Latency.Count != commands {
-		t.Errorf("target latency observations = %d, want %d", ts.Latency.Count, commands)
-	}
 	if len(ts.QueuePairs) != 2 {
 		t.Errorf("target sees %d queue pairs, want 2", len(ts.QueuePairs))
+	}
+	// The serve loop observes a command's latency after its response has
+	// left, so the last observation can trail the host seeing the
+	// completion. Close waits for every serve loop to return.
+	p.Close()
+	tgt.Close()
+	if got := tgt.Snapshot().Latency.Count; got != commands {
+		t.Errorf("target latency observations = %d, want %d", got, commands)
 	}
 
 	// Both registries must expose the traffic in Prometheus form.

@@ -105,6 +105,22 @@ echo "== mirrored no-lost-byte property suite (short mode)"
 go test -short -count=1 -run 'TestMirroredSingleEquivalence|TestMigrationCrashRecovery' \
 	./internal/nvmeof ./internal/rebalance
 
+echo "== allocation gates (transport)"
+# Process-wide heap counts over a live loopback target, so they only
+# mean something without -race: the batched small-command steady state
+# at 0 allocs/op, and the read path at one buffer per byte read through
+# a TCPPlane (the response payload) plus one more where a stripe
+# interleaves (docs/batching.md, "Read path").
+go test -count=1 -run 'TestBatchedSteadyStateAllocs|TestReadPathAllocBytes' ./internal/nvmeof
+
+echo "== end-to-end benchmark (smoke test + count repeatability)"
+# The smoke test runs every workload once, small; -selfcheck runs one
+# workload twice at full size and fails unless write_amp and space_amp
+# repeat exactly and alloc_b_per_user_b to 0.5 %. Timing claims are
+# judged by scripts/pairs.sh, not here.
+go test -count=1 ./benchmark
+go run ./benchmark -selfcheck -workload ckpt_large
+
 echo "== deprecated vfs API gate"
 # The old Create/ReadOnly/WriteOnly surface lives on only inside the
 # compat shims; new in-repo callers must use Open with O_* flags.
