@@ -253,19 +253,12 @@ func (inst *Instance) Recover(p *sim.Proc) error {
 		replayFrom = img.LogStart
 		inst.snapLen = snapHeaderBytes + bodyLen
 	}
-	logImage, err := inst.cfg.Plane.Read(p, 0, inst.cfg.LogBytes, hb)
+	records, err := inst.log.Load(func(off, n int64) ([]byte, error) {
+		return inst.cfg.Plane.Read(p, off, n, hb)
+	}, expectEpoch)
 	if err != nil {
 		return err
 	}
-	log, records, err := wal.Load(wal.Options{
-		Capacity:   inst.cfg.LogBytes,
-		PageSize:   inst.cfg.LogPageBytes,
-		NoCoalesce: inst.cfg.NoCoalesce,
-	}, inst.walWriteFunc(), logImage, expectEpoch)
-	if err != nil {
-		return err
-	}
-	inst.log = log
 	for _, lr := range records {
 		if lr.Off < replayFrom {
 			continue

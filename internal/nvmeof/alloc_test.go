@@ -5,8 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/nvme-cr/nvmecr/internal/microfs"
 	"github.com/nvme-cr/nvmecr/internal/model"
 	"github.com/nvme-cr/nvmecr/internal/plane"
+	"github.com/nvme-cr/nvmecr/internal/sim"
+	"github.com/nvme-cr/nvmecr/internal/vfs"
 )
 
 // TestBatchedSteadyStateAllocs is the polled-path allocation gate: the
@@ -63,9 +66,11 @@ func TestDeviceBoundBytesPerOp(t *testing.T) {
 // TestReadPathAllocBytes is the read-path allocation gate: a read costs
 // one allocation of its own size (the response payload the host hands
 // up) through a TCPPlane, and one more where a stripe has to interleave
-// its members' buffers. Heap bytes are process-wide (the in-process
-// targets included), so a fresh slice per READ on either end of the
-// socket, or a staging copy in a plane, trips it.
+// its members' buffers. Small sequential reads cost the same per byte:
+// the read-ahead window hands out the buffers it fetches, it does not
+// copy out of them. Heap bytes are process-wide (the in-process targets
+// included), so a fresh slice per READ on either end of the socket, or
+// a staging copy in a plane, trips it.
 func TestReadPathAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -94,18 +99,25 @@ func TestReadPathAllocBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		plane plane.Plane
+		call  int64 // bytes per Read
+		span  int64 // bytes read front to back, from offset 0, per pass
 		max   float64
 	}{
-		{"tcpplane", children[0], 1.1},
-		{"striped(2)", striped, 2.1},
+		{"tcpplane", children[0], length, length, 1.1},
+		// The whole child, so that the one window a pass leaves partly
+		// unread (at most maxReuseBuf) is cut short by the partition end.
+		{"tcpplane, 16 KiB sequential", children[0], 16 * model.KB, childSize, 1.1},
+		{"striped(2)", striped, length, length, 2.1},
 	} {
 		if err := tc.plane.Write(nil, 0, length, make([]byte, length), 0); err != nil {
 			t.Fatal(err)
 		}
 		read := func(n int) {
 			for i := 0; i < n; i++ {
-				if got, err := tc.plane.Read(nil, 0, length, 0); err != nil || int64(len(got)) != length {
-					t.Fatalf("%s: read %d bytes, %v", tc.name, len(got), err)
+				for off := int64(0); off < tc.span; off += tc.call {
+					if got, err := tc.plane.Read(nil, off, tc.call, 0); err != nil || int64(len(got)) != tc.call {
+						t.Fatalf("%s: read %d bytes, %v", tc.name, len(got), err)
+					}
 				}
 			}
 		}
@@ -115,10 +127,67 @@ func TestReadPathAllocBytes(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		read(reads)
 		runtime.ReadMemStats(&after)
-		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(reads*length)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(reads*tc.span)
 		t.Logf("%s: %.3f heap bytes allocated per byte read", tc.name, perByte)
 		if perByte > tc.max {
 			t.Errorf("%s: %.3f heap bytes allocated per byte read, want <= %.1f", tc.name, perByte, tc.max)
 		}
+	}
+	t.Run("recover", recoverAllocBytes)
+}
+
+// recoverAllocBytes: a restart over an almost empty provenance log
+// allocates the log image (microfs.New) and the little it reads — not a
+// second image, and not a region-sized response buffer.
+func recoverAllocBytes(t *testing.T) {
+	_, addr := startTarget(t, map[uint32]int64{1: 128 * model.MB})
+	h, err := Dial(addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	pl, err := NewTCPPlane(h, 0, h.NamespaceSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := microfs.Config{Plane: pl, Host: model.Default().Host, Features: microfs.AllFeatures()}
+	const logBytes = 4 * model.MB // the microfs default
+	env := sim.NewEnv()
+	env.Go("restart", func(p *sim.Proc) {
+		inst, err := microfs.New(env, cfg)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f, err := inst.Open(p, "/ckpt.dat", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f.Write(p, make([]byte, 64*model.KB))
+		f.Close(p)
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fresh, err := microfs.New(env, cfg)
+		if err == nil {
+			err = fresh.Recover(p)
+		}
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if n := int64(len(fresh.Log().Image())); n != logBytes || fresh.Log().Records() == 0 {
+			t.Errorf("recovered a log of %d bytes with %d records", n, fresh.Log().Records())
+		}
+		got := int64(after.TotalAlloc - before.TotalAlloc)
+		t.Logf("New + Recover allocated %d bytes for a %d-byte log region", got, logBytes)
+		if got > logBytes+256*model.KB {
+			t.Errorf("New + Recover allocated %d bytes, want <= %d", got, logBytes+256*model.KB)
+		}
+	})
+	if _, err := env.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package nvmeof
 
 import (
 	"bytes"
+	"hash/crc32"
 	"testing"
 
 	"github.com/nvme-cr/nvmecr/internal/microfs"
@@ -144,6 +145,55 @@ func TestMicrofsOverRealTCP(t *testing.T) {
 				t.Errorf("%s mismatch over TCP recovery (n=%d err=%v)", path, n, err)
 			}
 			f.Close(p)
+		}
+
+		// The restart shape: /a.dat comes back in 16 KiB calls, which the
+		// plane serves from its read-ahead window, and a block is
+		// overwritten while the window holds bytes fetched ahead of the
+		// reader — twice over, the second pass from a cold window.
+		const kb = 1 << 10
+		want := append([]byte(nil), payloadA...)
+		w, err := inst2.Open(p, "/a.dat", vfs.O_WRONLY, 0)
+		if err != nil {
+			t.Errorf("open for overwrite: %v", err)
+			return
+		}
+		defer w.Close(p)
+		for pass, blockOff := range []int{32 * kb, 64 * kb} {
+			f, err := inst2.Open(p, "/a.dat", vfs.O_RDONLY, 0)
+			if err != nil {
+				t.Errorf("pass %d: open: %v", pass, err)
+				return
+			}
+			got := make([]byte, len(want))
+			pos := 0
+			readTo := func(end int) {
+				for pos < end {
+					n, err := f.Read(p, got[pos:pos+16*kb])
+					if err != nil || n != 16*kb {
+						t.Errorf("pass %d: read at %d: %d bytes, %v", pass, pos, n, err)
+						return
+					}
+					pos += n
+				}
+			}
+			// Three sequential reads: the third fetched a window that
+			// reaches into the block about to change.
+			readTo(blockOff + 16*kb)
+			block := bytes.Repeat([]byte{byte('x' + pass)}, 32*kb)
+			copy(want[blockOff:], block)
+			copy(got[blockOff:pos], block) // already handed out, now stale by design
+			if err := w.SeekTo(int64(blockOff)); err != nil {
+				t.Error(err)
+			}
+			if n, err := w.Write(p, block); err != nil || n != len(block) {
+				t.Errorf("pass %d: overwrite: %d bytes, %v", pass, n, err)
+			}
+			readTo(len(want))
+			f.Close(p)
+			if crc32.ChecksumIEEE(got) != crc32.ChecksumIEEE(want) {
+				t.Errorf("pass %d: /a.dat read in 16 KiB calls around an overwrite differs from what was written", pass)
+			}
 		}
 	})
 	if _, err := env2.Run(); err != nil {

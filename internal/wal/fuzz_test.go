@@ -41,6 +41,19 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// loadImage is the full-region reference load: a fresh log over opts
+// that Loads image as its device content.
+func loadImage(opts Options, image []byte, epoch byte) (*Log, []LocatedRecord, error) {
+	l, err := New(opts, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	dev := make([]byte, opts.Capacity)
+	copy(dev, image)
+	records, err := l.Load(func(off, n int64) ([]byte, error) { return dev[off : off+n], nil }, epoch)
+	return l, records, err
+}
+
 // FuzzLoadRoundTrip: loading any image and appending must keep the log
 // self-consistent (append after load decodes back).
 func FuzzLoadRoundTrip(f *testing.F) {
@@ -53,7 +66,7 @@ func FuzzLoadRoundTrip(f *testing.F) {
 		if epoch == 0 {
 			epoch = 1
 		}
-		loaded, prefix, err := Load(Options{Capacity: 1 << 12}, nil, image, epoch)
+		loaded, prefix, err := loadImage(Options{Capacity: 1 << 12}, image, epoch)
 		if err != nil {
 			return
 		}
@@ -135,7 +148,7 @@ func FuzzReplayTorn(f *testing.F) {
 
 		// Recovery over the torn image: Load accepts the valid prefix
 		// and the log keeps working.
-		loaded, prefix, err := Load(Options{Capacity: capacity, NoCoalesce: true}, nil, dev, l.Epoch())
+		loaded, prefix, err := loadImage(Options{Capacity: capacity, NoCoalesce: true}, dev, l.Epoch())
 		if err != nil {
 			t.Fatalf("load of torn image: %v", err)
 		}

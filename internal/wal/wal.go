@@ -342,29 +342,33 @@ type LocatedRecord struct {
 	Off int64
 }
 
-// scan walks a log region image decoding records of the given epoch.
-func scan(image []byte, epoch byte) ([]LocatedRecord, int64, error) {
-	var out []LocatedRecord
-	off := 0
+// scan walks a log region image from byte offset from, decoding records
+// of the given epoch. short reports that the walk ran into the end of
+// the image — inside a record, or with less than a minimal record left —
+// rather than into an invalid op, another epoch or a CRC mismatch: for a
+// caller holding only a prefix of the region that means "read more and
+// resume at the returned offset", never "torn".
+func scan(image []byte, from int64, epoch byte) (out []LocatedRecord, head int64, short bool, err error) {
+	off := int(from)
 	for off+headerSize+4 <= len(image) {
 		op := Op(image[off])
 		if op == OpInvalid || op > OpRename {
-			return out, int64(off), nil
+			return out, int64(off), false, nil
 		}
 		if image[off+1] != epoch {
-			return out, int64(off), nil
+			return out, int64(off), false, nil
 		}
 		pathLen := int(binary.LittleEndian.Uint16(image[off+2:]))
 		path2Len := int(binary.LittleEndian.Uint16(image[off+4:]))
 		end := off + headerSize + pathLen + path2Len + 4
 		if end > len(image) {
-			return out, int64(off), ErrCorrupt
+			return out, int64(off), true, ErrCorrupt
 		}
 		payload := off + headerSize + pathLen + path2Len
 		want := binary.LittleEndian.Uint32(image[payload:])
 		got := crc32.ChecksumIEEE(image[off:payload])
 		if want != got {
-			return out, int64(off), ErrCorrupt
+			return out, int64(off), false, ErrCorrupt
 		}
 		out = append(out, LocatedRecord{
 			Off: int64(off),
@@ -380,7 +384,7 @@ func scan(image []byte, epoch byte) ([]LocatedRecord, int64, error) {
 		})
 		off = end
 	}
-	return out, int64(off), nil
+	return out, int64(off), true, nil
 }
 
 // Decode scans a log region image and returns the records of the given
@@ -389,7 +393,7 @@ func scan(image []byte, epoch byte) ([]LocatedRecord, int64, error) {
 // records decoded so far (a torn final record is reported as corrupt —
 // callers decide whether to accept the prefix).
 func Decode(image []byte, epoch byte) ([]Record, error) {
-	located, _, err := scan(image, epoch)
+	located, _, _, err := scan(image, 0, epoch)
 	out := make([]Record, len(located))
 	for i, lr := range located {
 		out[i] = lr.Record
@@ -399,7 +403,7 @@ func Decode(image []byte, epoch byte) ([]Record, error) {
 
 // DecodeLocated is Decode with byte offsets attached.
 func DecodeLocated(image []byte, epoch byte) ([]LocatedRecord, error) {
-	located, _, err := scan(image, epoch)
+	located, _, _, err := scan(image, 0, epoch)
 	return located, err
 }
 
@@ -412,28 +416,46 @@ func (l *Log) NextEpoch() byte {
 	return e
 }
 
-// Load reconstructs a Log from a region image read back from the device
-// after a crash: it decodes the records of the given epoch, positions
-// the append head after the last valid record, and returns the records
-// for replay. Appending to the loaded log continues the same epoch.
-func Load(opts Options, write WriteFunc, image []byte, epoch byte) (*Log, []LocatedRecord, error) {
-	l, err := New(opts, write)
-	if err != nil {
-		return nil, nil, err
+// ReadFunc returns the n bytes the device holds at byte offset off
+// within the log region.
+type ReadFunc func(off, n int64) ([]byte, error)
+
+// loadChunk is the first read Load issues; every further one doubles.
+const loadChunk = 64 << 10
+
+// Load makes l the log a crashed instance left on the device: it reads
+// the region from offset 0 into l's image in doubling chunks until the
+// scan of the given epoch's records ends for good — at an unused or
+// other-epoch slot, or at a CRC mismatch on a record that lies wholly
+// inside the bytes read — or the region is exhausted, positions the
+// append head after the last valid record, and returns the records for
+// replay. The unread tail of the image is zeros. Appending to the
+// loaded log continues the same epoch; l's counters start over. After a
+// failed read l holds part of the device's log and must be loaded again
+// before it is used.
+func (l *Log) Load(read ReadFunc, epoch byte) ([]LocatedRecord, error) {
+	var records []LocatedRecord
+	var have, head int64
+	short := true
+	for chunk := int64(loadChunk); short && have < l.capacity; chunk *= 2 {
+		n := min(chunk, l.capacity-have)
+		data, err := read(have, n)
+		if err != nil {
+			return nil, err
+		}
+		// A device that captured no payloads reads as zeros.
+		got := int64(copy(l.image[have:have+n], data))
+		clear(l.image[have+got : have+n])
+		have += n
+		var more []LocatedRecord
+		// A torn final record is expected after a crash: accept the
+		// valid prefix and resume appending over the torn bytes.
+		more, head, short, _ = scan(l.image[:have], head, epoch)
+		records = append(records, more...)
 	}
-	if int64(len(image)) > l.capacity {
-		image = image[:l.capacity]
-	}
-	copy(l.image, image)
-	l.epoch = epoch
-	records, head, err := scan(l.image, epoch)
-	if err != nil && err != ErrCorrupt {
-		return nil, nil, err
-	}
-	// A torn final record is expected after a crash: accept the valid
-	// prefix and resume appending over the torn bytes.
-	l.head = head
-	l.live = int64(len(records))
-	l.appended = int64(len(records))
-	return l, records, nil
+	clear(l.image[have:])
+	l.epoch, l.head, l.recent = epoch, head, nil
+	l.live, l.appended = int64(len(records)), int64(len(records))
+	l.coalesced, l.devWrites, l.devBytes = 0, 0, 0
+	return records, nil
 }

@@ -109,8 +109,10 @@ echo "== allocation gates (transport)"
 # Process-wide heap counts over a live loopback target, so they only
 # mean something without -race: the batched small-command steady state
 # at 0 allocs/op, and the read path at one buffer per byte read through
-# a TCPPlane (the response payload) plus one more where a stripe
-# interleaves (docs/batching.md, "Read path").
+# a TCPPlane (the response payload; 1 MiB calls and sequential 16 KiB
+# calls through the read-ahead window alike) plus one more where a
+# stripe interleaves, and New + Recover at one log image plus the live
+# log (docs/batching.md, "Read path").
 go test -count=1 -run 'TestBatchedSteadyStateAllocs|TestReadPathAllocBytes' ./internal/nvmeof
 
 echo "== end-to-end benchmark (smoke test + count repeatability)"
