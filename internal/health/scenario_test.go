@@ -120,13 +120,19 @@ func TestFaultPlanDrivesSuspectAndRecovery(t *testing.T) {
 
 	// Steady workload: enough concurrency that a soft-biased pair
 	// still sees a trickle, so the signal survives the first demotion.
+	// Two of the eight writers move bulk (64 KiB) payloads, which the
+	// pool places on an idle queue pair: the bias must hold for them
+	// too, however idle the sick pair is.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	payload := make([]byte, 2048)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			payload := make([]byte, 2048)
+			if g%4 == 0 {
+				payload = make([]byte, 64<<10)
+			}
 			for i := 0; ; i++ {
 				select {
 				case <-stop:

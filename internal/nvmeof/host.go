@@ -474,11 +474,25 @@ func (h *Host) lastErr() error {
 // by the Host command set and the pool's retry loop (which reuses one
 // Command value across attempts and queue pairs).
 func (h *Host) submit(cmd *Command) (Response, error) {
+	return h.submitPayload(cmd, nil, 0, nil)
+}
+
+// submitPayload is submit for a WRITE whose payload is more than
+// cmd.Data can say: vec, when non-nil, is a gather list of vecLen bytes
+// that rides as one iovec per slice (WriteAtV); reg, when non-nil, is
+// the registered buffer backing cmd.Data, pinned until the transport is
+// done with its bytes (WriteAtBuffer).
+func (h *Host) submitPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer) (Response, error) {
 	s, err := h.acquireSlot()
 	if err != nil {
 		return Response{}, err
 	}
 	s.cmd = *cmd
+	s.vec, s.vecLen = vec, vecLen
+	if reg != nil {
+		reg.register()
+		s.reg = reg
+	}
 	return h.roundTrip(s)
 }
 
@@ -797,26 +811,25 @@ func (h *Host) WriteAt(off int64, data []byte) error {
 	return checkResp(resp, err, "write")
 }
 
+// vecBytes totals a gather list.
+func vecBytes(bufs [][]byte) int {
+	total := 0
+	for _, b := range bufs {
+		total += len(b)
+	}
+	return total
+}
+
 // WriteAtV writes the concatenation of bufs at the namespace offset as
 // ONE command: each slice rides as its own iovec into the vectored wire
 // write, so a striped or scattered payload needs no gather copy. The
 // same aliasing contract as WriteAt applies to every slice.
 func (h *Host) WriteAtV(off int64, bufs [][]byte) error {
-	total := 0
-	for _, b := range bufs {
-		total += len(b)
-	}
+	total := vecBytes(bufs)
 	if total == 0 {
 		return nil
 	}
-	s, err := h.acquireSlot()
-	if err != nil {
-		return fmt.Errorf("nvmeof: write: %w", err)
-	}
-	s.cmd = Command{Opcode: OpWriteCmd, Offset: uint64(off)}
-	s.vec = bufs
-	s.vecLen = total
-	resp, err := h.roundTrip(s)
+	resp, err := h.submitPayload(&Command{Opcode: OpWriteCmd, Offset: uint64(off)}, bufs, total, nil)
 	return checkResp(resp, err, "write")
 }
 
@@ -827,14 +840,7 @@ func (h *Host) WriteAtV(off int64, bufs [][]byte) error {
 // returned. Buffer.Release panics while the pin is held, which is the
 // use-after-register detection the zero-copy contract needs.
 func (h *Host) WriteAtBuffer(off int64, buf *Buffer) error {
-	s, err := h.acquireSlot()
-	if err != nil {
-		return fmt.Errorf("nvmeof: write: %w", err)
-	}
-	s.cmd = Command{Opcode: OpWriteCmd, Offset: uint64(off), Data: buf.Bytes()}
-	buf.register()
-	s.reg = buf
-	resp, err := h.roundTrip(s)
+	resp, err := h.submitPayload(&Command{Opcode: OpWriteCmd, Offset: uint64(off), Data: buf.Bytes()}, nil, 0, buf)
 	return checkResp(resp, err, "write")
 }
 

@@ -126,19 +126,20 @@ type qpSlot struct {
 
 // HostPool is an NVMe-oF initiator that shards commands across several
 // queue pairs to one target namespace — the paper's many-independent-
-// queue-pairs scaling model (§III, Fig. 4). Selection is round-robin
-// biased toward the shallowest queue; failed queue pairs are re-dialed
-// in the background with exponential backoff instead of poisoning the
-// pool, and idempotent commands transparently retry on a sibling queue
-// pair. Safe for concurrent use.
+// queue-pairs scaling model (§III, Fig. 4). Selection is by command
+// size (see acquire): bulk transfers each take an idle queue pair, small
+// commands concentrate where a batcher can coalesce them. Failed queue
+// pairs are re-dialed in the background with exponential backoff
+// instead of poisoning the pool, and idempotent commands transparently
+// retry on a sibling queue pair. Safe for concurrent use.
 type HostPool struct {
 	addr string
 	nsid uint32
 	cfg  PoolConfig
 
 	slots  []*qpSlot
-	rr     uint32 // atomic round-robin cursor
-	fill   int    // batching pools: fill a queue pair to this depth before spilling
+	rr     atomic.Uint32 // scan start of a non-batching pool; a batching pool scans from slot 0
+	fill   int           // batching pools: fill a queue pair to this depth before spilling
 	nsSize int64
 	reg    *telemetry.Registry
 	flight *FlightRecorder
@@ -249,74 +250,59 @@ func (p *HostPool) dumpFlight(qp int, reason string) {
 	})
 }
 
-// acquire picks a queue pair: scan round-robin from a moving cursor,
-// take the first idle queue pair, otherwise the shallowest. Dead queue
+// transferBytes is the payload a command moves across its connection:
+// a READ's requested length, otherwise the bytes it carries (vecLen
+// counts a gather list riding outside cmd.Data).
+func transferBytes(cmd *Command, vecLen int) int {
+	if cmd.Opcode == OpReadCmd {
+		return int(cmd.Length)
+	}
+	return len(cmd.Data) + vecLen
+}
+
+// acquire picks the queue pair for a command that moves n payload
+// bytes: one scan that takes the first healthy unbiased queue pair
+// shallower than a spill depth, otherwise the shallowest. Dead queue
 // pairs encountered on the way are handed to the reconnector.
-func (p *HostPool) acquire() (*qpSlot, *Host, error) {
+//
+// The spill depth is the whole policy. A transfer of sockBufSize or more
+// bypasses the bufio staging on both ends and owns its connection, its
+// target reader and its serve loop for as long as it lasts, so it spills
+// past anything in flight: two bulk transfers never share a queue pair
+// while another is idle. Smaller commands on a batching pool fill a
+// queue pair to the batch command budget before touching the next:
+// overlapping submissions that land in the same batcher coalesce into
+// one vectored write, whereas balancing by depth would cut N shallow
+// batches across N batchers, and scanning from slot 0 keeps the
+// concentration point stable. Without a batcher there is nothing to
+// concentrate for, so every command looks for an idle pair, from a
+// start that rotates so idle pairs share the load.
+//
+// Biased queue pairs never win outright, idle or not: BiasSoft carries
+// a depth handicap so siblings are preferred until they are genuinely
+// deeper, and BiasAvoid pairs are a separate last-resort class used
+// only when nothing else is up.
+func (p *HostPool) acquire(n int) (*qpSlot, *Host, error) {
 	select {
 	case <-p.closed:
 		return nil, nil, ErrPoolClosed
 	default:
 	}
-	n := len(p.slots)
-	// Batching pools fill queue pairs before spilling to the next:
-	// overlapping submissions that land in the same batcher coalesce
-	// into one vectored write, whereas balancing by depth would cut N
-	// shallow batches across N batchers. Scanning from slot 0 keeps the
-	// concentration point stable; a queue pair spills once its depth
-	// reaches the batch command budget, and if every pair is at budget
-	// the shallowest wins (same as the unbatched policy).
-	// Biased queue pairs never win outright: BiasSoft carries a depth
-	// handicap so siblings are preferred until they are genuinely
-	// deeper, and BiasAvoid pairs are a separate last-resort class used
-	// only when nothing else is up.
-	var avoid *qpSlot
-	var avoidHost *Host
-	avoidDepth := 0
-	if p.fill > 0 {
-		var best *qpSlot
-		var bestHost *Host
-		bestDepth := 0
-		for _, s := range p.slots {
-			s.mu.Lock()
-			h := s.host
-			s.mu.Unlock()
-			if h == nil || !h.Healthy() {
-				p.noteFailure(s, h)
-				continue
-			}
-			d := h.InFlight()
-			switch QPBias(s.bias.Load()) {
-			case BiasAvoid:
-				if avoid == nil || d < avoidDepth {
-					avoid, avoidHost, avoidDepth = s, h, d
-				}
-				continue
-			case BiasSoft:
-				d += softBiasHandicap
-			default:
-				if d < p.fill {
-					return s, h, nil
-				}
-			}
-			if best == nil || d < bestDepth {
-				best, bestHost, bestDepth = s, h, d
-			}
-		}
-		if best != nil {
-			return best, bestHost, nil
-		}
-		if avoid != nil {
-			return avoid, avoidHost, nil
-		}
-		return nil, nil, ErrNoQueuePairs
+	spill, start := p.fill, 0
+	if p.fill == 0 {
+		start = int(p.rr.Add(1) % uint32(len(p.slots)))
 	}
-	start := int(atomic.AddUint32(&p.rr, 1))
-	var best *qpSlot
-	var bestHost *Host
-	bestDepth := 0
-	for i := 0; i < n; i++ {
-		s := p.slots[(start+i)%n]
+	if p.fill == 0 || n >= sockBufSize {
+		spill = 1
+	}
+	var best, avoid *qpSlot
+	var bestHost, avoidHost *Host
+	bestDepth, avoidDepth := 0, 0
+	for i := range p.slots {
+		if i += start; i >= len(p.slots) {
+			i -= len(p.slots) // wrap; start < len(p.slots)
+		}
+		s := p.slots[i]
 		s.mu.Lock()
 		h := s.host
 		s.mu.Unlock()
@@ -325,21 +311,21 @@ func (p *HostPool) acquire() (*qpSlot, *Host, error) {
 			continue
 		}
 		d := h.InFlight()
-		b := QPBias(s.bias.Load())
-		if b == BiasAvoid {
+		switch QPBias(s.bias.Load()) {
+		case BiasAvoid:
 			if avoid == nil || d < avoidDepth {
 				avoid, avoidHost, avoidDepth = s, h, d
 			}
 			continue
-		}
-		if b == BiasSoft {
+		case BiasSoft:
 			d += softBiasHandicap
+		default:
+			if d < spill {
+				return s, h, nil
+			}
 		}
 		if best == nil || d < bestDepth {
 			best, bestHost, bestDepth = s, h, d
-		}
-		if b == BiasNone && d == 0 {
-			break // idle unbiased queue pair: no need to keep probing
 		}
 	}
 	if best != nil {
@@ -445,6 +431,12 @@ func (p *HostPool) gateAcquire() (func(), error) {
 // with a non-OK status is a definitive answer, not a transport failure,
 // and is returned without retrying.
 func (p *HostPool) do(cmd *Command, idempotent bool) (Response, error) {
+	return p.doPayload(cmd, nil, 0, nil, idempotent)
+}
+
+// doPayload is do for a WRITE whose payload rides outside cmd.Data or
+// in a registered buffer (see Host.submitPayload).
+func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer, idempotent bool) (Response, error) {
 	release, err := p.gateAcquire()
 	if err != nil {
 		return Response{}, err
@@ -468,7 +460,7 @@ func (p *HostPool) do(cmd *Command, idempotent bool) (Response, error) {
 			}
 			backoff *= 2
 		}
-		s, h, err := p.acquire()
+		s, h, err := p.acquire(transferBytes(cmd, vecLen))
 		if err != nil {
 			if errors.Is(err, ErrPoolClosed) {
 				return Response{}, err
@@ -479,9 +471,9 @@ func (p *HostPool) do(cmd *Command, idempotent bool) (Response, error) {
 		if a > 0 {
 			s.tel.retries.Inc()
 		}
-		// submit records commands, errors, bytes, latency, and the
-		// slot's flight ring (via the pool-shared recorder).
-		resp, err := h.submit(cmd)
+		// submitPayload records commands, errors, bytes, latency, and
+		// the slot's flight ring (via the pool-shared recorder).
+		resp, err := h.submitPayload(cmd, vec, vecLen, reg)
 		if err == nil {
 			return resp, nil
 		}
@@ -512,44 +504,20 @@ func (p *HostPool) WriteAt(off int64, data []byte) error {
 // socket as its own iovec (see Host.WriteAtV). Like WriteAt, it is not
 // retried.
 func (p *HostPool) WriteAtV(off int64, bufs [][]byte) error {
-	release, err := p.gateAcquire()
-	if err != nil {
-		return err
+	total := vecBytes(bufs)
+	if total == 0 {
+		return nil
 	}
-	defer release()
-	s, h, err := p.acquire()
-	if err != nil {
-		return fmt.Errorf("nvmeof: writev: %w", err)
-	}
-	if err := h.WriteAtV(off, bufs); err != nil {
-		if !errors.Is(err, ErrTimeout) {
-			p.noteFailure(s, h)
-		}
-		return err
-	}
-	return nil
+	resp, err := p.doPayload(&Command{Opcode: OpWriteCmd, Offset: uint64(off)}, bufs, total, nil, false)
+	return checkResp(resp, err, "write")
 }
 
 // WriteAtBuffer writes a registered buffer's bytes at the namespace
 // offset. The buffer stays pinned while the capsule is in flight (see
 // Host.WriteAtBuffer and BufferPool). Not retried.
 func (p *HostPool) WriteAtBuffer(off int64, buf *Buffer) error {
-	release, err := p.gateAcquire()
-	if err != nil {
-		return err
-	}
-	defer release()
-	s, h, err := p.acquire()
-	if err != nil {
-		return fmt.Errorf("nvmeof: write-buffer: %w", err)
-	}
-	if err := h.WriteAtBuffer(off, buf); err != nil {
-		if !errors.Is(err, ErrTimeout) {
-			p.noteFailure(s, h)
-		}
-		return err
-	}
-	return nil
+	resp, err := p.doPayload(&Command{Opcode: OpWriteCmd, Offset: uint64(off), Data: buf.Bytes()}, nil, 0, buf, false)
+	return checkResp(resp, err, "write")
 }
 
 // ReadAt reads length bytes from the namespace offset, retrying on
@@ -566,15 +534,28 @@ func (p *HostPool) ReadAt(off, length int64) ([]byte, error) {
 }
 
 // Flush issues a durability barrier on every healthy queue pair, so
-// writes sharded across the pool are all covered.
+// writes sharded across the pool are all covered. The barriers go out
+// together — an Fsync costs one round trip, not one per queue pair —
+// and the lowest-numbered queue pair's error wins.
 func (p *HostPool) Flush() error {
 	select {
 	case <-p.closed:
 		return ErrPoolClosed
 	default:
 	}
-	var firstErr error
-	flushed := 0
+	errs := make([]error, len(p.slots))
+	flushOn := func(s *qpSlot, h *Host) {
+		resp, err := h.submit(&Command{Opcode: OpFlushCmd})
+		if err != nil && !errors.Is(err, ErrTimeout) {
+			p.noteFailure(s, h)
+		}
+		errs[s.id] = checkResp(resp, err, "flush")
+	}
+	// Every healthy queue pair but the last gets a goroutine; the last
+	// is flushed from here, so a pool of one spawns nothing.
+	var wg sync.WaitGroup
+	var last *qpSlot
+	var lastHost *Host
 	for _, s := range p.slots {
 		s.mu.Lock()
 		h := s.host
@@ -583,25 +564,24 @@ func (p *HostPool) Flush() error {
 			p.noteFailure(s, h)
 			continue
 		}
-		resp, err := h.submit(&Command{Opcode: OpFlushCmd})
-		if err != nil {
-			if !errors.Is(err, ErrTimeout) {
-				p.noteFailure(s, h)
-			}
+		if last != nil {
+			wg.Add(1)
+			go func(s *qpSlot, h *Host) {
+				defer wg.Done()
+				flushOn(s, h)
+			}(last, lastHost)
 		}
-		if cerr := checkResp(resp, err, "flush"); cerr != nil {
-			if firstErr == nil {
-				firstErr = cerr
-			}
-			continue
-		}
-		flushed++
+		last, lastHost = s, h
 	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if flushed == 0 {
+	if last == nil {
 		return fmt.Errorf("nvmeof: flush: %w", ErrNoQueuePairs)
+	}
+	flushOn(last, lastHost)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -320,7 +320,7 @@ func TestBatchingPoolFillFirst(t *testing.T) {
 	}
 	defer pool.Close()
 	for i := 0; i < 8; i++ {
-		s, _, err := pool.acquire()
+		s, _, err := pool.acquire(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestBatchingPoolFillFirst(t *testing.T) {
 	// spill to queue pair 1.
 	h0 := pool.slots[0].host
 	h0.inflightN.Add(4)
-	s, _, err := pool.acquire()
+	s, _, err := pool.acquire(0)
 	h0.inflightN.Add(-4)
 	if err != nil {
 		t.Fatal(err)
@@ -341,21 +341,218 @@ func TestBatchingPoolFillFirst(t *testing.T) {
 		t.Fatalf("full qp 0 spilled to qp %d, want 1", s.id)
 	}
 
+	// The size rule, at the acquire level: a bulk command spills past a
+	// single command in flight, one byte under the threshold does not,
+	// and with every pair busy the shallowest wins.
+	depths := func(d ...int32) func() {
+		for i, n := range d {
+			pool.slots[i].host.inflightN.Add(n)
+		}
+		return func() {
+			for i, n := range d {
+				pool.slots[i].host.inflightN.Add(-n)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		depth []int32
+		n     int
+		want  int
+	}{
+		{[]int32{0, 0, 0, 0}, sockBufSize, 0},
+		{[]int32{1, 0, 0, 0}, sockBufSize, 1},
+		{[]int32{1, 0, 0, 0}, sockBufSize - 1, 0},
+		{[]int32{3, 1, 0, 2}, MaxDataLen, 2},
+		{[]int32{3, 2, 1, 2}, sockBufSize, 2},
+		{[]int32{3, 2, 1, 2}, 512, 0},
+		{[]int32{4, 4, 5, 4}, 512, 0},
+	} {
+		undo := depths(tc.depth...)
+		s, _, err := pool.acquire(tc.n)
+		undo()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.id != tc.want {
+			t.Errorf("depths %v, %d-byte command: qp %d, want %d", tc.depth, tc.n, s.id, tc.want)
+		}
+	}
+
 	plain, err := DialPool(addr, 1, PoolConfig{QueuePairs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	a, _, err := plain.acquire()
+	a, _, err := plain.acquire(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := plain.acquire()
+	b, _, err := plain.acquire(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.id == b.id {
 		t.Fatalf("unbatched pool acquired qp %d twice in a row; cursor should rotate", a.id)
+	}
+}
+
+// TestPoolPlacementBySize drives the size rule with real callers on a
+// batching pool and reads the outcome off Snapshot: synchronous bulk
+// callers, no more of them than queue pairs, each end up with a
+// connection of their own; the same callers issuing small commands still
+// meet in one batcher; more bulk callers than queue pairs share by depth
+// and nothing fails. Run under -race.
+func TestPoolPlacementBySize(t *testing.T) {
+	const (
+		pairs   = 4
+		perCall = 24
+		bulk    = 1 * model.MB
+	)
+	tgt := NewTarget()
+	// A little device time per command keeps every caller's command in
+	// flight while its siblings choose, whatever the scheduler does.
+	if err := tgt.AddNamespace(1, NewMemNamespaceWithLatency(16*model.MB, 4*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := tgt.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tgt.Close()
+	pool, err := DialPool(addr, 1, PoolConfig{
+		QueuePairs: pairs,
+		Batch:      BatchConfig{Enabled: true, MergeWrites: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	// run has callers goroutines issue perCall commands each, one at a
+	// time, and returns how many commands each queue pair took.
+	run := func(callers int, op func(caller, i int) error) []uint64 {
+		t.Helper()
+		before := pool.Snapshot()
+		var wg sync.WaitGroup
+		errs := make([]error, callers)
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < perCall && errs[c] == nil; i++ {
+					errs[c] = op(c, i)
+				}
+			}(c)
+		}
+		wg.Wait()
+		for c, err := range errs {
+			if err != nil {
+				t.Fatalf("caller %d: %v", c, err)
+			}
+		}
+		got := make([]uint64, pairs)
+		for i, st := range pool.Snapshot() {
+			got[i] = st.Commands - before[i].Commands
+		}
+		return got
+	}
+	bulkRead := func(c, i int) error {
+		_, err := pool.ReadAt(int64(c%8)*bulk, bulk)
+		return err
+	}
+	smallWrite := func(c, i int) error {
+		return pool.WriteAt(int64(c)*bulk+int64(i)*512, make([]byte, 512))
+	}
+
+	for _, callers := range []int{2, pairs} {
+		got := run(callers, bulkRead)
+		// Two callers can look at the same idle pair in the same instant
+		// and both take it; the slack is for that, not for a caller
+		// camping on a neighbour's connection.
+		const slack = perCall / 2
+		for qp, n := range got {
+			if qp < callers && n == 0 {
+				t.Errorf("%d bulk callers: qp %d idle, per-qp commands %v", callers, qp, got)
+			}
+			if n > perCall+slack {
+				t.Errorf("%d bulk callers: qp %d took %d commands, want <= %d: %v", callers, qp, n, perCall+slack, got)
+			}
+		}
+	}
+
+	got := run(pairs, smallWrite)
+	if total := pairs * perCall; got[0]*10 < uint64(total)*9 {
+		t.Errorf("small writes: slot 0 took %d of %d commands, want >= 90%%: %v", got[0], total, got)
+	}
+
+	got = run(2*pairs, bulkRead)
+	var total uint64
+	for qp, n := range got {
+		total += n
+		if n == 0 {
+			t.Errorf("%d bulk callers on %d pairs: qp %d idle: %v", 2*pairs, pairs, qp, got)
+		}
+	}
+	if want := uint64(2 * pairs * perCall); total != want {
+		t.Errorf("%d bulk callers issued %d commands, want %d", 2*pairs, total, want)
+	}
+}
+
+// TestPoolFlushIsOneRoundTrip pins the Flush fan-out: the barrier costs
+// the slowest queue pair's round trip, not the sum of them, and keeps
+// its error contract — a queue pair that dies under its FLUSH fails the
+// barrier and is handed to the reconnector.
+func TestPoolFlushIsOneRoundTrip(t *testing.T) {
+	const cmdTime = 50 * time.Millisecond
+	var conns, dropFlushOn atomic.Int32
+	addr := fakeTarget(t, func(c net.Conn) {
+		defer c.Close()
+		id := conns.Add(1)
+		br := bufio.NewReader(c)
+		for {
+			cmd, err := ReadCommand(br)
+			if err != nil {
+				return
+			}
+			if cmd.Opcode != OpConnect {
+				if dropFlushOn.Load() == id {
+					return
+				}
+				time.Sleep(cmdTime)
+			}
+			if WriteResponse(c, &Response{CID: cmd.CID, Status: StatusOK, Value: uint64(model.MB)}) != nil {
+				return
+			}
+		}
+	})
+	pool, err := DialPool(addr, 1, PoolConfig{QueuePairs: 4, ReconnectBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	start := time.Now()
+	if err := pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < cmdTime || d >= 2*cmdTime {
+		t.Errorf("Flush over 4 queue pairs took %v, want one %v command time (under two)", d, cmdTime)
+	}
+	for _, st := range pool.Snapshot() {
+		if st.Commands != 2 { // CONNECT + FLUSH
+			t.Errorf("qp %d issued %d commands, want 2: %+v", st.ID, st.Commands, st)
+		}
+	}
+
+	dropFlushOn.Store(3) // the third connection dialed is slot 2
+	if err := pool.Flush(); err == nil {
+		t.Fatal("Flush succeeded although a queue pair died under its barrier")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for pool.Snapshot()[2].Reconnects == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("dead queue pair never handed to the reconnector: %+v", pool.Snapshot())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -465,6 +662,64 @@ func BenchmarkHostPoolDeviceBound(b *testing.B) {
 				benchPool(b, payloadSize, deviceLatency, cfg)
 			})
 		}
+	}
+}
+
+// BenchmarkHostPoolBulk measures restart-shaped traffic: as many
+// synchronous callers as queue pairs, each fetching 1 MiB at a time
+// through a batching pool (what two ranks' read-ahead windows look like
+// from the pool). With one connection the callers' transfers serialise
+// on one TCP stream, one target reader and one serve loop; size-aware
+// placement gives each caller a connection of its own, so qp=2 must beat
+// qp=1 (scripts/bench.sh gates it at 1.2x; fill-first for every command
+// measured 1.0x).
+func BenchmarkHostPoolBulk(b *testing.B) {
+	const length = 1 * model.MB
+	const region = 16 * model.MB
+	for _, qps := range []int{1, 2} {
+		b.Run(fmt.Sprintf("qp=%d", qps), func(b *testing.B) {
+			tgt := NewTarget()
+			if err := tgt.AddNamespace(1, NewMemNamespace(region)); err != nil {
+				b.Fatal(err)
+			}
+			addr, err := tgt.Listen("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool, err := DialPool(addr, 1, PoolConfig{
+				QueuePairs: qps,
+				Batch:      BatchConfig{Enabled: true, MergeWrites: true},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload := bytes.Repeat([]byte{0xB7}, int(length))
+			for off := int64(0); off < region; off += length {
+				if err := pool.WriteAt(off, payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.SetBytes(length)
+			b.ResetTimer()
+			for c := 0; c < qps; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+						if _, err := pool.ReadAt(i%(region/length)*length, length); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			pool.Close()
+			tgt.Close()
+		})
 	}
 }
 
@@ -578,63 +833,107 @@ func BenchmarkHostPolled(b *testing.B) {
 
 // TestQPBiasShiftsTraffic pins the health-engine integration contract:
 // an avoided queue pair stops receiving new commands while its siblings
-// absorb the load, and clearing the bias restores sharing.
+// absorb the load, and clearing the bias restores sharing. It holds for
+// every placement mode — rotating idle-first (no batcher), fill-first
+// (small commands under batching) and idle-first from slot 0 (bulk
+// commands under batching): a biased pair is never chosen because it is
+// idle.
 func TestQPBiasShiftsTraffic(t *testing.T) {
-	_, addr := startTarget(t, map[uint32]int64{1: 16 * model.MB})
-	p, err := DialPool(addr, 1, PoolConfig{QueuePairs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	perQP := func() []uint64 {
-		snaps := p.Snapshot()
-		out := make([]uint64, len(snaps))
-		for i, s := range snaps {
-			out[i] = s.Commands
-		}
-		return out
-	}
-	run := func(n int) {
-		buf := []byte("bias probe payload")
-		for i := 0; i < n; i++ {
-			if err := p.WriteAt(int64(i%64)*512, buf); err != nil {
+	for _, tc := range []struct {
+		name    string
+		batch   bool
+		payload int
+	}{
+		{"plain/small", false, 18},
+		{"plain/bulk", false, sockBufSize},
+		{"batch/small", true, 18},
+		{"batch/bulk", true, sockBufSize},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, addr := startTarget(t, map[uint32]int64{1: 16 * model.MB})
+			p, err := DialPool(addr, 1, PoolConfig{QueuePairs: 2, Batch: BatchConfig{Enabled: tc.batch}})
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
+			defer p.Close()
 
-	p.SetQPBias(1, BiasAvoid)
-	if got := p.QPBias(1); got != BiasAvoid {
-		t.Fatalf("QPBias(1) = %v, want avoid", got)
-	}
-	before := perQP()
-	run(200)
-	after := perQP()
-	if d := after[1] - before[1]; d != 0 {
-		t.Fatalf("avoided qp 1 received %d commands, want 0", d)
-	}
-	if d := after[0] - before[0]; d < 200 {
-		t.Fatalf("qp 0 received %d commands, want >= 200", d)
-	}
+			perQP := func() []uint64 {
+				snaps := p.Snapshot()
+				out := make([]uint64, len(snaps))
+				for i, s := range snaps {
+					out[i] = s.Commands
+				}
+				return out
+			}
+			// Writes and reads alternate, so both bulk directions go
+			// through placement.
+			run := func(n int) {
+				buf := bytes.Repeat([]byte("b"), tc.payload)
+				for i := 0; i < n; i++ {
+					off := int64(i%64) * int64(tc.payload)
+					if i%2 == 0 {
+						err = p.WriteAt(off, buf)
+					} else {
+						_, err = p.ReadAt(off, int64(tc.payload))
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 
-	// Clearing the bias lets qp 1 compete again.
-	p.SetQPBias(1, BiasNone)
-	before = perQP()
-	run(200)
-	after = perQP()
-	if d := after[1] - before[1]; d == 0 {
-		t.Fatal("qp 1 received no traffic after bias cleared")
-	}
+			// Bias the pair the mode would otherwise favour: slot 0 is
+			// where a batching pool starts every scan.
+			sick, well := 1, 0
+			if tc.batch {
+				sick, well = 0, 1
+			}
+			p.SetQPBias(sick, BiasAvoid)
+			if got := p.QPBias(sick); got != BiasAvoid {
+				t.Fatalf("QPBias(%d) = %v, want avoid", sick, got)
+			}
+			before := perQP()
+			run(200)
+			after := perQP()
+			if d := after[sick] - before[sick]; d != 0 {
+				t.Fatalf("avoided qp %d received %d commands, want 0", sick, d)
+			}
+			if d := after[well] - before[well]; d < 200 {
+				t.Fatalf("qp %d received %d commands, want >= 200", well, d)
+			}
 
-	// Soft bias only dampens: with a single serialized submitter every
-	// sibling is idle at selection time, so the handicapped pair never
-	// wins, but it must still be eligible (picked when others are deep).
-	p.SetQPBias(1, BiasSoft)
-	before = perQP()
-	run(100)
-	after = perQP()
-	if d := after[0] - before[0]; d < 100 {
-		t.Fatalf("soft bias: qp 0 received %d of 100 serialized commands", d)
+			// Clearing the bias lets the pair compete again.
+			p.SetQPBias(sick, BiasNone)
+			before = perQP()
+			run(200)
+			after = perQP()
+			if d := after[sick] - before[sick]; d == 0 {
+				t.Fatalf("qp %d received no traffic after bias cleared", sick)
+			}
+
+			// Soft bias only dampens: with a single serialized submitter
+			// every sibling is idle at selection time, so the handicapped
+			// pair never wins, but it must still be eligible (picked when
+			// others are deep).
+			p.SetQPBias(sick, BiasSoft)
+			before = perQP()
+			run(100)
+			after = perQP()
+			if d := after[well] - before[well]; d < 100 {
+				t.Fatalf("soft bias: qp %d received %d of 100 serialized commands", well, d)
+			}
+			// (Deeper by the handicap and, for commands that fill first,
+			// past the fill depth under which a sibling wins outright.)
+			deep := int32(p.fill + softBiasHandicap + 1)
+			p.slots[well].host.inflightN.Add(deep)
+			s, _, err := p.acquire(tc.payload)
+			p.slots[well].host.inflightN.Add(-deep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.id != sick {
+				t.Fatalf("soft-biased qp %d not picked over a sibling %d commands deep", sick, deep)
+			}
+		})
 	}
 }

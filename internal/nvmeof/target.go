@@ -480,6 +480,17 @@ func (t *Target) serve(conn net.Conn) {
 		}
 	}()
 
+	// dead ends the queue pair after a response could not be delivered:
+	// force the reader off the socket, then drain the queue — recycling
+	// each drained slot so a reader blocked on the free list wakes, hits
+	// the closed socket, and closes sq.
+	dead := func() {
+		conn.Close()
+		for di := range sq {
+			free <- di
+		}
+	}
+
 	var connected *MemNamespace
 	admin := false // CONNECT with NSID 0 makes this an admin queue pair
 	// readBuf backs every READ payload this queue pair returns. One is
@@ -491,6 +502,17 @@ func (t *Target) serve(conn net.Conn) {
 	for idx := range sq {
 		s := &slots[idx]
 		cmd := &s.cmd
+		// bw holds bytes only when the previous response found this
+		// command already queued and left its flush to us. If servicing
+		// it will keep this loop off the socket, the finished completion
+		// goes out first: an ack must not cost its submitter the next
+		// command's copy or device time.
+		if bw.Buffered() > 0 && holdsLoop(cmd, connected) {
+			if err := bw.Flush(); err != nil {
+				dead()
+				return
+			}
+		}
 		// One clock read covers both the queue-wait end and the service
 		// start (they are the same instant); the write path fuses its
 		// reads the same way. Untraced commands skip the interior reads
@@ -632,14 +654,7 @@ func (t *Target) serve(conn net.Conn) {
 		}
 		t.flight.Record(qp.id, rec)
 		if err != nil {
-			// Response undeliverable: force the reader off the socket,
-			// then drain the queue — recycling each drained slot so a
-			// reader blocked on the free list wakes, hits the closed
-			// socket, and closes sq to end this loop.
-			conn.Close()
-			for di := range sq {
-				free <- di
-			}
+			dead()
 			return
 		}
 		free <- idx
@@ -647,6 +662,23 @@ func (t *Target) serve(conn net.Conn) {
 	// Reader closed the queue; every accepted command was answered
 	// above, so flush the tail and drop the queue pair.
 	bw.Flush()
+}
+
+// holdsLoop reports whether servicing cmd keeps a serve loop away from
+// its socket for long enough that a buffered completion should be
+// flushed first: a WRITE that copies a payload of sockBufSize or more
+// into the store, or a READ or WRITE the namespace charges device time
+// for. A plain bulk READ does not count: its response overflows bw and
+// takes the buffered tail along in its first socket write, and a flush
+// of its own in front of that measured slower.
+func holdsLoop(cmd *Command, ns *MemNamespace) bool {
+	switch cmd.Opcode {
+	case OpWriteCmd:
+		return len(cmd.Data) >= sockBufSize || (ns != nil && ns.serviceDelay(int64(len(cmd.Data))) > 0)
+	case OpReadCmd:
+		return ns != nil && ns.serviceDelay(int64(cmd.Length)) > 0
+	}
+	return false
 }
 
 // adminOnly gates the namespace-management command set to admin queue

@@ -642,3 +642,139 @@ func TestReadAfterLargerTransferReturnsZeros(t *testing.T) {
 		}
 	}
 }
+
+// The early-flush tests charge device time by the byte: 20 ms for the
+// 4 KiB WRITE whose ack is watched, 160 ms for the 32 KiB command queued
+// behind it. Both are under sockBufSize, so only the device-time half of
+// the rule is in play.
+const (
+	ackFast     = 4 << 10
+	ackSlow     = 32 << 10
+	ackBPS      = ackFast * 50
+	ackSlowTime = time.Second * ackSlow / ackBPS
+)
+
+// waitInService returns once the target has taken n commands into
+// service (the counter moves when service starts, not when it ends).
+func waitInService(t *testing.T, tgt *Target, n uint64) {
+	t.Helper()
+	for start := time.Now(); tgt.Snapshot().Commands < n; time.Sleep(100 * time.Microsecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("target took %d commands into service, want %d", tgt.Snapshot().Commands, n)
+		}
+	}
+}
+
+// TestTargetAckNotHeldBehindService pins the serve loop's early flush: a
+// finished command's completion is not kept in the response buffer
+// while the next command on the connection is in the device. The slow
+// command is submitted once the target has started servicing the WRITE,
+// so it is parsed and waiting in the submission queue when the WRITE's
+// response is written: the response then skips the end-of-loop flush and
+// must go out before the slow command is serviced, not after.
+//
+// Break-demo: remove the early flush in Target.serve and both cases go
+// red, with the ack arriving after ~180 ms.
+func TestTargetAckNotHeldBehindService(t *testing.T) {
+	for _, slowOp := range []string{"write", "read"} {
+		t.Run("behind-"+slowOp, func(t *testing.T) {
+			tgt := NewTarget()
+			if err := tgt.AddNamespace(1, NewMemNamespaceWithModel(model.MB, 0, ackBPS)); err != nil {
+				t.Fatal(err)
+			}
+			addr, err := tgt.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tgt.Close()
+			h, err := Dial(addr, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Close()
+
+			start := time.Now()
+			acked := make(chan time.Duration, 1)
+			go func() {
+				if err := h.WriteAt(0, make([]byte, ackFast)); err != nil {
+					t.Error(err)
+				}
+				acked <- time.Since(start)
+			}()
+			waitInService(t, tgt, 2) // CONNECT + the fast WRITE
+			slowDone := make(chan error, 1)
+			go func() {
+				if slowOp == "write" {
+					slowDone <- h.WriteAt(ackFast, make([]byte, ackSlow))
+					return
+				}
+				_, err := h.ReadAt(ackFast, ackSlow)
+				slowDone <- err
+			}()
+			ack := <-acked
+			if err := <-slowDone; err != nil {
+				t.Fatal(err)
+			}
+			if total := time.Since(start); total < ackSlowTime {
+				t.Fatalf("slow %s finished in %v, under its %v of device time", slowOp, total, ackSlowTime)
+			}
+			if ack > ackSlowTime/2 {
+				t.Errorf("4 KiB WRITE acked after %v: held behind the next command's %v of device time", ack, ackSlowTime)
+			}
+		})
+	}
+}
+
+// TestTargetEarlyFlushFailureTearsDown pins the other half of the early
+// flush: when it fails, the queue pair is torn down the way a failed
+// end-of-loop flush tears it down — reader forced off the socket, the
+// queued commands dropped unserviced, serve loop gone so Close returns.
+// The host resets the connection while the 4 KiB WRITE is in the device
+// and a slow WRITE waits behind it; the WRITE's completion then fails
+// at the early flush and the slow WRITE must never reach the namespace.
+func TestTargetEarlyFlushFailureTearsDown(t *testing.T) {
+	tgt := NewTarget()
+	ns := NewMemNamespaceWithModel(model.MB, 0, ackBPS)
+	if err := tgt.AddNamespace(1, ns); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := tgt.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteCommand(conn, &Command{Opcode: OpConnect, CID: 1, NSID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := ReadResponse(conn); err != nil || resp.Status != StatusOK {
+		t.Fatalf("connect: %+v, %v", resp, err)
+	}
+	var both bytes.Buffer
+	WriteCommand(&both, &Command{Opcode: OpWriteCmd, CID: 2, Offset: 0, Data: bytes.Repeat([]byte{0xFA}, ackFast)})
+	WriteCommand(&both, &Command{Opcode: OpWriteCmd, CID: 3, Offset: ackFast, Data: bytes.Repeat([]byte{0x51}, ackSlow)})
+	if _, err := conn.Write(both.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	waitInService(t, tgt, 2)         // CONNECT + the fast WRITE
+	time.Sleep(5 * time.Millisecond) // the reader parses the slow WRITE; the fast one is still in the device
+	conn.(*net.TCPConn).SetLinger(0) // close with a reset: the target's next socket write fails
+	conn.Close()
+
+	closed := make(chan struct{})
+	go func() { tgt.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned: the serve loop outlived its failed flush")
+	}
+	if got := tgt.Snapshot().Commands; got != 2 {
+		t.Errorf("target serviced %d commands, want 2: the WRITE queued behind the failed flush ran", got)
+	}
+	if got, _ := ns.readAt(ackFast, 1, new([]byte)); got[0] != 0 {
+		t.Errorf("slow WRITE reached the namespace (byte %#x) after its connection was torn down", got[0])
+	}
+}
