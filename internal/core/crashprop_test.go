@@ -21,13 +21,27 @@ import (
 // power-fail discipline): a randomized workload runs under a random
 // fault plan, the process crashes, a fresh runtime recovers from the
 // device, and the recovered namespace must hold every acknowledged
-// operation — exact sizes, exact bytes — and surface nothing torn.
+// namespace operation, every file at a size between its last durability
+// point (Fsync, writable Close, snapshot) and its last Write, exactly the
+// written bytes below that size, and nothing torn.
 // Each iteration is driven entirely by one seed; a failure message
 // carries the seed and the plan's injection trace, so
 //
 //	go test ./internal/core -run CrashProp -count=1
 //
 // with the seed pinned in rerunSeed reproduces it exactly.
+//
+// Break-demos of the write-path draws (full mode, each red at the seed
+// named, then reverted):
+//
+//   - wal.Append keeps an earlier write record as the coalescing target
+//     across a create, mkdir or rename record, as it did before every
+//     record became a barrier: seed 12664268, "recovered bytes differ
+//     from the written content" (the subdirectory draw).
+//   - file.Fsync without log.Sync: seed 13875875, crash-at-fsynced,
+//     "recovered at 512 bytes, 30427 were durable".
+//   - file.Close without log.Sync: seed 12838486, crash-at-closed,
+//     "recovered at 57885 bytes, 62342 were durable".
 //
 // ~200 iterations run in the default mode, 25 under -short. A nightly
 // sweep can raise crashPropIters via successive -count=1 runs.
@@ -69,12 +83,15 @@ const (
 // randomCrashPlan draws one fault schedule: fault-free baselines,
 // crashes at an nth device write, torn writes (a command-aligned prefix
 // lands, then power is gone), crashes at an epoch boundary, a
-// low-probability crash anywhere, and torn or dropped WAL appends (the
+// low-probability crash anywhere, torn or dropped WAL appends (the
 // log flush tears at a page boundary mid-record, the case the record
-// CRC exists for).
+// CRC exists for), and a kill on either side of a durability point: on
+// the way into an Fsync, with whatever write extension the log holds
+// still in DRAM, or right after an Fsync or a Close that had to commit
+// it.
 func randomCrashPlan(seed int64, rng *rand.Rand) *faults.Plan {
 	var rules []faults.Rule
-	switch rng.Intn(7) {
+	switch rng.Intn(8) {
 	case 0:
 		// Fault-free baseline: the workload plus recovery must hold
 		// without any injection, or the property itself is broken.
@@ -119,6 +136,15 @@ func randomCrashPlan(seed int64, rng *rand.Rand) *faults.Plan {
 			Name: "wal-append-fault", Layer: faults.LayerWAL, Op: "append",
 			Nth: int64(1 + rng.Intn(40)), Kind: kind, Arg: arg, Count: 1,
 		})
+	case 7:
+		// Between a write that extended the log's last record and the
+		// Fsync that would have committed the extension, or right after
+		// the Fsync or the Close that did.
+		op := []string{"fsync", "fsynced", "closed"}[rng.Intn(3)]
+		rules = append(rules, faults.Rule{
+			Name: "crash-at-" + op, Layer: faults.LayerProcess, Op: op,
+			Nth: int64(1 + rng.Intn(4)), Kind: faults.KindCrash,
+		})
 	}
 	return faults.NewPlan(seed, rules...)
 }
@@ -137,10 +163,23 @@ func patternChunk(idx int, off, n int64) []byte {
 	return out
 }
 
-// propFile is the model of one file's acknowledged durable state.
+// propFile is the model of one file: what was written to it and how much
+// of that a crash may not take back.
 type propFile struct {
-	idx  int   // content key (stable across renames)
-	size int64 // acknowledged bytes
+	idx int // content key (stable across renames)
+	// written counts the bytes whose Write returned before the crash:
+	// their data is on the device, so whatever size the file recovers
+	// at, the bytes below it and below written are exactly these.
+	written int64
+	// durable is written as of the last durability point — an Fsync on
+	// any handle, this file's writable Close, a snapshot. It is a lower
+	// bound on the recovered size and nothing more: records logged for
+	// other files commit a pending extension too, and the model does
+	// not follow that.
+	durable int64
+	// attempted is written plus the Write in flight at the crash, whose
+	// record may have reached the log: the recovered size's upper bound.
+	attempted int64
 }
 
 // crashPropIteration runs one seeded workload + crash + recovery round.
@@ -238,57 +277,119 @@ func crashPropIteration(t *testing.T, seed int64) {
 			aborted = true
 			return true
 		}
-		nextIdx := 0
+		nextIdx, nextDir := 0, 0
+		var files []*propFile
+		// Each helper reports whether the process is still alive.
+		mkdir := func(path string) bool {
+			issued[path] = true
+			return !oops("mkdir "+path, inst.Mkdir(p, path, 0o755)) && !crashed()
+		}
+		create := func(path string) bool {
+			issued[path] = true
+			f, err := inst.Open(p, path, vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
+			if oops("create "+path, err) {
+				return false
+			}
+			pf := &propFile{idx: nextIdx}
+			nextIdx++
+			files = append(files, pf)
+			open = append(open, openFile{path, f, pf})
+			if crashed() {
+				return false
+			}
+			expect[path] = pf
+			return true
+		}
+		write := func(of openFile, n int64) bool {
+			data := patternChunk(of.pf.idx, of.pf.written, n)
+			of.pf.attempted = of.pf.written + n
+			if _, err := of.f.Write(p, data); oops("write "+of.path, err) || crashed() {
+				return false
+			}
+			of.pf.written += n
+			return true
+		}
+		commit := func(pfs ...*propFile) {
+			for _, pf := range pfs {
+				pf.durable = pf.written
+			}
+		}
+		// killedAt is a harness-level process-crash point: the kill lands
+		// between two calls.
+		killedAt := func(op string) bool {
+			inj, ok := plan.Eval(faults.Point{Layer: faults.LayerProcess, Op: op, Rank: 0, Now: p.Now()})
+			if ok && inj.Kind == faults.KindCrash {
+				dead = true
+			}
+			return dead
+		}
+		fsync := func(of openFile) bool {
+			if killedAt("fsync") || oops("fsync "+of.path, of.f.Fsync(p)) || crashed() {
+				return false
+			}
+			commit(files...) // "makes all written data durable"
+			return !killedAt("fsynced")
+		}
+		// closeFile closes open[i]; a writable Close is a durability
+		// point for its own file.
+		closeFile := func(i int) bool {
+			of := open[i]
+			open = append(open[:i], open[i+1:]...)
+			if oops("close "+of.path, of.f.Close(p)) || crashed() {
+				return false
+			}
+			commit(of.pf)
+			return true
+		}
 		nOps := 30 + rng.Intn(60)
 		for op := 0; op < nOps && !dead; op++ {
 			if crashed() {
 				break
 			}
-			switch k := rng.Intn(10); {
+			switch k := rng.Intn(12); {
 			case k < 3: // create a fresh checkpoint segment
-				if nextIdx == 0 {
-					if oops("mkdir", inst.Mkdir(p, "/ckpt", 0o755)) {
-						break
-					}
-					if crashed() {
-						break
-					}
+				if nextIdx == 0 && !mkdir("/ckpt") {
+					break
 				}
 				// Long, variable-length names (as checkpoint segments
 				// have) make log records straddle page boundaries.
-				path := fmt.Sprintf("/ckpt/rank%03d-step%06d-%s.chk",
-					nextIdx, nextIdx*100+7, strings.Repeat("x", rng.Intn(120)))
-				issued[path] = true
-				f, err := inst.Open(p, path, vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
-				if oops("create "+path, err) {
-					break
-				}
-				pf := &propFile{idx: nextIdx}
-				nextIdx++
-				if !crashed() {
-					expect[path] = pf
-				}
-				open = append(open, openFile{path, f, pf})
+				create(fmt.Sprintf("/ckpt/rank%03d-step%06d-%s.chk",
+					nextIdx, nextIdx*100+7, strings.Repeat("x", rng.Intn(120))))
 			case k < 7 && len(open) > 0: // append a deterministic chunk
-				of := open[rng.Intn(len(open))]
-				n := int64(1 + rng.Intn(16*1024))
-				data := patternChunk(of.pf.idx, of.pf.size, n)
-				if _, err := of.f.Write(p, data); oops("write "+of.path, err) {
-					break
-				}
-				if !crashed() {
-					of.pf.size += n
-				}
+				write(open[rng.Intn(len(open))], int64(1+rng.Intn(16*1024)))
 			case k == 7 && len(open) > 0: // fsync + close one file
 				i := rng.Intn(len(open))
-				of := open[i]
-				if oops("fsync "+of.path, of.f.Fsync(p)) {
+				_ = fsync(open[i]) && closeFile(i)
+			case k == 10 && len(open) > 0:
+				// A run of contiguous writes, which the log folds into
+				// one record and extends in DRAM; then nothing, or the
+				// Fsync that commits the extension — through this handle
+				// or another file's — or a Close without one.
+				i := rng.Intn(len(open))
+				alive := true
+				for j, n := 0, 2+rng.Intn(4); j < n && alive; j++ {
+					alive = write(open[i], int64(1+rng.Intn(16*1024)))
+				}
+				if !alive {
 					break
 				}
-				if oops("close "+of.path, of.f.Close(p)) {
-					break
+				switch rng.Intn(3) {
+				case 1:
+					fsync(open[rng.Intn(len(open))])
+				case 2:
+					_ = closeFile(i) && !killedAt("closed")
 				}
-				open = append(open[:i], open[i+1:]...)
+			case k == 11 && len(open) > 0:
+				// A create in a fresh subdirectory between two writes of
+				// an open file: the subdirectory's first entry allocates
+				// a block, and the second write (a hugeblock, so it
+				// allocates too) must replay after it.
+				of := open[rng.Intn(len(open))]
+				dir := fmt.Sprintf("/ckpt/sub%03d", nextDir)
+				nextDir++
+				_ = write(of, int64(1+rng.Intn(16*1024))) &&
+					mkdir(dir) && create(dir+"/seg.chk") &&
+					write(of, 32*model.KB)
 			case k == 8: // rename or unlink a closed file
 				var closed []string
 				for path := range expect {
@@ -352,13 +453,8 @@ func crashPropIteration(t *testing.T, seed int64) {
 				if crashed() {
 					break
 				}
-				// Harness-level process-crash point: the kill lands
-				// exactly between epochs.
-				if inj, ok := plan.Eval(faults.Point{
-					Layer: faults.LayerProcess, Op: "epoch", Rank: 0, Now: p.Now(),
-				}); ok && inj.Kind == faults.KindCrash {
-					dead = true
-				}
+				commit(files...)  // the snapshot holds every file's size
+				killedAt("epoch") // exactly between epochs
 			}
 		}
 		if aborted {
@@ -386,19 +482,25 @@ func crashPropIteration(t *testing.T, seed int64) {
 			return
 		}
 
-		// Prefix durability: every acknowledged file exists with at
-		// least its acknowledged size and exactly its acknowledged
-		// bytes; acknowledged unlinks and rename sources are absent.
-		// The one in-flight (limbo) operation may have landed or not.
+		// Prefix durability: every acknowledged file exists, at a size
+		// no smaller than what its last durability point covered and no
+		// larger than what was ever handed to Write, and holds exactly
+		// the written bytes below that size; acknowledged unlinks and
+		// rename sources are absent. The one in-flight (limbo)
+		// operation may have landed or not.
 		check := func(path string, pf *propFile) error {
 			fi, err := rec.Stat(p, path)
 			if err != nil {
 				return fmt.Errorf("stat: %w", err)
 			}
-			if fi.Size < pf.size {
-				return fmt.Errorf("recovered at %d bytes, %d were acknowledged", fi.Size, pf.size)
+			if fi.Size < pf.durable {
+				return fmt.Errorf("recovered at %d bytes, %d were durable (%d written)", fi.Size, pf.durable, pf.written)
 			}
-			if pf.size == 0 {
+			if fi.Size > pf.attempted {
+				return fmt.Errorf("recovered at %d bytes, only %d were ever written", fi.Size, pf.attempted)
+			}
+			size := min(fi.Size, pf.written)
+			if size == 0 {
 				return nil
 			}
 			f, err := rec.Open(p, path, vfs.O_RDONLY, 0)
@@ -406,13 +508,14 @@ func crashPropIteration(t *testing.T, seed int64) {
 				return fmt.Errorf("open: %w", err)
 			}
 			defer f.Close(p)
-			buf := make([]byte, pf.size)
+			buf := make([]byte, size)
 			n, err := f.Read(p, buf)
-			if err != nil || int64(n) != pf.size {
-				return fmt.Errorf("read: n=%d err=%v, want %d bytes", n, err, pf.size)
+			if err != nil || int64(n) != size {
+				return fmt.Errorf("read: n=%d err=%v, want %d bytes", n, err, size)
 			}
-			if want := patternChunk(pf.idx, 0, pf.size); !bytes.Equal(buf, want) {
-				return fmt.Errorf("recovered bytes differ from acknowledged content")
+			if want := patternChunk(pf.idx, 0, size); !bytes.Equal(buf, want) {
+				return fmt.Errorf("recovered bytes differ from the written content below %d (recovered at %d, %d durable, %d written)",
+					size, fi.Size, pf.durable, pf.written)
 			}
 			return nil
 		}

@@ -114,13 +114,16 @@ func (c *CrashPlane) Size() int64 { return c.inner.Size() }
 // "append" point, only the first Arg bytes of the flush land and the
 // append returns an injected error; KindCrash drops the flush entirely.
 // The error makes wal.Append roll its in-memory tail back, so the log
-// never acknowledges a record the device does not hold.
+// never acknowledges a record the device does not hold; a wal.Sync that
+// fails keeps its write extension pending for the next flush.
 //
 // Every flush evaluates the "append" point. A flush spanning more than
 // one log page — a record straddling a page boundary, the one shape a
-// page-atomic device can tear mid-record — additionally evaluates
-// "append-straddle" first, so a plan can target exactly the tears that
-// the record CRC exists to catch (Arg: pageBytes cuts at the boundary).
+// page-atomic device can tear mid-record, or a record flushed together
+// with the pending extension on the page before it — additionally
+// evaluates "append-straddle" first, so a plan can target exactly the
+// tears that the record CRC exists to catch (Arg: pageBytes cuts at the
+// boundary).
 // pageBytes is the log's device page size (wal.Options.PageSize);
 // <= 0 uses the WAL default of 4096.
 //

@@ -30,7 +30,8 @@ type faultScenario struct {
 // row per fault scenario. Every round runs a checkpoint-style workload
 // under a faults.Plan, kills the process at the injected point,
 // recovers a fresh instance from the device, and verifies that every
-// acknowledged file survives with exactly its acknowledged bytes. The
+// written file survives at no less than the size its last Fsync or Close
+// covered, with exactly the written bytes below its recovered size. The
 // table reports how many injections fired and how many rounds
 // recovered clean; any durability violation fails the experiment with
 // the reproducing seed.
@@ -143,9 +144,13 @@ func extFaultsRound(sc faultScenario, seed int64) (int, error) {
 		return out
 	}
 
-	// acked maps path -> acknowledged size; only operations that return
-	// nil with the plane still alive count.
-	acked := map[string]int64{}
+	// written maps path -> bytes whose Write returned nil with the plane
+	// still alive: their data is on the device. durable is written as of
+	// the file's last Fsync + Close or the last snapshot, the least it may
+	// recover at; a Write that extended the log's last record is durable
+	// only from there on.
+	written := map[string]int64{}
+	durable := map[string]int64{}
 	var verr error
 	env.Go("round", func(p *sim.Proc) {
 		type openFile struct {
@@ -191,11 +196,11 @@ func extFaultsRound(sc faultScenario, seed int64) (int, error) {
 			case k < 6 && len(open) > 0:
 				of := open[rng.Intn(len(open))]
 				n := int64(1 + rng.Intn(8*1024))
-				if _, err := of.f.Write(p, pattern(of.idx, acked[of.path], n)); oops(err) {
+				if _, err := of.f.Write(p, pattern(of.idx, written[of.path], n)); oops(err) {
 					break
 				}
 				if !cp.Crashed() {
-					acked[of.path] += n
+					written[of.path] += n
 				}
 			case k == 6 && len(open) > 0:
 				i := rng.Intn(len(open))
@@ -203,10 +208,19 @@ func extFaultsRound(sc faultScenario, seed int64) (int, error) {
 				if oops(of.f.Fsync(p)) || oops(of.f.Close(p)) {
 					break
 				}
+				if !cp.Crashed() {
+					durable[of.path] = written[of.path]
+				}
 				open = append(open[:i], open[i+1:]...)
 			case k == 7:
 				if oops(inst.SnapshotNow(p)) {
 					break
+				}
+				if !cp.Crashed() {
+					// The snapshot holds every file's size.
+					for path, n := range written {
+						durable[path] = n
+					}
 				}
 				if inj, ok := plan.Eval(faults.Point{
 					Layer: faults.LayerProcess, Op: "epoch", Rank: 0, Now: p.Now(),
@@ -220,7 +234,7 @@ func extFaultsRound(sc faultScenario, seed int64) (int, error) {
 		}
 
 		// Recover through a fresh fault-free plane and verify every
-		// acknowledged file byte-for-byte.
+		// written file byte-for-byte below the size it recovered at.
 		recPlane, err := spdk.NewPlane(ns, 0, ns.Size(), params.Host, acct)
 		if err != nil {
 			verr = err
@@ -238,16 +252,17 @@ func extFaultsRound(sc faultScenario, seed int64) (int, error) {
 			verr = fmt.Errorf("recovery: %w\n%s", err, plan.FormatTrace())
 			return
 		}
-		for path, size := range acked {
+		for path, size := range written {
 			fi, err := rec.Stat(p, path)
 			if err != nil {
 				verr = fmt.Errorf("acked file %s missing: %v\n%s", path, err, plan.FormatTrace())
 				return
 			}
-			if fi.Size < size {
-				verr = fmt.Errorf("%s recovered at %d bytes, %d acked\n%s", path, fi.Size, size, plan.FormatTrace())
+			if fi.Size < durable[path] {
+				verr = fmt.Errorf("%s recovered at %d bytes, %d durable (%d written)\n%s", path, fi.Size, durable[path], size, plan.FormatTrace())
 				return
 			}
+			size = min(size, fi.Size)
 			if size == 0 {
 				continue
 			}
@@ -264,7 +279,7 @@ func extFaultsRound(sc faultScenario, seed int64) (int, error) {
 				return
 			}
 			if !bytes.Equal(buf, pattern(idxOf[path], 0, size)) {
-				verr = fmt.Errorf("%s: recovered bytes differ from acked content\n%s", path, plan.FormatTrace())
+				verr = fmt.Errorf("%s: recovered bytes differ from the written content below %d\n%s", path, size, plan.FormatTrace())
 				return
 			}
 		}

@@ -1,0 +1,207 @@
+package microfs
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"github.com/nvme-cr/nvmecr/internal/plane"
+	"github.com/nvme-cr/nvmecr/internal/sim"
+	"github.com/nvme-cr/nvmecr/internal/vfs"
+	"github.com/nvme-cr/nvmecr/internal/wal"
+)
+
+// recordingPlane is the stub block device under the filesystem: it names
+// every command microfs issues, in order, and passes it on.
+type recordingPlane struct {
+	plane.Plane
+	logBytes int64
+	cmds     []string
+}
+
+func (r *recordingPlane) Write(p *sim.Proc, off, length int64, data []byte, cmdUnit int64) error {
+	switch {
+	case off < r.logBytes:
+		r.cmds = append(r.cmds, "log")
+	case data == nil:
+		r.cmds = append(r.cmds, "dir") // a directory's tail block, timing only
+	default:
+		r.cmds = append(r.cmds, "data")
+	}
+	return r.Plane.Write(p, off, length, data, cmdUnit)
+}
+
+func (r *recordingPlane) Flush(p *sim.Proc) error {
+	r.cmds = append(r.cmds, "FLUSH")
+	return r.Plane.Flush(p)
+}
+
+// newRecordingRig is newRig with a recordingPlane under the instance.
+func newRecordingRig(t *testing.T) (*rig, *recordingPlane) {
+	var rec *recordingPlane
+	r := newRig(t, func(cfg *Config) {
+		rec = &recordingPlane{Plane: cfg.Plane, logBytes: cfg.LogBytes}
+		cfg.Plane = rec
+	})
+	return r, rec
+}
+
+// TestDeviceSeesOneCommandPerWrite pins the write path's device contract:
+// a checkpoint file written in N contiguous calls costs N data commands
+// plus a fixed seven — never a log page per call — and Fsync is the point
+// where the device's log catches up with the file's length.
+func TestDeviceSeesOneCommandPerWrite(t *testing.T) {
+	const (
+		n     = 5
+		chunk = 16 << 10
+	)
+	r, rec := newRecordingRig(t)
+	deviceLog := func(p *sim.Proc) []wal.Record {
+		t.Helper()
+		image, err := r.cfg.Plane.Read(p, 0, r.cfg.LogBytes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, err := wal.Decode(image, r.inst.log.Epoch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return records
+	}
+	r.run(t, func(p *sim.Proc) {
+		f, err := r.inst.Open(p, "/ckpt.tmp", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vfs.WriteAll(p, f, bytes.Repeat([]byte{0xC4}, n*chunk), chunk); err != nil {
+			t.Fatal(err)
+		}
+		// Before the durability point the device's log holds the first
+		// call's record; the calls that extended it are in DRAM.
+		create := wal.Record{Op: wal.OpCreate, Path: "/ckpt.tmp", Inode: 2, Mode: 0o644}
+		if got, want := deviceLog(p), []wal.Record{create, {Op: wal.OpWrite, Inode: 2, Length: chunk}}; !reflect.DeepEqual(got, want) {
+			t.Errorf("device log before Fsync = %+v, want %+v", got, want)
+		}
+		if err := f.Fsync(p); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := deviceLog(p), []wal.Record{create, {Op: wal.OpWrite, Inode: 2, Length: n * chunk}}; !reflect.DeepEqual(got, want) {
+			t.Errorf("device log at Fsync's return = %+v, want %+v", got, want)
+		}
+		if err := f.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.inst.Rename(p, "/ckpt.tmp", "/ckpt"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	want := []string{"log", "dir", "log"} // create, root's tail block, first write
+	for i := 0; i < n; i++ {
+		want = append(want, "data")
+	}
+	want = append(want, "log", "FLUSH", "log", "dir") // Fsync; rename, root's tail block
+	if !reflect.DeepEqual(rec.cmds, want) {
+		t.Errorf("device saw %d commands %v,\nwant %d %v", len(rec.cmds), rec.cmds, len(want), want)
+	}
+}
+
+// TestCloseCommitsWithoutFsync: closing a written file is a durability
+// point for the log too, whichever handle is closed, and a handle that
+// was only read commits nothing.
+func TestCloseCommitsWithoutFsync(t *testing.T) {
+	r, rec := newRecordingRig(t)
+	r.run(t, func(p *sim.Proc) {
+		open := func(path string, flags vfs.OpenFlags) vfs.File {
+			t.Helper()
+			f, err := r.inst.Open(p, path, flags, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+		idle := open("/idle", vfs.O_WRONLY|vfs.O_CREATE)
+		f := open("/f", vfs.O_WRONLY|vfs.O_CREATE)
+		f.WriteN(p, 1000)
+		f.WriteN(p, 1000) // pending
+		rd := open("/f", vfs.O_RDONLY)
+		rec.cmds = nil
+		rd.Close(p)
+		if len(rec.cmds) != 0 {
+			t.Errorf("closing a read-only handle issued %v", rec.cmds)
+		}
+		idle.Close(p) // another file's handle carries /f's extension
+		if !reflect.DeepEqual(rec.cmds, []string{"log"}) {
+			t.Errorf("closing a writable handle issued %v, want one log page", rec.cmds)
+		}
+		f.Close(p)
+		if len(rec.cmds) != 1 {
+			t.Errorf("closing with nothing pending issued %v", rec.cmds[1:])
+		}
+		fresh := r.freshInstance(t)
+		if err := fresh.Recover(p); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := metaOf(fresh), metaOf(r.inst); got != want {
+			t.Errorf("recovered metadata differs:\n got %s\nwant %s", got, want)
+		}
+	})
+}
+
+// TestRecoveryAfterWriteAcrossDirAlloc is the reproducer for a coalescing
+// bug: a write folded into a record that precedes a create or mkdir
+// replays before the directory block that create allocated, and every
+// block after it lands one off. /a.dat's second half then read zeros.
+func TestRecoveryAfterWriteAcrossDirAlloc(t *testing.T) {
+	r := newRig(t, nil)
+	hb := r.inst.pool.BlockSize()
+	payload := bytes.Repeat([]byte("0123456789abcdef"), int(2*hb)/16)
+	r.run(t, func(p *sim.Proc) {
+		a, err := r.inst.Open(p, "/a.dat", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Write(p, payload[:hb]); err != nil {
+			t.Fatal(err)
+		}
+		// /d's first entry allocates the block after /a.dat's first.
+		if err := r.inst.Mkdir(p, "/d", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		x, err := r.inst.Open(p, "/d/x", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Write(p, payload[hb:]); err != nil {
+			t.Fatal(err)
+		}
+		x.Close(p)
+		a.Close(p)
+
+		fresh := r.freshInstance(t)
+		if err := fresh.Recover(p); err != nil {
+			t.Fatal(err)
+		}
+		layout := func(inst *Instance) string {
+			var b strings.Builder
+			inst.tree.Ascend(func(path string, id uint64) bool {
+				fmt.Fprintf(&b, "%s=%v ", path, inst.inodes[id].blocks)
+				return true
+			})
+			return b.String()
+		}
+		if got, want := layout(fresh), layout(r.inst); got != want {
+			t.Errorf("recovered block placement %s, the live instance's is %s", got, want)
+		}
+		g, err := fresh.Open(p, "/a.dat", vfs.O_RDONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, len(payload))
+		if n, err := g.Read(p, buf); err != nil || n != len(payload) || !bytes.Equal(buf, payload) {
+			t.Errorf("recovered /a.dat: %d bytes, %v, equal=%v", n, err, bytes.Equal(buf, payload))
+		}
+		g.Close(p)
+	})
+}

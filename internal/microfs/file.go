@@ -42,8 +42,14 @@ func (f *file) write(p *sim.Proc, data []byte, n int64) (int64, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	// Write-ahead: the operation is logged (and the log flushed)
-	// before the data lands, so metadata is always consistent.
+	// Write-ahead: the operation is logged before the data lands. The
+	// first write record of a run is on the device before its data; a
+	// write that extends that record extends it in memory only, returns
+	// once its data is on the device, and has its extension committed
+	// by the next Fsync, writable Close or log record. A crash in
+	// between recovers the file at the shorter, already durable length,
+	// so bytes below the recovered size of an extension are never
+	// missing.
 	if err := inst.logOp(p, wal.Record{
 		Op: wal.OpWrite, Inode: f.ino.id, Offset: uint64(f.pos), Length: uint64(n),
 	}); err != nil {
@@ -154,28 +160,40 @@ func (f *file) SeekTo(offset int64) error {
 	return nil
 }
 
-// Fsync implements vfs.File. NVMe-CR never buffers writes and flushes
-// the log on every operation, so fsync is a single device flush command.
+// Fsync implements vfs.File. NVMe-CR never buffers data, so fsync
+// commits the log's pending write extension, if there is one (a single
+// page write), and issues one device flush command. The log holds one
+// extension at a time, whichever file it belongs to, so Fsync on any
+// handle makes every write acknowledged so far durable.
 func (f *file) Fsync(p *sim.Proc) error {
 	defer f.inst.traceSpan(p, "microfs.fsync", -1)()
 	defer f.inst.enter(p)()
 	if f.closed {
 		return vfs.ErrClosed
 	}
+	if err := f.inst.log.Sync(); err != nil {
+		return err
+	}
 	return f.inst.cfg.Plane.Flush(p)
 }
 
-// Close implements vfs.File. Closing the last handle signals the
-// background snapshot thread, which checkpoints internal metadata when
-// the application's checkpoint phase ends.
+// Close implements vfs.File. Closing a handle opened for writing
+// commits the log's pending write extension; the handle is closed even
+// when that fails. Closing the last handle signals the background
+// snapshot thread, which checkpoints internal metadata when the
+// application's checkpoint phase ends.
 func (f *file) Close(p *sim.Proc) error {
 	defer f.inst.enter(p)()
 	if f.closed {
 		return vfs.ErrClosed
 	}
+	var err error
+	if f.writable {
+		err = f.inst.log.Sync()
+	}
 	f.closed = true
 	f.ino.opens--
 	f.inst.openCnt--
 	f.inst.closeSig.Fire()
-	return nil
+	return err
 }

@@ -38,8 +38,9 @@ func (inst *Instance) metaLock(p *sim.Proc) func() {
 	return g.Lock.Release
 }
 
-// logOp appends a provenance record (flushing it to the SSD) and, when
-// provenance is disabled, additionally journals the full inode and
+// logOp appends a provenance record (flushing it to the SSD, unless it
+// is a write coalesced into the log's last record: see file.write) and,
+// when provenance is disabled, additionally journals the full inode and
 // physical per-block records the way conventional filesystems do.
 func (inst *Instance) logOp(p *sim.Proc, rec wal.Record) error {
 	inst.acct.Charge(p, vfs.User, inst.cfg.Host.LogAppend)

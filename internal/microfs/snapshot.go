@@ -126,6 +126,12 @@ func (inst *Instance) SnapshotNow(p *sim.Proc) error {
 	// at the suffix of the current epoch.
 	reset := inst.log.Head() == buildHead && inst.log.Epoch() == buildEpoch
 	if !reset {
+		// The log lives on, so its pending write extension is committed
+		// here; on the other path Reset discards it with the records the
+		// snapshot replaces. Either way a snapshot leaves none behind.
+		if err := inst.log.Sync(); err != nil {
+			return err
+		}
 		img.LogEpoch = inst.log.Epoch()
 		img.LogStart = buildHead
 		// Re-encode with the corrected pointers.

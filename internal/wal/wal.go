@@ -8,6 +8,13 @@
 // extends the previous write to the same file updates that record in
 // place instead of appending a new one. This slows log fill-up (fewer
 // internal metadata checkpoints) and shrinks replay time to near zero.
+//
+// Durability contract. A record that Append adds to the log is on the
+// device when Append returns. An extension coalesced into the log's last
+// record changes the in-memory image only; it reaches the device with
+// the next record's flush or with Sync, whichever comes first — the
+// caller's durability points (fsync, close of a written file). Until
+// then the device holds the same records with a shorter last write.
 package wal
 
 import (
@@ -91,24 +98,30 @@ var (
 )
 
 // WriteFunc persists len(data) bytes at byte offset off within the log
-// region. The Log calls it synchronously on every append — the paper
-// flushes the log before processing a subsequent operation.
+// region. The Log calls it synchronously, once per appended record and
+// once per Sync that finds an extension pending, always with whole pages
+// in ascending order. The paper flushes the log before processing every
+// subsequent operation; here a coalesced extension waits for the next
+// record or Sync (see the package comment and DESIGN.md).
 type WriteFunc func(off int64, data []byte) error
 
 // Log is the provenance log for one runtime instance.
 type Log struct {
 	capacity int64
 	pageSize int64
-	window   int
+	coalesce bool
 	write    WriteFunc
 
 	epoch byte
 	image []byte // in-memory mirror of the log region
 	head  int64
 
-	// recent holds the byte offsets of the last `window` records for
-	// the coalescing search.
-	recent []int64
+	// last is the byte offset of the newest record appended since the
+	// last Reset or Load, the one coalescing candidate; -1 when there is
+	// none. dirty reports that last's length and CRC, extended in
+	// memory, have not reached the device.
+	last  int64
+	dirty bool
 
 	live int64 // records since the last Reset
 
@@ -125,11 +138,8 @@ type Options struct {
 	Capacity int64
 	// PageSize is the device write granularity (default 4096).
 	PageSize int64
-	// Window is the sliding-window length for coalescing (default 16;
-	// 0 disables coalescing).
-	Window int
 	// NoCoalesce disables log record coalescing (for the ablation
-	// benchmarks); equivalent to Window = 0.
+	// benchmarks).
 	NoCoalesce bool
 }
 
@@ -141,20 +151,14 @@ func New(opts Options, write WriteFunc) (*Log, error) {
 	if opts.PageSize <= 0 {
 		opts.PageSize = 4096
 	}
-	w := opts.Window
-	if w == 0 && !opts.NoCoalesce {
-		w = 16
-	}
-	if opts.NoCoalesce {
-		w = 0
-	}
 	return &Log{
 		capacity: opts.Capacity,
 		pageSize: opts.PageSize,
-		window:   w,
+		coalesce: !opts.NoCoalesce,
 		write:    write,
 		epoch:    1,
 		image:    make([]byte, opts.Capacity),
+		last:     -1,
 	}, nil
 }
 
@@ -175,9 +179,19 @@ func (l *Log) encode(buf []byte, r Record) {
 	binary.LittleEndian.PutUint32(buf[payload:], crc)
 }
 
-// Append logs r, coalescing sequential writes, and synchronously
-// persists the affected log pages. It reports whether the record was
-// coalesced into an existing one.
+// extOff and extEnd bound, relative to a write record's offset, the bytes
+// an in-place extension mutates: the length field and, write records
+// carrying no paths, the CRC right after the header.
+const (
+	extOff = 22
+	extEnd = headerSize + 4
+)
+
+// Append logs r. A write that extends the log's last record is coalesced
+// into it in memory and left for the next flush; any other record is
+// appended and persisted before Append returns, in one device write that
+// also carries a pending extension. It reports whether the record was
+// coalesced.
 func (l *Log) Append(r Record) (coalesced bool, err error) {
 	if r.Op == OpInvalid {
 		return false, fmt.Errorf("wal: cannot append invalid op")
@@ -188,27 +202,15 @@ func (l *Log) Append(r Record) (coalesced bool, err error) {
 	if r.Mode > 0xFFFF {
 		return false, fmt.Errorf("wal: mode %#o exceeds 16 bits", r.Mode)
 	}
-	if r.Op == OpWrite && l.window > 0 {
-		if off, ok := l.findCoalesceTarget(r); ok {
-			// Extend the previous record's length in place.
-			length := binary.LittleEndian.Uint64(l.image[off+22:])
-			binary.LittleEndian.PutUint64(l.image[off+22:], length+r.Length)
-			crc := crc32.ChecksumIEEE(l.image[off : off+headerSize])
-			binary.LittleEndian.PutUint32(l.image[off+headerSize:], crc)
-			if err := l.flushRange(off, int64(headerSize+4)); err != nil {
-				// The extension may not have reached the device; roll
-				// the in-memory record back so the log never
-				// acknowledges more than the device holds. A later
-				// append re-flushes these pages and repairs any torn
-				// on-device state.
-				binary.LittleEndian.PutUint64(l.image[off+22:], length)
-				crc = crc32.ChecksumIEEE(l.image[off : off+headerSize])
-				binary.LittleEndian.PutUint32(l.image[off+headerSize:], crc)
-				return false, err
-			}
-			l.coalesced++
-			return true, nil
-		}
+	if l.extendsLast(r) {
+		off := l.last
+		length := binary.LittleEndian.Uint64(l.image[off+extOff:])
+		binary.LittleEndian.PutUint64(l.image[off+extOff:], length+r.Length)
+		crc := crc32.ChecksumIEEE(l.image[off : off+headerSize])
+		binary.LittleEndian.PutUint32(l.image[off+headerSize:], crc)
+		l.dirty = true
+		l.coalesced++
+		return true, nil
 	}
 	size := int64(EncodedSize(r))
 	if l.head+size > l.capacity {
@@ -216,69 +218,81 @@ func (l *Log) Append(r Record) (coalesced bool, err error) {
 	}
 	off := l.head
 	l.encode(l.image[off:off+size], r)
-	if err := l.flushRange(off, size); err != nil {
+	// The pending extension sits in the record that ends where this one
+	// begins, so one ascending page range covers both, at most a page
+	// longer than the record's own. A device that tears it between pages
+	// keeps the extension and loses the record, never the reverse.
+	from := off
+	if l.dirty {
+		from = l.last + extOff
+	}
+	if err := l.flushRange(from, off+size-from); err != nil {
 		// The record may be absent or torn on the device. Un-append it:
-		// were head/appended/recent advanced here, every later
+		// were head/appended/last advanced here, every later
 		// acknowledged record would sit beyond a torn one on disk and
 		// be silently lost at replay (scan stops at the first corrupt
 		// record). Marking the slot invalid keeps Image()/Decode
-		// consistent with "not appended".
+		// consistent with "not appended". A pending extension stays
+		// pending: the next flush writes its page again.
 		l.image[off] = byte(OpInvalid)
 		return false, err
 	}
 	l.head += size
 	l.appended++
 	l.live++
-	l.recent = append(l.recent, off)
-	if l.window > 0 && len(l.recent) > l.window {
-		l.recent = l.recent[len(l.recent)-l.window:]
-	}
+	l.last, l.dirty = off, false
 	return false, nil
 }
 
-// findCoalesceTarget scans the sliding window, newest first, for a write
-// record on the same inode whose extent ends where r begins.
+// extendsLast reports whether r is a write that the log's last record
+// can absorb: a write record on the same inode whose extent ends where r
+// begins.
 //
-// Coalescing extends a record that is already in the log, which at
-// replay time reorders r's effect to the target's position. That is
-// only sound if every record between the target and the tail replays
-// identically either way: recovery reconstructs block placement by
-// repeating the original allocation sequence (see microfs replay), so
-// the scan must stop at any record whose replay touches the block pool
-// (a write to another inode, an unlink) or this inode at all. Pure
-// namespace records (create, mkdir, rename) allocate no blocks and may
-// be skipped, preserving the window's benefit for checkpoint streams
-// interleaved with metadata bursts.
-func (l *Log) findCoalesceTarget(r Record) (int64, bool) {
-	for i := len(l.recent) - 1; i >= 0; i-- {
-		off := l.recent[i]
-		op := Op(l.image[off])
-		inode := binary.LittleEndian.Uint64(l.image[off+6:])
-		if op == OpWrite && inode == r.Inode {
-			start := binary.LittleEndian.Uint64(l.image[off+14:])
-			length := binary.LittleEndian.Uint64(l.image[off+22:])
-			if start+length != r.Offset {
-				return 0, false // non-contiguous: the run is broken
-			}
-			// The in-place extension mutates the record's length and
-			// CRC, bytes [off+22, off+36). The device contract is
-			// page-atomic log writes: a mutation inside one page lands
-			// entirely or not at all, but one straddling a page
-			// boundary can half-land in a crash and corrupt an already
-			// acknowledged record mid-log — replay would then stop
-			// there and silently drop every acknowledged record after
-			// it. Append fresh instead; only log-space savings are
-			// forgone.
-			if (off+22)/l.pageSize != (off+35)/l.pageSize {
-				return 0, false
-			}
-			return off, true
-		}
-		if op == OpWrite || op == OpUnlink || op == OpTruncate || inode == r.Inode {
-			return 0, false // replay-order barrier
-		}
+// Only the last record qualifies. Coalescing moves r's effect to the
+// target's position in replay order, and recovery reconstructs block
+// placement by repeating the original allocation sequence (see microfs
+// replay), so no record may sit between the target and the tail whose
+// replay allocates or frees a block. Every kind can: writes, unlinks and
+// truncates obviously, and create, mkdir and rename because each grows
+// the parent directory by one entry, which takes a block at the
+// directory's first entry and at every BlockSize/64-th after it. Ordering
+// settles it without inspecting records: every record other than the
+// target is a barrier.
+func (l *Log) extendsLast(r Record) bool {
+	off := l.last
+	if r.Op != OpWrite || !l.coalesce || off < 0 {
+		return false
 	}
-	return 0, false
+	if Op(l.image[off]) != OpWrite || binary.LittleEndian.Uint64(l.image[off+6:]) != r.Inode {
+		return false
+	}
+	start := binary.LittleEndian.Uint64(l.image[off+14:])
+	length := binary.LittleEndian.Uint64(l.image[off+extOff:])
+	if start+length != r.Offset {
+		return false
+	}
+	// The device contract is page-atomic log writes: a mutation inside
+	// one page lands entirely or not at all, but one straddling a page
+	// boundary can half-land in a crash and corrupt an already
+	// acknowledged record mid-log — replay would then stop there and
+	// silently drop every acknowledged record after it. Append fresh
+	// instead; only log-space savings are forgone.
+	return (off+extOff)/l.pageSize == (off+extEnd-1)/l.pageSize
+}
+
+// Sync persists a pending extension, making every coalesced write
+// acknowledged so far part of the device's log. It is the log half of
+// the caller's fsync. After a failed Sync the extension is still
+// pending and the next Sync or record flush repairs the page.
+func (l *Log) Sync() error {
+	if !l.dirty {
+		return nil
+	}
+	if err := l.flushRange(l.last+extOff, extEnd-extOff); err != nil {
+		return err
+	}
+	l.dirty = false
+	return nil
 }
 
 // flushRange persists the log pages covering [off, off+n).
@@ -297,8 +311,8 @@ func (l *Log) flushRange(off, n int64) error {
 }
 
 // Reset discards all records (after the caller has checkpointed
-// metadata). Old records are invalidated by an epoch bump, so no device
-// zeroing is needed.
+// metadata), a pending extension with them. Old records are invalidated
+// by an epoch bump, so no device zeroing is needed.
 func (l *Log) Reset() {
 	l.epoch++
 	if l.epoch == 0 { // skip the zero epoch, which marks unused space
@@ -306,7 +320,7 @@ func (l *Log) Reset() {
 	}
 	l.head = 0
 	l.live = 0
-	l.recent = nil
+	l.last, l.dirty = -1, false
 }
 
 // Records returns the number of live records (since the last Reset).
@@ -454,7 +468,8 @@ func (l *Log) Load(read ReadFunc, epoch byte) ([]LocatedRecord, error) {
 		records = append(records, more...)
 	}
 	clear(l.image[have:])
-	l.epoch, l.head, l.recent = epoch, head, nil
+	l.epoch, l.head = epoch, head
+	l.last, l.dirty = -1, false
 	l.live, l.appended = int64(len(records)), int64(len(records))
 	l.coalesced, l.devWrites, l.devBytes = 0, 0, 0
 	return records, nil

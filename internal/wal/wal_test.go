@@ -1,6 +1,9 @@
 package wal
 
 import (
+	"bytes"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -110,22 +113,32 @@ func TestInterleavedFileWritesDoNotCoalesce(t *testing.T) {
 	}
 }
 
-func TestCoalesceSkipsNamespaceRecords(t *testing.T) {
-	// Pure namespace records (create, mkdir, rename) allocate no blocks,
-	// so a contiguous write may still fold into its predecessor across
-	// them; unlinks free blocks and must act as barriers.
-	l := newLog(t, Options{}, nil)
-	l.Append(Record{Op: OpWrite, Inode: 1, Offset: 0, Length: 10})
-	l.Append(Record{Op: OpCreate, Path: "/g", Inode: 2, Mode: 0o644})
-	l.Append(Record{Op: OpRename, Path: "/g", Path2: "/h", Inode: 2})
-	co, _ := l.Append(Record{Op: OpWrite, Inode: 1, Offset: 10, Length: 10})
-	if !co {
-		t.Error("contiguous write did not coalesce across namespace records")
-	}
-	l.Append(Record{Op: OpUnlink, Path: "/h", Inode: 2})
-	co, _ = l.Append(Record{Op: OpWrite, Inode: 1, Offset: 20, Length: 10})
-	if co {
-		t.Error("write coalesced across an unlink (block-pool barrier)")
+func TestCoalesceStopsAtNamespaceRecords(t *testing.T) {
+	// Create, mkdir and rename each append an entry to the parent
+	// directory, which allocates a block at the directory's first entry
+	// and at every BlockSize/64-th: folding a write into a record that
+	// sits before one of them would replay its allocation too early. Every
+	// record other than the log's last is a barrier, whatever its kind.
+	for _, barrier := range []Record{
+		{Op: OpCreate, Path: "/g", Inode: 2, Mode: 0o644},
+		{Op: OpMkdir, Path: "/d", Inode: 2, Mode: 0o755},
+		{Op: OpRename, Path: "/g", Path2: "/h", Inode: 2},
+		{Op: OpUnlink, Path: "/h", Inode: 2},
+		{Op: OpTruncate, Inode: 2},
+	} {
+		l := newLog(t, Options{}, nil)
+		l.Append(Record{Op: OpWrite, Inode: 1, Offset: 0, Length: 10})
+		if co, _ := l.Append(Record{Op: OpWrite, Inode: 1, Offset: 10, Length: 10}); !co {
+			t.Fatal("contiguous write did not coalesce into the last record")
+		}
+		l.Append(barrier)
+		if co, _ := l.Append(Record{Op: OpWrite, Inode: 1, Offset: 20, Length: 10}); co {
+			t.Errorf("write coalesced across a %v record", barrier.Op)
+		}
+		// The fresh record is the last one again and takes extensions.
+		if co, _ := l.Append(Record{Op: OpWrite, Inode: 1, Offset: 30, Length: 10}); !co {
+			t.Errorf("write after a %v record did not coalesce into the record that followed it", barrier.Op)
+		}
 	}
 }
 
@@ -206,34 +219,60 @@ func TestDecodeCorruptRecord(t *testing.T) {
 }
 
 func TestFlushWritesPages(t *testing.T) {
-	var writes []struct {
+	type flush struct {
 		off int64
 		n   int
 	}
+	var writes []flush
 	w := func(off int64, data []byte) error {
-		writes = append(writes, struct {
-			off int64
-			n   int
-		}{off, len(data)})
+		writes = append(writes, flush{off, len(data)})
 		return nil
 	}
-	l := newLog(t, Options{PageSize: 4096}, w)
-	l.Append(Record{Op: OpCreate, Path: "/a", Inode: 1})
-	if len(writes) != 1 {
-		t.Fatalf("%d device writes, want 1 (synchronous flush)", len(writes))
+	expect := func(what string, n int, last flush) {
+		t.Helper()
+		if len(writes) != n {
+			t.Fatalf("after %s: %d device writes %v, want %d", what, len(writes), writes, n)
+		}
+		if writes[n-1] != last {
+			t.Fatalf("after %s: last flush = %+v, want %+v", what, writes[n-1], last)
+		}
 	}
-	if writes[0].off != 0 || writes[0].n != 4096 {
-		t.Errorf("flush = %+v, want page 0", writes[0])
-	}
-	// Coalescing rewrites the page containing the record, not a new
-	// page.
-	l.Append(Record{Op: OpWrite, Inode: 1, Offset: 0, Length: 10})
+	const page = 128
+	l := newLog(t, Options{PageSize: page}, w)
+	// Every record is flushed before Append returns, as whole pages.
+	l.Append(Record{Op: OpCreate, Path: "/a", Inode: 1}) // [0, 38)
+	expect("create", 1, flush{0, page})
+	l.Append(Record{Op: OpWrite, Inode: 1, Offset: 0, Length: 10}) // [38, 74)
+	expect("first write", 2, flush{0, page})
+	// An extension changes the image and reaches the device with Sync...
 	l.Append(Record{Op: OpWrite, Inode: 1, Offset: 10, Length: 10})
-	if len(writes) != 3 {
-		t.Fatalf("%d device writes, want 3", len(writes))
+	l.Append(Record{Op: OpWrite, Inode: 1, Offset: 20, Length: 10})
+	expect("two extensions", 2, flush{0, page})
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
 	}
-	if writes[2].off != 0 {
-		t.Errorf("coalesce rewrote page at %d, want 0", writes[2].off)
+	expect("Sync", 3, flush{0, page})
+	l.Sync()
+	expect("Sync with nothing pending", 3, flush{0, page})
+	// ...or with the next record, in the one write that record costs
+	// anyway: here the record starts in the extension's page and ends in
+	// the next.
+	l.Append(Record{Op: OpWrite, Inode: 1, Offset: 30, Length: 10})
+	l.Append(Record{Op: OpCreate, Path: "/" + string(make([]byte, 40)), Inode: 2}) // [74, 151)
+	expect("record after an extension", 4, flush{0, 2 * page})
+	l.Sync()
+	expect("Sync after the record carried the extension", 4, flush{0, 2 * page})
+	// A record that starts on a page boundary right after an extended one
+	// has its flush start one page lower, never more.
+	l.Append(Record{Op: OpCreate, Path: "/" + string(make([]byte, 32)), Inode: 3}) // [151, 220)
+	l.Append(Record{Op: OpWrite, Inode: 3, Offset: 0, Length: 10})                 // [220, 256)
+	expect("padding", 6, flush{page, page})
+	l.Append(Record{Op: OpWrite, Inode: 3, Offset: 10, Length: 10})
+	l.Append(Record{Op: OpCreate, Path: "/b", Inode: 4}) // [256, 294): page 2 alone
+	expect("record on the page after its extension", 7, flush{page, 2 * page})
+	_, _, devWrites, devBytes := l.Stats()
+	if devWrites != 7 || devBytes != 9*page {
+		t.Errorf("Stats: %d device writes, %d bytes, want 7 and %d", devWrites, devBytes, 9*page)
 	}
 }
 
@@ -352,5 +391,111 @@ func TestOversizedModeRejected(t *testing.T) {
 	l := newLog(t, Options{}, nil)
 	if _, err := l.Append(Record{Op: OpCreate, Path: "/f", Mode: 1 << 20}); err == nil {
 		t.Error("32-bit mode accepted into a 16-bit field")
+	}
+}
+
+// Property: under any sequence of Append, Sync and Reset the device holds
+// what the contract says. Right after a record's append and after Sync
+// the device's log is the in-memory log, byte for byte below the head;
+// in between it decodes to the same records, the last one a write no
+// longer than in memory. Every flush is whole pages, one per record or
+// Sync, and a record's flush is at most one page longer than the record's
+// own pages.
+func TestPropertyDeviceFollowsLog(t *testing.T) {
+	const (
+		capacity = 2048
+		page     = 128
+	)
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dev := make([]byte, capacity)
+		var flushes, flushed int64
+		l, err := New(Options{Capacity: capacity, PageSize: page}, func(off int64, data []byte) error {
+			if off%page != 0 || (len(data)%page != 0 && off+int64(len(data)) != capacity) {
+				t.Fatalf("seed %d: flush [%d,+%d) is not whole pages", seed, off, len(data))
+			}
+			flushes++
+			flushed = int64(len(data))
+			copy(dev[off:], data)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		synced := func(what string) {
+			t.Helper()
+			if !bytes.Equal(dev[:l.Head()], l.Image()[:l.Head()]) {
+				t.Fatalf("seed %d: device differs from the log below the head after %s", seed, what)
+			}
+		}
+		pos := map[uint64]uint64{} // next contiguous offset per inode
+		for step := 0; step < 200; step++ {
+			before := flushes
+			switch k := rng.Intn(20); {
+			case k == 0:
+				l.Reset()
+				continue
+			case k < 3:
+				if err := l.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if flushes > before+1 {
+					t.Fatalf("seed %d: Sync flushed %d times", seed, flushes-before)
+				}
+				synced("Sync")
+				continue
+			}
+			var r Record
+			switch k := rng.Intn(10); {
+			case k < 7: // mostly contiguous writes on few inodes
+				ino := uint64(2 + rng.Intn(2))
+				r = Record{Op: OpWrite, Inode: ino, Offset: pos[ino], Length: uint64(1 + rng.Intn(5000))}
+				if rng.Intn(8) == 0 {
+					r.Offset += 7 // a gap breaks the run
+				}
+				pos[ino] = r.Offset + r.Length
+			case k < 9:
+				r = Record{Op: OpCreate, Path: "/" + strings.Repeat("n", rng.Intn(150)), Inode: uint64(rng.Intn(9)), Mode: 0o644}
+			default:
+				r = Record{Op: OpUnlink, Path: "/u", Inode: uint64(rng.Intn(9))}
+			}
+			head := l.Head()
+			co, err := l.Append(r)
+			if err == ErrLogFull {
+				l.Reset()
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if co {
+				if flushes != before {
+					t.Fatalf("seed %d: a coalesced write reached the device", seed)
+				}
+			} else {
+				own := (l.Head()+page-1)/page*page - head/page*page
+				if flushes != before+1 || flushed > own+page {
+					t.Fatalf("seed %d: record [%d,%d) cost %d flushes, the last of %d bytes", seed, head, l.Head(), flushes-before, flushed)
+				}
+				synced("a record's append")
+			}
+			// Past the head lie an earlier epoch's bytes, which may stop
+			// the scan with ErrCorrupt as a torn tail does: the records
+			// before it are what recovery replays.
+			inMem, _ := Decode(l.Image(), l.Epoch())
+			onDev, _ := Decode(dev, l.Epoch())
+			if int64(len(inMem)) != l.Records() || len(onDev) != len(inMem) {
+				t.Fatalf("seed %d: device decodes to %d records, log to %d, %d are live", seed, len(onDev), len(inMem), l.Records())
+			}
+			for i, want := range inMem {
+				got := onDev[i]
+				if i == len(inMem)-1 && want.Op == OpWrite && got.Length <= want.Length {
+					got.Length = want.Length
+				}
+				if got != want {
+					t.Fatalf("seed %d: device record %d = %+v, log has %+v", seed, i, onDev[i], want)
+				}
+			}
+		}
 	}
 }
