@@ -46,21 +46,49 @@ import (
 // ~200 iterations run in the default mode, 25 under -short. A nightly
 // sweep can raise crashPropIters via successive -count=1 runs.
 func TestCrashProp(t *testing.T) {
+	crashPropSuite(t, rerunSeed, crashPropShape{logBytes: 64 * model.KB})
+}
+
+// crashPropSuite runs the seeded iterations of one shape, or only the
+// rerun seed when it is non-zero.
+func crashPropSuite(t *testing.T, rerun int64, shape crashPropShape) {
 	iters := crashPropIters
 	if testing.Short() {
 		iters = crashPropItersShort
 	}
-	if rerunSeed != 0 {
-		crashPropIteration(t, rerunSeed)
+	if rerun != 0 {
+		crashPropIteration(t, rerun, shape)
 		return
 	}
 	for i := 0; i < iters; i++ {
 		seed := crashPropBaseSeed + int64(i)*7919
-		crashPropIteration(t, seed)
+		crashPropIteration(t, seed, shape)
 		if t.Failed() {
 			return // the first failing seed is the reproduction recipe
 		}
 	}
+}
+
+// TestCrashPropLogFull is the same property over a log of four pages and
+// a workload that mostly creates: the log fills every dozen records, so
+// creates, mkdirs and writes routinely find it full, force a snapshot
+// from inside the operation and land their record at offset 0 of the next
+// epoch — which the 64 KiB log of TestCrashProp never did in 200 seeds.
+// Seeds and modes as there (pin a printed seed in rerunLogFullSeed).
+//
+// Break-demo: with Open(O_CREATE) and Mkdir applying the create before
+// logging it, as they did, the forced snapshot already holds the inode
+// the retried record creates: seed 12680106 (the fifth), "recovery
+// failed: microfs: replaying create at 0: vfs: file already exists".
+func TestCrashPropLogFull(t *testing.T) {
+	crashPropSuite(t, rerunLogFullSeed, crashPropShape{logBytes: 4 * logPageBytes, createHeavy: true})
+}
+
+// crashPropShape is what the two suites vary: the size of the log region,
+// and whether half of all draws create a file.
+type crashPropShape struct {
+	logBytes    int64
+	createHeavy bool
 }
 
 const (
@@ -71,6 +99,8 @@ const (
 	// rerunSeed, when non-zero, replays exactly one iteration — set it
 	// to the seed printed by a failure to reproduce locally.
 	rerunSeed = 0
+	// rerunLogFullSeed is rerunSeed for TestCrashPropLogFull.
+	rerunLogFullSeed = 0
 
 	// logPageBytes is the WAL device page size this suite runs with: the
 	// atomic log write unit the torn-append rules are quantized to. 512
@@ -183,7 +213,7 @@ type propFile struct {
 }
 
 // crashPropIteration runs one seeded workload + crash + recovery round.
-func crashPropIteration(t *testing.T, seed int64) {
+func crashPropIteration(t *testing.T, seed int64, shape crashPropShape) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	plan := randomCrashPlan(seed, rng)
@@ -213,7 +243,7 @@ func crashPropIteration(t *testing.T, seed int64) {
 		Account:  acct,
 		// A small log region forces snapshot churn mid-workload; small
 		// log pages make records straddle page boundaries routinely.
-		LogBytes:     64 * model.KB,
+		LogBytes:     shape.logBytes,
 		LogPageBytes: logPageBytes,
 		SnapBytes:    1 * model.MB,
 		// Byte-offset torn appends at the WAL layer (plane-level tears
@@ -346,7 +376,11 @@ func crashPropIteration(t *testing.T, seed int64) {
 			if crashed() {
 				break
 			}
-			switch k := rng.Intn(12); {
+			k := rng.Intn(12)
+			if shape.createHeavy && k >= 3 && k < 6 {
+				k = 0 // three write draws in four become creates
+			}
+			switch {
 			case k < 3: // create a fresh checkpoint segment
 				if nextIdx == 0 && !mkdir("/ckpt") {
 					break

@@ -2,6 +2,7 @@ package microfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -19,16 +20,25 @@ type recordingPlane struct {
 	plane.Plane
 	logBytes int64
 	cmds     []string
+	// onWrite, when set, sees every write command as it arrives, by the
+	// name it is recorded under; an error from it is the command's result
+	// and the device never sees the command.
+	onWrite func(cmd string) error
 }
 
 func (r *recordingPlane) Write(p *sim.Proc, off, length int64, data []byte, cmdUnit int64) error {
+	cmd := "data" // file data, or a snapshot's body or header
 	switch {
 	case off < r.logBytes:
-		r.cmds = append(r.cmds, "log")
+		cmd = "log"
 	case data == nil:
-		r.cmds = append(r.cmds, "dir") // a directory's tail block, timing only
-	default:
-		r.cmds = append(r.cmds, "data")
+		cmd = "dir" // a directory's tail block, timing only
+	}
+	r.cmds = append(r.cmds, cmd)
+	if r.onWrite != nil {
+		if err := r.onWrite(cmd); err != nil {
+			return err
+		}
 	}
 	return r.Plane.Write(p, off, length, data, cmdUnit)
 }
@@ -39,9 +49,12 @@ func (r *recordingPlane) Flush(p *sim.Proc) error {
 }
 
 // newRecordingRig is newRig with a recordingPlane under the instance.
-func newRecordingRig(t *testing.T) (*rig, *recordingPlane) {
+func newRecordingRig(t *testing.T, mutate func(*Config)) (*rig, *recordingPlane) {
 	var rec *recordingPlane
 	r := newRig(t, func(cfg *Config) {
+		if mutate != nil {
+			mutate(cfg)
+		}
 		rec = &recordingPlane{Plane: cfg.Plane, logBytes: cfg.LogBytes}
 		cfg.Plane = rec
 	})
@@ -57,7 +70,7 @@ func TestDeviceSeesOneCommandPerWrite(t *testing.T) {
 		n     = 5
 		chunk = 16 << 10
 	)
-	r, rec := newRecordingRig(t)
+	r, rec := newRecordingRig(t, nil)
 	deviceLog := func(p *sim.Proc) []wal.Record {
 		t.Helper()
 		image, err := r.cfg.Plane.Read(p, 0, r.cfg.LogBytes, 0)
@@ -111,7 +124,7 @@ func TestDeviceSeesOneCommandPerWrite(t *testing.T) {
 // point for the log too, whichever handle is closed, and a handle that
 // was only read commits nothing.
 func TestCloseCommitsWithoutFsync(t *testing.T) {
-	r, rec := newRecordingRig(t)
+	r, rec := newRecordingRig(t, nil)
 	r.run(t, func(p *sim.Proc) {
 		open := func(path string, flags vfs.OpenFlags) vfs.File {
 			t.Helper()
@@ -203,5 +216,71 @@ func TestRecoveryAfterWriteAcrossDirAlloc(t *testing.T) {
 			t.Errorf("recovered /a.dat: %d bytes, %v, equal=%v", n, err, bytes.Equal(buf, payload))
 		}
 		g.Close(p)
+	})
+}
+
+// TestCreateAtLogFullRecovers drives creates and mkdirs into a log of four
+// pages, so that every dozenth finds it full and forces a snapshot from
+// inside the operation. The device must see an operation's log record —
+// and the snapshot before it, when there is one — before the namespace
+// holds the new name: a snapshot that already held it would make the
+// retried record, at offset 0 of the next epoch, unreplayable ("file
+// already exists"). A log write the device refuses must leave no trace
+// of the name either. Whatever the device then holds recovers to the
+// crashed instance's state.
+func TestCreateAtLogFullRecovers(t *testing.T) {
+	r, rec := newRecordingRig(t, func(cfg *Config) {
+		cfg.LogBytes, cfg.LogPageBytes = 2048, 512
+	})
+	r.run(t, func(p *sim.Proc) {
+		var creating string
+		refused := errors.New("device refused the log write")
+		refuse := false
+		rec.onWrite = func(cmd string) error {
+			if cmd == "dir" {
+				return nil // the parent's tail block follows the apply
+			}
+			if _, ok := r.inst.tree.Get(creating); ok && !t.Failed() {
+				t.Errorf("%s command while creating %s: the namespace already holds it", cmd, creating)
+			}
+			if refuse && cmd == "log" {
+				return refused
+			}
+			return nil
+		}
+		create := func(path string, dir bool) error {
+			creating = path
+			if dir {
+				return r.inst.Mkdir(p, path, 0o755)
+			}
+			_, err := r.inst.Open(p, path, vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
+			return err
+		}
+		dir := ""
+		for i := 0; r.inst.stats.Snapshots < 6; i++ {
+			path := fmt.Sprintf("%s/%03d-%s", dir, i, strings.Repeat("n", 40+i%50))
+			if err := create(path, i%7 == 0); err != nil {
+				t.Fatalf("creating %s: %v", path, err)
+			}
+			if i%7 == 0 {
+				dir = path
+			}
+		}
+		refuse = true
+		nextIno := r.inst.nextIno
+		if err := create("/refused", false); !errors.Is(err, refused) {
+			t.Fatalf("create over a refused log write: %v", err)
+		}
+		if _, err := r.inst.lookup("/refused"); !errors.Is(err, vfs.ErrNotExist) || r.inst.nextIno != nextIno {
+			t.Errorf("a create whose record was refused left lookup = %v, nextIno %d -> %d", err, nextIno, r.inst.nextIno)
+		}
+
+		fresh := r.freshInstance(t)
+		if err := fresh.Recover(p); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := metaOf(fresh), metaOf(r.inst); got != want {
+			t.Errorf("recovered metadata differs:\n got %s\nwant %s", got, want)
+		}
 	})
 }

@@ -23,13 +23,19 @@ type rig struct {
 	cfg  Config
 }
 
-func newRig(t *testing.T, mutate func(*Config)) *rig {
+func newRig(t testing.TB, mutate func(*Config)) *rig {
+	t.Helper()
+	return newRigSized(t, 64*model.MB, mutate)
+}
+
+// newRigSized is newRig over a partition of the given size.
+func newRigSized(t testing.TB, partition int64, mutate func(*Config)) *rig {
 	t.Helper()
 	env := sim.NewEnv()
 	params := model.Default()
 	params.SSD.CapacityGB = 1
 	dev := nvme.New(env, "ssd0", params.SSD, true)
-	ns, err := dev.CreateNamespace(64 * model.MB)
+	ns, err := dev.CreateNamespace(partition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +62,7 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 }
 
 // run executes fn as a sim process and drives the sim to completion.
-func (r *rig) run(t *testing.T, fn func(p *sim.Proc)) time.Duration {
+func (r *rig) run(t testing.TB, fn func(p *sim.Proc)) time.Duration {
 	t.Helper()
 	r.env.Go("test", fn)
 	end, err := r.env.Run()
@@ -74,7 +80,7 @@ func newTestPlane(r *rig, acct *vfs.Account) (*spdk.Plane, error) {
 
 // freshInstance builds a second instance over the same partition (a
 // restarted runtime after a crash).
-func (r *rig) freshInstance(t *testing.T) *Instance {
+func (r *rig) freshInstance(t testing.TB) *Instance {
 	t.Helper()
 	inst, err := New(r.env, r.cfg)
 	if err != nil {

@@ -82,18 +82,29 @@ func (inst *Instance) Mkdir(p *sim.Proc, path string, mode uint32) error {
 		return err
 	}
 	inst.acct.Charge(p, vfs.User, inst.cfg.Host.BTreeOp+inst.cfg.Host.InodeAlloc)
-	ino, err := inst.applyCreate(path, mode, true)
-	if err != nil {
-		return err
-	}
-	if err := inst.logOp(p, wal.Record{Op: wal.OpMkdir, Path: path, Inode: ino.id, Mode: mode}); err != nil {
-		return err
-	}
-	if err := inst.writeDirTail(p, parentOf(path)); err != nil {
+	if _, err := inst.create(p, wal.OpMkdir, path, mode); err != nil {
 		return err
 	}
 	inst.stats.Mkdirs++
 	return nil
+}
+
+// create makes a file or a directory (op is OpCreate or OpMkdir):
+// validate, log, and only then apply, which can no longer fail. A
+// log-full append forces a snapshot inside logOp, and that snapshot must
+// not already hold the inode its retried record is about to create —
+// replay would refuse the record with "file already exists" — nor may a
+// failed append leave an inode in memory that no record describes.
+func (inst *Instance) create(p *sim.Proc, op wal.Op, path string, mode uint32) (*inode, error) {
+	parent, err := inst.checkCreate(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := inst.logOp(p, wal.Record{Op: op, Path: path, Inode: inst.nextIno, Mode: mode}); err != nil {
+		return nil, err
+	}
+	ino := inst.insert(parent, path, mode, op == wal.OpMkdir)
+	return ino, inst.writeDirTail(p, parentOf(path))
 }
 
 // Open implements vfs.Backend. With O_CREATE an absent file is created
@@ -126,6 +137,7 @@ func (inst *Instance) Open(p *sim.Proc, path string, flags vfs.OpenFlags, mode u
 		}
 		if flags.Has(vfs.O_TRUNC) && flags.Writable() && ino.size > 0 {
 			unlock := inst.metaLock(p)
+			// Logged first, applied second, like create.
 			terr := inst.logOp(p, wal.Record{Op: wal.OpTruncate, Inode: ino.id, Length: 0})
 			unlock()
 			if terr != nil {
@@ -138,13 +150,7 @@ func (inst *Instance) Open(p *sim.Proc, path string, flags vfs.OpenFlags, mode u
 	case errors.Is(lerr, vfs.ErrNotExist) && flags.Has(vfs.O_CREATE):
 		unlock := inst.metaLock(p)
 		inst.acct.Charge(p, vfs.User, inst.cfg.Host.InodeAlloc)
-		ino, err = inst.applyCreate(path, mode, false)
-		if err == nil {
-			err = inst.logOp(p, wal.Record{Op: wal.OpCreate, Path: path, Inode: ino.id, Mode: mode})
-		}
-		if err == nil {
-			err = inst.writeDirTail(p, parentOf(path))
-		}
+		ino, err = inst.create(p, wal.OpCreate, path, mode)
 		unlock()
 		if err != nil {
 			return nil, err
@@ -175,6 +181,7 @@ func (inst *Instance) Unlink(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
+	// Logged first, applied second, like create.
 	if err := inst.logOp(p, wal.Record{Op: wal.OpUnlink, Path: path, Inode: ino.id}); err != nil {
 		return err
 	}
@@ -206,6 +213,7 @@ func (inst *Instance) Rename(p *sim.Proc, oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
+	// Logged first, applied second, like create.
 	if err := inst.logOp(p, wal.Record{Op: wal.OpRename, Path: oldPath, Path2: newPath, Inode: ino.id}); err != nil {
 		return err
 	}
@@ -314,11 +322,10 @@ func (inst *Instance) lookup(path string) (*inode, error) {
 	return ino, nil
 }
 
-// applyCreate mutates metadata for a create/mkdir. It performs no IO and
-// no logging, so the recovery path replays it verbatim; block placement
-// stays deterministic because the parent directory entry growth below
-// allocates from the circular pool in call order.
-func (inst *Instance) applyCreate(path string, mode uint32, isDir bool) (*inode, error) {
+// checkCreate reports, changing nothing, whether applyCreate(path) would
+// succeed — the parent is a directory, the name is free, and the pool has
+// the block the parent's next entry may need — and returns the parent.
+func (inst *Instance) checkCreate(path string) (*inode, error) {
 	if path == rootPath {
 		return nil, vfs.ErrExist
 	}
@@ -332,16 +339,36 @@ func (inst *Instance) applyCreate(path string, mode uint32, isDir bool) (*inode,
 	if _, ok := inst.tree.Get(path); ok {
 		return nil, vfs.ErrExist
 	}
+	if inst.pool.BlocksFor(parent.size+dirEntryBytes) > int64(len(parent.blocks)) && inst.pool.Free() == 0 {
+		return nil, vfs.ErrNoSpace
+	}
+	return parent, nil
+}
+
+// applyCreate mutates metadata for a create/mkdir. It performs no IO and
+// no logging, so the recovery path replays it verbatim; block placement
+// stays deterministic because the parent directory entry growth in insert
+// allocates from the circular pool in call order.
+func (inst *Instance) applyCreate(path string, mode uint32, isDir bool) (*inode, error) {
+	parent, err := inst.checkCreate(path)
+	if err != nil {
+		return nil, err
+	}
+	return inst.insert(parent, path, mode, isDir), nil
+}
+
+// insert is the half of applyCreate that cannot fail once checkCreate has
+// passed: a new inode under path, and its entry in the parent.
+func (inst *Instance) insert(parent *inode, path string, mode uint32, isDir bool) *inode {
 	ino := &inode{id: inst.nextIno, mode: mode, isDir: isDir}
 	inst.touch(ino)
 	inst.nextIno++
 	inst.inodes[ino.id] = ino
 	inst.tree.Insert(path, ino.id)
-	// Append the directory entry to the parent directory file.
-	if _, err := inst.growTo(parent, parent.size+dirEntryBytes); err != nil {
-		return nil, err
-	}
-	return ino, nil
+	// Append the directory entry to the parent directory file; checkCreate
+	// saw the block it may need.
+	_, _ = inst.growTo(parent, parent.size+dirEntryBytes)
+	return ino
 }
 
 // applyUnlink mutates metadata for an unlink, freeing blocks in

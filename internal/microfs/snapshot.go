@@ -212,9 +212,11 @@ func (inst *Instance) StopBackground(p *sim.Proc) {
 
 // Recover rebuilds the instance's DRAM metadata from the SSD after a
 // crash: it reads the latest snapshot, restores the block pool, B+Tree,
-// and inodes, and replays the provenance log suffix. The backing device
-// must capture payloads (functional mode); use ModelRecovery for
-// timing-only estimates at benchmark scale.
+// and inodes, and replays the provenance log suffix as it reads it. It
+// starts from nothing each time, so after an error (a failed read, say)
+// it may be called again. The backing device must capture payloads
+// (functional mode); use ModelRecovery for timing-only estimates at
+// benchmark scale.
 func (inst *Instance) Recover(p *sim.Proc) error {
 	defer inst.traceSpan(p, "microfs.restart", -1)()
 	defer inst.enter(p)()
@@ -259,20 +261,20 @@ func (inst *Instance) Recover(p *sim.Proc) error {
 		replayFrom = img.LogStart
 		inst.snapLen = snapHeaderBytes + bodyLen
 	}
-	records, err := inst.log.Load(func(off, n int64) ([]byte, error) {
+	err = inst.log.Load(func(off, n int64) ([]byte, error) {
 		return inst.cfg.Plane.Read(p, off, n, hb)
-	}, expectEpoch)
-	if err != nil {
-		return err
-	}
-	for _, lr := range records {
+	}, expectEpoch, func(lr wal.LocatedRecord) error {
 		if lr.Off < replayFrom {
-			continue
+			return nil
 		}
 		inst.acct.Charge(p, vfs.User, inst.cfg.Host.ReplayPerRecord)
 		if err := inst.replay(lr.Record); err != nil {
 			return fmt.Errorf("microfs: replaying %v at %d: %w", lr.Op, lr.Off, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	inst.stats.Recoveries++
 	return nil

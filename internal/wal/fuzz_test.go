@@ -50,7 +50,12 @@ func loadImage(opts Options, image []byte, epoch byte) (*Log, []LocatedRecord, e
 	}
 	dev := make([]byte, opts.Capacity)
 	copy(dev, image)
-	records, err := l.Load(func(off, n int64) ([]byte, error) { return dev[off : off+n], nil }, epoch)
+	var records []LocatedRecord
+	err = l.Load(func(off, n int64) ([]byte, error) { return dev[off : off+n], nil }, epoch,
+		func(lr LocatedRecord) error {
+			records = append(records, lr)
+			return nil
+		})
 	return l, records, err
 }
 

@@ -113,8 +113,16 @@ type Log struct {
 	write    WriteFunc
 
 	epoch byte
-	image []byte // in-memory mirror of the log region
 	head  int64
+
+	// The in-memory mirror of the region's live prefix. image holds the
+	// region from the page-aligned offset base on: everything Append,
+	// extendsLast and flushRange touch. What lies below base is kept, for
+	// Image only, in the buffers it arrived in — the chunks Load read, the
+	// blocks Append filled — oldest first.
+	image []byte
+	base  int64
+	below []span
 
 	// last is the byte offset of the newest record appended since the
 	// last Reset or Load, the one coalescing candidate; -1 when there is
@@ -130,6 +138,12 @@ type Log struct {
 	coalesced int64
 	devWrites int64
 	devBytes  int64
+}
+
+// span is a buffer holding the log region's bytes from offset off on.
+type span struct {
+	off int64
+	b   []byte
 }
 
 // Options configures a Log.
@@ -157,7 +171,6 @@ func New(opts Options, write WriteFunc) (*Log, error) {
 		coalesce: !opts.NoCoalesce,
 		write:    write,
 		epoch:    1,
-		image:    make([]byte, opts.Capacity),
 		last:     -1,
 	}, nil
 }
@@ -203,11 +216,10 @@ func (l *Log) Append(r Record) (coalesced bool, err error) {
 		return false, fmt.Errorf("wal: mode %#o exceeds 16 bits", r.Mode)
 	}
 	if l.extendsLast(r) {
-		off := l.last
-		length := binary.LittleEndian.Uint64(l.image[off+extOff:])
-		binary.LittleEndian.PutUint64(l.image[off+extOff:], length+r.Length)
-		crc := crc32.ChecksumIEEE(l.image[off : off+headerSize])
-		binary.LittleEndian.PutUint32(l.image[off+headerSize:], crc)
+		rec := l.image[l.last-l.base:]
+		length := binary.LittleEndian.Uint64(rec[extOff:])
+		binary.LittleEndian.PutUint64(rec[extOff:], length+r.Length)
+		binary.LittleEndian.PutUint32(rec[headerSize:], crc32.ChecksumIEEE(rec[:headerSize]))
 		l.dirty = true
 		l.coalesced++
 		return true, nil
@@ -217,7 +229,8 @@ func (l *Log) Append(r Record) (coalesced bool, err error) {
 		return false, ErrLogFull
 	}
 	off := l.head
-	l.encode(l.image[off:off+size], r)
+	l.reserve(off + size)
+	l.encode(l.image[off-l.base:off-l.base+size], r)
 	// The pending extension sits in the record that ends where this one
 	// begins, so one ascending page range covers both, at most a page
 	// longer than the record's own. A device that tears it between pages
@@ -230,11 +243,11 @@ func (l *Log) Append(r Record) (coalesced bool, err error) {
 		// The record may be absent or torn on the device. Un-append it:
 		// were head/appended/last advanced here, every later
 		// acknowledged record would sit beyond a torn one on disk and
-		// be silently lost at replay (scan stops at the first corrupt
+		// be silently lost at replay (the walk stops at the first corrupt
 		// record). Marking the slot invalid keeps Image()/Decode
 		// consistent with "not appended". A pending extension stays
 		// pending: the next flush writes its page again.
-		l.image[off] = byte(OpInvalid)
+		l.image[off-l.base] = byte(OpInvalid)
 		return false, err
 	}
 	l.head += size
@@ -242,6 +255,29 @@ func (l *Log) Append(r Record) (coalesced bool, err error) {
 	l.live++
 	l.last, l.dirty = off, false
 	return false, nil
+}
+
+// reserve makes the image reach the end of the page that holds byte
+// end-1 of the region. An image that does not is retired to below, and a
+// new block of loadChunk bytes (or what one record needs) starts at the
+// page of the oldest byte still in play — the last record's, else the
+// head's — so growth copies a record and its page, never the log.
+func (l *Log) reserve(end int64) {
+	end = min((end+l.pageSize-1)/l.pageSize*l.pageSize, l.capacity)
+	if end <= l.base+int64(len(l.image)) {
+		return
+	}
+	keep := l.head
+	if l.last >= 0 {
+		keep = l.last
+	}
+	start := keep / l.pageSize * l.pageSize
+	block := make([]byte, min(max(loadChunk, end-start), l.capacity-start))
+	copy(block, l.image[start-l.base:])
+	if start > l.base {
+		l.below = append(l.below, span{l.base, l.image[:start-l.base]})
+	}
+	l.image, l.base = block, start
 }
 
 // extendsLast reports whether r is a write that the log's last record
@@ -263,11 +299,12 @@ func (l *Log) extendsLast(r Record) bool {
 	if r.Op != OpWrite || !l.coalesce || off < 0 {
 		return false
 	}
-	if Op(l.image[off]) != OpWrite || binary.LittleEndian.Uint64(l.image[off+6:]) != r.Inode {
+	rec := l.image[off-l.base:]
+	if Op(rec[0]) != OpWrite || binary.LittleEndian.Uint64(rec[6:]) != r.Inode {
 		return false
 	}
-	start := binary.LittleEndian.Uint64(l.image[off+14:])
-	length := binary.LittleEndian.Uint64(l.image[off+extOff:])
+	start := binary.LittleEndian.Uint64(rec[14:])
+	length := binary.LittleEndian.Uint64(rec[extOff:])
 	if start+length != r.Offset {
 		return false
 	}
@@ -307,12 +344,13 @@ func (l *Log) flushRange(off, n int64) error {
 	}
 	l.devWrites++
 	l.devBytes += end - start
-	return l.write(start, l.image[start:end])
+	return l.write(start, l.image[start-l.base:end-l.base])
 }
 
 // Reset discards all records (after the caller has checkpointed
-// metadata), a pending extension with them. Old records are invalidated
-// by an epoch bump, so no device zeroing is needed.
+// metadata), a pending extension with them, and the memory that held
+// them. Old records are invalidated by an epoch bump, so no device
+// zeroing is needed.
 func (l *Log) Reset() {
 	l.epoch++
 	if l.epoch == 0 { // skip the zero epoch, which marks unused space
@@ -321,6 +359,7 @@ func (l *Log) Reset() {
 	l.head = 0
 	l.live = 0
 	l.last, l.dirty = -1, false
+	l.image, l.base, l.below = nil, 0, nil
 }
 
 // Records returns the number of live records (since the last Reset).
@@ -341,9 +380,26 @@ func (l *Log) Stats() (appended, coalesced, devWrites, devBytes int64) {
 	return l.appended, l.coalesced, l.devWrites, l.devBytes
 }
 
-// Image returns the live log region bytes (what a crashed node's
-// recovery would read back from the SSD).
-func (l *Log) Image() []byte { return l.image }
+// Image returns a copy of the log region from offset 0 to the end of the
+// image: below the head, what a crashed node's recovery would read back
+// from the SSD (diagnostics and tests).
+func (l *Log) Image() []byte {
+	out := make([]byte, l.base+int64(len(l.image)))
+	l.copyBelow(out[:l.base], 0)
+	copy(out[l.base:], l.image)
+	return out
+}
+
+// copyBelow fills dst, which stands for the region from offset off on,
+// with what below holds of it; where two buffers overlap the newer is right.
+func (l *Log) copyBelow(dst []byte, off int64) {
+	for _, s := range l.below {
+		lo, hi := max(s.off, off), min(s.off+int64(len(s.b)), off+int64(len(dst)))
+		if lo < hi {
+			copy(dst[lo-off:hi-off], s.b[lo-s.off:hi-s.off])
+		}
+	}
+}
 
 // Epoch returns the current epoch (diagnostics and tests).
 func (l *Log) Epoch() byte { return l.epoch }
@@ -356,49 +412,49 @@ type LocatedRecord struct {
 	Off int64
 }
 
-// scan walks a log region image from byte offset from, decoding records
-// of the given epoch. short reports that the walk ran into the end of
-// the image — inside a record, or with less than a minimal record left —
-// rather than into an invalid op, another epoch or a CRC mismatch: for a
+// walk decodes the records of the given epoch in buf, which stands for
+// the log region from byte offset base on, and hands each to visit in log
+// order. It returns the region offset at which it stopped and how it
+// stopped. need > 0: it ran into the end of buf, and the slot at head can
+// be judged once need bytes of it are there — a minimal record's, or,
+// with ErrCorrupt, those of the record whose header buf holds; for a
 // caller holding only a prefix of the region that means "read more and
-// resume at the returned offset", never "torn".
-func scan(image []byte, from int64, epoch byte) (out []LocatedRecord, head int64, short bool, err error) {
-	off := int(from)
-	for off+headerSize+4 <= len(image) {
-		op := Op(image[off])
-		if op == OpInvalid || op > OpRename {
-			return out, int64(off), false, nil
+// resume at head", never "torn". need == 0: it stopped for good, at an
+// unused or other-epoch slot, at a CRC mismatch (ErrCorrupt), or at a
+// record visit refused (visit's error, as it is).
+func walk(buf []byte, base int64, epoch byte, visit func(LocatedRecord) error) (head int64, need int, err error) {
+	off := 0
+	for off+headerSize+4 <= len(buf) {
+		op := Op(buf[off])
+		if op == OpInvalid || op > OpRename || buf[off+1] != epoch {
+			return base + int64(off), 0, nil
 		}
-		if image[off+1] != epoch {
-			return out, int64(off), false, nil
-		}
-		pathLen := int(binary.LittleEndian.Uint16(image[off+2:]))
-		path2Len := int(binary.LittleEndian.Uint16(image[off+4:]))
-		end := off + headerSize + pathLen + path2Len + 4
-		if end > len(image) {
-			return out, int64(off), true, ErrCorrupt
-		}
+		pathLen := int(binary.LittleEndian.Uint16(buf[off+2:]))
+		path2Len := int(binary.LittleEndian.Uint16(buf[off+4:]))
 		payload := off + headerSize + pathLen + path2Len
-		want := binary.LittleEndian.Uint32(image[payload:])
-		got := crc32.ChecksumIEEE(image[off:payload])
-		if want != got {
-			return out, int64(off), false, ErrCorrupt
+		if payload+4 > len(buf) {
+			return base + int64(off), payload + 4 - off, ErrCorrupt
 		}
-		out = append(out, LocatedRecord{
-			Off: int64(off),
+		if binary.LittleEndian.Uint32(buf[payload:]) != crc32.ChecksumIEEE(buf[off:payload]) {
+			return base + int64(off), 0, ErrCorrupt
+		}
+		if err := visit(LocatedRecord{
+			Off: base + int64(off),
 			Record: Record{
 				Op:     op,
-				Path:   string(image[off+headerSize : off+headerSize+pathLen]),
-				Path2:  string(image[off+headerSize+pathLen : payload]),
-				Inode:  binary.LittleEndian.Uint64(image[off+6:]),
-				Offset: binary.LittleEndian.Uint64(image[off+14:]),
-				Length: binary.LittleEndian.Uint64(image[off+22:]),
-				Mode:   uint32(binary.LittleEndian.Uint16(image[off+30:])),
+				Path:   string(buf[off+headerSize : off+headerSize+pathLen]),
+				Path2:  string(buf[off+headerSize+pathLen : payload]),
+				Inode:  binary.LittleEndian.Uint64(buf[off+6:]),
+				Offset: binary.LittleEndian.Uint64(buf[off+14:]),
+				Length: binary.LittleEndian.Uint64(buf[off+22:]),
+				Mode:   uint32(binary.LittleEndian.Uint16(buf[off+30:])),
 			},
-		})
-		off = end
+		}); err != nil {
+			return base + int64(off), 0, err
+		}
+		off = payload + 4
 	}
-	return out, int64(off), true, nil
+	return base + int64(off), headerSize + 4, nil
 }
 
 // Decode scans a log region image and returns the records of the given
@@ -407,18 +463,22 @@ func scan(image []byte, from int64, epoch byte) (out []LocatedRecord, head int64
 // records decoded so far (a torn final record is reported as corrupt —
 // callers decide whether to accept the prefix).
 func Decode(image []byte, epoch byte) ([]Record, error) {
-	located, _, _, err := scan(image, 0, epoch)
-	out := make([]Record, len(located))
-	for i, lr := range located {
-		out[i] = lr.Record
-	}
+	var out []Record
+	_, _, err := walk(image, 0, epoch, func(lr LocatedRecord) error {
+		out = append(out, lr.Record)
+		return nil
+	})
 	return out, err
 }
 
 // DecodeLocated is Decode with byte offsets attached.
 func DecodeLocated(image []byte, epoch byte) ([]LocatedRecord, error) {
-	located, _, _, err := scan(image, 0, epoch)
-	return located, err
+	var out []LocatedRecord
+	_, _, err := walk(image, 0, epoch, func(lr LocatedRecord) error {
+		out = append(out, lr)
+		return nil
+	})
+	return out, err
 }
 
 // NextEpoch returns the epoch the log will use after the next Reset.
@@ -431,46 +491,79 @@ func (l *Log) NextEpoch() byte {
 }
 
 // ReadFunc returns the n bytes the device holds at byte offset off
-// within the log region.
+// within the log region, in a buffer that from then on is the log's.
 type ReadFunc func(off, n int64) ([]byte, error)
 
-// loadChunk is the first read Load issues; every further one doubles.
+// loadChunk is the first read Load issues; every further one doubles. It
+// is also the block Append's image grows by.
 const loadChunk = 64 << 10
 
-// Load makes l the log a crashed instance left on the device: it reads
-// the region from offset 0 into l's image in doubling chunks until the
-// scan of the given epoch's records ends for good — at an unused or
-// other-epoch slot, or at a CRC mismatch on a record that lies wholly
-// inside the bytes read — or the region is exhausted, positions the
-// append head after the last valid record, and returns the records for
-// replay. The unread tail of the image is zeros. Appending to the
-// loaded log continues the same epoch; l's counters start over. After a
-// failed read l holds part of the device's log and must be loaded again
-// before it is used.
-func (l *Log) Load(read ReadFunc, epoch byte) ([]LocatedRecord, error) {
-	var records []LocatedRecord
-	var have, head int64
-	short := true
-	for chunk := int64(loadChunk); short && have < l.capacity; chunk *= 2 {
+// Load makes l the log a crashed instance left on the device, replaying
+// it on the way: it reads the region from offset 0 in doubling chunks,
+// walks each chunk once, where it was read, and hands every valid record
+// of the given epoch to visit in log order, until the walk ends for good
+// — at an unused or other-epoch slot, or at a CRC mismatch on a record
+// that lies wholly inside the bytes read — or the region is exhausted.
+// Only a record that straddles the end of a chunk is copied, to be
+// walked in one piece. Load then positions the append head after the last
+// valid record, with the head's page as the image and the chunks kept
+// below it. Appending to the loaded log continues the same epoch; l's
+// counters start over. An error from read or visit ends the load there
+// and is returned as it is; l is then the log it was before the call,
+// and Load may be called again.
+func (l *Log) Load(read ReadFunc, epoch byte, visit func(LocatedRecord) error) error {
+	var (
+		have, head, records int64
+		chunks              []span
+		carry               []byte // the region from head on, when a chunk ended inside a slot
+		failed              error  // walk's own ErrCorrupt is not a failure: see below
+	)
+	each := func(lr LocatedRecord) error { records++; failed = visit(lr); return failed }
+	need := headerSize + 4
+	for chunk := int64(loadChunk); need > 0 && have < l.capacity; chunk *= 2 {
 		n := min(chunk, l.capacity-have)
 		data, err := read(have, n)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		// A device that captured no payloads reads as zeros.
-		got := int64(copy(l.image[have:have+n], data))
-		clear(l.image[have+got : have+n])
+		if int64(len(data)) < n {
+			// A device that captured no payloads reads as zeros.
+			data = append(make([]byte, 0, n), data...)[:n]
+		}
+		chunks = append(chunks, span{have, data})
+		// A torn final record is expected after a crash: ErrCorrupt from
+		// the walk means accept the valid prefix and resume appending
+		// over the torn bytes.
+		pos := int64(0)
+		for len(carry) > 0 {
+			take := min(int64(need-len(carry)), n-pos)
+			carry = append(carry, data[pos:pos+take]...)
+			pos += take
+			if len(carry) < need {
+				break // the slot outlasts this chunk too
+			}
+			var at int64
+			if at, need, _ = walk(carry, head, epoch, each); at > head || need == 0 {
+				head, carry = at, carry[:0] // the record is through, or the log ends here
+			}
+		}
+		if need > 0 && len(carry) == 0 {
+			head, need, _ = walk(data[pos:], have+pos, epoch, each)
+			if need > 0 {
+				carry = append(carry, data[head-have:]...)
+			}
+		}
+		if failed != nil {
+			return failed
+		}
 		have += n
-		var more []LocatedRecord
-		// A torn final record is expected after a crash: accept the
-		// valid prefix and resume appending over the torn bytes.
-		more, head, short, _ = scan(l.image[:have], head, epoch)
-		records = append(records, more...)
 	}
-	clear(l.image[have:])
 	l.epoch, l.head = epoch, head
 	l.last, l.dirty = -1, false
-	l.live, l.appended = int64(len(records)), int64(len(records))
+	l.live, l.appended = records, records
 	l.coalesced, l.devWrites, l.devBytes = 0, 0, 0
-	return records, nil
+	l.image, l.base, l.below = nil, head/l.pageSize*l.pageSize, chunks
+	l.reserve(head)
+	l.copyBelow(l.image[:head-l.base], l.base)
+	return nil
 }

@@ -111,9 +111,13 @@ echo "== allocation gates (transport)"
 # at 0 allocs/op, and the read path at one buffer per byte read through
 # a TCPPlane (the response payload; 1 MiB calls and sequential 16 KiB
 # calls through the read-ahead window alike) plus one more where a
-# stripe interleaves, and New + Recover at one log image plus the live
-# log (docs/batching.md, "Read path").
+# stripe interleaves (docs/batching.md, "Read path"). New + Recover
+# allocate by the log the crash left, not by the log region: the gate
+# over a meta_storm-shaped log is run by name, so that a rename cannot
+# drop it silently.
 go test -count=1 -run 'TestBatchedSteadyStateAllocs|TestReadPathAllocBytes' ./internal/nvmeof
+go test -count=1 -v -run 'TestReadPathAllocBytes/recover/meta_storm' ./internal/nvmeof |
+	grep -q -e '--- PASS: TestReadPathAllocBytes/recover/meta_storm'
 
 echo "== end-to-end benchmark (smoke test + count repeatability)"
 # The smoke test runs every workload once, small; -selfcheck runs one
@@ -139,8 +143,8 @@ fi
 echo "== go test -race (runtime core)"
 go test -race ./internal/core
 
-echo "== go test -race (fault injection + provenance log)"
-go test -race ./internal/faults ./internal/wal
+echo "== go test -race (fault injection + provenance log + microfs)"
+go test -race ./internal/faults ./internal/wal ./internal/microfs
 
 echo "== crash-consistency property suite (short mode)"
 go test -short -count=1 -run CrashProp ./internal/core
