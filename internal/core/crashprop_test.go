@@ -42,6 +42,11 @@ import (
 //     "recovered at 512 bytes, 30427 were durable".
 //   - file.Close without log.Sync: seed 12838486, crash-at-closed,
 //     "recovered at 57885 bytes, 62342 were durable".
+//   - Instance.logWrite without flushStage (a log page may then reach
+//     the device ahead of the staged bytes its extension admits): seed
+//     12711782, "recovered bytes differ from the written content below
+//     87545"; and TestCrashPropLogFull at seed 12648430, "... below
+//     25355 (recovered at 58123, 0 durable, 25355 written)".
 //
 // ~200 iterations run in the default mode, 25 under -short. A nightly
 // sweep can raise crashPropIters via successive -count=1 runs.

@@ -61,46 +61,95 @@ func newRecordingRig(t *testing.T, mutate func(*Config)) (*rig, *recordingPlane)
 	return r, rec
 }
 
-// TestDeviceSeesOneCommandPerWrite pins the write path's device contract:
-// a checkpoint file written in N contiguous calls costs N data commands
-// plus a fixed seven — never a log page per call — and Fsync is the point
-// where the device's log catches up with the file's length.
-func TestDeviceSeesOneCommandPerWrite(t *testing.T) {
+// deviceLog decodes what the device holds of r's log region.
+func (r *rig) deviceLog(t *testing.T, p *sim.Proc) []wal.Record {
+	t.Helper()
+	image, err := r.cfg.Plane.Read(p, 0, r.cfg.LogBytes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := wal.Decode(image, r.inst.log.Epoch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return records
+}
+
+// checkAdmitted is the write path's ordering invariant, asked of the
+// device at a log command: the log image that command carries admits,
+// for every inode in content, a size; below it and below returned (the
+// bytes whose Write has returned; the call in flight is logged ahead of
+// its data) the device must already hold the content.
+func (r *rig) checkAdmitted(t *testing.T, p *sim.Proc, content map[uint64][]byte, returned map[uint64]int64) {
+	t.Helper()
+	records, _ := wal.Decode(r.inst.log.Image(), r.inst.log.Epoch())
+	admitted := map[uint64]int64{}
+	for _, rec := range records {
+		if rec.Op == wal.OpWrite {
+			admitted[rec.Inode] = max(admitted[rec.Inode], int64(rec.Offset+rec.Length))
+		}
+	}
+	for id, want := range content {
+		n := min(admitted[id], returned[id])
+		if n == 0 {
+			continue
+		}
+		var got []byte
+		_, err := r.inst.eachRun(r.inst.inodes[id], 0, n, func(run blockRun) error {
+			data, err := r.cfg.Plane.Read(p, run.devOff, run.n, 0)
+			got = append(got, data...)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[:n]) && !t.Failed() {
+			t.Errorf("a log command admits %d bytes of inode %d (%d returned): the device does not hold them", admitted[id], id, returned[id])
+		}
+	}
+}
+
+// TestDeviceSeesOneCommandPerRun pins the write path's device contract:
+// a checkpoint file written in N contiguous calls costs the first call's
+// data command, one per run of stageBytes the rest fills or leaves
+// begun, and a fixed seven — never a command per call — Fsync is the
+// point where the device's log catches up with the file's length, and
+// at every log command the device already holds what that command admits.
+func TestDeviceSeesOneCommandPerRun(t *testing.T) {
 	const (
-		n     = 5
+		n     = 40
 		chunk = 16 << 10
 	)
 	r, rec := newRecordingRig(t, nil)
-	deviceLog := func(p *sim.Proc) []wal.Record {
-		t.Helper()
-		image, err := r.cfg.Plane.Read(p, 0, r.cfg.LogBytes, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		records, err := wal.Decode(image, r.inst.log.Epoch())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return records
-	}
+	payload := seeded(21, n*chunk)
 	r.run(t, func(p *sim.Proc) {
+		content, returned := map[uint64][]byte{2: payload}, map[uint64]int64{}
+		rec.onWrite = func(cmd string) error {
+			if cmd == "log" {
+				r.checkAdmitted(t, p, content, returned)
+			}
+			return nil
+		}
 		f, err := r.inst.Open(p, "/ckpt.tmp", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := vfs.WriteAll(p, f, bytes.Repeat([]byte{0xC4}, n*chunk), chunk); err != nil {
-			t.Fatal(err)
+		for off := 0; off < len(payload); off += chunk {
+			if _, err := f.Write(p, payload[off:off+chunk]); err != nil {
+				t.Fatal(err)
+			}
+			returned[2] += chunk
 		}
 		// Before the durability point the device's log holds the first
 		// call's record; the calls that extended it are in DRAM.
 		create := wal.Record{Op: wal.OpCreate, Path: "/ckpt.tmp", Inode: 2, Mode: 0o644}
-		if got, want := deviceLog(p), []wal.Record{create, {Op: wal.OpWrite, Inode: 2, Length: chunk}}; !reflect.DeepEqual(got, want) {
+		if got, want := r.deviceLog(t, p), []wal.Record{create, {Op: wal.OpWrite, Inode: 2, Length: chunk}}; !reflect.DeepEqual(got, want) {
 			t.Errorf("device log before Fsync = %+v, want %+v", got, want)
 		}
 		if err := f.Fsync(p); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := deviceLog(p), []wal.Record{create, {Op: wal.OpWrite, Inode: 2, Length: n * chunk}}; !reflect.DeepEqual(got, want) {
+		if got, want := r.deviceLog(t, p), []wal.Record{create, {Op: wal.OpWrite, Inode: 2, Length: n * chunk}}; !reflect.DeepEqual(got, want) {
 			t.Errorf("device log at Fsync's return = %+v, want %+v", got, want)
 		}
 		if err := f.Close(p); err != nil {
@@ -110,9 +159,9 @@ func TestDeviceSeesOneCommandPerWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	want := []string{"log", "dir", "log"} // create, root's tail block, first write
-	for i := 0; i < n; i++ {
-		want = append(want, "data")
+	want := []string{"log", "dir", "log", "data"} // create, root's tail block, first write and its data
+	for staged := (n - 1) * chunk; staged > 0; staged -= stageBytes {
+		want = append(want, "data") // the last one, begun and not full, leaves at Fsync
 	}
 	want = append(want, "log", "FLUSH", "log", "dir") // Fsync; rename, root's tail block
 	if !reflect.DeepEqual(rec.cmds, want) {

@@ -211,6 +211,14 @@ type Instance struct {
 	snapLen  int64
 	snapSlot int
 
+	// stage is the write path's one staged run: the bytes of coalesced
+	// writes not yet sent, device-contiguous from stageOff, in a buffer of
+	// stageBytes allocated by the first write that stages. flushing
+	// reports that the run is detached and in flight (see flushStage).
+	stage    []byte
+	stageOff int64
+	flushing bool
+
 	stats Stats
 }
 
@@ -275,11 +283,17 @@ func (inst *Instance) walWriteFunc() wal.WriteFunc {
 
 // logWrite is the WAL flush callback: it persists log pages through the
 // data plane on behalf of the process currently inside an operation.
+// Staged data goes first — whatever record kind the page carries, it may
+// carry the extension that admits the staged bytes too — and while that
+// fails no log byte moves.
 func (inst *Instance) logWrite(off int64, data []byte) error {
 	if inst.curProc == nil {
 		// Construction-time or replay-time writes carry no process;
 		// they are metadata-only and cost nothing.
 		return nil
+	}
+	if err := inst.flushStage(inst.curProc); err != nil {
+		return err
 	}
 	return inst.cfg.Plane.Write(inst.curProc, off, int64(len(data)), data, inst.cfg.LogPageBytes)
 }

@@ -39,22 +39,22 @@ func (inst *Instance) metaLock(p *sim.Proc) func() {
 }
 
 // logOp appends a provenance record (flushing it to the SSD, unless it
-// is a write coalesced into the log's last record: see file.write) and,
-// when provenance is disabled, additionally journals the full inode and
-// physical per-block records the way conventional filesystems do.
-func (inst *Instance) logOp(p *sim.Proc, rec wal.Record) error {
+// is a write coalesced into the log's last record, which it reports: see
+// file.write) and, when provenance is disabled, additionally journals the
+// full inode and physical per-block records the way conventional
+// filesystems do.
+func (inst *Instance) logOp(p *sim.Proc, rec wal.Record) (coalesced bool, err error) {
 	inst.acct.Charge(p, vfs.User, inst.cfg.Host.LogAppend)
-	if _, err := inst.log.Append(rec); err != nil {
-		if errors.Is(err, wal.ErrLogFull) {
-			// Forced synchronous snapshot to reclaim log space.
-			if serr := inst.SnapshotNow(p); serr != nil {
-				return serr
-			}
-			_, err = inst.log.Append(rec)
+	coalesced, err = inst.log.Append(rec)
+	if errors.Is(err, wal.ErrLogFull) {
+		// Forced synchronous snapshot to reclaim log space.
+		if serr := inst.SnapshotNow(p); serr != nil {
+			return false, serr
 		}
-		if err != nil {
-			return err
-		}
+		coalesced, err = inst.log.Append(rec)
+	}
+	if err != nil {
+		return false, err
 	}
 	if !inst.cfg.Features.Provenance {
 		// Physical journaling, as conventional filesystems do: a full
@@ -67,10 +67,10 @@ func (inst *Instance) logOp(p *sim.Proc, rec wal.Record) error {
 			extra += 4 * model.KB * ((blocks + 7) / 8)
 		}
 		if err := inst.cfg.Plane.Write(p, 0, extra, nil, 4*model.KB); err != nil {
-			return err
+			return false, err
 		}
 	}
-	return nil
+	return coalesced, nil
 }
 
 // Mkdir implements vfs.Client.
@@ -100,7 +100,7 @@ func (inst *Instance) create(p *sim.Proc, op wal.Op, path string, mode uint32) (
 	if err != nil {
 		return nil, err
 	}
-	if err := inst.logOp(p, wal.Record{Op: op, Path: path, Inode: inst.nextIno, Mode: mode}); err != nil {
+	if _, err := inst.logOp(p, wal.Record{Op: op, Path: path, Inode: inst.nextIno, Mode: mode}); err != nil {
 		return nil, err
 	}
 	ino := inst.insert(parent, path, mode, op == wal.OpMkdir)
@@ -138,7 +138,7 @@ func (inst *Instance) Open(p *sim.Proc, path string, flags vfs.OpenFlags, mode u
 		if flags.Has(vfs.O_TRUNC) && flags.Writable() && ino.size > 0 {
 			unlock := inst.metaLock(p)
 			// Logged first, applied second, like create.
-			terr := inst.logOp(p, wal.Record{Op: wal.OpTruncate, Inode: ino.id, Length: 0})
+			_, terr := inst.logOp(p, wal.Record{Op: wal.OpTruncate, Inode: ino.id, Length: 0})
 			unlock()
 			if terr != nil {
 				return nil, terr
@@ -182,7 +182,7 @@ func (inst *Instance) Unlink(p *sim.Proc, path string) error {
 		return err
 	}
 	// Logged first, applied second, like create.
-	if err := inst.logOp(p, wal.Record{Op: wal.OpUnlink, Path: path, Inode: ino.id}); err != nil {
+	if _, err := inst.logOp(p, wal.Record{Op: wal.OpUnlink, Path: path, Inode: ino.id}); err != nil {
 		return err
 	}
 	if err := inst.applyUnlink(path); err != nil {
@@ -214,7 +214,7 @@ func (inst *Instance) Rename(p *sim.Proc, oldPath, newPath string) error {
 		return err
 	}
 	// Logged first, applied second, like create.
-	if err := inst.logOp(p, wal.Record{Op: wal.OpRename, Path: oldPath, Path2: newPath, Inode: ino.id}); err != nil {
+	if _, err := inst.logOp(p, wal.Record{Op: wal.OpRename, Path: oldPath, Path2: newPath, Inode: ino.id}); err != nil {
 		return err
 	}
 	if err := inst.applyRename(oldPath, newPath); err != nil {
@@ -434,37 +434,32 @@ type blockRun struct {
 	n       int64
 }
 
-// runsFor returns the device runs covering file range [off, off+n).
-func (inst *Instance) runsFor(ino *inode, off, n int64) ([]blockRun, error) {
-	if n <= 0 {
-		return nil, nil
-	}
+// eachRun hands visit the device runs covering file range [off, off+n),
+// in file order, and stops at the first error. It returns the bytes of
+// the runs visit accepted.
+func (inst *Instance) eachRun(ino *inode, off, n int64, visit func(blockRun) error) (int64, error) {
 	hb := inst.pool.BlockSize()
 	end := off + n
 	if inst.pool.BlocksFor(end) > int64(len(ino.blocks)) {
-		return nil, fmt.Errorf("microfs: range [%d,+%d) beyond allocated blocks of inode %d", off, n, ino.id)
+		return 0, fmt.Errorf("microfs: range [%d,+%d) beyond allocated blocks of inode %d", off, n, ino.id)
 	}
-	var runs []blockRun
 	pos := off
 	for pos < end {
 		bi := pos / hb
-		within := pos % hb
-		b := ino.blocks[bi]
 		// Extend the run across physically consecutive blocks.
 		last := bi
-		for last+1 < int64(len(ino.blocks)) && (last+1)*hb < end && ino.blocks[last+1] == ino.blocks[last]+1 {
+		for (last+1)*hb < end && ino.blocks[last+1] == ino.blocks[last]+1 {
 			last++
 		}
-		runEnd := (last + 1) * hb
-		if runEnd > end {
-			runEnd = end
-		}
-		runs = append(runs, blockRun{
-			devOff:  inst.dataBase + inst.pool.Offset(b) + within,
+		runEnd := min((last+1)*hb, end)
+		if err := visit(blockRun{
+			devOff:  inst.dataBase + inst.pool.Offset(ino.blocks[bi]) + pos%hb,
 			fileOff: pos,
 			n:       runEnd - pos,
-		})
+		}); err != nil {
+			return pos - off, err
+		}
 		pos = runEnd
 	}
-	return runs, nil
+	return n, nil
 }

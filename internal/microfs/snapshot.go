@@ -84,6 +84,10 @@ func (inst *Instance) SnapshotNow(p *sim.Proc) error {
 		inst.snapBusy = false
 		inst.snapDone.Fire()
 	}()
+	// The image admits every size in DRAM, staged bytes included.
+	if err := inst.flushStage(p); err != nil {
+		return err
+	}
 
 	buildEpoch := inst.log.Epoch()
 	buildHead := inst.log.Head()
@@ -291,6 +295,7 @@ func (inst *Instance) resetMeta() {
 	inst.nextIno = rootIno + 1
 	inst.openCnt = 0
 	inst.snapLen = 0
+	inst.stage = nil
 }
 
 // restoreSnapshot loads a decoded snapshot image.

@@ -259,3 +259,139 @@ func recoverAllocBytes(t *testing.T) {
 		})
 	}
 }
+
+// runBytes is microfs's staged run (its unexported stageBytes): the one
+// buffer the write path may allocate.
+const runBytes = uint64(256 * model.KB)
+
+// writeShape is a checkpoint's write side through microfs: files files,
+// each written in calls calls of callBytes, then Fsync and Close.
+type writeShape struct {
+	files, calls int
+	callBytes    int64
+}
+
+// run writes the shape through a fresh instance over pl — the same device
+// offsets each time, the pool being deterministic — and returns the heap
+// bytes the process allocated between each file's Open and the return of
+// its Close, and the commands the target served meanwhile.
+func (s writeShape) run(tb testing.TB, tgt *Target, pl plane.Plane, noCoalesce bool) (allocated, commands uint64) {
+	data := make([]byte, s.callBytes)
+	env := sim.NewEnv()
+	env.Go("writer", func(p *sim.Proc) {
+		inst, err := microfs.New(env, microfs.Config{Plane: pl, Features: microfs.AllFeatures(), NoCoalesce: noCoalesce})
+		if err != nil {
+			tb.Error(err)
+			return
+		}
+		for i := 0; i < s.files; i++ {
+			f, err := inst.Open(p, fmt.Sprintf("/f%04d.ckpt", i), vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
+			if err != nil {
+				tb.Error(err)
+				return
+			}
+			cmds := tgt.Snapshot().Commands
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for c := 0; c < s.calls; c++ {
+				if _, err := f.Write(p, data); err != nil {
+					tb.Error(err)
+					return
+				}
+			}
+			if err := f.Fsync(p); err != nil {
+				tb.Error(err)
+			}
+			if err := f.Close(p); err != nil {
+				tb.Error(err)
+			}
+			runtime.ReadMemStats(&after)
+			allocated += after.TotalAlloc - before.TotalAlloc
+			commands += tgt.Snapshot().Commands - cmds
+		}
+	})
+	if _, err := env.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	return allocated, commands
+}
+
+// writePathPlane is a plain TCPPlane over a two-queue-pair batching pool
+// on a loopback target: the end-to-end benchmark's ckpt_small and
+// meta_storm stack.
+func writePathPlane(tb testing.TB, size int64) (*Target, plane.Plane) {
+	tgt, addr := startTarget(tb, map[uint32]int64{1: size})
+	pool, err := DialPool(addr, 1, PoolConfig{
+		QueuePairs: 2,
+		Batch:      BatchConfig{Enabled: true, MergeWrites: true},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { pool.Close() })
+	pl, err := NewTCPPlane(pool, 0, size)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tgt, pl
+}
+
+// TestWritePathAllocBytes is the write path's allocation gate. A file
+// written in small sequential calls costs the staged run once, whatever
+// its length, plus 64 KiB for its block list and the commands that carry
+// it; a buffer per call, per run or per flush breaks it. One-write files
+// (the meta_storm shape) and calls of a run's size or more never stage, so
+// they must not allocate a run: each is held to what the same shape
+// allocates with coalescing, and so staging, disabled, plus a quarter of a
+// run. Heap bytes are process-wide, so a first pass warms the target's
+// store and per-connection buffers.
+func TestWritePathAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	tgt, pl := writePathPlane(t, 256*model.MB)
+	t.Run("sequential 16 KiB", func(t *testing.T) {
+		shape := writeShape{files: 1, calls: 2048, callBytes: 16 * model.KB}
+		shape.run(t, tgt, pl, false)
+		got, _ := shape.run(t, tgt, pl, false)
+		t.Logf("allocated %d bytes", got)
+		if limit := runBytes + uint64(64*model.KB); got > limit {
+			t.Errorf("allocated %d bytes, want <= %d", got, limit)
+		}
+	})
+	for _, tc := range []struct {
+		name  string
+		shape writeShape
+	}{
+		{"meta_storm", writeShape{files: 1000, calls: 1, callBytes: 2048}},
+		{"1 MiB calls", writeShape{files: 1, calls: 64, callBytes: model.MB}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.shape.run(t, tgt, pl, false)
+			unstaged, _ := tc.shape.run(t, tgt, pl, true)
+			got, _ := tc.shape.run(t, tgt, pl, false)
+			t.Logf("allocated %d bytes, %d with coalescing off", got, unstaged)
+			if limit := unstaged + runBytes/4; got > limit {
+				t.Errorf("allocated %d bytes, want <= %d: a shape that never stages allocated a run", got, limit)
+			}
+		})
+	}
+}
+
+// BenchmarkSequentialSmallWrites is ckpt_small's write side for one rank:
+// a 32 MiB file in 16 KiB calls, Fsync, Close, through microfs on a
+// loopback TCPPlane.
+func BenchmarkSequentialSmallWrites(b *testing.B) {
+	shape := writeShape{files: 1, calls: 2048, callBytes: 16 * model.KB}
+	tgt, pl := writePathPlane(b, 256*model.MB)
+	shape.run(b, tgt, pl, false)
+	var commands uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, n := shape.run(b, tgt, pl, false)
+		commands += n
+	}
+	mib := float64(b.N) * float64(shape.calls) * float64(shape.callBytes) / float64(model.MB)
+	b.ReportMetric(mib*float64(model.MB)/1e6/b.Elapsed().Seconds(), "MB/s")
+	b.ReportMetric(float64(commands)/mib, "cmds/MiB")
+}

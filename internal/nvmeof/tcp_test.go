@@ -15,7 +15,7 @@ import (
 	"github.com/nvme-cr/nvmecr/internal/model"
 )
 
-func startTarget(t *testing.T, namespaces map[uint32]int64) (*Target, string) {
+func startTarget(t testing.TB, namespaces map[uint32]int64) (*Target, string) {
 	t.Helper()
 	tgt := NewTarget()
 	for nsid, size := range namespaces {

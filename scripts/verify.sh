@@ -114,10 +114,15 @@ echo "== allocation gates (transport)"
 # stripe interleaves (docs/batching.md, "Read path"). New + Recover
 # allocate by the log the crash left, not by the log region: the gate
 # over a meta_storm-shaped log is run by name, so that a rename cannot
-# drop it silently.
+# drop it silently. The write path through microfs allocates one staged
+# run per file written in small sequential calls and none for one-write
+# files or 1 MiB calls (docs/batching.md, "Write path: staged runs"):
+# run by name too.
 go test -count=1 -run 'TestBatchedSteadyStateAllocs|TestReadPathAllocBytes' ./internal/nvmeof
 go test -count=1 -v -run 'TestReadPathAllocBytes/recover/meta_storm' ./internal/nvmeof |
 	grep -q -e '--- PASS: TestReadPathAllocBytes/recover/meta_storm'
+go test -count=1 -v -run 'TestWritePathAllocBytes' ./internal/nvmeof |
+	grep -q -e '--- PASS: TestWritePathAllocBytes '
 
 echo "== end-to-end benchmark (smoke test + count repeatability)"
 # The smoke test runs every workload once, small; -selfcheck runs one
