@@ -69,14 +69,6 @@ func (g StripeGeometry) Member(group, replica int) int {
 // GroupOf returns the mirror group a target belongs to.
 func (g StripeGeometry) GroupOf(target int) int { return target / g.replicas() }
 
-// Logical returns the unreplicated geometry the address-space math runs
-// over: one "target" per mirror group. Span decomposition of a
-// mirrored geometry is span decomposition of its logical geometry with
-// Span.Target meaning GROUP.
-func (g StripeGeometry) Logical() StripeGeometry {
-	return StripeGeometry{Targets: g.Groups(), Unit: g.Unit}
-}
-
 // UsableSize returns the striped address-space size carried by targets
 // whose smallest segment is childSize bytes: each group contributes
 // whole units only (the tail remainder of every segment is unused),
@@ -88,52 +80,51 @@ func (g StripeGeometry) UsableSize(childSize int64) int64 {
 	return int64(g.Groups()) * (childSize / g.Unit) * g.Unit
 }
 
-// StripeSpan is one contiguous run of a striped request on one target
-// (one GROUP for mirrored geometry — every member of the group stores
-// the same bytes at the same member-local offset): bytes
-// [Off, Off+Length) of the striped address space live at
-// [TargetOff, TargetOff+Length) on target/group Target. A span never
-// crosses a unit boundary before coalescing.
-type StripeSpan struct {
-	Target    int
-	TargetOff int64
-	Off       int64
-	Length    int64
+// GroupAt returns the group that holds striped address off.
+func (g StripeGeometry) GroupAt(off int64) int {
+	return int(off / g.Unit % int64(g.Groups()))
 }
 
-// Spans decomposes the striped byte range [off, off+length) into
-// per-group spans, in striped-address order. Spans on the same group
-// whose member offsets are adjacent are coalesced (a request larger
-// than Groups*Unit revisits each group with contiguous runs). For
-// mirrored geometry Span.Target is the GROUP index; resolve members
-// with Member.
-func (g StripeGeometry) Spans(off, length int64) []StripeSpan {
-	if length <= 0 {
-		return nil
-	}
-	groups := int64(g.Groups())
-	out := make([]StripeSpan, 0, (length+g.Unit-1)/g.Unit+1)
-	for cur := off; cur < off+length; {
-		stripeNo := cur / g.Unit
-		in := cur % g.Unit
-		n := g.Unit - in
-		if rest := off + length - cur; n > rest {
-			n = rest
-		}
-		s := StripeSpan{
-			Target:    int(stripeNo % groups),
-			TargetOff: (stripeNo/groups)*g.Unit + in,
-			Off:       cur,
-			Length:    n,
-		}
-		if last := len(out) - 1; last >= 0 &&
-			out[last].Target == s.Target &&
-			out[last].TargetOff+out[last].Length == s.TargetOff {
-			out[last].Length += s.Length
-		} else {
-			out = append(out, s)
-		}
-		cur += n
-	}
-	return out
+// Units returns how many stripe units the non-empty byte range
+// [off, off+length) straddles. Units are the same size in the striped
+// and the member-local address space, so it counts in either: over a
+// striped range, the runs that rotate across groups; over an Extent,
+// its Pieces.
+func (g StripeGeometry) Units(off, length int64) int64 {
+	return (off+length-1)/g.Unit - off/g.Unit + 1
+}
+
+// Touched returns how many groups the non-empty striped range
+// [off, off+length) reaches: one per unit it straddles, from GroupAt(off)
+// round the stripe, until it has reached them all.
+func (g StripeGeometry) Touched(off, length int64) int {
+	return int(min(g.Units(off, length), int64(g.Groups())))
+}
+
+// Extent returns the member-local byte range [lo, hi) that the striped
+// range [off, off+length) occupies on group; lo == hi means the range
+// does not touch it. A contiguous striped range touches each group in
+// one contiguous run of that group's own address space (partial units
+// can occur only at the two request ends), so the extent is arithmetic:
+// it lies between the group's bytes below off and its bytes below
+// off+length.
+func (g StripeGeometry) Extent(group int, off, length int64) (lo, hi int64) {
+	return g.below(group, off), g.below(group, off+length)
+}
+
+// below counts the bytes of group at striped addresses under x: one
+// unit for every whole row of Groups() units, plus the group's share of
+// the row x falls in.
+func (g StripeGeometry) below(group int, x int64) int64 {
+	row := g.Unit * int64(g.Groups())
+	return x/row*g.Unit + min(max(x%row-int64(group)*g.Unit, 0), g.Unit)
+}
+
+// Piece is the inverse map, one unit at a time: member-local address a
+// of group is striped address addr, and the n bytes from a to the end
+// of its unit are contiguous in both address spaces. Walking an extent
+// piece by piece visits its bytes in striped-address order.
+func (g StripeGeometry) Piece(group int, a int64) (addr, n int64) {
+	in := a % g.Unit
+	return (a/g.Unit*int64(g.Groups())+int64(group))*g.Unit + in, g.Unit - in
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,11 +21,6 @@ var ErrTimeout = errors.New("nvmeof: command deadline exceeded")
 // ErrBadResponse reports a protocol violation by the target: a
 // completion whose payload disagrees with what the command requested.
 var ErrBadResponse = errors.New("nvmeof: malformed response from target")
-
-// defaultBusyPollSpins is how many reap-then-yield iterations a waiter
-// spins before parking when busy-poll is enabled without an explicit
-// budget.
-const defaultBusyPollSpins = 128
 
 // HostConfig tunes one queue pair.
 type HostConfig struct {
@@ -59,15 +53,6 @@ type HostConfig struct {
 	// coalesce into one vectored wire write per batch (see BatchConfig).
 	// The zero value keeps the direct, one-flush-per-command path.
 	Batch BatchConfig
-	// BusyPoll makes waiters spin reaping their completion (yielding
-	// between probes) before parking on the channel — the SPDK polled-
-	// mode tradeoff: lower wake-up latency for burned cycles. Only
-	// worth enabling when cores outnumber active queue pairs; see
-	// docs/batching.md.
-	BusyPoll bool
-	// BusyPollSpins overrides the spin budget (default
-	// defaultBusyPollSpins). Ignored unless BusyPoll is set.
-	BusyPollSpins int
 }
 
 // Host is an NVMe-oF initiator over the TCP transport: one queue pair
@@ -108,8 +93,6 @@ type Host struct {
 	// batch, when non-nil, routes every submission through the
 	// vectored-write batcher instead of the direct path.
 	batch *batcher
-
-	pollSpins int
 
 	nsSize int64
 	err    error
@@ -200,12 +183,6 @@ func DialConfig(addr string, nsid uint32, cfg HostConfig) (*Host, error) {
 	}
 	if cfg.Batch.Enabled {
 		h.batch = &batcher{cfg: cfg.Batch.withDefaults()}
-	}
-	if cfg.BusyPoll {
-		h.pollSpins = cfg.BusyPollSpins
-		if h.pollSpins <= 0 {
-			h.pollSpins = defaultBusyPollSpins
-		}
 	}
 	go h.readLoop()
 	// Offer the trace extension only when a tracer will consume it, so
@@ -610,11 +587,9 @@ func (h *Host) noteBadResponse(err error) error {
 }
 
 // awaitResponse waits for the slot's completion, bounded by the queue
-// pair's CommandTimeout if one is configured. With busy-poll enabled it
-// first spins reaping the channel (yielding between probes) before
-// parking. The slot is NOT freed here: on success the caller consumes
-// the response and frees; on timeout ownership transfers to the read
-// loop's reclaim.
+// pair's CommandTimeout if one is configured. The slot is NOT freed
+// here: on success the caller consumes the response and frees; on
+// timeout ownership transfers to the read loop's reclaim.
 //
 // respTimerPool recycles the per-command timeout timers: every bounded
 // round trip arms one, and allocating a runtime timer per command is
@@ -622,21 +597,6 @@ func (h *Host) noteBadResponse(err error) error {
 var respTimerPool sync.Pool
 
 func (h *Host) awaitResponse(s *hostSlot) (Response, error) {
-	if h.pollSpins > 0 {
-		for i := 0; i < h.pollSpins; i++ {
-			select {
-			case resp, ok := <-s.ch:
-				if !ok {
-					return Response{}, h.lastErr()
-				}
-				h.tel.pollHits.Inc()
-				return resp, nil
-			default:
-			}
-			runtime.Gosched()
-		}
-		h.tel.pollParks.Inc()
-	}
 	// A plain receive covers delivery AND failure: the failure sweep
 	// closes every in-flight slot's channel (under the same respMu that
 	// ordered this slot's registration), so an unbounded wait needs no

@@ -59,12 +59,6 @@ type PoolConfig struct {
 	// Batch configures each queue pair's submission batcher (see
 	// BatchConfig). The zero value keeps the direct path.
 	Batch BatchConfig
-	// BusyPoll makes every queue pair spin briefly for its completion
-	// before parking on the scheduler (see HostConfig.BusyPoll).
-	BusyPoll bool
-	// BusyPollSpins bounds the busy-poll spin count (default 128;
-	// ignored unless BusyPoll is set).
-	BusyPollSpins int
 	// Gate, when non-nil, is consulted before every command leaves the
 	// pool: Acquire must grant a slot (deadline-ordered admission, see
 	// sched.EDF) or fail with a typed error that surfaces to the
@@ -197,8 +191,6 @@ func (p *HostPool) dialSlot(i int) (*Host, error) {
 		Tracer:         p.cfg.Tracer,
 		Flight:         p.flight,
 		Batch:          p.cfg.Batch,
-		BusyPoll:       p.cfg.BusyPoll,
-		BusyPollSpins:  p.cfg.BusyPollSpins,
 	})
 }
 

@@ -793,44 +793,6 @@ func BenchmarkStripedPlane(b *testing.B) {
 	}
 }
 
-// BenchmarkHostPolled measures the busy-poll reap knob on a single
-// synchronous submitter — the latency-bound shape polling exists for:
-// with spins enabled the waiter reaps its completion without parking,
-// trading CPU for the scheduler round trip. On a single-core box the
-// spin competes with the read loop for the same CPU, so the win is
-// modest-to-negative there; the benchmark records whatever is true for
-// the machine (see MetricQPPollHits / MetricQPPollParks).
-func BenchmarkHostPolled(b *testing.B) {
-	const payloadSize = 512
-	for _, poll := range []bool{false, true} {
-		b.Run(fmt.Sprintf("poll=%v", poll), func(b *testing.B) {
-			tgt := NewTarget()
-			if err := tgt.AddNamespace(1, NewMemNamespace(64*model.MB)); err != nil {
-				b.Fatal(err)
-			}
-			addr, err := tgt.Listen("127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			h, err := DialConfig(addr, 1, HostConfig{BusyPoll: poll})
-			if err != nil {
-				b.Fatal(err)
-			}
-			payload := bytes.Repeat([]byte{0xE1}, payloadSize)
-			b.SetBytes(payloadSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := h.WriteAt(int64(i%1024)*payloadSize, payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			h.Close()
-			tgt.Close()
-		})
-	}
-}
-
 // TestQPBiasShiftsTraffic pins the health-engine integration contract:
 // an avoided queue pair stops receiving new commands while its siblings
 // absorb the load, and clearing the bias restores sharing. It holds for

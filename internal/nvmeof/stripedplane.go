@@ -17,13 +17,17 @@ import (
 // StripedPlane is a plane.Plane that shards a rank's partition across
 // several NVMe-oF targets, using the balancer's stripe geometry:
 // unit-sized blocks rotate round-robin over mirror GROUPS of child
-// planes, and a request touching several groups issues its per-group
-// spans concurrently through each target's own queue. This is the wide
-// data path the paper's aggregate-bandwidth claim rests on (§IV,
-// Fig. 7): one rank drives N devices at once instead of queueing behind
-// one. With Replicas R > 1 (NewMirroredPlane) every group keeps R
-// identical copies, so any R-1 members of a group can die without
-// losing an acknowledged byte — the availability layer RAID-0 lacked.
+// planes, and a request reaches each group it touches as one contiguous
+// member-local extent: a write is one command per attached member of
+// every touched group, a read one per touched group. Every operation
+// has that one shape; fanOut issues the commands in (group-touch,
+// member-index) order under a simulated process and concurrently,
+// through each target's own queue, otherwise. This is the wide data
+// path the paper's aggregate-bandwidth claim rests on (§IV, Fig. 7):
+// one rank drives N devices at once instead of queueing behind one.
+// With Replicas R > 1 (NewMirroredPlane) every group keeps R identical
+// copies, so any R-1 members of a group can die without losing an
+// acknowledged byte — the availability layer RAID-0 lacked.
 //
 // Semantics relative to a single-target plane:
 //
@@ -33,11 +37,12 @@ import (
 //   - A write is acknowledged only when EVERY attached (live or
 //     rebuilding) member of every touched group has it. Members marked
 //     Down are skipped — that is the degraded mode a dead replica
-//     leaves behind — and a group with every member down fails with
-//     ErrNoReplica instead of hanging.
+//     leaves behind, counted once per write acknowledged that way —
+//     and a group with every member down fails with ErrNoReplica
+//     instead of hanging.
 //   - A read is served by any one LIVE member of each touched group
 //     (rebuilding members hold incomplete copies and never serve
-//     reads). Large spans split across live members for aggregate
+//     reads). Large extents split across live members for aggregate
 //     bandwidth; a failing member fails over to its siblings, and only
 //     when every live member has failed does the read error.
 //   - Flush is a barrier across ALL attached children: it succeeds only
@@ -54,11 +59,10 @@ import (
 // migration control plane in internal/rebalance drives that dance off
 // health.Engine verdicts. Child indices are stable for the plane's
 // lifetime: replacement swaps the plane at an index, never reshuffles
-// the slice, so span grouping computed against one snapshot can never
+// the slice, so extents resolved against one snapshot can never
 // address the wrong member.
 type StripedPlane struct {
 	geo       balancer.StripeGeometry
-	logical   balancer.StripeGeometry // group-level RAID-0 layout for span math
 	size      int64
 	childSize int64 // usable bytes on every member
 
@@ -128,7 +132,8 @@ const (
 	// verify-reads read-repair.
 	MetricStripeReadRepairs = "nvmecr_stripe_read_repairs_total"
 	// MetricStripeDegradedWrites counts writes acknowledged with at
-	// least one group member down (skipped).
+	// least one group member down (skipped): once per write, never for
+	// a write that failed.
 	MetricStripeDegradedWrites = "nvmecr_stripe_degraded_writes_total"
 )
 
@@ -164,7 +169,6 @@ func NewMirroredPlane(children []plane.Plane, unit int64, replicas int) (*Stripe
 	}
 	s := &StripedPlane{
 		geo:       geo,
-		logical:   geo.Logical(),
 		size:      size,
 		childSize: size / int64(geo.Groups()),
 		children:  append([]plane.Plane(nil), children...),
@@ -385,10 +389,18 @@ func (s *StripedPlane) snapshot(buf []memberView) []memberView {
 	return buf
 }
 
-// groupMembers returns the snapshot slice covering one group.
-func (s *StripedPlane) groupMembers(snap []memberView, group int) []memberView {
+// members appends to buf one group's members of the snapshot that are
+// live — the ones that serve reads — and, for a write, the rebuilding
+// ones as well: every attached member. Nothing appended means a read
+// has nobody to ask, or the whole group is down.
+func (s *StripedPlane) members(snap []memberView, group int, forWrite bool, buf []memberView) []memberView {
 	r := s.Replicas()
-	return snap[group*r : (group+1)*r]
+	for _, m := range snap[group*r : (group+1)*r] {
+		if m.state == ChildLive || forWrite && m.state == ChildRebuilding {
+			buf = append(buf, m)
+		}
+	}
+	return buf
 }
 
 func (s *StripedPlane) check(off, length int64) error {
@@ -398,32 +410,33 @@ func (s *StripedPlane) check(off, length int64) error {
 	return nil
 }
 
-// forEachSpan runs fn over the request's per-group spans: concurrently
-// when no simulated process is attached (the real TCP path, where
-// concurrency is the point), sequentially under the simulator (where
-// determinism is the point and the children charge virtual time).
-// The first error wins; all spans are always attempted, so a striped
-// write failing on one group still lands its other units — the same
-// partial-write exposure a failed chunked TCPPlane write has, and why
-// callers treat any write error as "durability unknown until re-proven".
-func (s *StripedPlane) forEachSpan(p *sim.Proc, spans []balancer.StripeSpan, fn func(sp balancer.StripeSpan) error) error {
-	if p != nil || len(spans) == 1 {
+// fanOut makes the n calls fn(0) … fn(n-1) and returns the
+// lowest-index error: in index order on the calling goroutine under a
+// simulated process (determinism is the point there, and the children
+// charge virtual time) or when there is only one, one goroutine per
+// call otherwise (the real TCP path, where concurrency is the point).
+// Every call is always made — a striped write failing on one member
+// still lands its other units, the same partial-write exposure a failed
+// chunked TCPPlane write has, and why callers treat any write error as
+// "durability unknown until re-proven".
+func fanOut(p *sim.Proc, n int, fn func(i int) error) error {
+	if p != nil || n == 1 {
 		var firstErr error
-		for _, sp := range spans {
-			if err := fn(sp); err != nil && firstErr == nil {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
 		return firstErr
 	}
-	errs := make([]error, len(spans))
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, sp := range spans {
-		wg.Add(1)
-		go func(i int, sp balancer.StripeSpan) {
+	wg.Add(n)
+	for i := range errs {
+		go func(i int) {
 			defer wg.Done()
-			errs[i] = fn(sp)
-		}(i, sp)
+			errs[i] = fn(i)
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -434,93 +447,105 @@ func (s *StripedPlane) forEachSpan(p *sim.Proc, spans []balancer.StripeSpan, fn 
 	return nil
 }
 
-// stripeGroup is one mirror group's share of a striped request. A
-// contiguous striped range touches each group in a contiguous run of
-// that group's own address space (partial units can only occur at the
-// two request ends), so the member spans coalesce into a single
-// [targetOff, targetOff+length) extent per group and the whole request
-// becomes one command per MEMBER instead of one command per stripe
-// unit. That per-unit fan-out was the striped-plane scaling regression:
-// a 1 MiB write over two targets at a 64 KiB unit issued 16 goroutines
-// and 16 capsules, each paying full per-command device latency, so two
-// targets ran slower than one.
-type stripeGroup struct {
-	target    int // GROUP index (field name kept for span symmetry)
-	targetOff int64
-	length    int64
-	count     int // member spans, in striped-address order
-	vecOff    int // first slot of this group's gather vector in the shared backing
+// groupExtent is one mirror group's share of a striped request. A
+// contiguous striped range touches each group in one contiguous run of
+// that group's own address space (balancer.StripeGeometry.Extent), so
+// the whole request is one command per MEMBER instead of one command
+// per stripe unit. That per-unit fan-out was the striped-plane scaling
+// regression: a 1 MiB write over two targets at a 64 KiB unit issued 16
+// goroutines and 16 capsules, each paying full per-command device
+// latency, so two targets ran slower than one.
+type groupExtent struct {
+	group int
+	off   int64 // member-local, the same on every member of the group
+	n     int64
+	// A write's payload for this extent: data when it is one piece of
+	// the caller's buffer (nil for a synthetic write), vec when the
+	// stripe interleaves it with other groups' units — the pieces in
+	// member-local order.
+	data []byte
+	vec  [][]byte
 }
 
-// inlineStripeGroups sizes the stack backing for per-group groups;
-// wider stripes spill to the heap, they don't fail.
-const inlineStripeGroups = 8
-
-// groupSpans coalesces spans per group into buf. It returns ok=false
-// if any group's spans are not contiguous on that group — geometry
-// guarantees they are for the balancer's round-robin striping, but the
-// caller falls back to the span-at-a-time path rather than trusting
-// that invariant with data placement.
-func groupSpans(spans []balancer.StripeSpan, buf []stripeGroup) ([]stripeGroup, bool) {
-	groups := buf[:0]
-	for _, sp := range spans {
-		found := false
-		for gi := range groups {
-			if groups[gi].target != sp.Target {
-				continue
-			}
-			if groups[gi].targetOff+groups[gi].length != sp.TargetOff {
-				return nil, false
-			}
-			groups[gi].length += sp.Length
-			groups[gi].count++
-			found = true
-			break
-		}
-		if !found {
-			groups = append(groups, stripeGroup{
-				target:    sp.Target,
-				targetOff: sp.TargetOff,
-				length:    sp.Length,
-				count:     1,
-			})
-		}
-	}
-	return groups, true
+// extent returns the share of the i-th group the request touches, in
+// group-touch order: the group holding off first, then round the
+// stripe. A request that touches one group is held by each of its
+// members whole and in order (a single group, or a range inside one
+// unit).
+func (s *StripedPlane) extent(off, length int64, i int) groupExtent {
+	g := (s.geo.GroupAt(off) + i) % s.geo.Groups()
+	lo, hi := s.geo.Extent(g, off, length)
+	return groupExtent{group: g, off: lo, n: hi - lo}
 }
 
-// writeTargets picks the members of a group a write must land on: every
-// attached (live or rebuilding) member. An empty result means the
-// whole group is down. skipped reports whether any member was down.
-func writeTargets(members []memberView, buf []memberView) (attempt []memberView, skipped bool) {
-	attempt = buf[:0]
-	for _, m := range members {
-		if m.state == ChildDown {
-			skipped = true
-			continue
-		}
-		attempt = append(attempt, m)
+// gather points e at its pieces of data, whose first byte is striped
+// address off, appending them to vecs — the one backing every extent of
+// a request shares, sized by the units it straddles — and returns vecs.
+func (s *StripedPlane) gather(e *groupExtent, off int64, data []byte, vecs [][]byte) [][]byte {
+	mine := len(vecs)
+	for a := e.off; a < e.off+e.n; {
+		addr, n := s.geo.Piece(e.group, a)
+		n = min(n, e.off+e.n-a)
+		vecs = append(vecs, data[addr-off:addr-off+n])
+		a += n
 	}
-	return attempt, skipped
+	if v := vecs[mine:]; len(v) == 1 {
+		e.data = v[0]
+	} else {
+		e.vec = v
+	}
+	return vecs
 }
 
-// liveMembers filters a group's snapshot to read-eligible members.
-func liveMembers(members []memberView, buf []memberView) []memberView {
-	out := buf[:0]
-	for _, m := range members {
-		if m.state == ChildLive {
-			out = append(out, m)
-		}
+// scatter places chunk, read from member-local address a of a group's
+// members, at its striped addresses in out, whose first byte is striped
+// address off.
+func (s *StripedPlane) scatter(out []byte, off int64, group int, a int64, chunk []byte) {
+	for len(chunk) > 0 {
+		addr, n := s.geo.Piece(group, a)
+		n = min(n, int64(len(chunk)))
+		copy(out[addr-off:], chunk[:n])
+		a, chunk = a+n, chunk[n:]
 	}
-	return out
+}
+
+// memberWrite is one unit of a striped write: one group's extent on one
+// attached member of that group.
+type memberWrite struct {
+	groupExtent
+	child plane.Plane
+}
+
+// issue lands the extent on the member in one command where the child
+// allows it: a plain Write for a synthetic or one-piece payload, a
+// gather-list WriteV when the member can take one (TCPPlane over a
+// VectorQueue initiator — fully zero-copy), per-piece Writes otherwise.
+func (w *memberWrite) issue(p *sim.Proc, cmdUnit int64) error {
+	if w.vec == nil {
+		return w.child.Write(p, w.off, w.n, w.data, cmdUnit)
+	}
+	if vw, ok := w.child.(plane.VectorWriter); ok {
+		return vw.WriteV(p, w.off, w.vec)
+	}
+	at := w.off
+	for _, b := range w.vec {
+		if err := w.child.Write(p, at, int64(len(b)), b, cmdUnit); err != nil {
+			return err
+		}
+		at += int64(len(b))
+	}
+	return nil
 }
 
 // Write implements plane.Plane. Synthetic (nil-data) writes stay
-// synthetic per span: each member sees nil data for its unit, exactly
+// synthetic per extent: each member sees nil data for its share, exactly
 // as a single-target plane would for the whole transfer. The write is
-// acknowledged only when every attached member of every touched group
-// accepted it; down members are skipped (counted as degraded), and a
-// fully-down group fails with ErrNoReplica.
+// one command per attached member of every touched group, and is
+// acknowledged only when every one of them accepted it; down members
+// are skipped (an acknowledged write that skipped one counts as
+// degraded), and a fully-down group fails with ErrNoReplica before any
+// command is sent. The first error by (group-touch order, member index)
+// wins.
 func (s *StripedPlane) Write(p *sim.Proc, off, length int64, data []byte, cmdUnit int64) error {
 	if err := s.check(off, length); err != nil {
 		return err
@@ -535,145 +560,35 @@ func (s *StripedPlane) Write(p *sim.Proc, off, length int64, data []byte, cmdUni
 	defer s.sweepMu.RUnlock()
 	var snapBuf [inlineChildren]memberView
 	snap := s.snapshot(snapBuf[:0])
-	spans := s.logical.Spans(off, length)
-	if p == nil && len(spans) > 1 {
-		var buf [inlineStripeGroups]stripeGroup
-		if groups, ok := groupSpans(spans, buf[:]); ok {
-			return s.writeGrouped(snap, spans, groups, off, data, cmdUnit)
-		}
-	}
-	return s.forEachSpan(p, spans, func(sp balancer.StripeSpan) error {
-		var chunk []byte
-		if data != nil {
-			rel := sp.Off - off
-			chunk = data[rel : rel+sp.Length]
-		}
-		// Per-call buffer: forEachSpan runs this callback concurrently
-		// on the real TCP path, so the attempt snapshot must not share
-		// backing across spans.
-		var memberBuf [inlineChildren]memberView
-		attempt, skipped := writeTargets(s.groupMembers(snap, sp.Target), memberBuf[:0])
-		if len(attempt) == 0 {
-			return fmt.Errorf("nvmeof: write group %d: %w", sp.Target, ErrNoReplica)
-		}
-		if skipped {
-			inc(&s.degraded)
-		}
-		if p != nil || len(attempt) == 1 {
-			var firstErr error
-			for _, m := range attempt {
-				if err := m.child.Write(p, sp.TargetOff, sp.Length, chunk, cmdUnit); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-			return firstErr
-		}
-		errs := make([]error, len(attempt))
-		var wg sync.WaitGroup
-		for i, m := range attempt {
-			wg.Add(1)
-			go func(i int, m memberView) {
-				defer wg.Done()
-				errs[i] = m.child.Write(nil, sp.TargetOff, sp.Length, chunk, cmdUnit)
-			}(i, m)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// writeGrouped issues the striped write as one request per group
-// MEMBER: a gather-list WriteV when the member can take one (TCPPlane
-// over a VectorQueue initiator — fully zero-copy), per-piece Writes
-// otherwise. Like forEachSpan, every member is attempted and the first
-// error wins; a partial failure leaves the other members' stripes
-// landed, the same exposure a failed chunked single-target write has.
-func (s *StripedPlane) writeGrouped(snap []memberView, spans []balancer.StripeSpan, groups []stripeGroup, off int64, data []byte, cmdUnit int64) error {
+	touched := s.geo.Touched(off, length)
 	var vecs [][]byte
-	if data != nil {
-		// One shared backing for every group's gather vector: group g
-		// owns vecs[g.vecOff : g.vecOff+g.count], filled in
-		// striped-address order (which is member-offset order within a
-		// group, since the group is contiguous on its members).
-		vecs = make([][]byte, len(spans))
-		pos := 0
-		for gi := range groups {
-			groups[gi].vecOff = pos
-			pos += groups[gi].count
-			vec := vecs[groups[gi].vecOff:groups[gi].vecOff]
-			for _, sp := range spans {
-				if sp.Target != groups[gi].target {
-					continue
-				}
-				rel := sp.Off - off
-				vec = append(vec, data[rel:rel+sp.Length])
-			}
-		}
+	if data != nil && touched > 1 {
+		vecs = make([][]byte, 0, s.geo.Units(off, length))
 	}
-	// One error slot and one goroutine per (group, attached member).
-	type unit struct {
-		g *stripeGroup
-		m memberView
-	}
-	var unitsBuf [inlineChildren]unit
-	units := unitsBuf[:0]
+	writes := make([]memberWrite, 0, touched*s.Replicas())
+	degraded := false
 	var memberBuf [inlineChildren]memberView
-	for gi := range groups {
-		g := &groups[gi]
-		attempt, skipped := writeTargets(s.groupMembers(snap, g.target), memberBuf[:0])
+	for i := 0; i < touched; i++ {
+		e := s.extent(off, length, i)
+		attempt := s.members(snap, e.group, true, memberBuf[:0])
 		if len(attempt) == 0 {
-			return fmt.Errorf("nvmeof: write group %d: %w", g.target, ErrNoReplica)
+			return fmt.Errorf("nvmeof: write group %d: %w", e.group, ErrNoReplica)
 		}
-		if skipped {
-			inc(&s.degraded)
+		degraded = degraded || len(attempt) < s.Replicas()
+		if touched == 1 {
+			e.data = data
+		} else if data != nil {
+			vecs = s.gather(&e, off, data, vecs)
 		}
 		for _, m := range attempt {
-			units = append(units, unit{g: g, m: m})
+			writes = append(writes, memberWrite{groupExtent: e, child: m.child})
 		}
 	}
-	errs := make([]error, len(units))
-	var wg sync.WaitGroup
-	for i := range units {
-		u := units[i]
-		wg.Add(1)
-		go func(i int, u unit) {
-			defer wg.Done()
-			child := u.m.child
-			if data == nil {
-				errs[i] = child.Write(nil, u.g.targetOff, u.g.length, nil, cmdUnit)
-				return
-			}
-			vec := vecs[u.g.vecOff : u.g.vecOff+u.g.count]
-			if len(vec) == 1 {
-				errs[i] = child.Write(nil, u.g.targetOff, u.g.length, vec[0], cmdUnit)
-				return
-			}
-			if vw, ok := child.(plane.VectorWriter); ok {
-				errs[i] = vw.WriteV(nil, u.g.targetOff, vec)
-				return
-			}
-			toff := u.g.targetOff
-			for _, b := range vec {
-				if err := child.Write(nil, toff, int64(len(b)), b, cmdUnit); err != nil {
-					errs[i] = err
-					return
-				}
-				toff += int64(len(b))
-			}
-		}(i, u)
+	err := fanOut(p, len(writes), func(i int) error { return writes[i].issue(p, cmdUnit) })
+	if err == nil && degraded {
+		inc(&s.degraded)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // errNilRead is an internal sentinel carrying the nil contract through
@@ -692,34 +607,31 @@ func checkChunk(m memberView, chunk []byte, length int64) error {
 	return nil
 }
 
-// scatter places chunk, read from member-local address a of a group's
-// members, at its striped addresses in out, whose first byte is striped
-// address off: a maps to ((a/unit)*groups + group)*unit + a%unit.
-func (s *StripedPlane) scatter(out []byte, off int64, group int, a int64, chunk []byte) {
-	unit, groups := s.logical.Unit, int64(s.logical.Targets)
-	for len(chunk) > 0 {
-		in := a % unit
-		n := min(unit-in, int64(len(chunk)))
-		at := (a/unit*groups+int64(group))*unit + in - off
-		copy(out[at:at+n], chunk[:n])
-		a, chunk = a+n, chunk[n:]
+// nilReads is where a read's concurrent parts record a non-capturing
+// member: errNilRead is set aside rather than returned, so that it
+// never hides a sibling's real error behind fanOut's first-error rule.
+type nilReads struct{ seen atomic.Bool }
+
+func (n *nilReads) filter(err error) error {
+	if errors.Is(err, errNilRead) {
+		n.seen.Store(true)
+		return nil
 	}
+	return err
 }
 
-// readSpan serves one group-span from the snapshot's live members:
+// readWhole serves one group extent from a single live member:
 // verify-reads mode reads every live member and repairs divergence;
 // otherwise one member is picked round-robin (first-live under the
 // simulator, for determinism) and siblings are tried on failure. The
 // result is the serving member's own buffer, in member-local order.
 // errNilRead reports a non-capturing member.
-func (s *StripedPlane) readSpan(p *sim.Proc, snap []memberView, group int, targetOff, length int64, cmdUnit int64) ([]byte, error) {
-	var liveBuf [inlineChildren]memberView
-	live := liveMembers(s.groupMembers(snap, group), liveBuf[:0])
+func (s *StripedPlane) readWhole(p *sim.Proc, live []memberView, e groupExtent, cmdUnit int64) ([]byte, error) {
 	if len(live) == 0 {
-		return nil, fmt.Errorf("nvmeof: read group %d: %w", group, ErrNoReplica)
+		return nil, fmt.Errorf("nvmeof: read group %d: %w", e.group, ErrNoReplica)
 	}
 	if s.verifyReads.Load() && len(live) > 1 {
-		return s.readVerify(p, live, group, targetOff, length, cmdUnit)
+		return s.readVerify(p, live, e, cmdUnit)
 	}
 	start := 0
 	if p == nil && len(live) > 1 {
@@ -728,7 +640,7 @@ func (s *StripedPlane) readSpan(p *sim.Proc, snap []memberView, group int, targe
 	var lastErr error
 	for i := 0; i < len(live); i++ {
 		m := live[(start+i)%len(live)]
-		chunk, err := m.child.Read(p, targetOff, length, cmdUnit)
+		chunk, err := m.child.Read(p, e.off, e.n, cmdUnit)
 		if err != nil {
 			lastErr = err
 			if i+1 < len(live) {
@@ -736,7 +648,7 @@ func (s *StripedPlane) readSpan(p *sim.Proc, snap []memberView, group int, targe
 			}
 			continue
 		}
-		if err := checkChunk(m, chunk, length); err != nil {
+		if err := checkChunk(m, chunk, e.n); err != nil {
 			return nil, err
 		}
 		return chunk, nil
@@ -750,14 +662,14 @@ func (s *StripedPlane) readSpan(p *sim.Proc, snap []memberView, group int, targe
 // write was never acknowledged — an acked write landed on every
 // attached member — so any of the copies is a legal result; picking
 // the lowest index makes repair deterministic.
-func (s *StripedPlane) readVerify(p *sim.Proc, live []memberView, group int, targetOff, length int64, cmdUnit int64) ([]byte, error) {
+func (s *StripedPlane) readVerify(p *sim.Proc, live []memberView, e groupExtent, cmdUnit int64) ([]byte, error) {
 	copies := make([][]byte, len(live))
 	for i, m := range live {
-		chunk, err := m.child.Read(p, targetOff, length, cmdUnit)
+		chunk, err := m.child.Read(p, e.off, e.n, cmdUnit)
 		if err != nil {
-			return nil, fmt.Errorf("nvmeof: verify read group %d member %d: %w", group, m.idx, err)
+			return nil, fmt.Errorf("nvmeof: verify read group %d member %d: %w", e.group, m.idx, err)
 		}
-		if err := checkChunk(m, chunk, length); err != nil {
+		if err := checkChunk(m, chunk, e.n); err != nil {
 			return nil, err
 		}
 		copies[i] = chunk
@@ -766,18 +678,69 @@ func (s *StripedPlane) readVerify(p *sim.Proc, live []memberView, group int, tar
 	for i := 1; i < len(live); i++ {
 		if !bytes.Equal(copies[i], authority) {
 			inc(&s.repairs)
-			if err := live[i].child.Write(p, targetOff, length, authority, cmdUnit); err != nil {
-				return nil, fmt.Errorf("nvmeof: read-repair group %d member %d: %w", group, live[i].idx, err)
+			if err := live[i].child.Write(p, e.off, e.n, authority, cmdUnit); err != nil {
+				return nil, fmt.Errorf("nvmeof: read-repair group %d member %d: %w", e.group, live[i].idx, err)
 			}
 		}
 	}
 	return authority, nil
 }
 
-// Read implements plane.Plane. The nil contract is all-or-nothing: a
-// single non-capturing member consulted by the request makes the whole
-// read nil (see the type comment), so callers never see a buffer with
-// silent zero holes.
+// readSplit serves one group extent as one contiguous part per live
+// member, each scattered into place as it arrives — the mirror reads at
+// RAID-0 aggregate bandwidth. Any part's failure fails the split.
+func (s *StripedPlane) readSplit(live []memberView, e groupExtent, out []byte, off, cmdUnit int64) error {
+	members := append([]memberView(nil), live...) // the parts outlive the caller's stack backing
+	part := e.n / int64(len(members))
+	var nils nilReads
+	err := fanOut(nil, len(members), func(i int) error {
+		m, at, n := members[i], e.off+int64(i)*part, part
+		if i == len(members)-1 {
+			n = e.off + e.n - at
+		}
+		chunk, err := m.child.Read(nil, at, n, cmdUnit)
+		if err == nil {
+			err = checkChunk(m, chunk, n)
+		}
+		if err == nil {
+			s.scatter(out, off, e.group, at, chunk)
+		}
+		return nils.filter(err)
+	})
+	if nils.seen.Load() {
+		return errNilRead
+	}
+	return err
+}
+
+// readExtent serves one group's extent into its striped places in out
+// (whose first byte is striped address off): split across the live
+// members when there are several, nothing orders them (no simulated
+// process, no verify) and the extent is large enough to amortize the
+// extra commands; one member with failover otherwise, and whenever a
+// split part failed — rather than reasoning about which parts survived.
+func (s *StripedPlane) readExtent(p *sim.Proc, snap []memberView, e groupExtent, out []byte, off, cmdUnit int64) error {
+	var liveBuf [inlineChildren]memberView
+	live := s.members(snap, e.group, false, liveBuf[:0])
+	if p == nil && len(live) > 1 && e.n >= 2*s.geo.Unit && !s.verifyReads.Load() {
+		err := s.readSplit(live, e, out, off, cmdUnit)
+		if err == nil || errors.Is(err, errNilRead) {
+			return err
+		}
+		inc(&s.failovers)
+	}
+	chunk, err := s.readWhole(p, live, e, cmdUnit)
+	if err == nil {
+		s.scatter(out, off, e.group, e.off, chunk)
+	}
+	return err
+}
+
+// Read implements plane.Plane: one command per touched group, or one
+// per live member where readExtent splits. The nil contract is
+// all-or-nothing: a single non-capturing member consulted by the
+// request makes the whole read nil (see the type comment), so callers
+// never see a buffer with silent zero holes.
 func (s *StripedPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, error) {
 	if err := s.check(off, length); err != nil {
 		return nil, err
@@ -787,128 +750,27 @@ func (s *StripedPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]by
 	}
 	var snapBuf [inlineChildren]memberView
 	snap := s.snapshot(snapBuf[:0])
-	spans := s.logical.Spans(off, length)
-	if len(spans) == 1 {
-		// One group holds the whole range in order: nothing to
-		// interleave, so the member's buffer is the result.
-		sp := spans[0]
-		out, err := s.readSpan(p, snap, sp.Target, sp.TargetOff, sp.Length, cmdUnit)
+	touched := s.geo.Touched(off, length)
+	if touched == 1 {
+		// One member holds the whole range in order: nothing to
+		// interleave, so its buffer is the result.
+		e := s.extent(off, length, 0)
+		var liveBuf [inlineChildren]memberView
+		out, err := s.readWhole(p, s.members(snap, e.group, false, liveBuf[:0]), e, cmdUnit)
 		if errors.Is(err, errNilRead) {
 			return nil, nil
 		}
 		return out, err
 	}
 	out := make([]byte, length)
-	var errs []error
-	var buf [inlineStripeGroups]stripeGroup
-	if groups, ok := groupSpans(spans, buf[:]); ok && p == nil {
-		errs = s.readGrouped(snap, groups, off, out)
-	} else {
-		// Span at a time and in order: under the simulator determinism
-		// is the point and the children charge virtual time. Every span
-		// is attempted, as forEachSpan does for writes.
-		errs = make([]error, len(spans))
-		for i, sp := range spans {
-			chunk, err := s.readSpan(p, snap, sp.Target, sp.TargetOff, sp.Length, cmdUnit)
-			if err == nil {
-				copy(out[sp.Off-off:], chunk)
-			}
-			errs[i] = err
-		}
-	}
-	sawNil := false
-	for _, err := range errs {
-		if errors.Is(err, errNilRead) {
-			sawNil = true
-		} else if err != nil {
-			return nil, err
-		}
-	}
-	if sawNil {
-		return nil, nil
+	var nils nilReads
+	err := fanOut(p, touched, func(i int) error {
+		return nils.filter(s.readExtent(p, snap, s.extent(off, length, i), out, off, cmdUnit))
+	})
+	if err != nil || nils.seen.Load() {
+		return nil, err
 	}
 	return out, nil
-}
-
-// readGrouped issues the read as contiguous per-group extents, each
-// served by the group's live members and scattered into stripe order
-// in out as it arrives; the result is one error slot per group. A
-// mirrored group with several live members splits its extent across
-// them — the mirror reads at RAID-0 aggregate bandwidth.
-func (s *StripedPlane) readGrouped(snap []memberView, groups []stripeGroup, off int64, out []byte) []error {
-	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
-	for gi := range groups {
-		wg.Add(1)
-		go func(gi int, g stripeGroup) {
-			defer wg.Done()
-			errs[gi] = s.readGroupExtent(snap, g.target, g.targetOff, g.length, out, off)
-		}(gi, groups[gi])
-	}
-	wg.Wait()
-	return errs
-}
-
-// readGroupExtent serves one group's contiguous extent into its striped
-// places in out (whose first byte is striped address off): split across
-// the live members when there are several and the extent is large
-// enough to amortize the extra commands, one member otherwise. Any
-// split-part failure falls back to whole-extent failover.
-func (s *StripedPlane) readGroupExtent(snap []memberView, group int, targetOff, length int64, out []byte, off int64) error {
-	var liveBuf [inlineChildren]memberView
-	live := liveMembers(s.groupMembers(snap, group), liveBuf[:0])
-	if len(live) == 0 {
-		return fmt.Errorf("nvmeof: read group %d: %w", group, ErrNoReplica)
-	}
-	whole := func() error {
-		chunk, err := s.readSpan(nil, snap, group, targetOff, length, 0)
-		if err == nil {
-			s.scatter(out, off, group, targetOff, chunk)
-		}
-		return err
-	}
-	if s.verifyReads.Load() || len(live) == 1 || length < 2*s.logical.Unit {
-		return whole()
-	}
-	// Split the extent into one contiguous part per live member.
-	part := length / int64(len(live))
-	var wg sync.WaitGroup
-	errs := make([]error, len(live))
-	for i, m := range live {
-		start := int64(i) * part
-		end := start + part
-		if i == len(live)-1 {
-			end = length
-		}
-		wg.Add(1)
-		go func(i int, m memberView, start, end int64) {
-			defer wg.Done()
-			chunk, err := m.child.Read(nil, targetOff+start, end-start, 0)
-			if err == nil {
-				err = checkChunk(m, chunk, end-start)
-			}
-			if err == nil {
-				s.scatter(out, off, group, targetOff+start, chunk)
-			}
-			errs[i] = err
-		}(i, m, start, end)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if errors.Is(err, errNilRead) {
-			return errNilRead
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			// A member failed its part: retry the whole extent with
-			// member failover rather than reasoning about which parts
-			// survived.
-			inc(&s.failovers)
-			return whole()
-		}
-	}
-	return nil
 }
 
 // Flush implements plane.Plane: a durability barrier across every
@@ -920,43 +782,14 @@ func (s *StripedPlane) readGroupExtent(snap []memberView, group int, targetOff, 
 func (s *StripedPlane) Flush(p *sim.Proc) error {
 	var snapBuf [inlineChildren]memberView
 	snap := s.snapshot(snapBuf[:0])
-	var memberBuf [inlineChildren]memberView
-	for g := 0; g < s.logical.Targets; g++ {
-		if attempt, _ := writeTargets(s.groupMembers(snap, g), memberBuf[:0]); len(attempt) == 0 {
+	attached := make([]memberView, 0, len(snap))
+	for g := 0; g < s.geo.Groups(); g++ {
+		before := len(attached)
+		if attached = s.members(snap, g, true, attached); len(attached) == before {
 			return fmt.Errorf("nvmeof: flush group %d: %w", g, ErrNoReplica)
 		}
 	}
-	if p != nil {
-		var firstErr error
-		for _, m := range snap {
-			if m.state == ChildDown {
-				continue
-			}
-			if err := m.child.Flush(p); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	errs := make([]error, len(snap))
-	var wg sync.WaitGroup
-	for i, m := range snap {
-		if m.state == ChildDown {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, m memberView) {
-			defer wg.Done()
-			errs[i] = m.child.Flush(nil)
-		}(i, m)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return fanOut(p, len(attached), func(i int) error { return attached[i].child.Flush(p) })
 }
 
 // Close closes every attached child that implements io.Closer (down

@@ -35,13 +35,9 @@ const (
 	MetricQPBatchBytes    = "nvmecr_qp_batch_bytes"
 	MetricQPBatchLatency  = "nvmecr_qp_batch_flush_seconds"
 
-	// Polled-path series: ring occupancy is the queue pair's in-flight
-	// slot count (a gauge updated at register/complete), and the
-	// poll-vs-park counters split completion waits between busy-poll
-	// reaps and scheduler parks (only populated with BusyPoll on).
+	// Ring occupancy is the queue pair's in-flight slot count (a gauge
+	// updated at register/complete).
 	MetricQPRingOccupancy = "nvmecr_qp_ring_occupancy"
-	MetricQPPollHits      = "nvmecr_qp_poll_hits_total"
-	MetricQPPollParks     = "nvmecr_qp_poll_parks_total"
 
 	MetricPoolQueuePairs = "nvmecr_pool_queue_pairs"
 
@@ -79,9 +75,7 @@ type qpTelemetry struct {
 	batchBytes    *telemetry.Histogram
 	batchFlushLat *telemetry.Histogram
 
-	ringOcc   *telemetry.Gauge
-	pollHits  *telemetry.Counter
-	pollParks *telemetry.Counter
+	ringOcc *telemetry.Gauge
 }
 
 // Batch-shape histogram buckets: capsules per flush tops out at the
@@ -117,9 +111,7 @@ func newQPTelemetry(reg *telemetry.Registry, qp int) qpTelemetry {
 		batchBytes:    reg.Histogram(MetricQPBatchBytes, batchByteBuckets, l),
 		batchFlushLat: reg.Histogram(MetricQPBatchLatency, nil, l),
 
-		ringOcc:   reg.Gauge(MetricQPRingOccupancy, l),
-		pollHits:  reg.Counter(MetricQPPollHits, l),
-		pollParks: reg.Counter(MetricQPPollParks, l),
+		ringOcc: reg.Gauge(MetricQPRingOccupancy, l),
 	}
 }
 

@@ -30,10 +30,6 @@ func TestOpenFlagsHelpers(t *testing.T) {
 	if !(O_WRONLY | O_CREATE).Has(O_CREATE) || (O_WRONLY).Has(O_CREATE) {
 		t.Error("Has(O_CREATE) broken")
 	}
-	// Deprecated aliases keep their meaning.
-	if ReadOnly != O_RDONLY || WriteOnly != O_WRONLY {
-		t.Error("compat aliases drifted")
-	}
 }
 
 func TestMemBackendFlagSemantics(t *testing.T) {

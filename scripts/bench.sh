@@ -11,8 +11,7 @@
 # batching must be neutral), BenchmarkHostPoolBulk (one synchronous
 # 1 MiB reader per queue pair), BenchmarkStripedPlane (striped vs
 # single-target large transfers), BenchmarkMirroredPlane (RAID-10
-# mirror vs RAID-0 over the same members), BenchmarkHostPolled (the busy-poll
-# reap knob on a synchronous submitter), BenchmarkIndexRing (the raw
+# mirror vs RAID-0 over the same members), BenchmarkIndexRing (the raw
 # slot-ring cycle), and BenchmarkHostPoolHealth (the same loaded pool
 # with and without a bound health engine) — and emits BENCH_nvmeof.json
 # with ns/op, MB/s, and allocs/op per case.
@@ -55,7 +54,7 @@ trap 'rm -f "$raw"' EXIT
 
 echo "== go test -bench (nvmeof hot paths, benchtime=$benchtime)"
 go test ./internal/nvmeof -run '^$' \
-	-bench 'BenchmarkHostPool|BenchmarkHostPolled|BenchmarkStripedPlane|BenchmarkMirroredPlane|BenchmarkIndexRing' \
+	-bench 'BenchmarkHostPool|BenchmarkStripedPlane|BenchmarkMirroredPlane|BenchmarkIndexRing' \
 	-benchmem -benchtime "$benchtime" -count=1 | tee "$raw"
 
 echo "== go test -bench (health-engine overhead, benchtime=$benchtime)"

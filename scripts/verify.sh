@@ -132,19 +132,6 @@ echo "== end-to-end benchmark (smoke test + count repeatability)"
 go test -count=1 ./benchmark
 go run ./benchmark -selfcheck -workload ckpt_large
 
-echo "== deprecated vfs API gate"
-# The old Create/ReadOnly/WriteOnly surface lives on only inside the
-# compat shims; new in-repo callers must use Open with O_* flags.
-deprecated="$(grep -rn --include='*.go' \
-	-e 'vfs\.ReadOnly' -e 'vfs\.WriteOnly' \
-	-e '\.Create(\(p\|ctx\.Proc\|nil\), ' \
-	. | grep -v '/compat\.go:' || true)"
-if [ -n "$deprecated" ]; then
-	echo "deprecated vfs API used outside compat shims:"
-	echo "$deprecated"
-	exit 1
-fi
-
 echo "== go test -race (runtime core)"
 go test -race ./internal/core
 
@@ -203,5 +190,8 @@ curl -fsS "http://$admin/healthz?format=text" | grep -q '^ok' \
 curl -fsS "http://$admin/metrics" | grep -q '^nvmecr_health_state' \
 	|| { echo "/metrics missing nvmecr_health_state"; exit 1; }
 kill "$daemon"
+
+echo "== non-test Go lines (informational)"
+scripts/loc.sh || true
 
 echo "tier-1 verify: OK"
