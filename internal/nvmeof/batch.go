@@ -384,9 +384,10 @@ func (h *Host) flushBatches(b *batcher) {
 			bufs = append(bufs, coal[run:len(coal):len(coal)])
 		}
 		b.coal = coal[:0] // retain the (possibly grown) backing
-		b.iov = bufs[:0]  // retain the (possibly grown) backing
+		b.iov = bufs
 		start := time.Now()
-		err := writeBuffers(h.conn, bufs, &b.stage)
+		err := writeBuffers(h.conn, &b.iov, &b.stage)
+		b.iov = bufs[:0] // retain the (possibly grown) backing
 		h.tel.observeBatch(len(batch), wire, time.Since(start))
 		for i := range batch {
 			batch[i] = nil

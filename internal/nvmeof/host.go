@@ -674,8 +674,9 @@ func (h *Host) submitDirect(s *hostSlot) (Response, error) {
 	} else if len(s.cmd.Data) > 0 {
 		iov = append(iov, s.cmd.Data)
 	}
+	h.iov = iov
+	err := writeBuffers(h.conn, &h.iov, &h.stage)
 	h.iov = iov[:0] // retain the (possibly grown) backing for reuse
-	err := writeBuffers(h.conn, iov, &h.stage)
 	h.sendMu.Unlock()
 	if err != nil {
 		h.unregisterSlot(s)
@@ -697,22 +698,25 @@ func (h *Host) submitDirect(s *hostSlot) (Response, error) {
 // The caller owns stage's serialization (sendMu on the direct path, the
 // flushing flag on the batched path). Consumed entries of bufs are
 // nil'ed either way, so the retained iovec backing pins no payloads.
-func writeBuffers(conn net.Conn, bufs net.Buffers, stage *[]byte) error {
+// bufs points at the owner's long-lived field: WriteTo has a pointer
+// receiver, so a header passed by value moves to the heap on every wire
+// write. It advances *bufs; the caller re-slices its backing afterwards.
+func writeBuffers(conn net.Conn, bufs *net.Buffers, stage *[]byte) error {
 	if _, ok := conn.(*net.TCPConn); ok {
 		_, err := bufs.WriteTo(conn)
 		return err
 	}
 	total := 0
-	for _, b := range bufs {
+	for _, b := range *bufs {
 		total += len(b)
 	}
 	flat := (*stage)[:0]
 	if cap(flat) < total {
 		flat = make([]byte, 0, total)
 	}
-	for i, b := range bufs {
+	for i, b := range *bufs {
 		flat = append(flat, b...)
-		bufs[i] = nil
+		(*bufs)[i] = nil
 	}
 	*stage = flat[:0]
 	_, err := conn.Write(flat)

@@ -107,7 +107,7 @@ func (c PoolConfig) withDefaults() PoolConfig {
 // reconnect; a nil host means the slot is down. Commands, errors, and
 // latency are recorded by the Host itself inside roundTrip; the slot's
 // instruments share those series (same registry, same qp label) and
-// additionally count pool-level events: retries and reconnects.
+// additionally count pool-level events: retries, reconnects, off-home.
 type qpSlot struct {
 	id   int
 	tel  qpTelemetry
@@ -120,10 +120,10 @@ type qpSlot struct {
 
 // HostPool is an NVMe-oF initiator that shards commands across several
 // queue pairs to one target namespace — the paper's many-independent-
-// queue-pairs scaling model (§III, Fig. 4). Selection is by command
-// size (see acquire): bulk transfers each take an idle queue pair, small
-// commands concentrate where a batcher can coalesce them. Failed queue
-// pairs are re-dialed in the background with exponential backoff
+// queue-pairs scaling model (§III, Fig. 4). Selection is by address,
+// then size (see home, acquire): a command goes to the queue pair that
+// owns its offset unless that pair is busy (bulk) or full (small). Failed
+// queue pairs are re-dialed in the background with exponential backoff
 // instead of poisoning the pool, and idempotent commands transparently
 // retry on a sibling queue pair. Safe for concurrent use.
 type HostPool struct {
@@ -132,8 +132,8 @@ type HostPool struct {
 	cfg  PoolConfig
 
 	slots  []*qpSlot
-	rr     atomic.Uint32 // scan start of a non-batching pool; a batching pool scans from slot 0
-	fill   int           // batching pools: fill a queue pair to this depth before spilling
+	fill   int    // batching pools: fill a queue pair to this depth before spilling
+	part   uint64 // bytes of namespace per queue pair (see home); 0 on an admin pool
 	nsSize int64
 	reg    *telemetry.Registry
 	flight *FlightRecorder
@@ -176,6 +176,7 @@ func DialPool(addr string, nsid uint32, cfg PoolConfig) (*HostPool, error) {
 		p.slots = append(p.slots, &qpSlot{id: i, tel: newQPTelemetry(reg, i), host: h})
 	}
 	p.nsSize = p.slots[0].host.NamespaceSize()
+	p.part = (uint64(p.nsSize) + uint64(cfg.QueuePairs) - 1) / uint64(cfg.QueuePairs)
 	reg.Gauge(MetricPoolQueuePairs, nil).Set(int64(cfg.QueuePairs))
 	return p, nil
 }
@@ -252,38 +253,45 @@ func transferBytes(cmd *Command, vecLen int) int {
 	return len(cmd.Data) + vecLen
 }
 
+// home is the queue pair that owns a namespace offset: one equal range
+// per pair, so equal partitions (one per rank, what NewTCPPlane callers
+// build) map to a pair each and a rank keeps its connection, its target
+// goroutines and its read loop to itself — the paper's one queue per
+// microfs instance. A partition across a boundary uses both pairs.
+func (p *HostPool) home(off uint64) int {
+	if p.part == 0 {
+		return 0
+	}
+	return int(min(off/p.part, uint64(len(p.slots)-1)))
+}
+
 // acquire picks the queue pair for a command that moves n payload
-// bytes: one scan that takes the first healthy unbiased queue pair
+// bytes: one scan from slot start (the command's home, or past the pair
+// that just failed it) that takes the first healthy unbiased queue pair
 // shallower than a spill depth, otherwise the shallowest. Dead queue
 // pairs encountered on the way are handed to the reconnector.
 //
-// The spill depth is the whole policy. A transfer of sockBufSize or more
-// bypasses the bufio staging on both ends and owns its connection, its
-// target reader and its serve loop for as long as it lasts, so it spills
-// past anything in flight: two bulk transfers never share a queue pair
-// while another is idle. Smaller commands on a batching pool fill a
-// queue pair to the batch command budget before touching the next:
-// overlapping submissions that land in the same batcher coalesce into
-// one vectored write, whereas balancing by depth would cut N shallow
-// batches across N batchers, and scanning from slot 0 keeps the
-// concentration point stable. Without a batcher there is nothing to
-// concentrate for, so every command looks for an idle pair, from a
-// start that rotates so idle pairs share the load.
+// The spill depth is the rest of the policy. A transfer of sockBufSize or
+// more bypasses the bufio staging on both ends and owns its connection,
+// its target reader and its serve loop for as long as it lasts, so it
+// spills past anything in flight: two bulk transfers never share a queue
+// pair while another is idle. Smaller commands on a batching pool fill a
+// pair to the batch command budget first: a burst from one region meets
+// in one batcher and coalesces into one vectored write, where balancing
+// by depth would cut N shallow batches across N batchers. Without a
+// batcher every command spills past a busy pair.
 //
 // Biased queue pairs never win outright, idle or not: BiasSoft carries
 // a depth handicap so siblings are preferred until they are genuinely
 // deeper, and BiasAvoid pairs are a separate last-resort class used
 // only when nothing else is up.
-func (p *HostPool) acquire(n int) (*qpSlot, *Host, error) {
+func (p *HostPool) acquire(n, start int) (*qpSlot, *Host, error) {
 	select {
 	case <-p.closed:
 		return nil, nil, ErrPoolClosed
 	default:
 	}
-	spill, start := p.fill, 0
-	if p.fill == 0 {
-		start = int(p.rr.Add(1) % uint32(len(p.slots)))
-	}
+	spill := p.fill
 	if p.fill == 0 || n >= sockBufSize {
 		spill = 1
 	}
@@ -291,10 +299,7 @@ func (p *HostPool) acquire(n int) (*qpSlot, *Host, error) {
 	var bestHost, avoidHost *Host
 	bestDepth, avoidDepth := 0, 0
 	for i := range p.slots {
-		if i += start; i >= len(p.slots) {
-			i -= len(p.slots) // wrap; start < len(p.slots)
-		}
-		s := p.slots[i]
+		s := p.slots[(start+i)%len(p.slots)]
 		s.mu.Lock()
 		h := s.host
 		s.mu.Unlock()
@@ -441,6 +446,8 @@ func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer
 	backoff := p.cfg.RetryBackoff
 	var lastErr error
 	lastQP := -1
+	home := p.home(cmd.Offset)
+	start := home
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			timer := time.NewTimer(backoff)
@@ -452,7 +459,7 @@ func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer
 			}
 			backoff *= 2
 		}
-		s, h, err := p.acquire(transferBytes(cmd, vecLen))
+		s, h, err := p.acquire(transferBytes(cmd, vecLen), start)
 		if err != nil {
 			if errors.Is(err, ErrPoolClosed) {
 				return Response{}, err
@@ -463,6 +470,9 @@ func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer
 		if a > 0 {
 			s.tel.retries.Inc()
 		}
+		if s.id != home {
+			s.tel.offHome.Inc()
+		}
 		// submitPayload records commands, errors, bytes, latency, and
 		// the slot's flight ring (via the pool-shared recorder).
 		resp, err := h.submitPayload(cmd, vec, vecLen, reg)
@@ -471,6 +481,8 @@ func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer
 		}
 		lastErr = err
 		lastQP = s.id
+		// Retry elsewhere first: this pair, still up or re-dialled, would win again.
+		start = s.id + 1
 		if !errors.Is(err, ErrTimeout) {
 			// The queue pair is dead; a timed-out queue pair stays up
 			// (its command was abandoned, not its connection).

@@ -304,11 +304,13 @@ func TestPoolClosedErrors(t *testing.T) {
 	}
 }
 
-// TestBatchingPoolFillFirst pins the placement policy split: a
-// batching pool concentrates submissions on the lowest-indexed queue
-// pair with room (so overlapping submissions meet in one batcher) and
-// spills only at the batch command budget, while an unbatched pool
-// keeps rotating its cursor across idle queue pairs.
+// TestBatchingPoolFillFirst pins the spill depth, the one thing that
+// separates a batching pool from an unbatched one: a batching pool
+// concentrates small submissions on the first queue pair of the scan
+// with room (so overlapping submissions meet in one batcher) and spills
+// only at the batch command budget, while bulk commands, and every
+// command of an unbatched pool, spill past a single command in flight.
+// Where the scan starts is TestPoolHomeByAddress.
 func TestBatchingPoolFillFirst(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
 	pool, err := DialPool(addr, 1, PoolConfig{
@@ -320,7 +322,7 @@ func TestBatchingPoolFillFirst(t *testing.T) {
 	}
 	defer pool.Close()
 	for i := 0; i < 8; i++ {
-		s, _, err := pool.acquire(0)
+		s, _, err := pool.acquire(0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +334,7 @@ func TestBatchingPoolFillFirst(t *testing.T) {
 	// spill to queue pair 1.
 	h0 := pool.slots[0].host
 	h0.inflightN.Add(4)
-	s, _, err := pool.acquire(0)
+	s, _, err := pool.acquire(0, 0)
 	h0.inflightN.Add(-4)
 	if err != nil {
 		t.Fatal(err)
@@ -344,55 +346,80 @@ func TestBatchingPoolFillFirst(t *testing.T) {
 	// The size rule, at the acquire level: a bulk command spills past a
 	// single command in flight, one byte under the threshold does not,
 	// and with every pair busy the shallowest wins.
-	depths := func(d ...int32) func() {
-		for i, n := range d {
-			pool.slots[i].host.inflightN.Add(n)
-		}
-		return func() {
-			for i, n := range d {
-				pool.slots[i].host.inflightN.Add(-n)
-			}
-		}
-	}
-	for _, tc := range []struct {
-		depth []int32
-		n     int
-		want  int
-	}{
-		{[]int32{0, 0, 0, 0}, sockBufSize, 0},
-		{[]int32{1, 0, 0, 0}, sockBufSize, 1},
-		{[]int32{1, 0, 0, 0}, sockBufSize - 1, 0},
-		{[]int32{3, 1, 0, 2}, MaxDataLen, 2},
-		{[]int32{3, 2, 1, 2}, sockBufSize, 2},
-		{[]int32{3, 2, 1, 2}, 512, 0},
-		{[]int32{4, 4, 5, 4}, 512, 0},
-	} {
-		undo := depths(tc.depth...)
-		s, _, err := pool.acquire(tc.n)
-		undo()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.id != tc.want {
-			t.Errorf("depths %v, %d-byte command: qp %d, want %d", tc.depth, tc.n, s.id, tc.want)
-		}
-	}
-
 	plain, err := DialPool(addr, 1, PoolConfig{QueuePairs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	a, _, err := plain.acquire(0)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		pool  *HostPool
+		depth []int32
+		n     int
+		want  int
+	}{
+		{pool, []int32{0, 0, 0, 0}, sockBufSize, 0},
+		{pool, []int32{1, 0, 0, 0}, sockBufSize, 1},
+		{pool, []int32{1, 0, 0, 0}, sockBufSize - 1, 0},
+		{pool, []int32{3, 1, 0, 2}, MaxDataLen, 2},
+		{pool, []int32{3, 2, 1, 2}, sockBufSize, 2},
+		{pool, []int32{3, 2, 1, 2}, 512, 0},
+		{pool, []int32{4, 4, 5, 4}, 512, 0},
+		// No batcher: a small command is placed like a bulk one.
+		{plain, []int32{0, 0, 0, 0}, 512, 0},
+		{plain, []int32{1, 0, 0, 0}, 512, 1},
+		{plain, []int32{3, 2, 1, 2}, 512, 2},
+	} {
+		undo := setDepths(tc.pool, tc.depth...)
+		s, _, err := tc.pool.acquire(tc.n, 0)
+		undo()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.id != tc.want {
+			t.Errorf("fill %d, depths %v, %d-byte command: qp %d, want %d", tc.pool.fill, tc.depth, tc.n, s.id, tc.want)
+		}
 	}
-	b, _, err := plain.acquire(0)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// runCallers has callers goroutines issue perCall commands each, one at
+// a time, and returns how many commands each queue pair took.
+func runCallers(t *testing.T, p *HostPool, callers, perCall int, op func(caller, i int) error) []uint64 {
+	t.Helper()
+	before := p.Snapshot()
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perCall && errs[c] == nil; i++ {
+				errs[c] = op(c, i)
+			}
+		}(c)
 	}
-	if a.id == b.id {
-		t.Fatalf("unbatched pool acquired qp %d twice in a row; cursor should rotate", a.id)
+	wg.Wait()
+	for c, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", c, err)
+		}
+	}
+	got := make([]uint64, len(p.slots))
+	for i, st := range p.Snapshot() {
+		got[i] = st.Commands - before[i].Commands
+	}
+	return got
+}
+
+// setDepths makes the pool's queue pairs look d commands deep to acquire
+// and returns the undo.
+func setDepths(p *HostPool, d ...int32) func() {
+	for i, n := range d {
+		p.slots[i].host.inflightN.Add(n)
+	}
+	return func() {
+		for i, n := range d {
+			p.slots[i].host.inflightN.Add(-n)
+		}
 	}
 }
 
@@ -428,33 +455,9 @@ func TestPoolPlacementBySize(t *testing.T) {
 	}
 	defer pool.Close()
 
-	// run has callers goroutines issue perCall commands each, one at a
-	// time, and returns how many commands each queue pair took.
 	run := func(callers int, op func(caller, i int) error) []uint64 {
 		t.Helper()
-		before := pool.Snapshot()
-		var wg sync.WaitGroup
-		errs := make([]error, callers)
-		for c := 0; c < callers; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i := 0; i < perCall && errs[c] == nil; i++ {
-					errs[c] = op(c, i)
-				}
-			}(c)
-		}
-		wg.Wait()
-		for c, err := range errs {
-			if err != nil {
-				t.Fatalf("caller %d: %v", c, err)
-			}
-		}
-		got := make([]uint64, pairs)
-		for i, st := range pool.Snapshot() {
-			got[i] = st.Commands - before[i].Commands
-		}
-		return got
+		return runCallers(t, pool, callers, perCall, op)
 	}
 	bulkRead := func(c, i int) error {
 		_, err := pool.ReadAt(int64(c%8)*bulk, bulk)
@@ -796,10 +799,9 @@ func BenchmarkStripedPlane(b *testing.B) {
 // TestQPBiasShiftsTraffic pins the health-engine integration contract:
 // an avoided queue pair stops receiving new commands while its siblings
 // absorb the load, and clearing the bias restores sharing. It holds for
-// every placement mode — rotating idle-first (no batcher), fill-first
-// (small commands under batching) and idle-first from slot 0 (bulk
-// commands under batching): a biased pair is never chosen because it is
-// idle.
+// every spill depth — fill-first (small commands under batching) and
+// idle-first (bulk commands, and every command without a batcher): a
+// biased pair is never chosen because it is idle or because it is home.
 func TestQPBiasShiftsTraffic(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -844,12 +846,9 @@ func TestQPBiasShiftsTraffic(t *testing.T) {
 				}
 			}
 
-			// Bias the pair the mode would otherwise favour: slot 0 is
-			// where a batching pool starts every scan.
-			sick, well := 1, 0
-			if tc.batch {
-				sick, well = 0, 1
-			}
+			// Bias the pair placement would otherwise favour: every
+			// offset run issues is in the first half, whose home is slot 0.
+			sick, well := 0, 1
 			p.SetQPBias(sick, BiasAvoid)
 			if got := p.QPBias(sick); got != BiasAvoid {
 				t.Fatalf("QPBias(%d) = %v, want avoid", sick, got)
@@ -888,7 +887,7 @@ func TestQPBiasShiftsTraffic(t *testing.T) {
 			// past the fill depth under which a sibling wins outright.)
 			deep := int32(p.fill + softBiasHandicap + 1)
 			p.slots[well].host.inflightN.Add(deep)
-			s, _, err := p.acquire(tc.payload)
+			s, _, err := p.acquire(tc.payload, p.home(0))
 			p.slots[well].host.inflightN.Add(-deep)
 			if err != nil {
 				t.Fatal(err)

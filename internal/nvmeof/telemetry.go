@@ -40,6 +40,7 @@ const (
 	MetricQPRingOccupancy = "nvmecr_qp_ring_occupancy"
 
 	MetricPoolQueuePairs = "nvmecr_pool_queue_pairs"
+	metricPoolOffHome    = "nvmecr_pool_off_home_total" // commands placed off HostPool.home
 
 	MetricTargetCommands = "nvmecr_target_commands_total"
 	MetricTargetErrors   = "nvmecr_target_errors_total"
@@ -61,6 +62,7 @@ type qpTelemetry struct {
 	errors     *telemetry.Counter
 	retries    *telemetry.Counter
 	reconnects *telemetry.Counter
+	offHome    *telemetry.Counter
 	bytesOut   *telemetry.Counter
 	bytesIn    *telemetry.Counter
 	latency    *telemetry.Histogram
@@ -97,6 +99,7 @@ func newQPTelemetry(reg *telemetry.Registry, qp int) qpTelemetry {
 		errors:     reg.Counter(MetricQPErrors, l),
 		retries:    reg.Counter(MetricQPRetries, l),
 		reconnects: reg.Counter(MetricQPReconnects, l),
+		offHome:    reg.Counter(metricPoolOffHome, l),
 		bytesOut:   reg.Counter(MetricQPBytesOut, l),
 		bytesIn:    reg.Counter(MetricQPBytesIn, l),
 		latency:    reg.Histogram(MetricQPLatency, nil, l),

@@ -9,9 +9,11 @@
 # vs unbatched small commands across queue-pair counts),
 # BenchmarkHostPoolDeviceBound (the device-limited regime where
 # batching must be neutral), BenchmarkHostPoolBulk (one synchronous
-# 1 MiB reader per queue pair), BenchmarkStripedPlane (striped vs
-# single-target large transfers), BenchmarkMirroredPlane (RAID-10
-# mirror vs RAID-0 over the same members), BenchmarkIndexRing (the raw
+# 1 MiB reader per queue pair), BenchmarkHostPoolTwoPartitions (one
+# synchronous small-command caller per partition),
+# BenchmarkStripedPlane (striped vs single-target large transfers),
+# BenchmarkMirroredPlane (RAID-10 mirror vs RAID-0 over the same
+# members), BenchmarkIndexRing (the raw
 # slot-ring cycle), and BenchmarkHostPoolHealth (the same loaded pool
 # with and without a bound health engine) — and emits BENCH_nvmeof.json
 # with ns/op, MB/s, and allocs/op per case.
@@ -37,7 +39,9 @@
 #     of two queue pairs >= 1.2x one reader on one (each bulk transfer
 #     gets a connection of its own; fill-first for them measured 1.0x).
 #     Printed next to it and not gated: batching on/off at qp=4 in the
-#     device-bound regime, an open item (docs/batching.md)
+#     device-bound regime, an open item (docs/batching.md), and
+#     BenchmarkHostPoolTwoPartitions (two synchronous callers, one per
+#     half of the namespace: us per command per caller)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -209,6 +213,11 @@ $1 ~ /^BenchmarkHostPoolDeviceBound\/qp=4\/batch=false(-[0-9]+)?$/ { for (i=2;i<
 $1 ~ /^BenchmarkHostPoolDeviceBound\/qp=4\/batch=true(-[0-9]+)?$/  { for (i=2;i<=NF;i++) if ($i=="MB/s") got=$(i-1) }
 END { if (base > 0) printf "%.2f", got / base; else print "0" }' "$raw")"
 echo "== device-bound batched/unbatched throughput at qp=4: ${dev}x (open item, not gated)"
+# Not gated either: the shape home placement is for — two synchronous
+# callers, one per half of the namespace, on two queue pairs.
+awk '
+$1 ~ /^BenchmarkHostPoolTwoPartitions\// { name=$1; sub(/^[^\/]*\//, "", name); sub(/-[0-9]+$/, "", name)
+	for (i=2;i<=NF;i++) if ($i=="ns/op") printf "== two partitions, %s: %.1f us per command per caller (not gated)\n", name, $(i-1)/1000 }' "$raw"
 if [ "$gate" = 1 ]; then
 	awk -v r="$bulk" 'BEGIN { exit (r >= 1.2 ? 0 : 1) }' || {
 		echo "FAIL: bulk placement regression — qp=2 at ${bulk}x of qp=1, below the 1.2x gate (bulk transfers sharing a connection?)" >&2
