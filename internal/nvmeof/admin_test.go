@@ -15,11 +15,7 @@ func TestAdminNamespaceLifecycle(t *testing.T) {
 	}
 	defer tgt.Close()
 
-	admin, err := DialAdmin(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
+	admin := dialOne(t, addr, 0, PoolConfig{})
 
 	// Create two namespaces.
 	ns1, err := admin.CreateNamespace(4 * model.MB)
@@ -55,10 +51,7 @@ func TestAdminNamespaceLifecycle(t *testing.T) {
 	}
 
 	// IO on a freshly created namespace works.
-	h, err := Dial(addr, ns1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := dialOne(t, addr, ns1, PoolConfig{})
 	if err := h.WriteAt(0, []byte("granted")); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +78,8 @@ func TestAdminNamespaceLifecycle(t *testing.T) {
 
 // TestIOQueueCannotDoAdmin is the other direction of the admin/IO
 // separation: a namespace-bound queue pair must not carry the
-// namespace-management command set (DialAdmin documents that model).
+// namespace-management command set (an admin pool is one dialed with
+// NSID 0).
 func TestIOQueueCannotDoAdmin(t *testing.T) {
 	tgt := NewTarget()
 	if err := tgt.AddNamespace(1, NewMemNamespace(model.MB)); err != nil {
@@ -96,11 +90,7 @@ func TestIOQueueCannotDoAdmin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tgt.Close()
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := dialOne(t, addr, 1, PoolConfig{})
 	if _, err := h.CreateNamespace(model.MB); err == nil {
 		t.Error("CREATE-NS on I/O queue pair accepted")
 	} else if want := statusText(StatusWrongQueue); !strings.Contains(err.Error(), want) {
@@ -128,11 +118,7 @@ func TestAdminQueueCannotDoIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tgt.Close()
-	admin, err := DialAdmin(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
+	admin := dialOne(t, addr, 0, PoolConfig{})
 	if err := admin.WriteAt(0, []byte("x")); err == nil {
 		t.Error("IO on admin queue pair accepted")
 	}
@@ -151,21 +137,14 @@ func TestSchedulerStyleRemoteGrant(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tgt.Close()
-	admin, err := DialAdmin(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer admin.Close()
+	admin := dialOne(t, addr, 0, PoolConfig{})
 
 	for job := 0; job < 3; job++ {
 		nsid, err := admin.CreateNamespace(48 * model.MB)
 		if err != nil {
 			t.Fatalf("job %d grant: %v", job, err)
 		}
-		h, err := Dial(addr, nsid)
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := dialOne(t, addr, nsid, PoolConfig{})
 		if err := h.WriteAt(1024, []byte("job data")); err != nil {
 			t.Fatal(err)
 		}

@@ -162,11 +162,7 @@ func recoverAllocBytes(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, addr := startTarget(t, map[uint32]int64{1: 256 * model.MB})
-			h, err := Dial(addr, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer h.Close()
+			h := dialOne(t, addr, 1, PoolConfig{})
 			pl, err := NewTCPPlane(h, 0, h.NamespaceSize())
 			if err != nil {
 				t.Fatal(err)

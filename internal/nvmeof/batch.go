@@ -25,10 +25,6 @@ import (
 type BatchConfig struct {
 	// Enabled turns the batcher on.
 	Enabled bool
-	// MaxBytes is the batch budget: a flush is cut when the pending
-	// wire bytes reach it (default 256 KiB). It also bounds merged
-	// WRITE payloads (never beyond MaxDataLen).
-	MaxBytes int
 	// MaxCommands caps the capsules per flush (default 64).
 	MaxCommands int
 	// MergeWrites additionally coalesces an enqueued WRITE whose range
@@ -40,10 +36,11 @@ type BatchConfig struct {
 	MergeWrites bool
 }
 
+// batchMaxBytes is the batch budget: a flush is cut when the pending
+// wire bytes reach it. It also bounds merged WRITE payloads.
+const batchMaxBytes = 256 << 10
+
 func (c BatchConfig) withDefaults() BatchConfig {
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 256 << 10
-	}
 	if c.MaxCommands <= 0 {
 		c.MaxCommands = 64
 	}
@@ -290,11 +287,7 @@ func (b *batcher) mergeTarget(cmd *Command, extra int) *hostSlot {
 	}
 	s := b.pending[len(b.pending)-1]
 	pc := &s.pc
-	limit := b.cfg.MaxBytes
-	if limit > MaxDataLen {
-		limit = MaxDataLen
-	}
-	if !pc.merge || pc.endOff != cmd.Offset || pc.payload+payload > limit {
+	if !pc.merge || pc.endOff != cmd.Offset || pc.payload+payload > batchMaxBytes {
 		return nil
 	}
 	return s
@@ -315,7 +308,7 @@ func (h *Host) flushBatches(b *batcher) {
 		wire := 0
 		for i := 0; i < cut; i++ {
 			wire += b.pending[i].pc.wire()
-			if wire >= b.cfg.MaxBytes && i+1 < cut {
+			if wire >= batchMaxBytes && i+1 < cut {
 				cut = i + 1
 				break
 			}

@@ -65,7 +65,7 @@ func TestBatchedWireStreamMatchesUnbatched(t *testing.T) {
 		_, addr := startTarget(t, map[uint32]int64{1: model.MB})
 		var mu sync.Mutex
 		var wire bytes.Buffer
-		h, err := DialConfig(addr, 1, HostConfig{
+		h := dialOne(t, addr, 1, PoolConfig{
 			Batch: batch,
 			Dial: func(a string) (net.Conn, error) {
 				c, err := net.Dial("tcp", a)
@@ -75,10 +75,6 @@ func TestBatchedWireStreamMatchesUnbatched(t *testing.T) {
 				return recordingConn{Conn: c, mu: &mu, buf: &wire}, nil
 			},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer h.Close()
 		if err := h.WriteAt(0, []byte("interop-payload")); err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +114,7 @@ func (c gatedConn) Write(p []byte) (int, error) {
 func TestBatchMergeAdjacentWrites(t *testing.T) {
 	tgt, addr := startTarget(t, map[uint32]int64{1: model.MB})
 	var gate sync.Mutex
-	h, err := DialConfig(addr, 1, HostConfig{
+	p := dialOne(t, addr, 1, PoolConfig{
 		Batch: BatchConfig{Enabled: true, MergeWrites: true},
 		Dial: func(a string) (net.Conn, error) {
 			c, err := net.Dial("tcp", a)
@@ -128,15 +124,12 @@ func TestBatchMergeAdjacentWrites(t *testing.T) {
 			return gatedConn{Conn: c, gate: &gate}, nil
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := p.slots[0].host
 
 	// Leader: a WRITE at offset 0 whose flush wedges on the gate.
 	gate.Lock()
 	errA := make(chan error, 1)
-	go func() { errA <- h.WriteAt(0, bytes.Repeat([]byte{0xA1}, 64)) }()
+	go func() { errA <- p.WriteAt(0, bytes.Repeat([]byte{0xA1}, 64)) }()
 	waitInflight := func(n int) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
@@ -152,10 +145,10 @@ func TestBatchMergeAdjacentWrites(t *testing.T) {
 	// Followers: two adjacent WRITEs at [100,150) and [150,200). The
 	// first becomes a pending capsule; the second merges into it.
 	errB := make(chan error, 1)
-	go func() { errB <- h.WriteAt(100, bytes.Repeat([]byte{0xB2}, 50)) }()
+	go func() { errB <- p.WriteAt(100, bytes.Repeat([]byte{0xB2}, 50)) }()
 	waitInflight(2)
 	errC := make(chan error, 1)
-	go func() { errC <- h.WriteAt(150, bytes.Repeat([]byte{0xC3}, 50)) }()
+	go func() { errC <- p.WriteAt(150, bytes.Repeat([]byte{0xC3}, 50)) }()
 	// The merged WRITE shares B's CID, so in-flight stays at 2; wait for
 	// the merge via the telemetry counter instead.
 	deadline := time.Now().Add(5 * time.Second)
@@ -177,7 +170,7 @@ func TestBatchMergeAdjacentWrites(t *testing.T) {
 	if got := tgt.Snapshot().Commands; got != 3 {
 		t.Errorf("target served %d commands, want 3 (CONNECT + 2 WRITE capsules)", got)
 	}
-	got, err := h.ReadAt(100, 100)
+	got, err := p.ReadAt(100, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +186,7 @@ func TestBatchMergeAdjacentWrites(t *testing.T) {
 func TestBatchRespectsBudgets(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
 	var gate sync.Mutex
-	h, err := DialConfig(addr, 1, HostConfig{
+	p := dialOne(t, addr, 1, PoolConfig{
 		Batch: BatchConfig{Enabled: true, MaxCommands: 4},
 		Dial: func(a string) (net.Conn, error) {
 			c, err := net.Dial("tcp", a)
@@ -203,17 +196,14 @@ func TestBatchRespectsBudgets(t *testing.T) {
 			return gatedConn{Conn: c, gate: &gate}, nil
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := p.slots[0].host
 
 	gate.Lock()
 	const writers = 10
 	errs := make(chan error, writers)
 	for i := 0; i < writers; i++ {
 		go func(i int) {
-			errs <- h.WriteAt(int64(i)*128, []byte(fmt.Sprintf("cmd-%02d", i)))
+			errs <- p.WriteAt(int64(i)*128, []byte(fmt.Sprintf("cmd-%02d", i)))
 		}(i)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -335,28 +325,19 @@ func TestFlightDumpDuringBatchedTimeout(t *testing.T) {
 	addr := stalledTarget(t, model.MB)
 	var traceBuf bytes.Buffer
 	tr := telemetry.NewTracer(&traceBuf)
-	h, err := DialConfig(addr, 1, HostConfig{
+	h := dialOne(t, addr, 1, PoolConfig{
 		CommandTimeout: 50 * time.Millisecond,
 		Tracer:         tr,
 		Batch:          BatchConfig{Enabled: true},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
 	if err := h.WriteAt(0, []byte("doomed")); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("WriteAt = %v, want timeout", err)
 	}
-	var dump *telemetry.Event
-	for _, ev := range decodeTrace(t, &traceBuf) {
-		if ev.Name == "nvmeof.flight" {
-			ev := ev
-			dump = &ev
-		}
-	}
-	if dump == nil {
+	dumps := flightDumps(t, &traceBuf)
+	if len(dumps) == 0 {
 		t.Fatal("no flight dump after batched timeout")
 	}
+	dump := dumps[len(dumps)-1]
 	if reason, _ := dump.Attrs["reason"].(string); reason != "timeout" {
 		t.Fatalf("dump reason = %q, want timeout", dump.Attrs["reason"])
 	}
@@ -375,13 +356,10 @@ func TestFlightDumpDuringBatchedTimeout(t *testing.T) {
 // batch telemetry accounts for every command.
 func TestBatchedConcurrentWriteRead(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: 64 * model.MB})
-	h, err := DialConfig(addr, 1, HostConfig{
+	p := dialOne(t, addr, 1, PoolConfig{
 		Batch: BatchConfig{Enabled: true, MergeWrites: true},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := p.slots[0].host
 
 	const workers = 8
 	const writes = 50
@@ -395,11 +373,11 @@ func TestBatchedConcurrentWriteRead(t *testing.T) {
 			for j := 0; j < writes; j++ {
 				payload := []byte(fmt.Sprintf("worker%02d-write%03d", i, j))
 				off := base + int64(j)*64
-				if err := h.WriteAt(off, payload); err != nil {
+				if err := p.WriteAt(off, payload); err != nil {
 					errs[i] = err
 					return
 				}
-				got, err := h.ReadAt(off, int64(len(payload)))
+				got, err := p.ReadAt(off, int64(len(payload)))
 				if err != nil {
 					errs[i] = err
 					return

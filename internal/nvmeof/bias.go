@@ -90,6 +90,6 @@ func (p *HostPool) ProbeQP(qp int) error {
 	if h == nil || !h.Healthy() {
 		return fmt.Errorf("nvmeof: probe qp %d: %w", qp, ErrNoQueuePairs)
 	}
-	_, err := h.Identify()
-	return err
+	resp, err := h.submitPayload(&Command{Opcode: OpIdentify}, nil, 0, nil)
+	return checkResp(resp, err, "identify")
 }

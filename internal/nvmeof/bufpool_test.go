@@ -101,11 +101,7 @@ func TestBufferTimeoutKeepsRegistration(t *testing.T) {
 		WriteResponse(conn, &Response{CID: cmd.CID, Status: StatusOK})
 	}()
 
-	h, err := DialConfig(ln.Addr().String(), 1, HostConfig{CommandTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := dialOne(t, ln.Addr().String(), 1, PoolConfig{CommandTimeout: 50 * time.Millisecond})
 	pool := NewBufferPool(1024)
 	buf := pool.Get()
 	copy(buf.Bytes(), bytes.Repeat([]byte{0xAB}, 1024))

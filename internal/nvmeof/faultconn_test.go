@@ -115,14 +115,10 @@ func TestFaultConnDuplicateFrameIsDiscarded(t *testing.T) {
 	plan := faults.NewPlan(22, faults.Rule{
 		Layer: faults.LayerTCP, Op: "WRITE", Nth: 1, Kind: faults.KindDuplicate,
 	})
-	h, err := DialConfig(addr, 1, HostConfig{
+	h := dialOne(t, addr, 1, PoolConfig{
 		CommandTimeout: 2 * time.Second,
 		Dial:           FaultDialer(plan),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
 
 	payload := []byte("duplicated capsule payload")
 	if err := h.WriteAt(0, payload); err != nil {
@@ -137,7 +133,7 @@ func TestFaultConnDuplicateFrameIsDiscarded(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("data corrupted by duplicated WRITE capsule")
 	}
-	if !h.Healthy() {
+	if !h.QPHealthy(0) {
 		t.Fatal("queue pair poisoned by a duplicate completion")
 	}
 }
@@ -151,19 +147,15 @@ func TestFaultConnBlackholeHitsDeadline(t *testing.T) {
 	plan := faults.NewPlan(23, faults.Rule{
 		Layer: faults.LayerTCP, Op: "FLUSH", Nth: 1, Kind: faults.KindBlackhole,
 	})
-	h, err := DialConfig(addr, 1, HostConfig{
+	h := dialOne(t, addr, 1, PoolConfig{
 		CommandTimeout: 200 * time.Millisecond,
 		Dial:           FaultDialer(plan),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
 
 	if err := h.Flush(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("blackholed FLUSH returned %v, want ErrTimeout", err)
 	}
-	if !h.Healthy() {
+	if !h.QPHealthy(0) {
 		t.Fatal("queue pair poisoned by a deadline")
 	}
 	if err := h.WriteAt(0, []byte("after the blackhole")); err != nil {

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/nvme-cr/nvmecr/internal/telemetry"
 )
 
 // DefaultFlightDepth is how many completed commands each queue pair's
@@ -218,4 +220,22 @@ func (f *FlightRecorder) Snapshot() map[int][]FlightRecord {
 		out[qp] = f.QueuePair(qp)
 	}
 	return out
+}
+
+// dumpFlight emits one queue pair's flight ring into the trace stream:
+// the automatic postmortem on timeout, retry exhaustion, and protocol
+// violations. Only that queue pair's ring is dumped: the failure is
+// queue-pair-local and the siblings' rings keep rolling.
+func dumpFlight(tr *telemetry.Tracer, f *FlightRecorder, qp int, reason string) {
+	if tr == nil {
+		return
+	}
+	recs := f.QueuePair(qp)
+	if len(recs) == 0 {
+		return
+	}
+	tr.Emit(telemetry.Event{
+		Name: "nvmeof.flight", Rank: -1,
+		Attrs: map[string]any{"qp": qp, "reason": reason, "records": recs},
+	})
 }

@@ -109,6 +109,18 @@ func decodeTrace(t *testing.T, buf *bytes.Buffer) []telemetry.Event {
 	return events
 }
 
+// flightDumps returns the "nvmeof.flight" events of a tracer's output.
+func flightDumps(t *testing.T, buf *bytes.Buffer) []telemetry.Event {
+	t.Helper()
+	var dumps []telemetry.Event
+	for _, ev := range decodeTrace(t, buf) {
+		if ev.Name == "nvmeof.flight" {
+			dumps = append(dumps, ev)
+		}
+	}
+	return dumps
+}
+
 // TestTimeoutDumpsOnlyThatQueuePair pins the flight recorder's lock
 // striping at the dump path: when one queue pair times out, the dump
 // carries that queue pair's ring only — sibling traffic stays out.
@@ -125,44 +137,33 @@ func TestTimeoutDumpsOnlyThatQueuePair(t *testing.T) {
 	defer tgt.Close()
 
 	var traceBuf bytes.Buffer
-	tr := telemetry.NewTracer(&traceBuf)
-	shared := NewFlightRecorder(16)
-
-	h0, err := DialConfig(addr, 1, HostConfig{Tracer: tr, Flight: shared, TelemetryQP: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h0.Close()
-	h1, err := DialConfig(addr, 1, HostConfig{
-		Tracer: tr, Flight: shared, TelemetryQP: 1,
+	p, err := DialPool(addr, 1, PoolConfig{
+		QueuePairs:     2,
 		CommandTimeout: 100 * time.Millisecond,
+		Tracer:         telemetry.NewTracer(&traceBuf),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h1.Close()
+	defer p.Close()
 
-	// Healthy traffic on queue pair 0 populates its ring.
+	// Healthy traffic homed on queue pair 0 populates its ring.
 	for i := 0; i < 3; i++ {
-		if err := h0.WriteAt(0, []byte("qp0")); err != nil {
+		if err := p.WriteAt(0, []byte("qp0")); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Wedge the namespace so queue pair 1's WRITE times out.
+	// Wedge the namespace so a WRITE homed on queue pair 1 (the upper
+	// half) times out.
 	ns.stripes[0].mu.Lock()
-	err = h1.WriteAt(0, []byte("qp1-stuck"))
+	err = p.WriteAt(model.MB/2, []byte("qp1-stuck"))
 	ns.stripes[0].mu.Unlock()
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("WriteAt = %v, want timeout", err)
 	}
 
-	var dumps []telemetry.Event
-	for _, ev := range decodeTrace(t, &traceBuf) {
-		if ev.Name == "nvmeof.flight" {
-			dumps = append(dumps, ev)
-		}
-	}
+	dumps := flightDumps(t, &traceBuf)
 	if len(dumps) != 1 {
 		t.Fatalf("got %d flight dumps, want 1", len(dumps))
 	}
@@ -182,8 +183,8 @@ func TestTimeoutDumpsOnlyThatQueuePair(t *testing.T) {
 			t.Errorf("dump leaked a record from qp %v", rec["qp"])
 		}
 	}
-	// The shared recorder still holds both rings, untouched.
-	if got := len(shared.QueuePair(0)); got != 4 { // CONNECT + 3 WRITEs
+	// The pool's recorder still holds both rings, untouched.
+	if got := len(p.Flight().QueuePair(0)); got != 4 { // CONNECT + 3 WRITEs
 		t.Errorf("qp 0 ring holds %d records, want 4", got)
 	}
 }

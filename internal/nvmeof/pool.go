@@ -31,7 +31,9 @@ type PoolConfig struct {
 	// pair (default 0 = no deadline).
 	CommandTimeout time.Duration
 	// Dial opens each queue pair's transport connection (default
-	// net.Dial over TCP); reconnects use it too. See HostConfig.Dial.
+	// net.Dial over TCP); reconnects use it too. Fault-injection tests
+	// pass FaultDialer here to interpose on the byte stream without
+	// touching the capsule protocol.
 	Dial func(addr string) (net.Conn, error)
 	// MaxRetries is how many extra attempts idempotent commands
 	// (READ, IDENTIFY, LIST-NS) get after a transport failure or
@@ -47,15 +49,13 @@ type PoolConfig struct {
 	// Telemetry is the registry every queue pair records into. Nil
 	// gets a private registry, so Snapshot always reports live counts.
 	Telemetry *telemetry.Registry
-	// Tracer, when non-nil, makes every queue pair negotiate the trace
-	// capsule extension and emit correlated "nvmeof.cmd" spans with the
-	// target-reported phase breakdown (see HostConfig.Tracer). Nil
-	// keeps the legacy wire format.
+	// Tracer, when non-nil, makes every queue pair offer the trace
+	// capsule extension at CONNECT and, once negotiated, stamp every
+	// command with a trace ID and emit one correlated "nvmeof.cmd" span
+	// per completion carrying the target-reported wire/queue/service
+	// phase breakdown. Nil keeps the legacy wire format and adds zero
+	// bytes to any capsule.
 	Tracer *telemetry.Tracer
-	// FlightDepth is the per-queue-pair flight-recorder ring size
-	// (default DefaultFlightDepth). Every slot records into its own
-	// lock-striped ring of one shared recorder, exposed via Flight.
-	FlightDepth int
 	// Batch configures each queue pair's submission batcher (see
 	// BatchConfig). The zero value keeps the direct path.
 	Batch BatchConfig
@@ -86,6 +86,9 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.QueuePairs <= 0 {
 		c.QueuePairs = 4
 	}
+	if c.Dial == nil {
+		c.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
 	} else if c.MaxRetries == 0 {
@@ -100,6 +103,7 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.GateTenant == "" {
 		c.GateTenant = "default"
 	}
+	c.Batch = c.Batch.withDefaults()
 	return c
 }
 
@@ -160,10 +164,10 @@ func DialPool(addr string, nsid uint32, cfg PoolConfig) (*HostPool, error) {
 		cfg:    cfg,
 		closed: make(chan struct{}),
 		reg:    reg,
-		flight: NewFlightRecorder(cfg.FlightDepth),
+		flight: NewFlightRecorder(DefaultFlightDepth),
 	}
 	if cfg.Batch.Enabled {
-		p.fill = cfg.Batch.withDefaults().MaxCommands
+		p.fill = cfg.Batch.MaxCommands
 	}
 	for i := 0; i < cfg.QueuePairs; i++ {
 		h, err := p.dialSlot(i)
@@ -181,18 +185,59 @@ func DialPool(addr string, nsid uint32, cfg PoolConfig) (*HostPool, error) {
 	return p, nil
 }
 
-// dialSlot opens the queue pair for slot i against the shared registry,
-// so a replacement Host dialed after an outage lands on the same series.
+// dialSlot opens the queue pair for slot i: connect, start the read
+// loop, CONNECT for the pool's namespace (NSID 0 yields an admin queue
+// pair). The pair records into the pool's registry under the slot's qp
+// label and into the slot's ring of the pool's flight recorder, so a
+// replacement dialed after an outage lands on the same series.
 func (p *HostPool) dialSlot(i int) (*Host, error) {
-	return DialConfig(p.addr, p.nsid, HostConfig{
-		CommandTimeout: p.cfg.CommandTimeout,
-		Dial:           p.cfg.Dial,
-		Telemetry:      p.reg,
-		TelemetryQP:    i,
-		Tracer:         p.cfg.Tracer,
-		Flight:         p.flight,
-		Batch:          p.cfg.Batch,
-	})
+	conn, err := p.cfg.Dial(p.addr)
+	if err != nil {
+		return nil, err
+	}
+	h := &Host{
+		conn:     conn,
+		timeout:  p.cfg.CommandTimeout,
+		slots:    make([]hostSlot, hostQueueDepth),
+		freeRing: newIndexRing(hostQueueDepth, 0),
+		tel:      newQPTelemetry(p.reg, i),
+		qpID:     i,
+		tracer:   p.cfg.Tracer,
+		flight:   p.flight,
+	}
+	for k := range h.slots {
+		s := &h.slots[k]
+		s.idx = uint16(k)
+		s.followers = s.followersInline[:0]
+		h.freeRing.push(s.idx)
+	}
+	if p.cfg.Batch.Enabled {
+		h.batch = &batcher{cfg: p.cfg.Batch}
+	}
+	go h.readLoop()
+	// Offer the trace extension only when a tracer will consume it, so
+	// untraced queue pairs keep the legacy wire format bit-for-bit.
+	var propose uint16
+	if p.cfg.Tracer != nil {
+		propose = MaxVersion
+	}
+	resp, err := h.submitPayload(&Command{Opcode: OpConnect, NSID: p.nsid, ProposeVersion: propose}, nil, 0, nil)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("nvmeof: connect: %w", err)
+	}
+	if resp.Status != StatusOK {
+		conn.Close()
+		return nil, fmt.Errorf("nvmeof: connect: %s", statusText(resp.Status))
+	}
+	negotiated := DecodeNegotiatedVersion(resp.Data)
+	if negotiated > MaxVersion {
+		conn.Close()
+		return nil, fmt.Errorf("nvmeof: connect: target negotiated unsupported capsule version %d", negotiated)
+	}
+	h.version.Store(uint32(negotiated))
+	h.nsSize = int64(resp.Value)
+	return h, nil
 }
 
 // NamespaceSize returns the connected namespace's capacity.
@@ -226,22 +271,6 @@ func (p *HostPool) Snapshot() []telemetry.HostQPSnapshot {
 // Flight returns the pool's shared flight recorder: every slot's last
 // completed commands, one lock-striped ring per queue pair.
 func (p *HostPool) Flight() *FlightRecorder { return p.flight }
-
-// dumpFlight emits one queue pair's flight ring into the trace stream
-// (the automatic postmortem when a command exhausts its retries).
-func (p *HostPool) dumpFlight(qp int, reason string) {
-	if p.cfg.Tracer == nil {
-		return
-	}
-	recs := p.flight.QueuePair(qp)
-	if len(recs) == 0 {
-		return
-	}
-	p.cfg.Tracer.Emit(telemetry.Event{
-		Name: "nvmeof.flight", Rank: -1,
-		Attrs: map[string]any{"qp": qp, "reason": reason, "records": recs},
-	})
-}
 
 // transferBytes is the payload a command moves across its connection:
 // a READ's requested length, otherwise the bytes it carries (vecLen
@@ -432,7 +461,8 @@ func (p *HostPool) do(cmd *Command, idempotent bool) (Response, error) {
 }
 
 // doPayload is do for a WRITE whose payload rides outside cmd.Data or
-// in a registered buffer (see Host.submitPayload).
+// in a registered buffer (see Host.submitPayload). An OK completion whose
+// payload disagrees with the command is ErrBadResponse.
 func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer, idempotent bool) (Response, error) {
 	release, err := p.gateAcquire()
 	if err != nil {
@@ -477,6 +507,12 @@ func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer
 		// the slot's flight ring (via the pool-shared recorder).
 		resp, err := h.submitPayload(cmd, vec, vecLen, reg)
 		if err == nil {
+			// A malformed answer is still an answer: no retry, and the
+			// queue pair stays up.
+			if err := badPayload(cmd, &resp); err != nil {
+				dumpFlight(p.cfg.Tracer, p.flight, s.id, "bad-response")
+				return Response{}, err
+			}
 			return resp, nil
 		}
 		lastErr = err
@@ -490,12 +526,15 @@ func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer
 		}
 	}
 	if attempts > 1 && lastQP >= 0 {
-		p.dumpFlight(lastQP, "retry-exhausted")
+		dumpFlight(p.cfg.Tracer, p.flight, lastQP, "retry-exhausted")
 	}
 	return Response{}, lastErr
 }
 
-// WriteAt writes data at the namespace offset. WRITE is not retried:
+// WriteAt writes data at the namespace offset. The payload is aliased,
+// not copied: it rides to the socket as its own iovec, and the caller
+// must not mutate it until WriteAt returns (see docs/batching.md for
+// the registration contract on the timeout path). WRITE is not retried:
 // the pool cannot know whether a failed round trip mutated the
 // namespace, so the error surfaces to the caller.
 func (p *HostPool) WriteAt(off int64, data []byte) error {
@@ -504,9 +543,9 @@ func (p *HostPool) WriteAt(off int64, data []byte) error {
 }
 
 // WriteAtV writes the concatenation of bufs at the namespace offset
-// without copying them into a staging buffer: each buf rides to the
-// socket as its own iovec (see Host.WriteAtV). Like WriteAt, it is not
-// retried.
+// as ONE command, without copying them into a staging buffer: each buf
+// rides to the socket as its own iovec, under the same aliasing contract
+// as WriteAt. Like WriteAt, it is not retried.
 func (p *HostPool) WriteAtV(off int64, bufs [][]byte) error {
 	total := vecBytes(bufs)
 	if total == 0 {
@@ -516,9 +555,13 @@ func (p *HostPool) WriteAtV(off int64, bufs [][]byte) error {
 	return checkResp(resp, err, "write")
 }
 
-// WriteAtBuffer writes a registered buffer's bytes at the namespace
-// offset. The buffer stays pinned while the capsule is in flight (see
-// Host.WriteAtBuffer and BufferPool). Not retried.
+// WriteAtBuffer writes a registered buffer's contents at the namespace
+// offset. The buffer stays registered (pinned) until the transport is
+// provably done with its bytes — including the timeout path, where the
+// capsule may still be awaiting a batched flush after WriteAtBuffer
+// returned. Buffer.Release panics while the pin is held, which is the
+// use-after-register detection the zero-copy contract needs. Not
+// retried.
 func (p *HostPool) WriteAtBuffer(off int64, buf *Buffer) error {
 	resp, err := p.doPayload(&Command{Opcode: OpWriteCmd, Offset: uint64(off), Data: buf.Bytes()}, nil, 0, buf, false)
 	return checkResp(resp, err, "write")
@@ -534,7 +577,10 @@ func (p *HostPool) ReadAt(off, length int64) ([]byte, error) {
 	if err := checkResp(resp, err, "read"); err != nil {
 		return nil, err
 	}
-	return validateReadData(resp, length)
+	if resp.Data == nil {
+		return []byte{}, nil
+	}
+	return resp.Data, nil
 }
 
 // Flush issues a durability barrier on every healthy queue pair, so
@@ -549,7 +595,7 @@ func (p *HostPool) Flush() error {
 	}
 	errs := make([]error, len(p.slots))
 	flushOn := func(s *qpSlot, h *Host) {
-		resp, err := h.submit(&Command{Opcode: OpFlushCmd})
+		resp, err := h.submitPayload(&Command{Opcode: OpFlushCmd}, nil, 0, nil)
 		if err != nil && !errors.Is(err, ErrTimeout) {
 			p.noteFailure(s, h)
 		}
@@ -621,7 +667,7 @@ func (p *HostPool) ListNamespaces() ([]NamespaceInfo, error) {
 	if err := checkResp(resp, err, "list-ns"); err != nil {
 		return nil, err
 	}
-	return decodeNamespaceList(resp.Data)
+	return decodeNamespaceList(resp.Data), nil
 }
 
 // Close tears down every queue pair and stops all reconnectors.

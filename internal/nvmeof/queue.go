@@ -2,12 +2,11 @@ package nvmeof
 
 import "github.com/nvme-cr/nvmecr/internal/telemetry"
 
-// Queue is the canonical initiator type: the command surface shared by
-// a single queue pair (Host) and a multi-queue-pair initiator
-// (HostPool). Callers that only move bytes to and from a connected
-// namespace — TCPPlane, the CLIs, applications — program against
-// Queue; the concrete types stay exported for callers that need
-// pool-specific tuning or admin commands.
+// Queue is the canonical initiator type: the command surface of a
+// HostPool, of one queue pair or of many. Callers that only move bytes
+// to and from a connected namespace — TCPPlane, the CLIs, applications
+// — program against Queue; the concrete type stays exported for callers
+// that need pool-specific tuning or admin commands.
 type Queue interface {
 	// NamespaceSize returns the connected namespace's capacity.
 	NamespaceSize() int64
@@ -39,9 +38,6 @@ type VectorQueue interface {
 }
 
 var (
-	_ Queue = (*Host)(nil)
-	_ Queue = (*HostPool)(nil)
-
-	_ VectorQueue = (*Host)(nil)
+	_ Queue       = (*HostPool)(nil)
 	_ VectorQueue = (*HostPool)(nil)
 )

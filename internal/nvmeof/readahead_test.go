@@ -15,11 +15,7 @@ import (
 func dialPlane(t *testing.T, size int64) (*Target, *TCPPlane) {
 	t.Helper()
 	tgt, addr := startTarget(t, map[uint32]int64{1: size})
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { h.Close() })
+	h := dialOne(t, addr, 1, PoolConfig{})
 	pl, err := NewTCPPlane(h, 0, size)
 	if err != nil {
 		t.Fatal(err)

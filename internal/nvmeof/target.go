@@ -3,8 +3,10 @@ package nvmeof
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -178,6 +180,9 @@ type qpConn struct {
 
 	nsid    atomic.Uint32 // namespace bound by CONNECT (0 = admin / none)
 	version atomic.Uint32 // capsule version negotiated at CONNECT
+	// lost is set when the reader leaves on a reset, EOF or malformed
+	// capsule — anything but a draining Close's read deadline.
+	lost atomic.Bool
 
 	commands *telemetry.Counter
 	errors   *telemetry.Counter
@@ -441,11 +446,13 @@ func (t *Target) serve(conn net.Conn) {
 	go func() {
 		// Reader: owns br. Exits (closing the submission queue) on
 		// EOF, a read deadline from a draining Close, or a protocol
-		// violation. The negotiated version is consulted lazily, after
-		// each fixed header: the service loop stores it when it
-		// processes CONNECT, strictly before any post-negotiation
-		// capsule's first byte arrives.
+		// violation; only the deadline leaves a peer that still wants
+		// answers (see qpConn.lost). The negotiated version is consulted
+		// lazily, after each fixed header: the service loop stores it
+		// when it processes CONNECT, strictly before any
+		// post-negotiation capsule's first byte arrives.
 		defer close(sq)
+		leave := func(err error) { qp.lost.Store(!errors.Is(err, os.ErrDeadlineExceeded)) }
 		version := func() uint16 { return uint16(qp.version.Load()) }
 		var scratch [protoScratchLen]byte
 		for {
@@ -457,10 +464,12 @@ func (t *Target) serve(conn net.Conn) {
 			idx := <-free
 			s := &slots[idx]
 			if _, err := br.Peek(1); err != nil {
+				leave(err)
 				return
 			}
 			s.readStart = time.Now()
 			if err := readCommandInto(br, version, &s.cmd, &s.dataBuf, &scratch); err != nil {
+				leave(err)
 				return
 			}
 			if s.cmd.Traced {
@@ -500,6 +509,16 @@ func (t *Target) serve(conn net.Conn) {
 	var prevWireWrite time.Duration
 	var respScratch [protoScratchLen]byte
 	for idx := range sq {
+		// The connection died with commands still queued: nobody can be
+		// told what they did, and a stale WRITE must not land after its
+		// submitter, told it failed, wrote the range again through
+		// another queue pair. A draining Close is the one exit that
+		// still services them.
+		if qp.lost.Load() {
+			free <- idx
+			dead()
+			return
+		}
 		s := &slots[idx]
 		cmd := &s.cmd
 		// bw holds bytes only when the previous response found this

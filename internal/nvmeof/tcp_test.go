@@ -8,11 +8,13 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"github.com/nvme-cr/nvmecr/internal/model"
+	"github.com/nvme-cr/nvmecr/internal/telemetry"
 )
 
 func startTarget(t testing.TB, namespaces map[uint32]int64) (*Target, string) {
@@ -31,13 +33,24 @@ func startTarget(t testing.TB, namespaces map[uint32]int64) (*Target, string) {
 	return tgt, addr
 }
 
-func TestConnectAndIdentify(t *testing.T) {
-	_, addr := startTarget(t, map[uint32]int64{1: 4 * model.MB})
-	h, err := Dial(addr, 1)
+// dialOne dials a pool of one queue pair and closes it with the test.
+// White-box tests reach the pair as p.slots[0].host; a test that counts
+// attempts, or wants a transport failure surfaced instead of retried,
+// passes MaxRetries: -1.
+func dialOne(t testing.TB, addr string, nsid uint32, cfg PoolConfig) *HostPool {
+	t.Helper()
+	cfg.QueuePairs = 1
+	p, err := DialPool(addr, nsid, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
+	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+func TestConnectAndIdentify(t *testing.T) {
+	_, addr := startTarget(t, map[uint32]int64{1: 4 * model.MB})
+	h := dialOne(t, addr, 1, PoolConfig{})
 	if h.NamespaceSize() != 4*model.MB {
 		t.Errorf("NamespaceSize = %d", h.NamespaceSize())
 	}
@@ -49,18 +62,14 @@ func TestConnectAndIdentify(t *testing.T) {
 
 func TestConnectUnknownNamespace(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
-	if _, err := Dial(addr, 99); err == nil {
+	if _, err := DialPool(addr, 99, PoolConfig{QueuePairs: 1}); err == nil {
 		t.Fatal("connect to unknown namespace succeeded")
 	}
 }
 
 func TestWriteReadRoundTripOverTCP(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{7: 16 * model.MB})
-	h, err := Dial(addr, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := dialOne(t, addr, 7, PoolConfig{})
 	payload := bytes.Repeat([]byte("checkpoint-over-fabrics-"), 4096)
 	if err := h.WriteAt(32768, payload); err != nil {
 		t.Fatal(err)
@@ -79,11 +88,7 @@ func TestWriteReadRoundTripOverTCP(t *testing.T) {
 
 func TestOutOfRangeRejected(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: 4096})
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := dialOne(t, addr, 1, PoolConfig{})
 	if err := h.WriteAt(4000, make([]byte, 200)); err == nil {
 		t.Error("out-of-range write accepted")
 	}
@@ -98,16 +103,8 @@ func TestOutOfRangeRejected(t *testing.T) {
 
 func TestMultiTenantIsolation(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB, 2: model.MB})
-	h1, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h1.Close()
-	h2, err := Dial(addr, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h2.Close()
+	h1 := dialOne(t, addr, 1, PoolConfig{})
+	h2 := dialOne(t, addr, 2, PoolConfig{})
 	if err := h1.WriteAt(0, []byte("tenant-one-data")); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +127,7 @@ func TestConcurrentQueuePairs(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			h, err := Dial(addr, 1)
+			h, err := DialPool(addr, 1, PoolConfig{QueuePairs: 1})
 			if err != nil {
 				errs[i] = err
 				return
@@ -174,11 +171,7 @@ func TestConcurrentQueuePairs(t *testing.T) {
 
 func TestPipelinedSubmissionSingleQueue(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: 64 * model.MB})
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := dialOne(t, addr, 1, PoolConfig{})
 	const depth = 16
 	var wg sync.WaitGroup
 	errs := make([]error, depth)
@@ -222,16 +215,12 @@ func TestDuplicateNamespaceRejected(t *testing.T) {
 
 func TestHostFailsAfterTargetClose(t *testing.T) {
 	tgt, addr := startTarget(t, map[uint32]int64{1: model.MB})
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := dialOne(t, addr, 1, PoolConfig{})
 	if err := h.WriteAt(0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	tgt.Close()
-	h.conn.Close() // sever the queue pair
+	h.slots[0].host.conn.Close() // sever the queue pair
 	if err := h.WriteAt(0, []byte("y")); err == nil {
 		t.Error("write succeeded after teardown")
 	}
@@ -310,11 +299,8 @@ func TestPropertyResponseCodec(t *testing.T) {
 // delivery and only then does the CID return to the free ring.
 func TestAbandonedSlotNotReissued(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	p := dialOne(t, addr, 1, PoolConfig{})
+	h := p.slots[0].host
 	// Abandon four slots the way a timeout does: acquire, register, then
 	// detach the owner (CAS inflight -> abandoned under respMu).
 	var abandoned []*hostSlot
@@ -336,7 +322,7 @@ func TestAbandonedSlotNotReissued(t *testing.T) {
 	// Commands keep completing normally and never land on an abandoned
 	// slot's CID.
 	for i := 0; i < 5; i++ {
-		if _, err := h.Identify(); err != nil {
+		if _, err := p.Identify(); err != nil {
 			t.Fatalf("identify %d with abandoned slots held: %v", i, err)
 		}
 	}
@@ -352,18 +338,15 @@ func TestAbandonedSlotNotReissued(t *testing.T) {
 			t.Fatalf("late completion left slot %d in state %d, want free", s.idx, got)
 		}
 	}
-	if _, err := h.Identify(); err != nil {
+	if _, err := p.Identify(); err != nil {
 		t.Fatalf("identify after reclaim: %v", err)
 	}
 }
 
 func TestQueueFullRejected(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	p := dialOne(t, addr, 1, PoolConfig{})
+	h := p.slots[0].host
 	// Drain the free ring: every slot is now (as far as acquisition is
 	// concerned) in flight.
 	var held []uint16
@@ -377,19 +360,22 @@ func TestQueueFullRejected(t *testing.T) {
 	if len(held) != hostQueueDepth {
 		t.Fatalf("drained %d slots, want %d", len(held), hostQueueDepth)
 	}
-	if _, err := h.Identify(); err == nil {
+	// ProbeQP is an IDENTIFY on exactly this pair, outside the pool's
+	// retry and re-dial: the ring's own answer.
+	if err := p.ProbeQP(0); err == nil {
 		t.Fatal("command accepted with a full slot ring")
 	}
 	for _, idx := range held {
 		h.freeRing.push(idx)
 	}
-	if _, err := h.Identify(); err != nil {
+	if err := p.ProbeQP(0); err != nil {
 		t.Fatalf("identify after queue drained: %v", err)
 	}
 }
 
-// misbehavingReadTarget acks CONNECT and answers every READ with a
-// payload whose length is transformed by fn (nil return = no payload).
+// misbehavingReadTarget acks CONNECT and answers every READ (and every
+// LIST-NS, as a read of one 12-byte entry) with a payload whose length
+// is transformed by fn (nil return = no payload).
 func misbehavingReadTarget(t *testing.T, fn func(length uint32) []byte) string {
 	return fakeTarget(t, func(c net.Conn) {
 		defer c.Close()
@@ -405,6 +391,8 @@ func misbehavingReadTarget(t *testing.T, fn func(length uint32) []byte) string {
 				resp.Value = uint64(model.MB)
 			case OpReadCmd:
 				resp.Data = fn(cmd.Length)
+			case OpListNS:
+				resp.Data = fn(12)
 			}
 			if err := WriteResponse(c, resp); err != nil {
 				return
@@ -413,25 +401,58 @@ func misbehavingReadTarget(t *testing.T, fn func(length uint32) []byte) string {
 	})
 }
 
+// TestReadResponseLengthValidated: a READ or LIST-NS completion whose
+// payload disagrees with the request is ErrBadResponse, answered once (a
+// protocol violation is an answer, not a transport failure: no retry,
+// the pair stays up) and followed by the postmortem docs/tracing.md
+// promises — one flight dump, for the queue pair that served it. The
+// READ is homed on pair 1 of two so that a dump naming slot 0 by default
+// cannot pass.
 func TestReadResponseLengthValidated(t *testing.T) {
+	read := func(p *HostPool) error { _, err := p.ReadAt(model.MB/2, 64); return err }
+	list := func(p *HostPool) error { _, err := p.ListNamespaces(); return err }
 	cases := []struct {
 		name string
 		fn   func(length uint32) []byte
+		call func(*HostPool) error
+		qp   int
 	}{
-		{"short", func(l uint32) []byte { return make([]byte, l-1) }},
-		{"oversized", func(l uint32) []byte { return make([]byte, l+1) }},
-		{"missing", func(l uint32) []byte { return nil }},
+		{"short", func(l uint32) []byte { return make([]byte, l-1) }, read, 1},
+		{"oversized", func(l uint32) []byte { return make([]byte, l+1) }, read, 1},
+		{"missing", func(l uint32) []byte { return nil }, read, 1},
+		{"list-ns", func(l uint32) []byte { return make([]byte, l+1) }, list, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			addr := misbehavingReadTarget(t, tc.fn)
-			h, err := Dial(addr, 1)
+			var answers atomic.Int32
+			addr := misbehavingReadTarget(t, func(l uint32) []byte {
+				answers.Add(1)
+				return tc.fn(l)
+			})
+			var traceBuf bytes.Buffer
+			p, err := DialPool(addr, 1, PoolConfig{QueuePairs: 2, Tracer: telemetry.NewTracer(&traceBuf)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer h.Close()
-			if _, err := h.ReadAt(0, 64); !errors.Is(err, ErrBadResponse) {
-				t.Errorf("read of %s response: %v, want ErrBadResponse", tc.name, err)
+			defer p.Close()
+			if err := tc.call(p); !errors.Is(err, ErrBadResponse) {
+				t.Errorf("%s response: %v, want ErrBadResponse", tc.name, err)
+			}
+			if got := answers.Load(); got != 1 {
+				t.Errorf("target answered %d times, want 1: a malformed answer is not retried", got)
+			}
+			if !p.QPHealthy(tc.qp) {
+				t.Error("a malformed answer took the queue pair down")
+			}
+			dumps := flightDumps(t, &traceBuf)
+			if len(dumps) != 1 {
+				t.Fatalf("got %d flight dumps, want 1", len(dumps))
+			}
+			if reason, _ := dumps[0].Attrs["reason"].(string); reason != "bad-response" {
+				t.Errorf("dump reason = %q, want bad-response", dumps[0].Attrs["reason"])
+			}
+			if qp, _ := dumps[0].Attrs["qp"].(float64); int(qp) != tc.qp {
+				t.Errorf("dump is for qp %v, want %d", dumps[0].Attrs["qp"], tc.qp)
 			}
 		})
 	}
@@ -442,11 +463,7 @@ func TestReadLengthValidatedClientSide(t *testing.T) {
 	// length would truncate into the uint32 wire field, and an
 	// over-limit length could never be answered.
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := dialOne(t, addr, 1, PoolConfig{})
 	if _, err := h.ReadAt(0, -5); err == nil {
 		t.Error("negative read length accepted")
 	}
@@ -461,12 +478,9 @@ func TestReadLengthValidatedClientSide(t *testing.T) {
 
 func TestHostCommandTimeout(t *testing.T) {
 	addr := stalledTarget(t, model.MB)
-	h, err := DialConfig(addr, 1, HostConfig{CommandTimeout: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	if _, err := h.ReadAt(0, 16); !errors.Is(err, ErrTimeout) {
+	p := dialOne(t, addr, 1, PoolConfig{CommandTimeout: 30 * time.Millisecond, MaxRetries: -1})
+	h := p.slots[0].host
+	if _, err := p.ReadAt(0, 16); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("read against stalled target: %v, want ErrTimeout", err)
 	}
 	// The timed-out command's CID slot is abandoned, not freed, so a
@@ -492,11 +506,7 @@ func TestCloseDrainsInflightWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := dialOne(t, addr, 1, PoolConfig{})
 
 	// Stall the namespace (via its first stripe lock) so the WRITE
 	// wedges mid-processing inside the target's serve loop.
@@ -539,14 +549,18 @@ func TestCloseDrainsInflightWrite(t *testing.T) {
 
 // TestConcurrentSubmittersDuringFail hammers one queue pair from many
 // goroutines while its connection is severed; every submitter must get
-// an error promptly (no strand, no deadlock). Run under -race.
+// an error promptly (no strand, no deadlock). The target is unreachable
+// after the first dial — a pool would otherwise re-dial it and carry
+// on. Run under -race.
 func TestConcurrentSubmittersDuringFail(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: 16 * model.MB})
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	var dials atomic.Int32
+	h := dialOne(t, addr, 1, PoolConfig{Dial: func(addr string) (net.Conn, error) {
+		if dials.Add(1) > 1 {
+			return nil, errors.New("target down")
+		}
+		return net.Dial("tcp", addr)
+	}})
 	const submitters = 16
 	var wg sync.WaitGroup
 	for i := 0; i < submitters; i++ {
@@ -565,7 +579,7 @@ func TestConcurrentSubmittersDuringFail(t *testing.T) {
 		}(i)
 	}
 	time.Sleep(5 * time.Millisecond)
-	h.conn.Close()
+	h.slots[0].host.conn.Close()
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -598,11 +612,7 @@ func TestBadMagicRejected(t *testing.T) {
 // namespace stripe — never the previous payload's bytes.
 func TestReadAfterLargerTransferReturnsZeros(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: 8 * model.MB})
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := dialOne(t, addr, 1, PoolConfig{})
 	big := bytes.Repeat([]byte{0xAB}, 256*1024)
 	dirty := func() {
 		t.Helper()
@@ -687,11 +697,7 @@ func TestTargetAckNotHeldBehindService(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer tgt.Close()
-			h, err := Dial(addr, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer h.Close()
+			h := dialOne(t, addr, 1, PoolConfig{})
 
 			start := time.Now()
 			acked := make(chan time.Duration, 1)
@@ -776,5 +782,90 @@ func TestTargetEarlyFlushFailureTearsDown(t *testing.T) {
 	}
 	if got, _ := ns.readAt(ackFast, 1, new([]byte)); got[0] != 0 {
 		t.Errorf("slow WRITE reached the namespace (byte %#x) after its connection was torn down", got[0])
+	}
+}
+
+// TestTargetDropsCommandsQueuedOnDeadConnection pins what the target owes
+// commands still queued when their connection dies: nothing. The first
+// WRITE is held in service (its stripe lock is wedged) with two more
+// parsed and queued behind it, the peer resets, and only then is the
+// lock released — the queued WRITEs must never reach the namespace. A
+// host told "connection reset" goes on, and a stale WRITE landing later
+// would overwrite what it wrote next through another queue pair (the
+// rule the QoS campaign's oracle relies on). The namespace has no device
+// model, so holdsLoop is false and no early flush trips over the dead
+// socket first.
+//
+// Break-demo: drop the qp.lost check in Target.serve and the target
+// services 4 commands and both queued payloads land.
+func TestTargetDropsCommandsQueuedOnDeadConnection(t *testing.T) {
+	tgt := NewTarget()
+	ns := NewMemNamespace(model.MB)
+	if err := tgt.AddNamespace(1, ns); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := tgt.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteCommand(conn, &Command{Opcode: OpConnect, CID: 1, NSID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := ReadResponse(conn); err != nil || resp.Status != StatusOK {
+		t.Fatalf("connect: %+v, %v", resp, err)
+	}
+	ns.stripes[0].mu.Lock()
+	var all bytes.Buffer
+	WriteCommand(&all, &Command{Opcode: OpWriteCmd, CID: 2, Offset: 0, Data: []byte("in service")})
+	WriteCommand(&all, &Command{Opcode: OpWriteCmd, CID: 3, Offset: 4096, Data: bytes.Repeat([]byte{0x51}, 512)})
+	WriteCommand(&all, &Command{Opcode: OpWriteCmd, CID: 4, Offset: 8192, Data: bytes.Repeat([]byte{0x52}, 512)})
+	if _, err := conn.Write(all.Bytes()); err != nil {
+		ns.stripes[0].mu.Unlock()
+		t.Fatal(err)
+	}
+	waitInService(t, tgt, 2)         // CONNECT + the held WRITE
+	time.Sleep(5 * time.Millisecond) // the reader parses the two behind it out of the same socket read
+	conn.(*net.TCPConn).SetLinger(0) // close with a reset
+	conn.Close()
+	// The reader has seen the reset before the service loop moves on.
+	for start := time.Now(); ; time.Sleep(100 * time.Microsecond) {
+		tgt.mu.Lock()
+		lost := false
+		for _, qp := range tgt.conns {
+			lost = lost || qp.lost.Load()
+		}
+		tgt.mu.Unlock()
+		if lost {
+			break
+		}
+		if time.Since(start) > 5*time.Second {
+			ns.stripes[0].mu.Unlock()
+			t.Fatal("target reader never saw the reset")
+		}
+	}
+	ns.stripes[0].mu.Unlock()
+
+	closed := make(chan struct{})
+	go func() { tgt.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	if got := tgt.Snapshot().Commands; got != 2 {
+		t.Errorf("target serviced %d commands, want 2: WRITEs queued on a reset connection ran", got)
+	}
+	if got, _ := ns.readAt(0, 10, new([]byte)); string(got) != "in service" {
+		t.Errorf("the WRITE already in service did not complete: %q", got)
+	}
+	for _, off := range []int64{4096, 8192} {
+		if got, _ := ns.readAt(off, 1, new([]byte)); got[0] != 0 {
+			t.Errorf("WRITE queued at %d reached the namespace (byte %#x) after its connection was reset", off, got[0])
+		}
 	}
 }

@@ -13,11 +13,7 @@ import (
 
 func TestTCPPlaneBounds(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: 16 * model.MB})
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := dialOne(t, addr, 1, PoolConfig{})
 	if _, err := NewTCPPlane(h, 0, 32*model.MB); err == nil {
 		t.Error("oversized partition accepted")
 	}
@@ -71,11 +67,8 @@ func TestTCPPlaneOverPool(t *testing.T) {
 func TestMicrofsOverRealTCP(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: 64 * model.MB})
 
-	newInstance := func(env *sim.Env) (*microfs.Instance, *Host) {
-		h, err := Dial(addr, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+	newInstance := func(env *sim.Env) (*microfs.Instance, *HostPool) {
+		h := dialOne(t, addr, 1, PoolConfig{})
 		pl, err := NewTCPPlane(h, 0, h.NamespaceSize())
 		if err != nil {
 			t.Fatal(err)

@@ -81,7 +81,7 @@ type qpTelemetry struct {
 }
 
 // Batch-shape histogram buckets: capsules per flush tops out at the
-// MaxCommands default (64), bytes per flush at the MaxBytes default
+// MaxCommands default (64), bytes per flush at batchMaxBytes
 // (256 KiB). Explicit because the registry default buckets are
 // latency-oriented.
 var (

@@ -122,15 +122,11 @@ func TestPoolRoundTripTelemetry(t *testing.T) {
 	}
 }
 
-// TestHostTelemetryDefaultRegistry: a standalone Host with no registry
+// TestHostTelemetryDefaultRegistry: a pool of one with no registry
 // configured still snapshots real counts from a private registry.
 func TestHostTelemetryDefaultRegistry(t *testing.T) {
 	_, addr := startTelemetryTarget(t, 1<<20)
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := dialOne(t, addr, 1, PoolConfig{})
 	if err := h.WriteAt(0, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +173,8 @@ func TestPoolErrorTelemetry(t *testing.T) {
 	}
 }
 
-// TestQueueInterface locks the promoted interface: both initiator types
-// satisfy it, and a function taking a Queue drives either transparently.
+// TestQueueInterface locks the promoted interface: a function taking a
+// Queue drives a pool of one and a pool of many alike.
 func TestQueueInterface(t *testing.T) {
 	_, addr := startTelemetryTarget(t, 1<<20)
 	drive := func(q Queue) {
@@ -200,11 +196,7 @@ func TestQueueInterface(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(h)
+	drive(dialOne(t, addr, 1, PoolConfig{}))
 	p, err := DialPool(addr, 1, PoolConfig{QueuePairs: 2})
 	if err != nil {
 		t.Fatal(err)

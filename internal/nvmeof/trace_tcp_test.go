@@ -17,13 +17,9 @@ func TestTracedCommandPhases(t *testing.T) {
 	tgt, addr := startTarget(t, map[uint32]int64{1: 8 * model.MB})
 	var traceBuf bytes.Buffer
 	tr := telemetry.NewTracer(&traceBuf)
-	h, err := DialConfig(addr, 1, HostConfig{Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
+	h := dialOne(t, addr, 1, PoolConfig{Tracer: tr})
 
-	if got := h.CapsuleVersion(); got != VersionTrace {
+	if got := h.slots[0].host.CapsuleVersion(); got != VersionTrace {
 		t.Fatalf("negotiated version %d, want %d", got, VersionTrace)
 	}
 	const writes = 16
@@ -119,14 +115,10 @@ func TestPhaseQuantilesMatchPrometheus(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: 8 * model.MB})
 	var traceBuf bytes.Buffer
 	reg := telemetry.New()
-	h, err := DialConfig(addr, 1, HostConfig{
+	h := dialOne(t, addr, 1, PoolConfig{
 		Tracer:    telemetry.NewTracer(&traceBuf),
 		Telemetry: reg,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
 	for i := 0; i < 200; i++ {
 		if err := h.WriteAt(int64(i%16)*4096, bytes.Repeat([]byte{byte(i)}, 1024)); err != nil {
 			t.Fatal(err)
@@ -173,12 +165,8 @@ func TestPhaseQuantilesMatchPrometheus(t *testing.T) {
 // operation against a version-aware target.
 func TestLegacyClientInterop(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
-	h, err := Dial(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	if got := h.CapsuleVersion(); got != VersionLegacy {
+	h := dialOne(t, addr, 1, PoolConfig{})
+	if got := h.slots[0].host.CapsuleVersion(); got != VersionLegacy {
 		t.Fatalf("legacy dial negotiated version %d, want %d", got, VersionLegacy)
 	}
 	if err := h.WriteAt(0, []byte("legacy")); err != nil {
@@ -199,11 +187,7 @@ func TestLegacyClientInterop(t *testing.T) {
 	}
 
 	// Admin plane stays legacy-compatible too.
-	adm, err := DialAdmin(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer adm.Close()
+	adm := dialOne(t, addr, 0, PoolConfig{})
 	nsid, err := adm.CreateNamespace(64 * 1024)
 	if err != nil {
 		t.Fatal(err)

@@ -252,10 +252,10 @@ type tenantRun struct {
 
 // rankRegion is one rank's private byte range on one target, plus what
 // the campaign knows about its content: the last acked write pattern,
-// and whether a later wire-touching write left the region
-// indeterminate (a timed-out WRITE may or may not have landed — the
-// read-back verifier only asserts regions whose last wire write was
-// acknowledged).
+// and whether a later failed or timed-out WRITE may or may not have
+// landed. Only acked regions are verified; clearing indeterminate on the
+// next ack relies on the target dropping what a dead connection left
+// queued (Target.serve, qpConn.lost): the failed WRITE cannot land late.
 type rankRegion struct {
 	target        int
 	base          int64

@@ -292,18 +292,14 @@ func Experiments() []string { return harness.IDs() }
 // TCP NVMe-oF (functional remote data plane; see internal/nvmeof).
 
 // Queue is the canonical NVMe-oF initiator: namespace-aware reads,
-// writes, and flushes plus a telemetry snapshot, whether backed by one
-// queue pair (DialTarget) or a sharded pool (DialTargetPool). Write
-// code against Queue; reach for the concrete Host/HostPool types only
-// when you need their extra knobs.
+// writes, and flushes plus a telemetry snapshot, backed by a pool of
+// one queue pair (DialTarget) or of many (DialTargetPool). Write code
+// against Queue; reach for the concrete HostPool type only when you
+// need its extra knobs.
 type Queue = nvmeof.Queue
 
 // Target is a TCP NVMe-oF target daemon.
 type Target = nvmeof.Target
-
-// Host is a single-queue-pair TCP NVMe-oF initiator (advanced; most
-// code should hold a Queue).
-type Host = nvmeof.Host
 
 // NewTarget creates an empty TCP NVMe-oF target.
 func NewTarget() *Target { return nvmeof.NewTarget() }
@@ -311,8 +307,12 @@ func NewTarget() *Target { return nvmeof.NewTarget() }
 // NewMemNamespace creates a target-side namespace of the given size.
 func NewMemNamespace(size int64) *nvmeof.MemNamespace { return nvmeof.NewMemNamespace(size) }
 
-// DialTarget connects a single queue pair to a TCP target.
-func DialTarget(addr string, nsid uint32) (Queue, error) { return nvmeof.Dial(addr, nsid) }
+// DialTarget connects a single queue pair to a TCP target: a pool of
+// one, so like any pool it retries idempotent commands and re-dials a
+// failed connection in the background.
+func DialTarget(addr string, nsid uint32) (Queue, error) {
+	return DialTargetPool(addr, nsid, PoolConfig{QueuePairs: 1})
+}
 
 // HostPool is a multi-queue-pair TCP NVMe-oF initiator: commands shard
 // across independent connections, idempotent commands retry, and failed

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Net source size: lines of non-test Go per internal/* package, cmd,
 # benchmark, the module root, and in total. ROADMAP standard 2 tracks
-# this number; scripts/verify.sh prints it last. Informational only.
+# this number: its output is committed as LOC.txt, and scripts/verify.sh
+# ends by diffing a fresh run against that. Informational only.
 set -eu
 
 cd "$(dirname "$0")/.."
