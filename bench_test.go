@@ -11,15 +11,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
-	"github.com/nvme-cr/nvmecr/internal/cache"
 	"github.com/nvme-cr/nvmecr/internal/harness"
-	"github.com/nvme-cr/nvmecr/internal/incremental"
 	"github.com/nvme-cr/nvmecr/internal/model"
-	"github.com/nvme-cr/nvmecr/internal/nvme"
-	"github.com/nvme-cr/nvmecr/internal/sim"
-	"github.com/nvme-cr/nvmecr/internal/spdk"
 	"github.com/nvme-cr/nvmecr/internal/vfs"
 )
 
@@ -256,77 +250,6 @@ func BenchmarkAblationKernelPath(b *testing.B) {
 		bwKernel, _ := jobDump(b, kernel, 4, 16*model.MB, 64*model.KB)
 		b.ReportMetric(bwUser/1e9, "GB/s-userspace")
 		b.ReportMetric(bwKernel/1e9, "GB/s-kernel")
-	}
-}
-
-// BenchmarkExtensionCacheLayer measures the paper's future-work cache
-// layer: repeated restart reads of the same checkpoint, cold versus
-// warm.
-func BenchmarkExtensionCacheLayer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		env := sim.NewEnv()
-		params := model.Default()
-		dev := nvme.New(env, "ssd", params.SSD, false)
-		ns, err := dev.CreateNamespace(1 * model.GB)
-		if err != nil {
-			b.Fatal(err)
-		}
-		acct := &vfs.Account{}
-		inner, err := spdk.NewPlane(ns, 0, ns.Size(), params.Host, acct)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cached, err := cache.New(inner, acct, cache.Config{CapacityBytes: 512 * model.MB})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var cold, warm time.Duration
-		env.Go("reader", func(p *sim.Proc) {
-			inner.Write(p, 0, 256*model.MB, nil, 32*model.KB)
-			t0 := p.Now()
-			cached.Read(p, 0, 256*model.MB, 32*model.KB)
-			cold = p.Now() - t0
-			t0 = p.Now()
-			cached.Read(p, 0, 256*model.MB, 32*model.KB)
-			warm = p.Now() - t0
-		})
-		if _, err := env.Run(); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(256.0/cold.Seconds()/1024, "GB/s-cold-restart")
-		b.ReportMetric(256.0/warm.Seconds()/1024, "GB/s-warm-restart")
-	}
-}
-
-// BenchmarkExtensionIncremental measures hash-based incremental
-// checkpointing layered over NVMe-CR: dump volume when 5% of pages
-// change per interval.
-func BenchmarkExtensionIncremental(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		job, err := NewJob(JobConfig{Ranks: 1, Capture: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var savings float64
-		_, err = job.Run(func(ctx *RankCtx) error {
-			w := incremental.New(ctx.FS, 4096)
-			state := make([]byte, 8*model.MB)
-			for round := 0; round < 5; round++ {
-				// Dirty ~5% of pages.
-				for pg := 0; pg < len(state)/4096; pg += 20 {
-					state[pg*4096] = byte(round + 1)
-				}
-				if _, err := w.Checkpoint(ctx.Proc, "/inc.ckpt", state); err != nil {
-					return err
-				}
-			}
-			savings = w.SavingsRatio()
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(savings*100, "pct-pages-skipped")
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"github.com/nvme-cr/nvmecr/internal/mpi"
 	"github.com/nvme-cr/nvmecr/internal/sim"
@@ -71,53 +70,5 @@ func TestStorageNodeFailureSurfacesAsIOError(t *testing.T) {
 	})
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCacheBytesSpeedsRepeatedReads verifies the future-work cache layer
-// wired through core.Options.
-func TestCacheBytesSpeedsRepeatedReads(t *testing.T) {
-	read := func(cacheBytes int64) time.Duration {
-		env, world, fab, devs := testJob(t, 4, false)
-		opts := smallOpts()
-		opts.CacheBytes = cacheBytes
-		rt, err := NewRuntime(env, world, fab, devs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var second time.Duration
-		world.Launch(func(r *mpi.Rank, p *sim.Proc) {
-			c, err := rt.InitRank(p, r)
-			if err != nil {
-				t.Errorf("rank %d: %v", r.ID(), err)
-				return
-			}
-			f, _ := c.Open(p, "/data", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
-			f.WriteN(p, 8<<20)
-			f.Close(p)
-			// Two full read passes: the second hits the cache.
-			for pass := 0; pass < 2; pass++ {
-				g, err := c.Open(p, "/data", vfs.O_RDONLY, 0)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				t0 := p.Now()
-				vfs.ReadAllN(p, g, 8<<20, 1<<20)
-				if pass == 1 && r.ID() == 0 {
-					second = p.Now() - t0
-				}
-				g.Close(p)
-			}
-		})
-		if _, err := env.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return second
-	}
-	uncached := read(0)
-	cached := read(64 << 20)
-	if cached >= uncached {
-		t.Errorf("second read with cache (%v) not faster than without (%v)", cached, uncached)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/nvme-cr/nvmecr/internal/balancer"
-	"github.com/nvme-cr/nvmecr/internal/cache"
 	"github.com/nvme-cr/nvmecr/internal/fabric"
 	"github.com/nvme-cr/nvmecr/internal/health"
 	"github.com/nvme-cr/nvmecr/internal/kernelio"
@@ -85,13 +84,8 @@ type Options struct {
 	// (defaults 4 MB / 64 MB).
 	LogBytes  int64
 	SnapBytes int64
-	// SnapThreshold is the background snapshot trigger (default 0.7).
-	SnapThreshold float64
 	// Background enables the per-rank background snapshot thread.
 	Background bool
-	// CacheBytes, when non-zero, layers a per-rank DRAM read cache of
-	// that size over the data plane (the paper's §V future-work item).
-	CacheBytes int64
 	// Host overrides userspace cost constants (defaults to
 	// model.Default().Host).
 	Host model.Host
@@ -171,8 +165,8 @@ type Client struct {
 }
 
 // NewRuntime allocates storage for the job — the scheduler-integration
-// half of initialization (SSD selection and NVMe namespace creation
-// happen before ranks start, as with Slurm generic resources).
+// half of initialization (§III-F: SSD selection and one NVMe namespace
+// per SSD, the job's isolation boundary, happen before ranks start).
 func NewRuntime(env *sim.Env, world *mpi.World, fab *fabric.Fabric, devices []balancer.StorageDevice, opts Options) (*Runtime, error) {
 	opts.setDefaults()
 	b, err := balancer.New(world.Cluster(), devices)
@@ -241,24 +235,17 @@ func (rt *Runtime) InitRank(p *sim.Proc, r *mpi.Rank) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rt.opts.CacheBytes > 0 {
-		pl, err = cache.New(pl, acct, cache.Config{CapacityBytes: rt.opts.CacheBytes})
-		if err != nil {
-			return nil, err
-		}
-	}
 	inst, err := microfs.New(rt.env, microfs.Config{
-		Plane:         pl,
-		Account:       acct,
-		Host:          rt.opts.Host,
-		Features:      rt.opts.Features,
-		LogBytes:      rt.opts.LogBytes,
-		SnapBytes:     rt.opts.SnapBytes,
-		SnapThreshold: rt.opts.SnapThreshold,
-		NoCoalesce:    rt.opts.NoCoalesce,
-		GlobalNS:      rt.globalNS,
-		Tracer:        rt.opts.Tracer,
-		Rank:          rank,
+		Plane:      pl,
+		Account:    acct,
+		Host:       rt.opts.Host,
+		Features:   rt.opts.Features,
+		LogBytes:   rt.opts.LogBytes,
+		SnapBytes:  rt.opts.SnapBytes,
+		NoCoalesce: rt.opts.NoCoalesce,
+		GlobalNS:   rt.globalNS,
+		Tracer:     rt.opts.Tracer,
+		Rank:       rank,
 	})
 	if err != nil {
 		return nil, err

@@ -126,7 +126,7 @@ func extMTRun(opts Options) (*extMTResult, error) {
 	if _, err := nsp.Mount(vfs.MountConfig{
 		Path: "/tenants/gamma", Backend: vfs.NewMemBackend(), Name: "gamma",
 		QuotaBytes: extMTGammaQuota, QuotaInodes: 64,
-		Admission:  gammaTenant,
+		Admission: gammaTenant,
 	}); err != nil {
 		return nil, err
 	}

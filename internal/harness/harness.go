@@ -136,18 +136,6 @@ func Run(id string, opts Options) (*Table, error) {
 	return tbl, err
 }
 
-// RunAll executes every experiment, printing each table to w.
-func RunAll(w io.Writer, opts Options) error {
-	for _, id := range IDs() {
-		t, err := Run(id, opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		t.Print(w)
-	}
-	return nil
-}
-
 // f2 formats a float with two decimals; f3 with three.
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

@@ -93,83 +93,26 @@ const (
 	MetricSLOBurnRate = "nvmecr_slo_burn_rate"
 )
 
-// Thresholds are the hysteresis bands of the state machine. Scores are
-// 0..1 (1 healthy). A state is entered when the score stays below its
-// Enter threshold for EnterTicks consecutive ticks, and left (toward
-// healthy) when the score stays above the current state's Exit
-// threshold for ExitTicks. Exit > Enter for every state is what makes
-// the band: a score oscillating between the two moves nothing.
-type Thresholds struct {
-	DegradedEnter float64
-	DegradedExit  float64
-	SuspectEnter  float64
-	SuspectExit   float64
-	DeadEnter     float64
-	DeadExit      float64
-	// EnterTicks is how many consecutive qualifying ticks a demotion
-	// needs; ExitTicks likewise for promotions. Promotions are slower
-	// by default: flapping back early is worse than lingering.
-	EnterTicks int
-	ExitTicks  int
+// bands are the hysteresis bands of the state machine. Scores are 0..1
+// (1 healthy). State s is entered when the score stays below enter[s]
+// for enterTicks consecutive ticks, and left (toward healthy) when the
+// score stays above exit[s] for exitTicks. exit > enter for every state
+// is what makes the band: a score oscillating between the two moves
+// nothing. Promotions are slower than demotions: flapping back early is
+// worse than lingering.
+var bands = struct {
+	enter, exit           [Dead + 1]float64
+	enterTicks, exitTicks int
+}{
+	enter:      [Dead + 1]float64{Degraded: 0.75, Suspect: 0.45, Dead: 0.10},
+	exit:       [Dead + 1]float64{Degraded: 0.90, Suspect: 0.65, Dead: 0.30},
+	enterTicks: 2,
+	exitTicks:  3,
 }
 
-// DefaultThresholds returns the standard hysteresis bands.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		DegradedEnter: 0.75, DegradedExit: 0.90,
-		SuspectEnter: 0.45, SuspectExit: 0.65,
-		DeadEnter: 0.10, DeadExit: 0.30,
-		EnterTicks: 2, ExitTicks: 3,
-	}
-}
-
-func (t Thresholds) withDefaults() Thresholds {
-	d := DefaultThresholds()
-	if t.DegradedEnter == 0 && t.DegradedExit == 0 {
-		t.DegradedEnter, t.DegradedExit = d.DegradedEnter, d.DegradedExit
-	}
-	if t.SuspectEnter == 0 && t.SuspectExit == 0 {
-		t.SuspectEnter, t.SuspectExit = d.SuspectEnter, d.SuspectExit
-	}
-	if t.DeadEnter == 0 && t.DeadExit == 0 {
-		t.DeadEnter, t.DeadExit = d.DeadEnter, d.DeadExit
-	}
-	if t.EnterTicks <= 0 {
-		t.EnterTicks = d.EnterTicks
-	}
-	if t.ExitTicks <= 0 {
-		t.ExitTicks = d.ExitTicks
-	}
-	return t
-}
-
-// enter returns the score below which state s is entered.
-func (t Thresholds) enter(s State) float64 {
-	switch s {
-	case Degraded:
-		return t.DegradedEnter
-	case Suspect:
-		return t.SuspectEnter
-	case Dead:
-		return t.DeadEnter
-	default:
-		return 0
-	}
-}
-
-// exit returns the score above which state s is left toward healthy.
-func (t Thresholds) exit(s State) float64 {
-	switch s {
-	case Degraded:
-		return t.DegradedExit
-	case Suspect:
-		return t.SuspectExit
-	case Dead:
-		return t.DeadExit
-	default:
-		return 1
-	}
-}
+// alpha is the EWMA smoothing factor for the per-subject error rate and
+// latency trackers.
+const alpha = 0.3
 
 // Config tunes an Engine. The zero value gets sensible defaults.
 type Config struct {
@@ -186,11 +129,6 @@ type Config struct {
 	// Capture configures black-box incident capture; the zero value
 	// (empty Dir) disables it.
 	Capture CaptureConfig
-	// Thresholds are the hysteresis bands (zero value = defaults).
-	Thresholds Thresholds
-	// Alpha is the EWMA smoothing factor for the per-subject error
-	// rate and latency trackers (default 0.3).
-	Alpha float64
 	// Now overrides the clock (tests); default time.Now.
 	Now func() time.Time
 }
@@ -203,10 +141,6 @@ func (c Config) withDefaults() Config {
 		c.Registry = telemetry.New()
 	}
 	c.Capture = c.Capture.withDefaults()
-	c.Thresholds = c.Thresholds.withDefaults()
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -489,15 +423,14 @@ func (s *Subject) evaluate(snap *telemetry.RegistrySnapshot, tick uint64) {
 	sample := s.cfg.Collect(snap)
 
 	s.mu.Lock()
-	t := s.eng.cfg.Thresholds
 	s.live = sample.Live
 	if sample.Commands > 0 {
 		// EWMA over the cumulative ratio is cheap and monotonic-safe;
 		// the objectives carry the windowed judgment.
-		s.errEWMA.observe(s.eng.cfg.Alpha, float64(sample.Errors)/float64(sample.Commands))
+		s.errEWMA.observe(alpha, float64(sample.Errors)/float64(sample.Commands))
 	}
 	if sample.Latency > 0 {
-		s.latEWMA.observe(s.eng.cfg.Alpha, sample.Latency)
+		s.latEWMA.observe(alpha, sample.Latency)
 	}
 
 	// Score: the worst objective's budget pressure, 0 (calm) to 1
@@ -550,16 +483,16 @@ func (s *Subject) evaluate(snap *telemetry.RegistrySnapshot, tick uint64) {
 	old := s.state
 	var tentative State = old
 	switch {
-	case old < Dead && s.score < t.enter(old+1) && (old+1 != Dead || !sample.Live):
+	case old < Dead && s.score < bands.enter[old+1] && (old+1 != Dead || !sample.Live):
 		s.enterRun++
 		s.exitRun = 0
-		if s.enterRun >= t.EnterTicks {
+		if s.enterRun >= bands.enterTicks {
 			tentative = old + 1
 		}
-	case old > Healthy && s.score > t.exit(old):
+	case old > Healthy && s.score > bands.exit[old]:
 		s.exitRun++
 		s.enterRun = 0
-		if s.exitRun >= t.ExitTicks {
+		if s.exitRun >= bands.exitTicks {
 			tentative = old - 1
 		}
 	default:

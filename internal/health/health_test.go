@@ -122,7 +122,7 @@ func TestHysteresisNoFlapping(t *testing.T) {
 		e.Tick()
 	}
 	push(0) // baseline
-	// Two bad ticks in a row: demote to degraded (EnterTicks=2).
+	// Two bad ticks in a row: demote to degraded (enterTicks=2).
 	push(0.028)
 	push(0.028)
 	if got := sub.State(); got != Degraded {
@@ -130,7 +130,7 @@ func TestHysteresisNoFlapping(t *testing.T) {
 	}
 	transitionsAfterDemote := sub.Verdict().Transitions
 	// Oscillate across the band for 20 ticks: no further transitions —
-	// 0.72 is below the degraded band but EnterTicks never accumulates
+	// 0.72 is below the degraded band but enterTicks never accumulates
 	// 2 in a row, 0.88 is above entry but below exit.
 	for i := 0; i < 10; i++ {
 		push(0.012)
@@ -142,7 +142,7 @@ func TestHysteresisNoFlapping(t *testing.T) {
 	if tr := sub.Verdict().Transitions; tr != transitionsAfterDemote {
 		t.Fatalf("transitions went %d → %d during oscillation", transitionsAfterDemote, tr)
 	}
-	// Sustained recovery (score 1 > exit 0.90 for ExitTicks=3) promotes.
+	// Sustained recovery (score 1 > exit 0.90 for exitTicks=3) promotes.
 	for i := 0; i < 3; i++ {
 		push(0)
 	}

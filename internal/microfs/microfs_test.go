@@ -616,7 +616,7 @@ func TestRandomOpsAgainstReference(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		var paths []string
 		for op := 0; op < 120; op++ {
-			switch rng.Intn(10) {
+			switch rng.Intn(11) {
 			case 0, 1, 2, 3: // create a new file with random content
 				path := fmt.Sprintf("/file%04d", op)
 				size := rng.Intn(200*1024) + 1
@@ -668,6 +668,50 @@ func TestRandomOpsAgainstReference(t *testing.T) {
 				if err := r.inst.SnapshotNow(p); err != nil {
 					t.Fatal(err)
 				}
+			case 8: // one session of writes at scattered 4 KiB-aligned offsets
+				if len(paths) == 0 {
+					continue
+				}
+				path := paths[rng.Intn(len(paths))]
+				want := ref[path]
+				if want == nil {
+					continue
+				}
+				f, err := r.inst.Open(p, path, vfs.O_WRONLY, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := rng.Intn(8) + 1; k > 0; k-- {
+					off := int64(rng.Intn((len(want)+4095)/4096)) * 4096
+					data := make([]byte, rng.Intn(16*1024)+1)
+					rng.Read(data)
+					if err := f.SeekTo(off); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := f.Write(p, data); err != nil {
+						t.Fatal(err)
+					}
+					if end := off + int64(len(data)); end > int64(len(want)) {
+						want = append(want, make([]byte, end-int64(len(want)))...)
+					}
+					copy(want[off:], data)
+				}
+				if err := f.Fsync(p); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Close(p); err != nil {
+					t.Fatal(err)
+				}
+				ref[path] = want
+				g, err := r.inst.Open(p, path, vfs.O_RDONLY, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf := make([]byte, len(want))
+				if n, err := g.Read(p, buf); err != nil || n != len(want) || !bytes.Equal(buf, want) {
+					t.Fatalf("%s after scattered writes: read %d, %v; content equal %v", path, n, err, bytes.Equal(buf, want))
+				}
+				g.Close(p)
 			default: // stat everything
 				for path, want := range ref {
 					fi, err := r.inst.Stat(p, path)

@@ -100,9 +100,6 @@ type Rank struct {
 // ID returns the rank number in MPI_COMM_WORLD.
 func (r *Rank) ID() int { return r.id }
 
-// World returns the owning world.
-func (r *Rank) World() *World { return r.world }
-
 // Node returns the compute node this rank runs on.
 func (r *Rank) Node() *topology.Node { return r.world.nodes[r.id] }
 

@@ -22,7 +22,6 @@ package nvme
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/nvme-cr/nvmecr/internal/extent"
@@ -92,7 +91,7 @@ type Device struct {
 
 	capacity int64
 	nsNext   int
-	nsList   []*Namespace
+	nsUsed   int64 // namespaces are carved back to back from 0
 
 	// Device RAM write-buffer state (token bucket): occupancy drains
 	// at media write bandwidth.
@@ -170,8 +169,8 @@ func (d *Device) Params() model.SSD { return d.params }
 // Capacity returns the device capacity in bytes.
 func (d *Device) Capacity() int64 { return d.capacity }
 
-// Namespace is an isolated region of the device, the unit at which the
-// job scheduler assigns storage to jobs (the paper's security model).
+// Namespace is an isolated region of the device, the unit at which a
+// job is granted storage (the paper's §III-F security model).
 type Namespace struct {
 	ID   int
 	dev  *Device
@@ -186,58 +185,20 @@ func (ns *Namespace) Size() int64 { return ns.size }
 func (ns *Namespace) Device() *Device { return ns.dev }
 
 // CreateNamespace carves a new namespace of the given size from unused
-// device space, first-fit over the gaps left by deleted namespaces.
+// device space.
 func (d *Device) CreateNamespace(size int64) (*Namespace, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("nvme %s: namespace size %d", d.Name, size)
 	}
-	// Namespaces sorted by base; find the first gap that fits.
-	sorted := append([]*Namespace(nil), d.nsList...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].base < sorted[j].base })
-	base := int64(0)
-	for _, ns := range sorted {
-		if ns.base-base >= size {
-			break
-		}
-		base = ns.base + ns.size
+	if d.nsUsed+size > d.capacity {
+		return nil, fmt.Errorf("nvme %s: no space for %d-byte namespace (%d free of %d)",
+			d.Name, size, d.capacity-d.nsUsed, d.capacity)
 	}
-	if base+size > d.capacity {
-		return nil, fmt.Errorf("nvme %s: no space for %d-byte namespace (%d free at tail of %d)",
-			d.Name, size, d.capacity-base, d.capacity)
-	}
-	ns := &Namespace{ID: d.nsNext, dev: d, base: base, size: size}
+	ns := &Namespace{ID: d.nsNext, dev: d, base: d.nsUsed, size: size}
 	d.nsNext++
-	d.nsList = append(d.nsList, ns)
+	d.nsUsed += size
 	return ns, nil
 }
-
-// DeleteNamespace reclaims a namespace, discarding its data — the
-// scheduler does this when a job's storage grant ends.
-func (d *Device) DeleteNamespace(ns *Namespace) error {
-	for i, x := range d.nsList {
-		if x == ns {
-			d.nsList = append(d.nsList[:i], d.nsList[i+1:]...)
-			if d.capture {
-				d.store.Trim(ns.base, ns.size)
-			}
-			ns.dev = nil // poison: further submits fail the queue check
-			return nil
-		}
-	}
-	return fmt.Errorf("nvme %s: namespace %d not found", d.Name, ns.ID)
-}
-
-// FreeBytes returns the unallocated capacity.
-func (d *Device) FreeBytes() int64 {
-	var used int64
-	for _, ns := range d.nsList {
-		used += ns.size
-	}
-	return d.capacity - used
-}
-
-// Namespaces returns the created namespaces in creation order.
-func (d *Device) Namespaces() []*Namespace { return d.nsList }
 
 // Queue is a hardware submission/completion queue pair. Each microfs
 // instance is assigned its own queue; when instances outnumber hardware
@@ -264,9 +225,6 @@ func (d *Device) AllocQueue() *Queue {
 // for out-of-bounds access.
 func (ns *Namespace) Submit(p *sim.Proc, q *Queue, req Request) ([]byte, error) {
 	d := ns.dev
-	if d == nil {
-		return nil, fmt.Errorf("nvme: namespace %d has been deleted", ns.ID)
-	}
 	if d.failed {
 		return nil, fmt.Errorf("nvme %s: device failed", d.Name)
 	}
@@ -444,14 +402,8 @@ func (d *Device) PowerFail(capacitorsOK bool) int64 {
 func (d *Device) InjectFaults(plan *faults.Plan) { d.faults = plan }
 
 // Fail marks the device as failed (a storage-node crash in a cascading
-// failure): every subsequent submission errors. Repair clears it.
+// failure): every subsequent submission errors.
 func (d *Device) Fail() { d.failed = true }
-
-// Repair clears a failure (node replacement).
-func (d *Device) Repair() { d.failed = false }
-
-// Failed reports the failure state.
-func (d *Device) Failed() bool { return d.failed }
 
 // Stats reports totals since creation.
 func (d *Device) Stats() (written, read, cmds int64, busy time.Duration) {

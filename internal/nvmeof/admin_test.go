@@ -128,9 +128,9 @@ func TestAdminQueueCannotDoIO(t *testing.T) {
 }
 
 func TestSchedulerStyleRemoteGrant(t *testing.T) {
-	// The sched package's flow, but against a real remote target: grant
-	// a namespace, run a microfs-style workload region through a data
-	// queue pair, release it.
+	// A scheduler's namespace-per-job grant against a real remote target:
+	// grant a namespace, run a microfs-style workload region through a
+	// data queue pair, release it.
 	tgt := NewTargetWithCapacity(64 * model.MB)
 	addr, err := tgt.Listen("127.0.0.1:0")
 	if err != nil {

@@ -58,17 +58,9 @@ type Config struct {
 	// target (default 1ms) — it sets the service-time scale every
 	// other knob is calibrated against.
 	TargetLatency time.Duration
-	// QueuePairs per (tenant, target) pool (default 2).
-	QueuePairs int
 	// GateCapacity is the shared EDF gate's concurrency budget
-	// (default 4); GateQueue and TenantQueue bound its backlog
-	// (defaults 1024 and 512).
+	// (default 4).
 	GateCapacity int
-	GateQueue    int
-	TenantQueue  int
-	// CommandTimeout bounds each command (default 2s; it also sets
-	// the EDF deadline each pool presents to the gate).
-	CommandTimeout time.Duration
 	// Tenants is the tenant roster. Required.
 	Tenants []TenantSpec
 	// Faults are injected into every tenant pool's connections,
@@ -79,9 +71,6 @@ type Config struct {
 	// — the break-demo knob: aggressors then flood the gate and the
 	// victim tail explodes.
 	DisableAdmission bool
-	// DisableGate removes the EDF gate from the pools — the second
-	// break-demo knob.
-	DisableGate bool
 	// SoloBaseline, when true (the default via RunWithBaseline),
 	// first runs the victim tenant alone in a clean world and records
 	// its p99.9 as the reference for Check's latency bound.
@@ -91,6 +80,17 @@ type Config struct {
 	Registry *telemetry.Registry
 }
 
+// The campaign's fixed pool and gate shape: queue pairs per (tenant,
+// target) pool, the gate's total and per-tenant backlog, and the
+// per-command timeout (which also sets the EDF deadline each pool
+// presents to the gate).
+const (
+	queuePairs     = 2
+	gateQueue      = 1024
+	tenantQueue    = 512
+	commandTimeout = 2 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.Targets <= 0 {
 		c.Targets = 2
@@ -98,20 +98,8 @@ func (c Config) withDefaults() Config {
 	if c.TargetLatency <= 0 {
 		c.TargetLatency = time.Millisecond
 	}
-	if c.QueuePairs <= 0 {
-		c.QueuePairs = 2
-	}
 	if c.GateCapacity <= 0 {
 		c.GateCapacity = 4
-	}
-	if c.GateQueue <= 0 {
-		c.GateQueue = 1024
-	}
-	if c.TenantQueue <= 0 {
-		c.TenantQueue = 512
-	}
-	if c.CommandTimeout <= 0 {
-		c.CommandTimeout = 2 * time.Second
 	}
 	return c
 }
@@ -331,14 +319,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Shared deadline gate and admission controller.
-	var gate *sched.EDF
-	if !cfg.DisableGate {
-		gate = sched.NewEDF(sched.EDFConfig{
-			Capacity:      cfg.GateCapacity,
-			MaxWaiters:    cfg.GateQueue,
-			TenantWaiters: cfg.TenantQueue,
-		})
-	}
+	gate := sched.NewEDF(sched.EDFConfig{
+		Capacity:      cfg.GateCapacity,
+		MaxWaiters:    gateQueue,
+		TenantWaiters: tenantQueue,
+	})
 	ctrl := qos.NewController(reg)
 	if cfg.DisableAdmission {
 		ctrl.SetEnforcement(false)
@@ -363,14 +348,11 @@ func Run(cfg Config) (*Result, error) {
 		}
 		for i := 0; i < cfg.Targets; i++ {
 			pc := nvmeof.PoolConfig{
-				QueuePairs:     cfg.QueuePairs,
-				CommandTimeout: cfg.CommandTimeout,
+				QueuePairs:     queuePairs,
+				CommandTimeout: commandTimeout,
 				Gate:           gate,
 				GateTenant:     spec.Name,
 				RetryBackoff:   time.Millisecond,
-			}
-			if gate == nil {
-				pc.Gate = nil
 			}
 			if plan != nil {
 				pc.Dial = nvmeof.FaultDialer(plan)
@@ -442,7 +424,7 @@ func Run(cfg Config) (*Result, error) {
 	// acked pattern — via clean pools, no gate, no faults.
 	verifyPools := make([]*nvmeof.HostPool, cfg.Targets)
 	for i := range verifyPools {
-		p, err := nvmeof.DialPool(addrs[i], 1, nvmeof.PoolConfig{QueuePairs: 1, CommandTimeout: cfg.CommandTimeout})
+		p, err := nvmeof.DialPool(addrs[i], 1, nvmeof.PoolConfig{QueuePairs: 1, CommandTimeout: commandTimeout})
 		if err != nil {
 			return nil, fmt.Errorf("campaign: verify pool: %w", err)
 		}

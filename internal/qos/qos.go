@@ -141,12 +141,6 @@ type Tenant struct {
 	rejectedBytes *telemetry.Counter
 }
 
-// Name returns the tenant label.
-func (t *Tenant) Name() string { return t.name }
-
-// Limits returns the configured budget.
-func (t *Tenant) Limits() TenantLimits { return t.limits }
-
 // Admit charges one operation of `bytes` payload against the tenant's
 // buckets: nil means the operation is admitted, ErrAdmission (wrapped)
 // means it is rejected right now. Admission is instantaneous either

@@ -1,3 +1,6 @@
+// Package sched is the EDF deadline gate: a bounded, earliest-deadline-
+// first admission queue in front of a shared resource (a target's queue
+// pairs), which sheds instead of queueing without bound.
 package sched
 
 import (

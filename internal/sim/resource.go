@@ -81,20 +81,6 @@ func (r *Resource) Release() {
 	}
 }
 
-// InUse reports the number of currently held slots.
-func (r *Resource) InUse() int {
-	r.env.mu.Lock()
-	defer r.env.mu.Unlock()
-	return r.inUse
-}
-
-// QueueLen reports the number of processes waiting for a slot.
-func (r *Resource) QueueLen() int {
-	r.env.mu.Lock()
-	defer r.env.mu.Unlock()
-	return len(r.q)
-}
-
 // Stats reports total acquisitions, the high-water queue length, and the
 // total virtual time processes spent waiting.
 func (r *Resource) Stats() (acquires int64, maxQueue int, waitTotalNS int64) {

@@ -75,9 +75,6 @@ type Proc struct {
 // Env returns the environment this process belongs to.
 func (p *Proc) Env() *Env { return p.env }
 
-// Name returns the name given to Go.
-func (p *Proc) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.Now() }
 
@@ -142,10 +139,6 @@ func (p *Proc) SleepUntil(t time.Duration) {
 	e.mu.Unlock()
 	<-ch
 }
-
-// Yield relinquishes the processor, allowing any event scheduled at the
-// current instant to run first.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // blockLocked marks the calling process as no longer runnable and wakes
 // the scheduler. Callers must hold e.mu and must subsequently block on a

@@ -101,10 +101,3 @@ func (s *Signal) Fire() {
 	}
 	s.waiters = nil
 }
-
-// Waiters reports how many processes are blocked on the signal.
-func (s *Signal) Waiters() int {
-	s.env.mu.Lock()
-	defer s.env.mu.Unlock()
-	return len(s.waiters)
-}

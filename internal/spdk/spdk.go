@@ -46,12 +46,6 @@ func NewPlane(ns *nvme.Namespace, base, size int64, host model.Host, acct *vfs.A
 // Size returns the partition size.
 func (pl *Plane) Size() int64 { return pl.size }
 
-// Queue returns the hardware queue backing this plane (diagnostics).
-func (pl *Plane) Queue() *nvme.Queue { return pl.queue }
-
-// Device returns the underlying device.
-func (pl *Plane) Device() *nvme.Device { return pl.ns.Device() }
-
 func (pl *Plane) check(off, length int64) error {
 	if off < 0 || length < 0 || off+length > pl.size {
 		return fmt.Errorf("spdk: access [%d,+%d) outside partition of %d bytes", off, length, pl.size)

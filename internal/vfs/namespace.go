@@ -68,9 +68,6 @@ func (m *Mount) Path() string { return m.path }
 // Name returns the telemetry label.
 func (m *Mount) Name() string { return m.name }
 
-// Backend returns the backend serving the mount.
-func (m *Mount) Backend() Backend { return m.cfg.Backend }
-
 // Quota returns the configured byte and inode caps (0 = unlimited).
 func (m *Mount) Quota() (bytes, inodes int64) {
 	return m.cfg.QuotaBytes, m.cfg.QuotaInodes

@@ -17,12 +17,36 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 
 echo "== go build"
 go build ./...
 
 echo "== go vet"
 go vet ./...
+
+echo "== orphan packages"
+# Every internal package must be reached by a command, an example, the
+# benchmark or the module root; an importer in a _test.go file does not
+# count (ROADMAP standard 2: no package without a caller).
+mod="$(go list -m)"
+go list ./internal/... | sort >"$tmp/internal"
+go list -deps ./cmd/... ./benchmark ./examples/... . | sort >"$tmp/reached"
+comm -23 "$tmp/internal" "$tmp/reached" | sed "s|^$mod/||" >"$tmp/orphans"
+if [ -s "$tmp/orphans" ]; then
+	echo "internal packages nothing but tests reaches:"
+	cat "$tmp/orphans"
+	exit 1
+fi
+
+echo "== gofmt"
+gofmt -l . >"$tmp/gofmt"
+if [ -s "$tmp/gofmt" ]; then
+	echo "gofmt would reformat:"
+	cat "$tmp/gofmt"
+	exit 1
+fi
 
 if command -v shadow >/dev/null 2>&1; then
 	echo "== go vet -vettool=shadow"
@@ -149,8 +173,6 @@ echo "== paper experiments, quick mode (every experiment exits 0)"
 go run ./cmd/nvmecr-bench -quick >/dev/null
 
 echo "== nvmecr-trace smoke test"
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/nvmecr-bench -quick -trace "$tmp/trace.jsonl" tab2 >/dev/null
 report="$(go run ./cmd/nvmecr-trace -epochs "$tmp/trace.jsonl")"
 echo "$report" | grep -q "Span summary" || { echo "trace report missing span summary"; exit 1; }
