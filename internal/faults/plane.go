@@ -53,41 +53,63 @@ func (c *CrashPlane) Crashed() bool { return c.crashed }
 
 // Write forwards to the inner plane until the crash fires.
 func (c *CrashPlane) Write(p *sim.Proc, off, length int64, data []byte, cmdUnit int64) error {
-	if c.crashed {
+	keep, ok := c.land(p, length, cmdUnit)
+	if !ok {
 		return nil // dead: nothing reaches the device
 	}
-	inj, ok := c.plan.Eval(Point{Layer: LayerProcess, Op: "write", Rank: c.rank, Now: p.Now()})
-	if ok {
-		switch inj.Kind {
-		case KindCrash:
-			c.crashed = true
-			return nil
-		case KindTornWrite:
-			unit := cmdUnit
-			if unit < tornSectorBytes {
-				unit = tornSectorBytes
-			}
-			keep := inj.Arg
-			if keep < 0 {
-				keep = length / 2
-			}
-			if keep < length {
-				keep -= keep % unit
-			} else {
-				keep = length
-			}
-			c.crashed = true
-			if keep <= 0 {
-				return nil
-			}
-			torn := data
-			if torn != nil {
-				torn = torn[:keep]
-			}
-			return c.inner.Write(p, off, keep, torn, cmdUnit)
-		}
+	if data != nil {
+		data = data[:keep]
 	}
-	return c.inner.Write(p, off, length, data, cmdUnit)
+	return c.inner.Write(p, off, keep, data, cmdUnit)
+}
+
+// Charge implements plane.Charger: a write's plan point and crash
+// semantics over the inner plane's charge, when the inner plane charges.
+func (c *CrashPlane) Charge(p *sim.Proc, off, length, cmdUnit int64) error {
+	ch, ok := c.inner.(plane.Charger)
+	if !ok {
+		return nil
+	}
+	keep, ok := c.land(p, length, cmdUnit)
+	if !ok {
+		return nil
+	}
+	return ch.Charge(p, off, keep, cmdUnit)
+}
+
+// land evaluates a write's plan point and returns how many of its length
+// bytes reach the inner plane; ok is false when none do because the
+// process is, or from this write on becomes, dead.
+func (c *CrashPlane) land(p *sim.Proc, length, cmdUnit int64) (keep int64, ok bool) {
+	if c.crashed {
+		return 0, false
+	}
+	inj, fired := c.plan.Eval(Point{Layer: LayerProcess, Op: "write", Rank: c.rank, Now: p.Now()})
+	if !fired {
+		return length, true
+	}
+	switch inj.Kind {
+	case KindCrash:
+		c.crashed = true
+		return 0, false
+	case KindTornWrite:
+		unit := cmdUnit
+		if unit < tornSectorBytes {
+			unit = tornSectorBytes
+		}
+		keep = inj.Arg
+		if keep < 0 {
+			keep = length / 2
+		}
+		if keep < length {
+			keep -= keep % unit
+		} else {
+			keep = length
+		}
+		c.crashed = true
+		return keep, keep > 0
+	}
+	return length, true
 }
 
 // Read errors after the crash (see the type comment).

@@ -59,6 +59,18 @@ func (k *Plane) Write(p *sim.Proc, off, length int64, data []byte, cmdUnit int64
 	return k.inner.Write(p, off, length, data, cmdUnit)
 }
 
+// Charge implements plane.Charger: Write's kernel costs over the inner
+// plane's charge, when the inner plane charges.
+func (k *Plane) Charge(p *sim.Proc, off, length, cmdUnit int64) error {
+	c, ok := k.inner.(plane.Charger)
+	if !ok {
+		return nil
+	}
+	k.perOp(p)
+	k.copyCost(p, length)
+	return c.Charge(p, off, length, cmdUnit)
+}
+
 // Read implements plane.Plane.
 func (k *Plane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, error) {
 	k.perOp(p)

@@ -27,20 +27,32 @@ type recordingPlane struct {
 }
 
 func (r *recordingPlane) Write(p *sim.Proc, off, length int64, data []byte, cmdUnit int64) error {
-	cmd := "data" // file data, or a snapshot's body or header
-	switch {
-	case off < r.logBytes:
+	cmd := "data" // file data, synthetic or not, or a snapshot's body or header
+	if off < r.logBytes {
 		cmd = "log"
-	case data == nil:
-		cmd = "dir" // a directory's tail block, timing only
 	}
-	r.cmds = append(r.cmds, cmd)
-	if r.onWrite != nil {
-		if err := r.onWrite(cmd); err != nil {
-			return err
-		}
+	if err := r.record(cmd); err != nil {
+		return err
 	}
 	return r.Plane.Write(p, off, length, data, cmdUnit)
+}
+
+// Charge records a timing-only transfer, a directory's tail block, as
+// "dir": the simulator's device still sees it, the real transport never.
+func (r *recordingPlane) Charge(p *sim.Proc, off, length, cmdUnit int64) error {
+	if err := r.record("dir"); err != nil {
+		return err
+	}
+	return r.Plane.(plane.Charger).Charge(p, off, length, cmdUnit)
+}
+
+// record names one write command and passes it to onWrite.
+func (r *recordingPlane) record(cmd string) error {
+	r.cmds = append(r.cmds, cmd)
+	if r.onWrite != nil {
+		return r.onWrite(cmd)
+	}
+	return nil
 }
 
 func (r *recordingPlane) Flush(p *sim.Proc) error {

@@ -73,10 +73,11 @@ func TestCrashDuringSnapshotKeepsOldSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Budget: create logs a page + dir tail (2 writes), the data
-		// write logs a page + one extent (2 more), the snapshot body
-		// is the 5th — the header commit is the first dropped write.
-		fp := &faultPlane{inner: base, writesLeft: 5}
+		// Budget: create logs a page (1 write; faultPlane is no
+		// plane.Charger, so the directory's tail block is not charged),
+		// the data write logs a page + one extent (2 more), the snapshot
+		// body is the 4th — the header commit is the first dropped write.
+		fp := &faultPlane{inner: base, writesLeft: 4}
 		cfg := r.cfg
 		cfg.Plane = fp
 		cfg.Account = acct

@@ -237,6 +237,7 @@ func (f *file) Fsync(p *sim.Proc) error {
 	if err := f.inst.flushStage(p); err != nil {
 		return err
 	}
+	f.inst.awaitReset(p)
 	if err := f.inst.log.Sync(f.inst.logWriter(p)); err != nil {
 		return err
 	}
@@ -255,6 +256,7 @@ func (f *file) Close(p *sim.Proc) error {
 	var err error
 	if f.writable {
 		if err = f.inst.flushStage(p); err == nil {
+			f.inst.awaitReset(p)
 			err = f.inst.log.Sync(f.inst.logWriter(p))
 		}
 	}

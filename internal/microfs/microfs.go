@@ -201,9 +201,12 @@ type Instance struct {
 	bgWG     *sim.WaitGroup
 
 	// snapshot mutual exclusion between the background thread and the
-	// forced (log-full) path.
-	snapBusy bool
-	snapDone *sim.Signal
+	// forced (log-full) path. resetting holds from a snapshot's decision
+	// to reset the log until it has: no log call starts meanwhile (see
+	// awaitReset).
+	snapBusy  bool
+	resetting bool
+	snapDone  *sim.Signal
 
 	// snapLen is the size of the latest committed snapshot (0 when
 	// none); snapSlot is the A/B body slot the live header points to.

@@ -13,14 +13,19 @@ import (
 
 // slowSnapPlane delays every write into the snapshot region by 1 ms, so
 // that a snapshot outlasts the operations that overlap it, and every
-// write into the log region by logDelay.
+// write into the log region by logDelay. header, when set, is fired as a
+// snapshot header's write begins.
 type slowSnapPlane struct {
 	plane.Plane
 	logBytes, snapEnd int64
 	logDelay          time.Duration
+	header            *sim.Signal
 }
 
 func (s *slowSnapPlane) Write(p *sim.Proc, off, length int64, data []byte, cmdUnit int64) error {
+	if off == s.logBytes && s.header != nil {
+		s.header.Fire()
+	}
 	switch {
 	case off < s.logBytes:
 		p.Sleep(s.logDelay)
@@ -184,6 +189,40 @@ func TestSnapshotMeetsAppendInFlight(t *testing.T) {
 		}
 		if got := recovered(t, p, r, "/d/e"); !bytes.Equal(got, payload) {
 			t.Errorf("recovered /d/e: %d bytes, want %d", len(got), len(payload))
+		}
+	})
+}
+
+// TestSnapshotMeetsAppendAtHeader: a snapshot decides to reset the log
+// before it commits its header, and the header's write takes time. A
+// record logged while it is in flight lands in the epoch the header
+// retires and is acknowledged; Reset then drops it. The snapshot now holds
+// every log call back from its decision to its Reset. Against the code
+// that closed the window at the decision only, the recovered instance has
+// no /d:
+//
+//	vfs: file does not exist
+func TestSnapshotMeetsAppendAtHeader(t *testing.T) {
+	r, slow := newSlowSnapRig(t)
+	r.run(t, func(p *sim.Proc) {
+		mustOpen(t, p, r.inst, "/a", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL).Close(p)
+		slow.header = r.env.NewSignal()
+		snapshotIn(t, r)
+		slow.header.Wait(p) // the body is written and the reset decided
+		slow.header = nil
+		if err := r.inst.Mkdir(p, "/d", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(10 * time.Millisecond)
+		if r.inst.Stats().Snapshots != 1 {
+			t.Fatal("the snapshot did not finish while the writer slept")
+		}
+		fresh := r.freshInstance(t)
+		if err := fresh.Recover(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Stat(p, "/d"); err != nil {
+			t.Error(err)
 		}
 	})
 }

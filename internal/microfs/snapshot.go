@@ -80,7 +80,7 @@ func (inst *Instance) SnapshotNow(p *sim.Proc) error {
 	}
 	inst.snapBusy = true
 	defer func() {
-		inst.snapBusy = false
+		inst.snapBusy, inst.resetting = false, false
 		inst.snapDone.Fire()
 	}()
 	// The image admits every size in DRAM, staged bytes included.
@@ -130,8 +130,12 @@ func (inst *Instance) SnapshotNow(p *sim.Proc) error {
 	}
 	// If operations were logged while the body was being written, or one
 	// is being logged now, the snapshot must not claim the post-reset
-	// epoch: it instead points at the suffix of the current epoch.
+	// epoch: it instead points at the suffix of the current epoch. One
+	// that resets holds every log call back until it has (awaitReset): a
+	// record logged while the header is in flight would be acknowledged
+	// in the epoch the header retires, and Reset would drop it.
 	reset := inst.log.Head() == buildHead && inst.log.Epoch() == buildEpoch && !inst.log.Appending()
+	inst.resetting = reset
 	if !reset {
 		// The log lives on, so its pending write extension is committed
 		// here; on the other path Reset discards it with the records the
@@ -167,6 +171,14 @@ func (inst *Instance) SnapshotNow(p *sim.Proc) error {
 	inst.snapLen = snapHeaderBytes + int64(len(body))
 	inst.stats.Snapshots++
 	return nil
+}
+
+// awaitReset returns once no snapshot is between deciding to reset the
+// log and resetting it; every Append and Sync waits here first.
+func (inst *Instance) awaitReset(p *sim.Proc) {
+	for inst.resetting {
+		inst.snapDone.Wait(p)
+	}
 }
 
 // StartBackground launches the dedicated snapshot thread. It wakes on

@@ -179,7 +179,7 @@ func TestLargeAndSyntheticWritesBypass(t *testing.T) {
 	})
 	want := []string{
 		"log", "dir", "log", "data", "data", "data", // /big: create, first write, three calls
-		"log", "dir", "log", "dir", "dir", "dir", // /syn (payload-free data commands read as "dir")
+		"log", "dir", "log", "data", "data", "data", // /syn: create, first write, three payload-free calls
 		"log", // /syn's extension, at the first Close
 	}
 	if !reflect.DeepEqual(rec.cmds, want) {

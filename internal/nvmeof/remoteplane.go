@@ -119,11 +119,26 @@ func (r *RemotePlane) wireCost(p *sim.Proc, length int64, deviceTime time.Durati
 
 // Write implements plane.Plane.
 func (r *RemotePlane) Write(p *sim.Proc, off, length int64, data []byte, cmdUnit int64) error {
+	return r.write(p, length, cmdUnit, func() error { return r.inner.Write(p, off, length, data, cmdUnit) })
+}
+
+// Charge implements plane.Charger: what Write costs, over the inner
+// plane's charge, when the inner plane charges.
+func (r *RemotePlane) Charge(p *sim.Proc, off, length, cmdUnit int64) error {
+	c, ok := r.inner.(plane.Charger)
+	if !ok {
+		return nil
+	}
+	return r.write(p, length, cmdUnit, func() error { return c.Charge(p, off, length, cmdUnit) })
+}
+
+// write is Write and Charge around the inner plane's half, device.
+func (r *RemotePlane) write(p *sim.Proc, length, cmdUnit int64, device func() error) error {
 	if r.tcpu != nil {
 		r.tcpu.process(p, model.CmdsFor(length, cmdUnit))
 	}
 	t0 := p.Now()
-	if err := r.inner.Write(p, off, length, data, cmdUnit); err != nil {
+	if err := device(); err != nil {
 		return err
 	}
 	r.wireCost(p, length, p.Now()-t0)

@@ -67,30 +67,11 @@ func TestTCPPlaneOverPool(t *testing.T) {
 func TestMicrofsOverRealTCP(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: 64 * model.MB})
 
-	newInstance := func(env *sim.Env) (*microfs.Instance, *HostPool) {
-		h := dialOne(t, addr, 1, PoolConfig{})
-		pl, err := NewTCPPlane(h, 0, h.NamespaceSize())
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst, err := microfs.New(env, microfs.Config{
-			Plane:     pl,
-			Host:      model.Default().Host,
-			Features:  microfs.AllFeatures(),
-			LogBytes:  256 * model.KB,
-			SnapBytes: 2 * model.MB,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return inst, h
-	}
-
 	payloadA := bytes.Repeat([]byte("over-the-wire-A:"), 8192) // 128 KB
 	payloadB := bytes.Repeat([]byte("over-the-wire-B:"), 4096) // 64 KB
 
 	env := sim.NewEnv()
-	inst, h1 := newInstance(env)
+	inst, h1 := microfsOverTCP(t, env, addr, microfs.AllFeatures())
 	env.Go("writer", func(p *sim.Proc) {
 		f, err := inst.Open(p, "/a.dat", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
 		if err != nil {
@@ -119,7 +100,7 @@ func TestMicrofsOverRealTCP(t *testing.T) {
 	// A fresh process (new env, new queue pair) recovers everything
 	// from the remote SSD.
 	env2 := sim.NewEnv()
-	inst2, h2 := newInstance(env2)
+	inst2, h2 := microfsOverTCP(t, env2, addr, microfs.AllFeatures())
 	defer h2.Close()
 	env2.Go("recoverer", func(p *sim.Proc) {
 		if err := inst2.Recover(p); err != nil {
@@ -187,6 +168,122 @@ func TestMicrofsOverRealTCP(t *testing.T) {
 			if crc32.ChecksumIEEE(got) != crc32.ChecksumIEEE(want) {
 				t.Errorf("pass %d: /a.dat read in 16 KiB calls around an overwrite differs from what was written", pass)
 			}
+		}
+	})
+	if _, err := env2.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// microfsOverTCP builds a microfs instance over the whole of namespace 1
+// at addr, through a queue pair of its own.
+func microfsOverTCP(t *testing.T, env *sim.Env, addr string, features microfs.Features) (*microfs.Instance, *HostPool) {
+	t.Helper()
+	h := dialOne(t, addr, 1, PoolConfig{})
+	pl, err := NewTCPPlane(h, 0, h.NamespaceSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := microfs.New(env, microfs.Config{
+		Plane:     pl,
+		Host:      model.Default().Host,
+		Features:  features,
+		LogBytes:  256 * model.KB,
+		SnapBytes: 2 * model.MB,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst, h
+}
+
+// TestMetadataOpIsOneWriteOverTCP: over the real transport a create, a
+// mkdir and a rename are one command each, the page of the log that
+// records them. The simulator also charges the parent directory's tail
+// block, which nothing reads back; a TCPPlane models no time, so it is no
+// plane.Charger, and that block is not sent. It used to go as 32 KiB of
+// zeros, a second WRITE per operation:
+//
+//	create: the target saw 2 commands carrying 36864 bytes, want 1 carrying 4096
+func TestMetadataOpIsOneWriteOverTCP(t *testing.T) {
+	tgt, addr := startTarget(t, map[uint32]int64{1: 64 * model.MB})
+	env := sim.NewEnv()
+	inst, _ := microfsOverTCP(t, env, addr, microfs.AllFeatures())
+	env.Go("ops", func(p *sim.Proc) {
+		for _, op := range []struct {
+			name string
+			do   func() error
+		}{
+			{"create", func() error {
+				_, err := inst.Open(p, "/f", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
+				return err
+			}},
+			{"mkdir", func() error { return inst.Mkdir(p, "/d", 0o755) }},
+			{"rename", func() error { return inst.Rename(p, "/f", "/d/g") }},
+		} {
+			before := tgt.Snapshot()
+			if err := op.do(); err != nil {
+				t.Errorf("%s: %v", op.name, err)
+				return
+			}
+			after := tgt.Snapshot()
+			const page = 4 << 10 // the log's
+			if cmds, in := after.Commands-before.Commands, after.BytesIn-before.BytesIn; cmds != 1 || in != page {
+				t.Errorf("%s: the target saw %d commands carrying %d bytes, want 1 carrying %d", op.name, cmds, in, page)
+			}
+		}
+	})
+	if _, err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPhysicalJournalOverTCP: with provenance off (the drilldown's
+// conventional-journal arm) every logged operation also charges the
+// journal blocks a conventional filesystem would write, at the partition's
+// first byte. Sent over a real transport, as zeros, they overwrote the
+// page of the log just written, and an fsynced file did not survive:
+//
+//	recovery lost /f: vfs: file does not exist
+func TestPhysicalJournalOverTCP(t *testing.T) {
+	_, addr := startTarget(t, map[uint32]int64{1: 64 * model.MB})
+	features := microfs.Features{Provenance: false, Hugeblocks: true}
+	payload := bytes.Repeat([]byte("journaled:"), 1000)
+	env := sim.NewEnv()
+	inst, h := microfsOverTCP(t, env, addr, features)
+	env.Go("writer", func(p *sim.Proc) {
+		f, err := inst.Open(p, "/f", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := f.Write(p, payload); err != nil {
+			t.Error(err)
+		}
+		if err := f.Fsync(p); err != nil {
+			t.Error(err)
+		}
+	})
+	if _, err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	h.Close() // abandoned: no Close, no snapshot
+
+	env2 := sim.NewEnv()
+	fresh, _ := microfsOverTCP(t, env2, addr, features)
+	env2.Go("recoverer", func(p *sim.Proc) {
+		if err := fresh.Recover(p); err != nil {
+			t.Error(err)
+			return
+		}
+		f, err := fresh.Open(p, "/f", vfs.O_RDONLY, 0)
+		if err != nil {
+			t.Errorf("recovery lost /f: %v", err)
+			return
+		}
+		got := make([]byte, 2*len(payload))
+		if n, err := f.Read(p, got); err != nil || !bytes.Equal(got[:n], payload) {
+			t.Errorf("recovered /f: %d bytes, %v; want the %d written", n, err, len(payload))
 		}
 	})
 	if _, err := env2.Run(); err != nil {

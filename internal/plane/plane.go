@@ -13,9 +13,11 @@ import "github.com/nvme-cr/nvmecr/internal/sim"
 // modeled duration and charge the client's account.
 type Plane interface {
 	// Write stores length bytes at off. data may be nil for synthetic
-	// (timing-only) transfers; when non-nil len(data) must equal
-	// length. cmdUnit is the NVMe command granularity (the hugeblock
-	// size); 0 means one command.
+	// file data, which is read back like any other (as zeros, or as
+	// nothing from a device that captures no payloads); when non-nil
+	// len(data) must equal length. cmdUnit is the NVMe command
+	// granularity (the hugeblock size); 0 means one command. A metadata
+	// transfer that nothing ever reads goes to Charger instead.
 	Write(p *sim.Proc, off, length int64, data []byte, cmdUnit int64) error
 	// Read returns length bytes from off. The nil contract: when the
 	// backing device does not capture payloads (timing-only mode), Read
@@ -28,6 +30,17 @@ type Plane interface {
 	Flush(p *sim.Proc) error
 	// Size returns the partition size in bytes.
 	Size() int64
+}
+
+// Charger is the optional timing extension of Plane: Charge times this
+// transfer; its bytes are never read. A plane with a time model charges
+// exactly what Write(p, off, length, nil, cmdUnit) would; a wrapper
+// charges only when the plane beneath it does. A real transport is no
+// Charger, and its callers skip the transfer: the paper's timing model
+// charges metadata blocks that nothing reads back (a directory's tail
+// block, a conventional journal's pages).
+type Charger interface {
+	Charge(p *sim.Proc, off, length, cmdUnit int64) error
 }
 
 // VectorWriter is the optional gather-write extension of Plane: a plane

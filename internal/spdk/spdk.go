@@ -76,6 +76,12 @@ func (pl *Plane) Write(p *sim.Proc, off, length int64, data []byte, cmdUnit int6
 	return err
 }
 
+// Charge implements plane.Charger: a synthetic write, which the device
+// times and never stores.
+func (pl *Plane) Charge(p *sim.Proc, off, length, cmdUnit int64) error {
+	return pl.Write(p, off, length, nil, cmdUnit)
+}
+
 // Read implements plane.Plane.
 func (pl *Plane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, error) {
 	if err := pl.check(off, length); err != nil {

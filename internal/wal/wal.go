@@ -134,6 +134,9 @@ type Log struct {
 	last   int64
 	dirty  bool
 	sealed bool
+	// seq counts the records appended and the extensions coalesced, so
+	// that a Sync can tell whether the log changed under its write.
+	seq uint64
 
 	live int64 // records since the last Reset
 	// appending counts Appends whose record is on its way to the device:
@@ -228,6 +231,7 @@ func (l *Log) Append(w WriteFunc, r Record) (coalesced bool, err error) {
 		binary.LittleEndian.PutUint32(rec[headerSize:], crc32.ChecksumIEEE(rec[:headerSize]))
 		l.dirty = true
 		l.coalesced++
+		l.seq++
 		return true, nil
 	}
 	size := int64(EncodedSize(r))
@@ -245,6 +249,7 @@ func (l *Log) Append(w WriteFunc, r Record) (coalesced bool, err error) {
 	if l.dirty {
 		from = l.last + extOff
 	}
+	l.seq++
 	l.appending++
 	err = l.flushRange(w, from, off+size-from)
 	l.appending--
@@ -329,15 +334,22 @@ func (l *Log) extendsLast(r Record) bool {
 // Sync persists a pending extension through w, making every coalesced
 // write acknowledged so far part of the device's log. It is the log half
 // of the caller's fsync. After a failed Sync the extension is still
-// pending and the next Sync or record flush repairs the page.
+// pending and the next Sync or record flush repairs the page. w may
+// yield to the log's appender: an extension coalesced while the page is
+// on its way, into the same record or a newer one, stays pending. (An
+// Append needs no such guard: one caller appends at a time, and only a
+// Sync overlaps it.)
 func (l *Log) Sync(w WriteFunc) error {
 	if !l.dirty {
 		return nil
 	}
+	seq := l.seq
 	if err := l.flushRange(w, l.last+extOff, extEnd-extOff); err != nil {
 		return err
 	}
-	l.dirty = false
+	if l.seq == seq {
+		l.dirty = false
+	}
 	return nil
 }
 

@@ -183,6 +183,56 @@ func TestSealKeepsPendingExtension(t *testing.T) {
 	}
 }
 
+// TestSyncMeetsCoalesce: a Sync whose page write yields — to the rank,
+// while a snapshot syncs — must not count as sent an extension coalesced
+// while the page was on its way, into a newer record or into the one it
+// carries. Clearing the pending state unconditionally, the next Sync
+// found nothing to send and the fsynced extension never reached the
+// device:
+//
+//	newer_record: device decodes to a last write of 100 bytes, want 200
+//	same_record: device decodes to a last write of 200 bytes, want 300
+func TestSyncMeetsCoalesce(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		overlap []Record // appended while the Sync's page is in flight
+		want    uint64
+	}{
+		{"newer record", []Record{{Op: OpWrite, Inode: 2, Length: 100}, {Op: OpWrite, Inode: 2, Offset: 100, Length: 100}}, 200},
+		{"same record", []Record{{Op: OpWrite, Inode: 1, Offset: 200, Length: 100}}, 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := make([]byte, 1<<12)
+			w := capture(dev)
+			l := newLog(t, Options{Capacity: 1 << 12})
+			l.Append(w, Record{Op: OpWrite, Inode: 1, Length: 100})
+			l.Append(w, Record{Op: OpWrite, Inode: 1, Offset: 100, Length: 100}) // pending
+			inFlight := func(off int64, data []byte) error {
+				w(off, data) // what the command carries left with it
+				for _, r := range tc.overlap {
+					if _, err := l.Append(w, r); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			if err := l.Sync(inFlight); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Sync(w); err != nil { // the rank's fsync
+				t.Fatal(err)
+			}
+			got, err := Decode(dev, l.Epoch())
+			if err != nil || len(got) == 0 {
+				t.Fatalf("device decodes to %+v, %v", got, err)
+			}
+			if last := got[len(got)-1]; last.Length != tc.want {
+				t.Errorf("device decodes to a last write of %d bytes, want %d", last.Length, tc.want)
+			}
+		})
+	}
+}
+
 func TestNoCoalesceOption(t *testing.T) {
 	l := newLog(t, Options{NoCoalesce: true})
 	for i := 0; i < 5; i++ {

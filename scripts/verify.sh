@@ -156,7 +156,7 @@ echo "== snapshot/operation overlap + log writer allocations (microfs)"
 # WrapLogWrite the steady-state metadata cycle allocates no more than
 # when the writer was built at New. Run by name, so that a rename cannot
 # drop them; the overlap tests run under -race too.
-overlap='TestSnapshotOutlivesOverlappingOp|TestSnapshotMeetsExtension|TestSnapshotMeetsAppendInFlight'
+overlap='TestSnapshotOutlivesOverlappingOp|TestSnapshotMeetsExtension|TestSnapshotMeetsAppendInFlight|TestSnapshotMeetsAppendAtHeader'
 go test -count=1 -v -run "^($overlap|TestLogWriterAllocs)\$" ./internal/microfs >"$tmp/overlap" ||
 	{ cat "$tmp/overlap"; exit 1; }
 for name in $(echo "$overlap" | tr '|' ' ') TestLogWriterAllocs; do
@@ -185,7 +185,12 @@ echo "== paper experiments, quick mode (every experiment exits 0)"
 # The harness tests assert the shape of each table at quick scale; they do
 # not run every seed an experiment runs, and an experiment that fails its
 # own check (extfaults: a durability violation at a printed seed) exits 1
-# only here.
+# only here. What the tables say is gated in the shuffled run above:
+# internal/harness's TestQuickTablesGolden holds every one, less its
+# "(… wall)" line, to a committed file byte for byte. A change that means
+# to move a paper figure regenerates that file, and says why, with
+#
+#     go run ./cmd/nvmecr-bench -quick | grep -v ' wall)$' >internal/harness/testdata/quick.golden
 go run ./cmd/nvmecr-bench -quick >/dev/null
 
 echo "== nvmecr-trace smoke test"
