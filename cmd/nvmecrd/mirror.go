@@ -237,7 +237,7 @@ func (h *mirrorHead) watch(eng *health.Engine) error {
 		subj, err := eng.Register(health.SubjectConfig{
 			Kind: "mirror-member",
 			Name: addr,
-			Collect: func(*telemetry.RegistrySnapshot) health.Sample {
+			Collect: func() health.Sample {
 				return health.Sample{Live: probe(addr)}
 			},
 		})

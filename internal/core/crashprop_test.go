@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -47,6 +49,13 @@ import (
 //     12711782, "recovered bytes differ from the written content below
 //     87545"; and TestCrashPropLogFull at seed 12648430, "... below
 //     25355 (recovered at 58123, 0 durable, 25355 written)".
+//   - Rename logging its record after checking only that the source
+//     exists, instead of running checkRename first: seed 12656349 (the
+//     second), "recovery failed: microfs: replaying rename at 466:
+//     microfs: parent of "/nodir/seg.chk": vfs: file does not exist" (the
+//     refused-operation draws). Unlink without checkUnlink first: the
+//     same seed, "replaying unlink at 161: vfs: is a directory". Both
+//     also fail TestCrashPropLogFull at that seed.
 //
 // ~200 iterations run in the default mode, 25 under -short. A nightly
 // sweep can raise crashPropIters via successive -count=1 runs.
@@ -376,9 +385,54 @@ func crashPropIteration(t *testing.T, seed int64, shape crashPropShape) {
 			commit(of.pf)
 			return true
 		}
+		// refuse issues one namespace operation microfs must refuse with a
+		// typed error before anything is logged: a rename onto an existing
+		// name, into a missing directory or of a directory, or an unlink of
+		// a directory. The model does not change. Its draws come from
+		// their own stream, so the workload each seed draws below is the
+		// one it drew without them.
+		refuseRng := rand.New(rand.NewSource(^seed))
+		refuse := func() bool {
+			var paths []string
+			for path := range expect {
+				paths = append(paths, path)
+			}
+			sort.Strings(paths) // map order is random
+			var ctx string
+			var want, err error
+			switch kind := refuseRng.Intn(4); {
+			case kind == 0 && len(paths) >= 2:
+				ctx, want = "rename "+paths[0]+" onto "+paths[1], vfs.ErrExist
+				err = inst.Rename(p, paths[0], paths[1])
+			case kind == 1 && len(paths) >= 1:
+				ctx, want = "rename "+paths[0]+" into a missing directory", vfs.ErrNotExist
+				err = inst.Rename(p, paths[0], "/nodir/seg.chk")
+			case kind == 2 && nextIdx > 0:
+				ctx, want = "rename of directory /ckpt", vfs.ErrIsDir
+				err = inst.Rename(p, "/ckpt", "/ckpt.moved")
+			case kind == 3 && nextIdx > 0:
+				ctx, want = "unlink of directory /ckpt", vfs.ErrIsDir
+				err = inst.Unlink(p, "/ckpt")
+			default:
+				return true
+			}
+			switch {
+			case errors.Is(err, want):
+				return !crashed()
+			case err == nil:
+				failf("%s accepted, want %v", ctx, want)
+				dead, aborted = true, true
+				return false
+			default:
+				return !oops(ctx, err)
+			}
+		}
 		nOps := 30 + rng.Intn(60)
 		for op := 0; op < nOps && !dead; op++ {
 			if crashed() {
+				break
+			}
+			if refuseRng.Intn(6) == 0 && !refuse() {
 				break
 			}
 			k := rng.Intn(12)

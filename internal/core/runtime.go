@@ -16,7 +16,6 @@ import (
 
 	"github.com/nvme-cr/nvmecr/internal/balancer"
 	"github.com/nvme-cr/nvmecr/internal/fabric"
-	"github.com/nvme-cr/nvmecr/internal/health"
 	"github.com/nvme-cr/nvmecr/internal/kernelio"
 	"github.com/nvme-cr/nvmecr/internal/microfs"
 	"github.com/nvme-cr/nvmecr/internal/model"
@@ -366,23 +365,6 @@ func (rt *Runtime) NamespaceQoS(reg *telemetry.Registry, ctrl *qos.Controller, l
 		}
 	}
 	return ns, nil
-}
-
-// BindHealth builds the runtime's multi-tenant namespace over reg and
-// registers every rank's mount with the health engine under the stock
-// per-tenant SLOs, so a job's per-rank verdicts ride the same /health
-// and nvmecr_health_state surfaces as the fabric layers. Call after
-// every rank has run InitRank.
-func (rt *Runtime) BindHealth(e *health.Engine, reg *telemetry.Registry) (*vfs.Namespace, []*health.Subject, error) {
-	ns, err := rt.Namespace(reg)
-	if err != nil {
-		return nil, nil, err
-	}
-	subs, err := health.BindNamespace(e, ns, nil, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ns, subs, nil
 }
 
 // JobStats aggregates per-instance accounting for the paper's Table I.

@@ -8,14 +8,12 @@ import (
 
 	"github.com/nvme-cr/nvmecr/internal/balancer"
 	"github.com/nvme-cr/nvmecr/internal/fabric"
-	"github.com/nvme-cr/nvmecr/internal/health"
 	"github.com/nvme-cr/nvmecr/internal/metrics"
 	"github.com/nvme-cr/nvmecr/internal/microfs"
 	"github.com/nvme-cr/nvmecr/internal/model"
 	"github.com/nvme-cr/nvmecr/internal/mpi"
 	"github.com/nvme-cr/nvmecr/internal/nvme"
 	"github.com/nvme-cr/nvmecr/internal/sim"
-	"github.com/nvme-cr/nvmecr/internal/telemetry"
 	"github.com/nvme-cr/nvmecr/internal/topology"
 	"github.com/nvme-cr/nvmecr/internal/vfs"
 )
@@ -341,42 +339,5 @@ func TestBadOptions(t *testing.T) {
 	})
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestBindHealth mounts the job's ranks into a namespace and registers
-// each with a health engine: one healthy mount subject per rank, all
-// visible in the per-layer rollup.
-func TestBindHealth(t *testing.T) {
-	env, world, fab, devs := testJob(t, 4, false)
-	rt, err := NewRuntime(env, world, fab, devs, smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	world.Launch(func(r *mpi.Rank, p *sim.Proc) {
-		if _, err := rt.InitRank(p, r); err != nil {
-			t.Errorf("rank %d init: %v", r.ID(), err)
-		}
-	})
-	if _, err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.New()
-	eng := health.New(health.Config{Registry: reg})
-	ns, subs, err := rt.BindHealth(eng, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns == nil || len(subs) != 4 {
-		t.Fatalf("BindHealth: %d subjects, want 4", len(subs))
-	}
-	eng.Tick()
-	roll := eng.Rollup()
-	l := roll.Layers["mount"]
-	if l.Subjects != 4 || l.Status != health.Healthy {
-		t.Fatalf("mount rollup = %+v, want 4 healthy subjects", l)
-	}
-	if eng.Subject("mount", "rank0001") == nil {
-		t.Fatal("rank0001 mount subject missing")
 	}
 }

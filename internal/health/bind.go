@@ -1,24 +1,9 @@
 package health
 
 import (
-	"fmt"
-	"strconv"
-	"time"
-
 	"github.com/nvme-cr/nvmecr/internal/nvmeof"
-	"github.com/nvme-cr/nvmecr/internal/telemetry"
 	"github.com/nvme-cr/nvmecr/internal/vfs"
 )
-
-// DefaultQPObjectives are the stock SLOs for an initiator queue pair:
-// at most 2% of commands may fail, and at most 5% may be slower than
-// 5ms (both judged by multi-window burn rate).
-func DefaultQPObjectives() []Objective {
-	return []Objective{
-		ErrorRatioObjective("qp-error-ratio", 0.02),
-		LatencyObjective("qp-p99-latency", 5e-3, 0.05),
-	}
-}
 
 // DefaultTargetObjectives are the stock SLOs for a target: command
 // error ratio under 2%.
@@ -33,116 +18,8 @@ func DefaultMountObjectives() []Objective {
 	return []Objective{ErrorRatioObjective("mount-error-ratio", 0.05)}
 }
 
-// PoolBindConfig tunes BindHostPool.
-type PoolBindConfig struct {
-	// Target names the pool in subject names: "<target>/qp<i>"
-	// (default "pool").
-	Target string
-	// Objectives are applied to every queue pair (nil =
-	// DefaultQPObjectives).
-	Objectives []Objective
-	// ProbeBudget bounds the active IDENTIFY probe's latency; a probe
-	// that answers slower than this counts as failed (default 50ms, so
-	// a stalled-but-connected pair cannot talk its way out of a
-	// suspect verdict).
-	ProbeBudget time.Duration
-	// OnTransition, when non-nil, runs after the built-in bias wiring
-	// on every queue-pair transition.
-	OnTransition func(qp int, old, new State)
-}
-
-// BindHostPool registers one subject per queue pair and wires verdicts
-// back into placement: Healthy clears the bias, Degraded sets
-// BiasSoft, Suspect and Dead set BiasAvoid, so traffic shifts off a
-// sick pair while probes keep deciding its fate. The subjects collect
-// from the pool's own nvmecr_qp_* series, so the engine must snapshot
-// the same registry the pool records into (pass pool.Telemetry() as
-// Config.Registry, or share one registry throughout).
-func BindHostPool(e *Engine, p *nvmeof.HostPool, cfg PoolBindConfig) ([]*Subject, error) {
-	if cfg.Target == "" {
-		cfg.Target = "pool"
-	}
-	if cfg.Objectives == nil {
-		cfg.Objectives = DefaultQPObjectives()
-	}
-	if cfg.ProbeBudget <= 0 {
-		cfg.ProbeBudget = 50 * time.Millisecond
-	}
-	subs := make([]*Subject, 0, p.QueuePairs())
-	for qp := 0; qp < p.QueuePairs(); qp++ {
-		qp := qp
-		labels := telemetry.Labels{"qp": strconv.Itoa(qp)}
-		objectives := append([]Objective(nil), cfg.Objectives...)
-		series := make([]SeriesPoint, len(objectives)) // reused per tick
-		collect := func(snap *telemetry.RegistrySnapshot) Sample {
-			cmds := snap.Counter(nvmeof.MetricQPCommands, labels)
-			errs := snap.Counter(nvmeof.MetricQPErrors, labels)
-			hist := snap.Find(nvmeof.MetricQPLatency, labels)
-			for i, o := range objectives {
-				if o.LatencyThreshold > 0 {
-					var n, good uint64
-					if hist != nil {
-						n = hist.U
-						good = hist.CountAtOrBelow(o.LatencyThreshold)
-					}
-					series[i] = SeriesPoint{Total: n, Bad: n - good}
-				} else {
-					series[i] = SeriesPoint{Total: cmds, Bad: errs}
-				}
-			}
-			var p99 float64
-			if hist != nil {
-				p99 = hist.Quantile(0.99)
-			}
-			return Sample{
-				Series:   series,
-				Commands: cmds,
-				Errors:   errs,
-				Latency:  p99,
-				Live:     p.QPHealthy(qp),
-			}
-		}
-		s, err := e.Register(SubjectConfig{
-			Kind:       "qp",
-			Name:       fmt.Sprintf("%s/qp%d", cfg.Target, qp),
-			Objectives: objectives,
-			Collect:    collect,
-			Probe: func() error {
-				start := time.Now()
-				if err := p.ProbeQP(qp); err != nil {
-					return err
-				}
-				if d := time.Since(start); d > cfg.ProbeBudget {
-					return fmt.Errorf("health: probe qp %d: %v exceeds budget %v", qp, d, cfg.ProbeBudget)
-				}
-				return nil
-			},
-			OnTransition: func(old, new State, v Verdict) {
-				switch new {
-				case Healthy:
-					p.SetQPBias(qp, nvmeof.BiasNone)
-				case Degraded:
-					p.SetQPBias(qp, nvmeof.BiasSoft)
-				default:
-					p.SetQPBias(qp, nvmeof.BiasAvoid)
-				}
-				if cfg.OnTransition != nil {
-					cfg.OnTransition(qp, old, new)
-				}
-			},
-			Blackbox: func() any { return p.Flight().Snapshot() },
-		})
-		if err != nil {
-			return nil, err
-		}
-		subs = append(subs, s)
-	}
-	return subs, nil
-}
-
 // BindTarget registers a target-side subject under kind "target". It
-// collects from the target's own snapshot (not the engine's registry),
-// so any registry arrangement works.
+// collects from the target's own snapshot.
 func BindTarget(e *Engine, tgt *nvmeof.Target, name string, objectives []Objective) (*Subject, error) {
 	if objectives == nil {
 		objectives = DefaultTargetObjectives()
@@ -152,7 +29,7 @@ func BindTarget(e *Engine, tgt *nvmeof.Target, name string, objectives []Objecti
 		Kind:       "target",
 		Name:       name,
 		Objectives: objectives,
-		Collect: func(*telemetry.RegistrySnapshot) Sample {
+		Collect: func() Sample {
 			snap := tgt.Snapshot()
 			for i := range objectives {
 				series[i] = SeriesPoint{Total: snap.Commands, Bad: snap.Errors}
@@ -194,7 +71,7 @@ func BindNamespace(e *Engine, ns *vfs.Namespace, perMount map[string][]Objective
 			Kind:       "mount",
 			Name:       m.Name(),
 			Objectives: objectives,
-			Collect: func(*telemetry.RegistrySnapshot) Sample {
+			Collect: func() Sample {
 				st := m.Stats()
 				bad := st.Errors + st.QuotaRejections
 				for i := range objectives {

@@ -1,15 +1,14 @@
 // Package health is the judgment layer over the runtime's raw
-// telemetry: a streaming evaluator that consumes telemetry.Registry
-// snapshots on a fixed cadence and maintains, per subject (a queue
-// pair, a target, a tenant mount), EWMA latency and error-rate
-// trackers, multi-window SLO burn rates, and a hysteresis state
-// machine healthy → degraded → suspect → dead with optional active
-// probes. Verdicts — not scrapes — are what the placement layer
-// (HostPool bias), the rebalancing control plane, and operators
-// consume. On an SLO breach or a demotion to suspect the engine
-// performs black-box capture: flight-recorder rings, the full metric
-// set, and pprof snapshots land in a bounded on-disk incident
-// directory so post-hoc forensics work even when nobody was scraping.
+// telemetry: a streaming evaluator that samples each subject (a
+// target, a tenant mount, a mirror member) on a fixed cadence and
+// maintains EWMA latency and error-rate trackers, multi-window SLO burn
+// rates, and a hysteresis state machine healthy → degraded → suspect →
+// dead. Verdicts — not scrapes — are what the rebalancing control
+// plane and operators consume. On an SLO breach or a demotion to
+// suspect the engine performs black-box capture: flight-recorder
+// rings, the full metric set, and pprof snapshots land in a bounded
+// on-disk incident directory so post-hoc forensics work even when
+// nobody was scraping.
 //
 // See docs/health.md for objective semantics and the state machine.
 package health
@@ -33,8 +32,7 @@ const (
 	Healthy State = iota
 	// Degraded: burn rates eating into the error budget; still serving.
 	Degraded
-	// Suspect: budget exhaustion imminent or transport flapping;
-	// placement should avoid it and probes decide what happens next.
+	// Suspect: budget exhaustion imminent or transport flapping.
 	Suspect
 	// Dead: transport down and objectives pinned at exhaustion.
 	Dead
@@ -119,9 +117,9 @@ type Config struct {
 	// Interval is the evaluation cadence for Start (default 1s).
 	// Tick can always be driven manually regardless.
 	Interval time.Duration
-	// Registry is snapshotted every tick and handed to each subject's
-	// collector; the engine's own series (health state, score, burn
-	// rates) register here too. Nil gets a private registry.
+	// Registry holds the engine's own series (health state, score, burn
+	// rates); incident bundles write it whole. Nil gets a private
+	// registry.
 	Registry *telemetry.Registry
 	// Tracer, when non-nil, receives a "health.transition" event for
 	// every state change.
@@ -148,7 +146,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Sample is one tick's raw signal for a subject, produced by its
-// collector from the registry snapshot (or any other source).
+// collector.
 type Sample struct {
 	// Series holds one cumulative (total, bad) pair per objective, in
 	// the subject's objective order. The engine differences successive
@@ -175,7 +173,8 @@ type SeriesPoint struct {
 
 // SubjectConfig registers one scored entity with the engine.
 type SubjectConfig struct {
-	// Kind groups subjects for rollups: "qp", "target", "mount".
+	// Kind groups subjects for rollups: "target", "mount",
+	// "mirror-member".
 	Kind string
 	// Name identifies the subject within its kind.
 	Name string
@@ -183,15 +182,8 @@ type SubjectConfig struct {
 	// liveness only).
 	Objectives []Objective
 	// Collect produces the tick's sample. Required. Called outside the
-	// engine's locks, with the fresh registry snapshot.
-	Collect func(*telemetry.RegistrySnapshot) Sample
-	// Probe, when non-nil, actively confirms verdicts: a demotion into
-	// Suspect or Dead is vetoed if the probe succeeds, and a promotion
-	// out of them requires it to succeed. Called outside locks.
-	Probe func() error
-	// OnTransition runs after every state change (placement bias
-	// wiring, logs). Called outside locks.
-	OnTransition func(old, new State, v Verdict)
+	// engine's locks.
+	Collect func() Sample
 	// Blackbox, when non-nil, supplies the subject-specific payload
 	// (flight-recorder rings) written into incident bundles.
 	Blackbox func() any
@@ -255,7 +247,6 @@ type Engine struct {
 	order    []*Subject
 
 	tickMu sync.Mutex
-	snap   *telemetry.RegistrySnapshot
 	ticks  uint64
 
 	startOnce sync.Once
@@ -273,7 +264,7 @@ func New(cfg Config) *Engine {
 	}
 }
 
-// Registry returns the registry the engine snapshots and records into.
+// Registry returns the registry the engine records into.
 func (e *Engine) Registry() *telemetry.Registry { return e.cfg.Registry }
 
 func subjectKey(kind, name string) string { return kind + "\x00" + name }
@@ -396,16 +387,14 @@ func (e *Engine) Ticks() uint64 {
 	return e.ticks
 }
 
-// Tick runs one evaluation pass over every subject: snapshot the
-// registry once (into a reused buffer — steady state allocates
-// nothing), collect, score, and advance each state machine. Safe to
-// call concurrently with Register/Deregister and the Start loop.
+// Tick runs one evaluation pass over every subject: collect, score,
+// and advance each state machine. Safe to call concurrently with
+// Register/Deregister and the Start loop.
 func (e *Engine) Tick() {
 	e.tickMu.Lock()
 	defer e.tickMu.Unlock()
 	e.ticks++
 	tick := e.ticks
-	e.snap = e.cfg.Registry.Snapshot(e.snap)
 
 	e.mu.Lock()
 	subs := make([]*Subject, len(e.order))
@@ -413,14 +402,14 @@ func (e *Engine) Tick() {
 	e.mu.Unlock()
 
 	for _, s := range subs {
-		s.evaluate(e.snap, tick)
+		s.evaluate(tick)
 	}
 }
 
-// evaluate runs one subject's tick: sample, score, hysteresis,
-// optional probe, and transition side effects.
-func (s *Subject) evaluate(snap *telemetry.RegistrySnapshot, tick uint64) {
-	sample := s.cfg.Collect(snap)
+// evaluate runs one subject's tick: sample, score, hysteresis, and
+// transition side effects.
+func (s *Subject) evaluate(tick uint64) {
+	sample := s.cfg.Collect()
 
 	s.mu.Lock()
 	s.live = sample.Live
@@ -498,32 +487,6 @@ func (s *Subject) evaluate(snap *telemetry.RegistrySnapshot, tick uint64) {
 	default:
 		s.enterRun, s.exitRun = 0, 0
 	}
-	needProbe := false
-	if tentative != old && s.cfg.Probe != nil {
-		demotingIntoSuspect := tentative > old && tentative >= Suspect
-		promotingOutOfSuspect := tentative < old && old >= Suspect
-		needProbe = demotingIntoSuspect || promotingOutOfSuspect
-	}
-	s.mu.Unlock()
-
-	probeOK := false
-	if needProbe {
-		probeOK = s.cfg.Probe() == nil
-	}
-
-	s.mu.Lock()
-	if tentative != old && needProbe {
-		if tentative > old && probeOK {
-			// Active probe succeeded: the subject answers, keep it.
-			tentative = old
-			s.enterRun = 0
-		}
-		if tentative < old && !probeOK {
-			// Recovery needs a passing probe; stay put and re-count.
-			tentative = old
-			s.exitRun = 0
-		}
-	}
 	var v Verdict
 	transitioned := tentative != old
 	if transitioned {
@@ -554,9 +517,6 @@ func (s *Subject) evaluate(snap *telemetry.RegistrySnapshot, tick uint64) {
 	}
 	if transitioned {
 		s.eng.emitTransition(old, tentative, v, tick)
-		if s.cfg.OnTransition != nil {
-			s.cfg.OnTransition(old, tentative, v)
-		}
 		s.mu.Lock()
 		var listeners []func(old, new State, v Verdict)
 		listeners = append(listeners, s.listeners...)
@@ -569,11 +529,10 @@ func (s *Subject) evaluate(snap *telemetry.RegistrySnapshot, tick uint64) {
 
 // Subscribe adds a transition listener that runs (outside the
 // subject's locks, on the evaluation goroutine) after every state
-// change, alongside the registration-time OnTransition hook. It lets
-// consumers that did not register the subject — the rebalancing
-// control plane chief among them — react to verdicts instead of
-// re-deriving judgment from raw series. Listeners cannot be removed;
-// subjects live as long as their engine.
+// change. It lets consumers — the rebalancing control plane chief among
+// them — react to verdicts instead of re-deriving judgment from raw
+// series. Listeners cannot be removed; subjects live as long as their
+// engine.
 func (s *Subject) Subscribe(fn func(old, new State, v Verdict)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

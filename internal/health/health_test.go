@@ -2,7 +2,6 @@ package health
 
 import (
 	"encoding/json"
-	"errors"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -24,7 +23,7 @@ func counterSubject(t *testing.T, e *Engine, name string, objs []Objective) (sub
 		Kind:       "test",
 		Name:       name,
 		Objectives: objs,
-		Collect: func(*telemetry.RegistrySnapshot) Sample {
+		Collect: func() Sample {
 			mu.Lock()
 			defer mu.Unlock()
 			return cur
@@ -77,13 +76,11 @@ func TestBurnRateMath(t *testing.T) {
 	}
 
 	// The burn-rate gauges must agree with the verdict.
-	var snap telemetry.RegistrySnapshot
-	e.Registry().Snapshot(&snap)
-	fastG := snap.Find(MetricSLOBurnRate, telemetry.Labels{
+	fastG := e.Registry().FloatGauge(MetricSLOBurnRate, telemetry.Labels{
 		"kind": "test", "name": "burn", "objective": "o", "window": "fast",
 	})
-	if fastG == nil || math.Abs(fastG.Value-wantFast) > 1e-9 {
-		t.Errorf("fast burn gauge = %+v, want %v", fastG, wantFast)
+	if got := fastG.Value(); math.Abs(got-wantFast) > 1e-9 {
+		t.Errorf("fast burn gauge = %v, want %v", got, wantFast)
 	}
 }
 
@@ -152,66 +149,28 @@ func TestHysteresisNoFlapping(t *testing.T) {
 }
 
 // TestStepwiseDemotionAndProbeVeto: a dead transport walks down one
-// state per qualifying run, a succeeding probe vetoes the suspect
-// demotion, and dead is reachable only while not live.
+// state per qualifying run of ticks, reaching dead only because it is
+// not live, and a live transport walks back up the same way.
 func TestStepwiseDemotionAndProbeVeto(t *testing.T) {
-	probeErr := errors.New("probe failed")
-	var probeMu sync.Mutex
-	probeResult := error(nil)
-	setProbe := func(err error) { probeMu.Lock(); probeResult = err; probeMu.Unlock() }
-
 	e := New(Config{})
-	var mu sync.Mutex
-	cur := Sample{Live: true}
-	sub, err := e.Register(SubjectConfig{
-		Kind: "test", Name: "probe",
-		Objectives: []Objective{{Name: "o", Budget: 0.01, FastTicks: 1, SlowTicks: 1}},
-		Collect: func(*telemetry.RegistrySnapshot) Sample {
-			mu.Lock()
-			defer mu.Unlock()
-			return cur
-		},
-		Probe: func() error { probeMu.Lock(); defer probeMu.Unlock(); return probeResult },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := func(s Sample) { mu.Lock(); cur = s; mu.Unlock() }
+	obj := Objective{Name: "o", Budget: 0.01, FastTicks: 1, SlowTicks: 1}
+	sub, feed := counterSubject(t, e, "step", []Objective{obj})
 
-	// Dead transport: score 0. Two ticks → degraded (no probe below
-	// suspect), two more → probe consulted for suspect.
+	// Dead transport: score 0. Each state lasts enterTicks (2) ticks.
 	feed(Sample{Live: false})
-	setProbe(nil) // probe passes: suspect demotion vetoed
-	for i := 0; i < 8; i++ {
+	for _, want := range []State{Healthy, Degraded, Degraded, Suspect, Suspect, Dead} {
 		e.Tick()
+		if got := sub.State(); got != want {
+			t.Fatalf("demotion: state = %v, want %v", got, want)
+		}
 	}
-	if got := sub.State(); got != Degraded {
-		t.Fatalf("state = %v with passing probe, want degraded", got)
-	}
-	// Probe fails: demotion proceeds, stepping suspect then dead
-	// (transport is down, so dead is reachable).
-	setProbe(probeErr)
-	for i := 0; i < 6; i++ {
-		e.Tick()
-	}
-	if got := sub.State(); got != Dead {
-		t.Fatalf("state = %v with failing probe, want dead", got)
-	}
-	// Recovery: score 1 but the probe still fails → pinned at dead.
+	// Live again: score 1, one step up per exitTicks (3) ticks.
 	feed(Sample{Live: true})
-	for i := 0; i < 6; i++ {
+	for _, want := range []State{Dead, Dead, Suspect, Suspect, Suspect, Degraded, Degraded, Degraded, Healthy} {
 		e.Tick()
-	}
-	if got := sub.State(); got != Dead {
-		t.Fatalf("state = %v while probe fails, want dead", got)
-	}
-	// Probe passes: walks back up to healthy.
-	setProbe(nil)
-	for i := 0; i < 12; i++ {
-		e.Tick()
-	}
-	if got := sub.State(); got != Healthy {
-		t.Fatalf("state = %v after recovery, want healthy", got)
+		if got := sub.State(); got != want {
+			t.Fatalf("recovery: state = %v, want %v", got, want)
+		}
 	}
 }
 
@@ -360,7 +319,7 @@ func TestConcurrentEngine(t *testing.T) {
 			name := "churn"
 			_, err := e.Register(SubjectConfig{
 				Kind: "test", Name: name,
-				Collect: func(*telemetry.RegistrySnapshot) Sample { return Sample{Live: true} },
+				Collect: func() Sample { return Sample{Live: true} },
 			})
 			if err != nil {
 				t.Error(err)

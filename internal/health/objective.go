@@ -23,11 +23,6 @@ type Objective struct {
 	// ExhaustBurn is the burn rate mapping to score 0 (default 10);
 	// between 0 and ExhaustBurn the score degrades linearly.
 	ExhaustBurn float64
-	// LatencyThreshold marks a latency objective for the stock
-	// bindings: when > 0, "bad" means slower than this many seconds
-	// (bucket granularity — pick thresholds on histogram bounds).
-	// Pure error-ratio objectives leave it 0.
-	LatencyThreshold float64
 }
 
 func (o Objective) withDefaults() Objective {
@@ -56,12 +51,6 @@ func (o Objective) withDefaults() Objective {
 // counter pair: at most budget of events may fail.
 func ErrorRatioObjective(name string, budget float64) Objective {
 	return Objective{Name: name, Budget: budget}.withDefaults()
-}
-
-// LatencyObjective builds an SLO over a latency histogram: at most
-// budget of events may be slower than threshold seconds.
-func LatencyObjective(name string, threshold, budget float64) Objective {
-	return Objective{Name: name, Budget: budget, LatencyThreshold: threshold}.withDefaults()
 }
 
 // objectiveState tracks one objective's per-tick deltas in a ring

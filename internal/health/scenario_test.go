@@ -2,246 +2,136 @@ package health
 
 import (
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/nvme-cr/nvmecr/internal/faults"
-	"github.com/nvme-cr/nvmecr/internal/nvmeof"
 	"github.com/nvme-cr/nvmecr/internal/telemetry"
+	"github.com/nvme-cr/nvmecr/internal/vfs"
 )
 
 // TestFaultPlanDrivesSuspectAndRecovery is the end-to-end acceptance
-// scenario: a seeded fault plan stalls one queue pair of a pool, the
-// engine walks it healthy → degraded → suspect (capturing an incident
-// bundle), HostPool bias shifts traffic off the sick pair, and after
-// the plan window closes the pair probes clean and walks back to
-// healthy — with /health JSON and nvmecr_health_state agreeing at both
-// ends.
+// scenario over the subjects nvmecrd binds for its tenants: a per-mount
+// fault plan fails every operation on one mount for a window, the engine
+// walks that mount healthy → degraded → suspect (capturing an incident
+// bundle) while its neighbour stays healthy, and after the window closes
+// the mount walks back to healthy — with /health JSON and
+// nvmecr_health_state agreeing at both ends. Ticks are driven by hand,
+// one per round of traffic, so every transition lands on a known tick.
 func TestFaultPlanDrivesSuspectAndRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second wall-clock scenario")
-	}
-	const (
-		stallWindow = 3 * time.Second
-		stallDelay  = 4 * time.Millisecond // per read and write syscall
-	)
-
-	tgt := nvmeof.NewTarget()
-	if err := tgt.AddNamespace(1, nvmeof.NewMemNamespace(16<<20)); err != nil {
-		t.Fatal(err)
-	}
-	addr, err := tgt.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tgt.Close()
-
-	// Stall only queue pair 1: DialPool dials slots in order, so the
-	// second connection is slot 1.
-	plan := faults.NewPlan(42, faults.Rule{
-		Name:  "stall-qp1",
-		Layer: faults.LayerTCP,
-		Kind:  faults.KindDelay,
-		Arg:   int64(stallDelay),
-		Until: stallWindow,
-	})
-	var dials atomic.Int32
-	dial := func(addr string) (net.Conn, error) {
-		c, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		if dials.Add(1) == 2 {
-			return nvmeof.NewFaultConn(c, plan), nil
-		}
-		return c, nil
-	}
+	const window = 500 * time.Millisecond
 
 	reg := telemetry.New()
-	pool, err := nvmeof.DialPool(addr, 1, nvmeof.PoolConfig{
-		QueuePairs:     2,
-		CommandTimeout: 5 * time.Second,
-		Dial:           dial,
-		Telemetry:      reg,
+	ns := vfs.NewNamespace(reg)
+	plan := faults.NewPlan(42, faults.Rule{
+		Name:  "fail-sick",
+		Layer: faults.LayerVFS,
+		Kind:  faults.KindMediaError,
+		Until: window,
 	})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"sick", "well"} {
+		be := vfs.NewMemBackend()
+		f, err := be.Open(nil, "/f", vfs.O_WRONLY|vfs.O_CREATE, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close(nil)
+		cfg := vfs.MountConfig{Path: "/" + name, Backend: be, Name: name}
+		if name == "sick" {
+			cfg.Faults = plan
+		}
+		if _, err := ns.Mount(cfg); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer pool.Close()
 
 	incidentDir := t.TempDir()
 	e := New(Config{
-		Interval: 15 * time.Millisecond,
 		Registry: reg,
-		Capture:  CaptureConfig{Dir: incidentDir, Cooldown: 200 * time.Millisecond},
+		Capture:  CaptureConfig{Dir: incidentDir, Cooldown: time.Nanosecond},
 	})
-
-	type hop struct{ from, to State }
-	var transMu sync.Mutex
-	var qp1Hops []hop
-	snapshotHops := func() []hop {
-		transMu.Lock()
-		defer transMu.Unlock()
-		return append([]hop(nil), qp1Hops...)
-	}
-	_, err = BindHostPool(e, pool, PoolBindConfig{
-		Target: "t0",
-		Objectives: []Objective{{
-			Name:             "p99-write",
-			Budget:           0.05,
-			FastTicks:        2,
-			SlowTicks:        4,
-			LatencyThreshold: 2.5e-3,
-		}},
-		ProbeBudget: 3 * time.Millisecond,
-		OnTransition: func(qp int, old, new State) {
-			if qp == 1 {
-				transMu.Lock()
-				qp1Hops = append(qp1Hops, hop{old, new})
-				transMu.Unlock()
-			}
-		},
-	})
-	if err != nil {
+	obj := Objective{Name: "mount-errors", Budget: 0.05, FastTicks: 2, SlowTicks: 4}
+	if _, err := BindNamespace(e, ns, nil, []Objective{obj}); err != nil {
 		t.Fatal(err)
 	}
-	e.Start()
-	defer e.Close()
+	sick, well := e.Subject("mount", "sick"), e.Subject("mount", "well")
+	if sick == nil || well == nil {
+		t.Fatal("mount subjects not registered")
+	}
+	var hops []State // Tick runs on this goroutine, and so does the listener
+	sick.Subscribe(func(_, new State, _ Verdict) { hops = append(hops, new) })
 
 	srv := httptest.NewServer(Handler(e))
 	defer srv.Close()
 
-	// Steady workload: enough concurrency that a soft-biased pair
-	// still sees a trickle, so the signal survives the first demotion.
-	// Two of the eight writers move bulk (64 KiB) payloads, which the
-	// pool places on an idle queue pair: the bias must hold for them
-	// too, however idle the sick pair is.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			payload := make([]byte, 2048)
-			if g%4 == 0 {
-				payload = make([]byte, 64<<10)
+	step := func() {
+		for i := 0; i < 20; i++ {
+			for _, p := range []string{"/sick/f", "/well/f"} {
+				_, _ = ns.Stat(nil, p)
 			}
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_ = pool.WriteAt(int64((g*97+i)%2048)*4096, payload)
-			}
-		}(g)
-	}
-	defer func() { close(stop); wg.Wait() }()
-
-	sub := e.Subject("qp", "t0/qp1")
-	if sub == nil {
-		t.Fatal("qp subject not registered")
-	}
-	waitState := func(want State, deadline time.Duration) {
-		t.Helper()
-		limit := time.Now().Add(deadline)
-		for time.Now().Before(limit) {
-			if sub.State() == want {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
 		}
-		t.Fatalf("qp1 never reached %v (state %v, hops %v)", want, sub.State(), snapshotHops())
+		e.Tick()
 	}
 
-	// 1. The stalled pair is demoted to suspect inside the plan window.
-	waitState(Suspect, 1500*time.Millisecond)
-
-	// 2. The demotion path walked healthy → degraded → suspect, one
-	// step at a time, and never reached dead (the transport stayed up).
-	transMu.Lock()
-	sawDegraded, sawSuspect := false, false
-	for _, h := range qp1Hops {
-		if h.to == Dead {
-			transMu.Unlock()
-			t.Fatalf("qp1 demoted to dead with a live transport: %v", qp1Hops)
-		}
-		if h.from == Healthy && h.to == Degraded {
-			sawDegraded = true
-		}
-		if h.from == Degraded && h.to == Suspect && sawDegraded {
-			sawSuspect = true
-		}
+	// 1. Inside the window the failing mount is demoted one step at a
+	// time and stops at suspect: its transport never went down.
+	for i := 0; i < 8 && sick.State() != Suspect; i++ {
+		step()
 	}
-	transMu.Unlock()
-	if !sawDegraded || !sawSuspect {
-		t.Fatalf("demotion path incomplete: %v", snapshotHops())
+	if plan.Elapsed() >= window {
+		t.Fatalf("fault window closed during the demotion (%v elapsed)", plan.Elapsed())
+	}
+	if want := []State{Degraded, Suspect}; !slices.Equal(hops, want) {
+		t.Fatalf("sick hops %v, want %v", hops, want)
+	}
+	if got := well.State(); got != Healthy {
+		t.Fatalf("neighbour mount is %v, want healthy", got)
 	}
 
-	// 3. An incident bundle landed on disk.
+	// 2. The demotion to suspect left an incident bundle on disk.
 	bundles, err := os.ReadDir(incidentDir)
 	if err != nil || len(bundles) == 0 {
 		t.Fatalf("no incident bundle (err %v)", err)
 	}
 	bundle := filepath.Join(incidentDir, bundles[len(bundles)-1].Name())
-	for _, f := range []string{"meta.json", "blackbox.json", "metrics.prom", "goroutine.pprof"} {
+	for _, f := range []string{"meta.json", "metrics.prom", "goroutine.pprof"} {
 		if _, err := os.Stat(filepath.Join(bundle, f)); err != nil {
 			t.Errorf("bundle missing %s: %v", f, err)
 		}
 	}
-
-	// 4. Placement bias measurably shifts traffic off the sick pair.
-	if b := pool.QPBias(1); b != nvmeof.BiasAvoid {
-		t.Fatalf("qp1 bias = %v at suspect, want avoid", b)
+	var meta incidentMeta
+	if b, err := os.ReadFile(filepath.Join(bundle, "meta.json")); err != nil {
+		t.Fatal(err)
+	} else if err := json.Unmarshal(b, &meta); err != nil {
+		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // drain pre-bias in-flights
-	before := perQPCommands(pool)
-	time.Sleep(400 * time.Millisecond)
-	after := perQPCommands(pool)
-	qp1Delta := after[1] - before[1]
-	total := (after[0] - before[0]) + qp1Delta
-	if total == 0 {
-		t.Fatal("workload produced no traffic during the bias check")
-	}
-	// Probes may still touch qp1; the workload must not. Allow 10%.
-	if qp1Delta*10 > total {
-		t.Errorf("suspect qp1 still took %d of %d commands", qp1Delta, total)
+	if meta.Reason != "demoted-suspect" || meta.Verdict.Name != "sick" {
+		t.Errorf("last bundle is %q for %q, want demoted-suspect for sick", meta.Reason, meta.Verdict.Name)
 	}
 
-	// 5. /health JSON and the nvmecr_health_state series agree.
-	if sub.State() == Suspect { // still inside the window
-		checkAgreement(t, srv, reg, "t0/qp1", http.StatusServiceUnavailable)
-	}
+	// 3. /health JSON and the nvmecr_health_state series agree.
+	checkAgreement(t, srv, reg, "sick", Suspect, http.StatusServiceUnavailable)
 
-	// 6. After the plan window closes, probes pass and the pair walks
-	// back to healthy; bias clears.
-	waitState(Healthy, 10*time.Second)
-	if b := pool.QPBias(1); b != nvmeof.BiasNone {
-		t.Fatalf("qp1 bias = %v after recovery, want none", b)
+	// 4. After the window closes the mount walks back to healthy.
+	time.Sleep(window - plan.Elapsed())
+	for i := 0; i < 20 && sick.State() != Healthy; i++ {
+		step()
 	}
-	checkAgreement(t, srv, reg, "t0/qp1", http.StatusOK)
-}
-
-func perQPCommands(p *nvmeof.HostPool) []uint64 {
-	snaps := p.Snapshot()
-	out := make([]uint64, len(snaps))
-	for i, s := range snaps {
-		out[i] = s.Commands
+	if want := []State{Degraded, Suspect, Degraded, Healthy}; !slices.Equal(hops, want) {
+		t.Fatalf("sick hops %v, want %v", hops, want)
 	}
-	return out
+	checkAgreement(t, srv, reg, "sick", Healthy, http.StatusOK)
 }
 
 // checkAgreement asserts the /health JSON document and the
-// nvmecr_health_state gauge report the same state for one subject, and
-// that the endpoint's HTTP status matches the overall verdict.
-func checkAgreement(t *testing.T, srv *httptest.Server, reg *telemetry.Registry, name string, wantCode int) {
+// nvmecr_health_state gauge both report want for one mount, and that the
+// endpoint's HTTP status matches the overall verdict.
+func checkAgreement(t *testing.T, srv *httptest.Server, reg *telemetry.Registry, name string, want State, wantCode int) {
 	t.Helper()
 	resp, err := srv.Client().Get(srv.URL)
 	if err != nil {
@@ -260,20 +150,15 @@ func checkAgreement(t *testing.T, srv *httptest.Server, reg *telemetry.Registry,
 	}
 	var jsonState State = -1
 	for _, v := range doc.Subjects {
-		if v.Kind == "qp" && v.Name == name {
+		if v.Kind == "mount" && v.Name == name {
 			jsonState = v.State
 		}
 	}
-	if jsonState == -1 {
-		t.Fatalf("subject %s missing from /health", name)
+	if jsonState != want {
+		t.Errorf("/health says mount %s is %v, want %v", name, jsonState, want)
 	}
-	var snap telemetry.RegistrySnapshot
-	reg.Snapshot(&snap)
-	g := snap.Find(MetricHealthState, telemetry.Labels{"kind": "qp", "name": name})
-	if g == nil {
-		t.Fatalf("no %s series for %s", MetricHealthState, name)
-	}
-	if State(g.Value) != jsonState {
-		t.Errorf("nvmecr_health_state = %v, /health says %v", State(g.Value), jsonState)
+	g := reg.Gauge(MetricHealthState, telemetry.Labels{"kind": "mount", "name": name})
+	if State(g.Value()) != jsonState {
+		t.Errorf("nvmecr_health_state = %v, /health says %v", State(g.Value()), jsonState)
 	}
 }

@@ -170,11 +170,12 @@ func (inst *Instance) Unlink(p *sim.Proc, path string) error {
 		return err
 	}
 	inst.acct.Charge(p, vfs.User, inst.cfg.Host.BTreeOp)
-	ino, err := inst.lookup(path)
+	ino, err := inst.checkUnlink(path)
 	if err != nil {
 		return err
 	}
-	// Logged first, applied second, like create.
+	// Checked, logged, applied, like create: a record replay would refuse
+	// never reaches the log.
 	if _, err := inst.logOp(p, wal.Record{Op: wal.OpUnlink, Path: path, Inode: ino.id}); err != nil {
 		return err
 	}
@@ -201,11 +202,12 @@ func (inst *Instance) Rename(p *sim.Proc, oldPath, newPath string) error {
 		return err
 	}
 	inst.acct.Charge(p, vfs.User, 2*inst.cfg.Host.BTreeOp)
-	ino, err := inst.lookup(oldPath)
+	ino, _, err := inst.checkRename(oldPath, newPath)
 	if err != nil {
 		return err
 	}
-	// Logged first, applied second, like create.
+	// Checked, logged, applied, like create: a record replay would refuse
+	// never reaches the log.
 	if _, err := inst.logOp(p, wal.Record{Op: wal.OpRename, Path: oldPath, Path2: newPath, Inode: ino.id}); err != nil {
 		return err
 	}
@@ -215,33 +217,46 @@ func (inst *Instance) Rename(p *sim.Proc, oldPath, newPath string) error {
 	return inst.writeDirTail(p, parentOf(newPath))
 }
 
-// applyRename mutates metadata for a rename (shared with replay).
-func (inst *Instance) applyRename(oldPath, newPath string) error {
-	ino, err := inst.lookup(oldPath)
+// checkRename reports, changing nothing, whether applyRename would
+// succeed — the source is a file, the destination's parent is a
+// directory with room for one more entry, and the destination name is
+// free — and returns the source and the destination's parent.
+func (inst *Instance) checkRename(oldPath, newPath string) (ino, parent *inode, err error) {
+	ino, err = inst.lookup(oldPath)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if ino.isDir {
-		return vfs.ErrIsDir
+		return nil, nil, vfs.ErrIsDir
 	}
-	parent, err := inst.lookup(parentOf(newPath))
+	parent, err = inst.lookup(parentOf(newPath))
 	if err != nil {
-		return fmt.Errorf("microfs: parent of %q: %w", newPath, err)
+		return nil, nil, fmt.Errorf("microfs: parent of %q: %w", newPath, err)
 	}
 	if !parent.isDir {
-		return vfs.ErrNotDir
+		return nil, nil, vfs.ErrNotDir
 	}
 	if _, exists := inst.tree.Get(newPath); exists {
-		return vfs.ErrExist
+		return nil, nil, vfs.ErrExist
+	}
+	if inst.pool.BlocksFor(parent.size+dirEntryBytes) > int64(len(parent.blocks)) && inst.pool.Free() == 0 {
+		return nil, nil, vfs.ErrNoSpace
+	}
+	return ino, parent, nil
+}
+
+// applyRename mutates metadata for a rename (shared with replay).
+func (inst *Instance) applyRename(oldPath, newPath string) error {
+	ino, parent, err := inst.checkRename(oldPath, newPath)
+	if err != nil {
+		return err
 	}
 	inst.tree.Delete(oldPath)
 	inst.tree.Insert(newPath, ino.id)
 	// The destination directory gains an entry (the source's entry is
-	// tombstoned, like unlink).
-	return func() error {
-		_, err := inst.growTo(parent, parent.size+dirEntryBytes)
-		return err
-	}()
+	// tombstoned, like unlink); checkRename saw the block it may need.
+	_, _ = inst.growTo(parent, parent.size+dirEntryBytes)
+	return nil
 }
 
 // ReadDir implements vfs.Client: the B+Tree's ordered iteration makes
@@ -361,15 +376,25 @@ func (inst *Instance) insert(parent *inode, path string, mode uint32, isDir bool
 	return ino
 }
 
+// checkUnlink reports, changing nothing, whether applyUnlink would
+// succeed — the path names a file — and returns its inode.
+func (inst *Instance) checkUnlink(path string) (*inode, error) {
+	ino, err := inst.lookup(path)
+	if err != nil {
+		return nil, err
+	}
+	if ino.isDir {
+		return nil, vfs.ErrIsDir
+	}
+	return ino, nil
+}
+
 // applyUnlink mutates metadata for an unlink, freeing blocks in
 // deterministic (file) order.
 func (inst *Instance) applyUnlink(path string) error {
-	ino, err := inst.lookup(path)
+	ino, err := inst.checkUnlink(path)
 	if err != nil {
 		return err
-	}
-	if ino.isDir {
-		return vfs.ErrIsDir
 	}
 	for _, b := range ino.blocks {
 		if err := inst.pool.FreeBlock(b); err != nil {

@@ -2,6 +2,7 @@ package microfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -42,26 +43,76 @@ func TestRenameCommitIdiom(t *testing.T) {
 	})
 }
 
+// recoversAfter recovers a fresh instance from r's device, as a crash
+// right after a refused operation would, and checks that replay accepts
+// every record and rebuilds exactly the names in want.
+func recoversAfter(t *testing.T, r *rig, p *sim.Proc, refused string, want ...string) {
+	t.Helper()
+	fresh := r.freshInstance(t)
+	if err := fresh.Recover(p); err != nil {
+		t.Errorf("recover after %s: %v", refused, err)
+		return
+	}
+	if got := fresh.tree.Len(); got != len(want)+1 { // + the root
+		t.Errorf("recover after %s: %d names, want %d", refused, got-1, len(want))
+	}
+	for _, name := range want {
+		if _, err := fresh.Stat(p, name); err != nil {
+			t.Errorf("recover after %s: %s: %v", refused, name, err)
+		}
+	}
+}
+
+// TestRenameErrors: a refused rename changes nothing, in memory or in
+// the log, so a recovery after each refusal replays cleanly. Each
+// refusal gets its own device, so one refusal's record cannot hide
+// another's.
 func TestRenameErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		from, to string
+		want     error
+	}{
+		{"missing source", "/missing", "/x", vfs.ErrNotExist},
+		{"onto an existing file", "/a", "/b", vfs.ErrExist},
+		{"into a missing directory", "/a", "/nodir/x", vfs.ErrNotExist},
+		{"of a directory", "/d", "/d2", vfs.ErrIsDir},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, nil)
+			r.run(t, func(p *sim.Proc) {
+				for _, name := range []string{"/a", "/b"} {
+					f, err := r.inst.Open(p, name, vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
+					if err != nil {
+						t.Fatal(err)
+					}
+					f.Close(p)
+				}
+				if err := r.inst.Mkdir(p, "/d", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.inst.Rename(p, tc.from, tc.to); !errors.Is(err, tc.want) {
+					t.Errorf("rename %s -> %s: %v, want %v", tc.from, tc.to, err, tc.want)
+				}
+				recoversAfter(t, r, p, "rename "+tc.name, "/a", "/b", "/d")
+			})
+		})
+	}
+}
+
+// TestUnlinkDirectoryRefused: unlinking a directory is refused before
+// anything is logged, so a recovery afterwards replays cleanly and keeps
+// the directory.
+func TestUnlinkDirectoryRefused(t *testing.T) {
 	r := newRig(t, nil)
 	r.run(t, func(p *sim.Proc) {
-		if err := r.inst.Rename(p, "/missing", "/x"); err != vfs.ErrNotExist {
-			t.Errorf("rename missing: %v", err)
+		if err := r.inst.Mkdir(p, "/d", 0o755); err != nil {
+			t.Fatal(err)
 		}
-		a, _ := r.inst.Open(p, "/a", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
-		a.Close(p)
-		b, _ := r.inst.Open(p, "/b", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
-		b.Close(p)
-		if err := r.inst.Rename(p, "/a", "/b"); err != vfs.ErrExist {
-			t.Errorf("rename onto existing: %v", err)
+		if err := r.inst.Unlink(p, "/d"); err != vfs.ErrIsDir {
+			t.Errorf("unlink directory: %v", err)
 		}
-		if err := r.inst.Rename(p, "/a", "/nodir/x"); err == nil {
-			t.Error("rename into missing directory accepted")
-		}
-		r.inst.Mkdir(p, "/d", 0o755)
-		if err := r.inst.Rename(p, "/d", "/d2"); err != vfs.ErrIsDir {
-			t.Errorf("directory rename: %v", err)
-		}
+		recoversAfter(t, r, p, "directory unlink", "/d")
 	})
 }
 

@@ -133,7 +133,7 @@ func TestFaultConnDuplicateFrameIsDiscarded(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("data corrupted by duplicated WRITE capsule")
 	}
-	if !h.QPHealthy(0) {
+	if !h.Snapshot()[0].Healthy {
 		t.Fatal("queue pair poisoned by a duplicate completion")
 	}
 }
@@ -155,7 +155,7 @@ func TestFaultConnBlackholeHitsDeadline(t *testing.T) {
 	if err := h.Flush(); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("blackholed FLUSH returned %v, want ErrTimeout", err)
 	}
-	if !h.QPHealthy(0) {
+	if !h.Snapshot()[0].Healthy {
 		t.Fatal("queue pair poisoned by a deadline")
 	}
 	if err := h.WriteAt(0, []byte("after the blackhole")); err != nil {

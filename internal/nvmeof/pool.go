@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/nvme-cr/nvmecr/internal/telemetry"
@@ -63,8 +62,8 @@ type PoolConfig struct {
 	// pool: Acquire must grant a slot (deadline-ordered admission, see
 	// sched.EDF) or fail with a typed error that surfaces to the
 	// caller unwrapped. The deadline passed is now+CommandTimeout, or
-	// zero when the pool has no timeout. Composes with QPBias: the gate
-	// decides *when* a command may submit, bias decides *where*.
+	// zero when the pool has no timeout. The gate decides *when* a
+	// command may submit; acquire decides *where*.
 	Gate CommandGate
 	// GateTenant is the tenant label this pool presents to Gate
 	// (default "default"). One gate shared across per-tenant pools is
@@ -113,9 +112,8 @@ func (c PoolConfig) withDefaults() PoolConfig {
 // instruments share those series (same registry, same qp label) and
 // additionally count pool-level events: retries, reconnects, off-home.
 type qpSlot struct {
-	id   int
-	tel  qpTelemetry
-	bias atomic.Int32 // QPBias, set by external health judgment
+	id  int
+	tel qpTelemetry
 
 	mu           sync.Mutex
 	host         *Host
@@ -296,8 +294,8 @@ func (p *HostPool) home(off uint64) int {
 
 // acquire picks the queue pair for a command that moves n payload
 // bytes: one scan from slot start (the command's home, or past the pair
-// that just failed it) that takes the first healthy unbiased queue pair
-// shallower than a spill depth, otherwise the shallowest. Dead queue
+// that just failed it) that takes the first healthy queue pair shallower
+// than a spill depth, otherwise the shallowest. Dead queue
 // pairs encountered on the way are handed to the reconnector.
 //
 // The spill depth is the rest of the policy. A transfer of sockBufSize or
@@ -309,11 +307,6 @@ func (p *HostPool) home(off uint64) int {
 // in one batcher and coalesces into one vectored write, where balancing
 // by depth would cut N shallow batches across N batchers. Without a
 // batcher every command spills past a busy pair.
-//
-// Biased queue pairs never win outright, idle or not: BiasSoft carries
-// a depth handicap so siblings are preferred until they are genuinely
-// deeper, and BiasAvoid pairs are a separate last-resort class used
-// only when nothing else is up.
 func (p *HostPool) acquire(n, start int) (*qpSlot, *Host, error) {
 	select {
 	case <-p.closed:
@@ -324,9 +317,9 @@ func (p *HostPool) acquire(n, start int) (*qpSlot, *Host, error) {
 	if p.fill == 0 || n >= sockBufSize {
 		spill = 1
 	}
-	var best, avoid *qpSlot
-	var bestHost, avoidHost *Host
-	bestDepth, avoidDepth := 0, 0
+	var best *qpSlot
+	var bestHost *Host
+	bestDepth := 0
 	for i := range p.slots {
 		s := p.slots[(start+i)%len(p.slots)]
 		s.mu.Lock()
@@ -337,30 +330,17 @@ func (p *HostPool) acquire(n, start int) (*qpSlot, *Host, error) {
 			continue
 		}
 		d := h.InFlight()
-		switch QPBias(s.bias.Load()) {
-		case BiasAvoid:
-			if avoid == nil || d < avoidDepth {
-				avoid, avoidHost, avoidDepth = s, h, d
-			}
-			continue
-		case BiasSoft:
-			d += softBiasHandicap
-		default:
-			if d < spill {
-				return s, h, nil
-			}
+		if d < spill {
+			return s, h, nil
 		}
 		if best == nil || d < bestDepth {
 			best, bestHost, bestDepth = s, h, d
 		}
 	}
-	if best != nil {
-		return best, bestHost, nil
+	if best == nil {
+		return nil, nil, ErrNoQueuePairs
 	}
-	if avoid != nil {
-		return avoid, avoidHost, nil
-	}
-	return nil, nil, ErrNoQueuePairs
+	return best, bestHost, nil
 }
 
 // noteFailure marks a slot's host dead (if it still occupies the slot)

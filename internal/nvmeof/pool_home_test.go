@@ -20,7 +20,7 @@ func offHome(p *HostPool) uint64 {
 
 // TestPoolHomeByAddress pins the placement rule: a command's scan starts
 // at the queue pair that owns its offset, and everything after the start
-// — spill depth, bias, shallowest-wins — is TestBatchingPoolFillFirst's.
+// — spill depth, shallowest-wins — is TestBatchingPoolFillFirst's.
 func TestPoolHomeByAddress(t *testing.T) {
 	const fill = 64
 	dial := func(t *testing.T, nsid uint32, size int64, pairs int, batch bool) *HostPool {
@@ -43,64 +43,51 @@ func TestPoolHomeByAddress(t *testing.T) {
 		// use different pairs.
 		three := dial(t, 1, 3*model.MB, 2, true)
 		admin := dial(t, 0, q, 2, true)
-		none := []QPBias{BiasNone, BiasNone, BiasNone, BiasNone}
 		for _, tc := range []struct {
 			name  string
 			pool  *HostPool
 			off   int64
 			n     int
 			depth []int32
-			bias  []QPBias
 			want  int
 		}{
-			{"first byte", four, 0, 512, []int32{0, 0, 0, 0}, none, 0},
-			{"last byte of range 0", four, q - 1, 512, []int32{0, 0, 0, 0}, none, 0},
-			{"first byte of range 1", four, q, 512, []int32{0, 0, 0, 0}, none, 1},
-			{"range 3", four, 3*q + 17, 512, []int32{0, 0, 0, 0}, none, 3},
-			{"at namespace size", four, 4 * q, 512, []int32{0, 0, 0, 0}, none, 3},
+			{"first byte", four, 0, 512, []int32{0, 0, 0, 0}, 0},
+			{"last byte of range 0", four, q - 1, 512, []int32{0, 0, 0, 0}, 0},
+			{"first byte of range 1", four, q, 512, []int32{0, 0, 0, 0}, 1},
+			{"range 3", four, 3*q + 17, 512, []int32{0, 0, 0, 0}, 3},
+			{"at namespace size", four, 4 * q, 512, []int32{0, 0, 0, 0}, 3},
 			// What a caller's negative offset looks like on the wire.
-			{"far past namespace size", four, -1, 512, []int32{0, 0, 0, 0}, none, 3},
+			{"far past namespace size", four, -1, 512, []int32{0, 0, 0, 0}, 3},
 
-			{"small stays home under the fill depth", four, 2 * q, 512, []int32{0, 0, fill - 1, 0}, none, 2},
-			{"small spills in slot order", four, 2 * q, 512, []int32{0, 0, fill, 0}, none, 3},
-			{"spill wraps", four, 2 * q, 512, []int32{0, 0, fill, fill}, none, 0},
-			{"spill wraps past a full slot 0", four, 2 * q, 512, []int32{fill, 0, fill, fill}, none, 1},
-			{"all full: shallowest", four, 2 * q, 512, []int32{fill + 2, fill + 1, fill + 3, fill + 2}, none, 1},
-			{"all equally full: home", four, 2 * q, 512, []int32{fill, fill, fill, fill}, none, 2},
-			{"bulk stays on an idle home", four, q, sockBufSize, []int32{0, 0, 0, 0}, none, 1},
-			{"bulk spills past one command", four, q, sockBufSize, []int32{0, 1, 0, 0}, none, 2},
-			{"bulk, all busy: shallowest", four, q, MaxDataLen, []int32{2, 3, 3, 1}, none, 3},
-			{"no batcher: small is placed like bulk", plain, 3 * q, 512, []int32{0, 0, 0, 1}, none, 0},
-			{"no batcher: idle home", plain, 3 * q, 512, []int32{1, 1, 1, 0}, none, 3},
+			{"small stays home under the fill depth", four, 2 * q, 512, []int32{0, 0, fill - 1, 0}, 2},
+			{"small spills in slot order", four, 2 * q, 512, []int32{0, 0, fill, 0}, 3},
+			{"spill wraps", four, 2 * q, 512, []int32{0, 0, fill, fill}, 0},
+			{"spill wraps past a full slot 0", four, 2 * q, 512, []int32{fill, 0, fill, fill}, 1},
+			{"all full: shallowest", four, 2 * q, 512, []int32{fill + 2, fill + 1, fill + 3, fill + 2}, 1},
+			{"all equally full: home", four, 2 * q, 512, []int32{fill, fill, fill, fill}, 2},
+			{"bulk stays on an idle home", four, q, sockBufSize, []int32{0, 0, 0, 0}, 1},
+			{"bulk spills past one command", four, q, sockBufSize, []int32{0, 1, 0, 0}, 2},
+			{"bulk, all busy: shallowest", four, q, MaxDataLen, []int32{2, 3, 3, 1}, 3},
+			{"no batcher: small is placed like bulk", plain, 3 * q, 512, []int32{0, 0, 0, 1}, 0},
+			{"no batcher: idle home", plain, 3 * q, 512, []int32{1, 1, 1, 0}, 3},
 
-			{"avoided home", four, q, 512, []int32{0, 0, 0, 0}, []QPBias{BiasNone, BiasAvoid, BiasNone, BiasNone}, 2},
-			{"soft home loses to an idle sibling", four, q, 512, []int32{0, 0, 0, 0}, []QPBias{BiasNone, BiasSoft, BiasNone, BiasNone}, 2},
-			{"soft home wins over deep siblings", four, q, 512, []int32{fill + softBiasHandicap + 1, 0, fill + softBiasHandicap + 1, fill + softBiasHandicap + 1}, []QPBias{BiasNone, BiasSoft, BiasNone, BiasNone}, 1},
-			{"only avoided pairs: shallowest of them", four, q, 512, []int32{3, 2, 1, 2}, []QPBias{BiasAvoid, BiasAvoid, BiasAvoid, BiasAvoid}, 2},
+			{"3 over 2: partition 0", three, 0, 512, []int32{0, 0}, 0},
+			{"3 over 2: partition 1, low half", three, model.MB, 512, []int32{0, 0}, 0},
+			{"3 over 2: partition 1, high half", three, model.MB + model.MB/2, 512, []int32{0, 0}, 1},
+			{"3 over 2: partition 2", three, 2 * model.MB, 512, []int32{0, 0}, 1},
 
-			{"3 over 2: partition 0", three, 0, 512, []int32{0, 0}, none[:2], 0},
-			{"3 over 2: partition 1, low half", three, model.MB, 512, []int32{0, 0}, none[:2], 0},
-			{"3 over 2: partition 1, high half", three, model.MB + model.MB/2, 512, []int32{0, 0}, none[:2], 1},
-			{"3 over 2: partition 2", three, 2 * model.MB, 512, []int32{0, 0}, none[:2], 1},
-
-			{"admin pool: no namespace, slot 0", admin, 0, 0, []int32{0, 0}, none[:2], 0},
-			{"admin pool: CREATE-NS carries a size, not an address", admin, 64 * model.MB, 0, []int32{0, 0}, none[:2], 0},
+			{"admin pool: no namespace, slot 0", admin, 0, 0, []int32{0, 0}, 0},
+			{"admin pool: CREATE-NS carries a size, not an address", admin, 64 * model.MB, 0, []int32{0, 0}, 0},
 		} {
-			for i, b := range tc.bias {
-				tc.pool.SetQPBias(i, b)
-			}
 			undo := setDepths(tc.pool, tc.depth...)
 			s, _, err := tc.pool.acquire(tc.n, tc.pool.home(uint64(tc.off)))
 			undo()
-			for i := range tc.bias {
-				tc.pool.SetQPBias(i, BiasNone)
-			}
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			if s.id != tc.want {
-				t.Errorf("%s: offset %d, %d bytes, depths %v, bias %v: qp %d, want %d",
-					tc.name, tc.off, tc.n, tc.depth, tc.bias, s.id, tc.want)
+				t.Errorf("%s: offset %d, %d bytes, depths %v: qp %d, want %d",
+					tc.name, tc.off, tc.n, tc.depth, s.id, tc.want)
 			}
 		}
 	})

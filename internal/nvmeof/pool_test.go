@@ -795,106 +795,3 @@ func BenchmarkStripedPlane(b *testing.B) {
 		})
 	}
 }
-
-// TestQPBiasShiftsTraffic pins the health-engine integration contract:
-// an avoided queue pair stops receiving new commands while its siblings
-// absorb the load, and clearing the bias restores sharing. It holds for
-// every spill depth — fill-first (small commands under batching) and
-// idle-first (bulk commands, and every command without a batcher): a
-// biased pair is never chosen because it is idle or because it is home.
-func TestQPBiasShiftsTraffic(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		batch   bool
-		payload int
-	}{
-		{"plain/small", false, 18},
-		{"plain/bulk", false, sockBufSize},
-		{"batch/small", true, 18},
-		{"batch/bulk", true, sockBufSize},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, addr := startTarget(t, map[uint32]int64{1: 16 * model.MB})
-			p, err := DialPool(addr, 1, PoolConfig{QueuePairs: 2, Batch: BatchConfig{Enabled: tc.batch}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
-
-			perQP := func() []uint64 {
-				snaps := p.Snapshot()
-				out := make([]uint64, len(snaps))
-				for i, s := range snaps {
-					out[i] = s.Commands
-				}
-				return out
-			}
-			// Writes and reads alternate, so both bulk directions go
-			// through placement.
-			run := func(n int) {
-				buf := bytes.Repeat([]byte("b"), tc.payload)
-				for i := 0; i < n; i++ {
-					off := int64(i%64) * int64(tc.payload)
-					if i%2 == 0 {
-						err = p.WriteAt(off, buf)
-					} else {
-						_, err = p.ReadAt(off, int64(tc.payload))
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-
-			// Bias the pair placement would otherwise favour: every
-			// offset run issues is in the first half, whose home is slot 0.
-			sick, well := 0, 1
-			p.SetQPBias(sick, BiasAvoid)
-			if got := p.QPBias(sick); got != BiasAvoid {
-				t.Fatalf("QPBias(%d) = %v, want avoid", sick, got)
-			}
-			before := perQP()
-			run(200)
-			after := perQP()
-			if d := after[sick] - before[sick]; d != 0 {
-				t.Fatalf("avoided qp %d received %d commands, want 0", sick, d)
-			}
-			if d := after[well] - before[well]; d < 200 {
-				t.Fatalf("qp %d received %d commands, want >= 200", well, d)
-			}
-
-			// Clearing the bias lets the pair compete again.
-			p.SetQPBias(sick, BiasNone)
-			before = perQP()
-			run(200)
-			after = perQP()
-			if d := after[sick] - before[sick]; d == 0 {
-				t.Fatalf("qp %d received no traffic after bias cleared", sick)
-			}
-
-			// Soft bias only dampens: with a single serialized submitter
-			// every sibling is idle at selection time, so the handicapped
-			// pair never wins, but it must still be eligible (picked when
-			// others are deep).
-			p.SetQPBias(sick, BiasSoft)
-			before = perQP()
-			run(100)
-			after = perQP()
-			if d := after[well] - before[well]; d < 100 {
-				t.Fatalf("soft bias: qp %d received %d of 100 serialized commands", well, d)
-			}
-			// (Deeper by the handicap and, for commands that fill first,
-			// past the fill depth under which a sibling wins outright.)
-			deep := int32(p.fill + softBiasHandicap + 1)
-			p.slots[well].host.inflightN.Add(deep)
-			s, _, err := p.acquire(tc.payload, p.home(0))
-			p.slots[well].host.inflightN.Add(-deep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.id != sick {
-				t.Fatalf("soft-biased qp %d not picked over a sibling %d commands deep", sick, deep)
-			}
-		})
-	}
-}

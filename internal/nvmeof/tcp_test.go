@@ -360,15 +360,19 @@ func TestQueueFullRejected(t *testing.T) {
 	if len(held) != hostQueueDepth {
 		t.Fatalf("drained %d slots, want %d", len(held), hostQueueDepth)
 	}
-	// ProbeQP is an IDENTIFY on exactly this pair, outside the pool's
-	// retry and re-dial: the ring's own answer.
-	if err := p.ProbeQP(0); err == nil {
+	// An IDENTIFY on exactly this pair, outside the pool's retry and
+	// re-dial: the ring's own answer.
+	identify := func() error {
+		resp, err := h.submitPayload(&Command{Opcode: OpIdentify}, nil, 0, nil)
+		return checkResp(resp, err, "identify")
+	}
+	if err := identify(); err == nil {
 		t.Fatal("command accepted with a full slot ring")
 	}
 	for _, idx := range held {
 		h.freeRing.push(idx)
 	}
-	if err := p.ProbeQP(0); err != nil {
+	if err := identify(); err != nil {
 		t.Fatalf("identify after queue drained: %v", err)
 	}
 }
@@ -441,7 +445,7 @@ func TestReadResponseLengthValidated(t *testing.T) {
 			if got := answers.Load(); got != 1 {
 				t.Errorf("target answered %d times, want 1: a malformed answer is not retried", got)
 			}
-			if !p.QPHealthy(tc.qp) {
+			if !p.Snapshot()[tc.qp].Healthy {
 				t.Error("a malformed answer took the queue pair down")
 			}
 			dumps := flightDumps(t, &traceBuf)

@@ -28,7 +28,7 @@ func TestMigratorWatch(t *testing.T) {
 	eng := health.New(health.Config{Registry: w.reg})
 	subj, err := eng.Register(health.SubjectConfig{
 		Kind: "target", Name: "member-1",
-		Collect: func(*telemetry.RegistrySnapshot) health.Sample {
+		Collect: func() health.Sample {
 			aliveMu.Lock()
 			defer aliveMu.Unlock()
 			return health.Sample{Live: alive}
@@ -172,7 +172,7 @@ func TestEndToEndHealthDrivenMigration(t *testing.T) {
 		addr := addrs[i]
 		s, err := eng.Register(health.SubjectConfig{
 			Kind: "target", Name: fmt.Sprintf("member-%d", i),
-			Collect: func(*telemetry.RegistrySnapshot) health.Sample {
+			Collect: func() health.Sample {
 				return health.Sample{Live: probe(addr)}
 			},
 		})

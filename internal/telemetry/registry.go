@@ -450,62 +450,9 @@ type InstrumentSnapshot struct {
 	Sum    float64
 }
 
-// CountAtOrBelow returns how many observations fell into buckets whose
-// upper bound is <= v — the "good event" count for a latency objective
-// with threshold v (bucket granularity; choose thresholds on bucket
-// bounds for exact counts).
-func (s *InstrumentSnapshot) CountAtOrBelow(v float64) uint64 {
-	if s == nil || s.Kind != KindHistogram {
-		return 0
-	}
-	var cum uint64
-	for i, b := range s.Bounds {
-		if b > v {
-			break
-		}
-		cum += s.Counts[i]
-	}
-	return cum
-}
-
-// Quantile estimates the q-th quantile from the snapshot's buckets, the
-// same interpolation Histogram.Quantile computes on the live series.
-func (s *InstrumentSnapshot) Quantile(q float64) float64 {
-	if s == nil || s.Kind != KindHistogram || s.U == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.U)
-	var cum uint64
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i == len(s.Bounds) {
-				return s.Bounds[len(s.Bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = s.Bounds[i-1]
-			}
-			hi := s.Bounds[i]
-			frac := (rank - float64(cum)) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
 // RegistrySnapshot is a point-in-time copy of every instrument in a
 // Registry, captured with reusable buffers so a poller on a fixed
-// cadence (the health engine) adds no per-tick garbage. Pass the same
+// cadence adds no per-sample garbage. Pass the same
 // *RegistrySnapshot back to Registry.Snapshot to reuse it.
 type RegistrySnapshot struct {
 	Instruments []InstrumentSnapshot
@@ -566,68 +513,4 @@ func (r *Registry) Snapshot(dst *RegistrySnapshot) *RegistrySnapshot {
 		}
 	}
 	return dst
-}
-
-// labelsEqual reports whether two label sets carry identical pairs.
-func labelsEqual(a, b Labels) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
-}
-
-// labelsInclude reports whether labels carries every pair in match (a
-// subset test, for summing across an extra dimension like "op").
-func labelsInclude(labels, match Labels) bool {
-	for k, v := range match {
-		if lv, ok := labels[k]; !ok || lv != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Find returns the snapshot entry for name with exactly these labels,
-// or nil. Linear scan: snapshots are read a handful of times per tick.
-func (s *RegistrySnapshot) Find(name string, labels Labels) *InstrumentSnapshot {
-	if s == nil {
-		return nil
-	}
-	for i := range s.Instruments {
-		in := &s.Instruments[i]
-		if in.Name == name && labelsEqual(in.Labels, labels) {
-			return in
-		}
-	}
-	return nil
-}
-
-// Counter returns the counter value for name+labels (0 when absent).
-func (s *RegistrySnapshot) Counter(name string, labels Labels) uint64 {
-	if in := s.Find(name, labels); in != nil && in.Kind == KindCounter {
-		return in.U
-	}
-	return 0
-}
-
-// SumCounters sums every counter named name whose labels include all of
-// match — e.g. nvmecr_mount_ops_total{mount="a"} summed across its
-// per-op label.
-func (s *RegistrySnapshot) SumCounters(name string, match Labels) uint64 {
-	if s == nil {
-		return 0
-	}
-	var sum uint64
-	for i := range s.Instruments {
-		in := &s.Instruments[i]
-		if in.Name == name && in.Kind == KindCounter && labelsInclude(in.Labels, match) {
-			sum += in.U
-		}
-	}
-	return sum
 }

@@ -430,8 +430,12 @@ func TestMountStats(t *testing.T) {
 		if withReg {
 			// The aggregate must agree with the labeled per-op series.
 			var snap telemetry.RegistrySnapshot
-			reg.Snapshot(&snap)
-			sum := snap.SumCounters("nvmecr_mount_ops_total", telemetry.Labels{"mount": "/t"})
+			var sum uint64
+			for _, in := range reg.Snapshot(&snap).Instruments {
+				if in.Name == "nvmecr_mount_ops_total" && in.Labels["mount"] == "/t" {
+					sum += in.U
+				}
+			}
 			if sum != st.Ops {
 				t.Errorf("per-op sum %d != aggregate %d", sum, st.Ops)
 			}

@@ -13,10 +13,8 @@
 # synchronous small-command caller per partition),
 # BenchmarkStripedPlane (striped vs single-target large transfers),
 # BenchmarkMirroredPlane (RAID-10 mirror vs RAID-0 over the same
-# members), BenchmarkIndexRing (the raw
-# slot-ring cycle), and BenchmarkHostPoolHealth (the same loaded pool
-# with and without a bound health engine) — and emits BENCH_nvmeof.json
-# with ns/op, MB/s, and allocs/op per case.
+# members), and BenchmarkIndexRing (the raw slot-ring cycle) — and
+# emits BENCH_nvmeof.json with ns/op, MB/s, and allocs/op per case.
 #
 # Regression gates (full runs only; quick mode prints the values but
 # does not fail on them — 200ms samples are too noisy to gate on):
@@ -27,8 +25,6 @@
 #   - batched steady state at qp=4 runs at 0 allocs/op (the polled
 #     zero-copy submission path's contract; counted process-wide,
 #     in-process target included)
-#   - health-engine overhead: engine=on ns/op <= 1.05x engine=off (the
-#     judgment layer must stay off the data hot path)
 #   - mirrored R=2 writes >= 0.45x RAID-0 (ideal 0.5x: every byte hits
 #     two devices) and mirrored reads >= 0.9x RAID-0 (replica-split
 #     reads keep RAID-0 read bandwidth)
@@ -60,11 +56,6 @@ echo "== go test -bench (nvmeof hot paths, benchtime=$benchtime)"
 go test ./internal/nvmeof -run '^$' \
 	-bench 'BenchmarkHostPool|BenchmarkStripedPlane|BenchmarkMirroredPlane|BenchmarkIndexRing' \
 	-benchmem -benchtime "$benchtime" -count=1 | tee "$raw"
-
-echo "== go test -bench (health-engine overhead, benchtime=$benchtime)"
-go test ./internal/health -run '^$' \
-	-bench 'BenchmarkHostPoolHealth' \
-	-benchmem -benchtime "$benchtime" -count=1 | tee -a "$raw"
 
 # Benchmark lines look like:
 #   BenchmarkHostPool/qp=4/batch=true-4  333538  7630 ns/op  536.83 MB/s  1234 B/op  25 allocs/op
@@ -131,21 +122,6 @@ echo "== batched steady-state allocations at qp=4: ${allocs} allocs/op (gate: 0)
 if [ "$gate" = 1 ] && [ "$allocs" != 0 ]; then
 	echo "FAIL: zero-copy regression — batched steady state at ${allocs} allocs/op, want 0" >&2
 	exit 1
-fi
-
-# Gate 4: the health engine stays off the data hot path — per-op
-# latency with a bound engine ticking at 5ms within 5% of the same
-# pool without one.
-hratio="$(awk '
-$1 ~ /^BenchmarkHostPoolHealth\/engine=off(-[0-9]+)?$/ { for (i=2;i<=NF;i++) if ($i=="ns/op") base=$(i-1) }
-$1 ~ /^BenchmarkHostPoolHealth\/engine=on(-[0-9]+)?$/  { for (i=2;i<=NF;i++) if ($i=="ns/op") got=$(i-1) }
-END { if (base > 0) printf "%.3f", got / base; else print "0" }' "$raw")"
-echo "== health-engine on/off ns/op ratio: ${hratio}x (gate: <= 1.05x)"
-if [ "$gate" = 1 ]; then
-	awk -v r="$hratio" 'BEGIN { exit (r > 0 && r <= 1.05 ? 0 : 1) }' || {
-		echo "FAIL: health-engine overhead — engine=on at ${hratio}x engine=off ns/op, above the 1.05x gate" >&2
-		exit 1
-	}
 fi
 
 # Gate 5: mirroring costs its fundamental write tax and no more —

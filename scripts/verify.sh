@@ -40,6 +40,25 @@ if [ -s "$tmp/orphans" ]; then
 	exit 1
 fi
 
+echo "== packages off the measured path"
+# Every subsystem sits on a measured path or earns its place by name
+# (ROADMAP item 11). The measured roots are the end-to-end benchmark and
+# the paper-figure harness. An internal package neither reaches is named
+# below with the reason it stays; any other fails the gate.
+go list -deps ./benchmark ./cmd/nvmecr-bench | sort >"$tmp/measured"
+comm -23 "$tmp/internal" "$tmp/measured" | sed "s|^$mod/||" >"$tmp/unmeasured"
+while read -r pkg; do
+	case "$pkg" in
+	internal/health) why="nvmecrd's /health, /healthz, incident capture and mirror-member verdicts" ;;
+	internal/rebalance) why="nvmecrd -mirror's online member migration" ;;
+	*)
+		echo "$pkg: reached by no measured root (./benchmark, ./cmd/nvmecr-bench) and not named in this gate"
+		exit 1
+		;;
+	esac
+	echo "$pkg: kept for $why"
+done <"$tmp/unmeasured"
+
 echo "== gofmt"
 gofmt -l . >"$tmp/gofmt"
 if [ -s "$tmp/gofmt" ]; then
@@ -106,8 +125,8 @@ go test -short -count=1 ./internal/qos/campaign
 
 echo "== go test -race (health/SLO engine)"
 # The engine ticks from its own goroutine while subjects register,
-# deregister, and serve /health concurrently; transitions drive pool
-# bias from the tick goroutine. All of it must be race-clean.
+# deregister, and serve /health concurrently; transitions run their
+# listeners on the tick goroutine. All of it must be race-clean.
 go test -race ./internal/health
 
 echo "== go test -race (stripe migration plane, short mode)"
