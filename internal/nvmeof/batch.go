@@ -123,7 +123,7 @@ const coalesceMin = 4096
 // extra is payload carried outside c.Data (a vectored WRITE's total).
 func validateCommand(c *Command, version uint16, extra int) error {
 	if len(c.Data)+extra > MaxDataLen {
-		return fmt.Errorf("nvmeof: in-capsule data %d exceeds limit", len(c.Data)+extra)
+		return fmt.Errorf("nvmeof: in-capsule data %d: %w", len(c.Data)+extra, ErrCapsuleTooLarge)
 	}
 	if c.Traced && version < VersionTrace {
 		return fmt.Errorf("nvmeof: traced command on version-%d queue pair", version)

@@ -22,6 +22,15 @@ var ErrTimeout = errors.New("nvmeof: command deadline exceeded")
 // completion whose payload disagrees with what the command requested.
 var ErrBadResponse = errors.New("nvmeof: malformed response from target")
 
+// ErrQueueFull reports that every command slot of a queue pair was in
+// use. The command was refused before any byte of it was written, so
+// the queue pair stays up.
+var ErrQueueFull = errors.New("nvmeof: queue full")
+
+// ErrCapsuleTooLarge reports a payload over MaxDataLen. No capsule can
+// carry it, so it is refused before it reaches a queue pair.
+var ErrCapsuleTooLarge = errors.New("nvmeof: payload exceeds capsule limit")
+
 // Host is one queue pair of a HostPool: one TCP connection with
 // pipelined command submission. The pool dials it (dialSlot) and every
 // command enters through submitPayload; commands may be issued from
@@ -124,7 +133,7 @@ func (h *Host) acquireSlot() (*hostSlot, error) {
 	}
 	idx, ok := h.freeRing.pop()
 	if !ok {
-		return nil, fmt.Errorf("nvmeof: queue full: %d commands in flight", len(h.slots))
+		return nil, fmt.Errorf("%w: %d commands in flight", ErrQueueFull, len(h.slots))
 	}
 	s := &h.slots[idx]
 	if s.ch == nil {
@@ -571,8 +580,14 @@ func validateReadLength(length int64) error {
 	if length < 0 {
 		return fmt.Errorf("nvmeof: read: negative length %d", length)
 	}
-	if length > MaxDataLen {
-		return fmt.Errorf("nvmeof: read: length %d exceeds capsule limit %d", length, MaxDataLen)
+	return capsuleLimit("read", length)
+}
+
+// capsuleLimit refuses a transfer of n payload bytes that no capsule
+// can carry, before the pool places it on a queue pair.
+func capsuleLimit(op string, n int64) error {
+	if n > MaxDataLen {
+		return fmt.Errorf("nvmeof: %s: %d bytes: %w", op, n, ErrCapsuleTooLarge)
 	}
 	return nil
 }

@@ -58,27 +58,6 @@ type PoolConfig struct {
 	// Batch configures each queue pair's submission batcher (see
 	// BatchConfig). The zero value keeps the direct path.
 	Batch BatchConfig
-	// Gate, when non-nil, is consulted before every command leaves the
-	// pool: Acquire must grant a slot (deadline-ordered admission, see
-	// sched.EDF) or fail with a typed error that surfaces to the
-	// caller unwrapped. The deadline passed is now+CommandTimeout, or
-	// zero when the pool has no timeout. The gate decides *when* a
-	// command may submit; acquire decides *where*.
-	Gate CommandGate
-	// GateTenant is the tenant label this pool presents to Gate
-	// (default "default"). One gate shared across per-tenant pools is
-	// how multi-tenant deadline scheduling is wired up.
-	GateTenant string
-}
-
-// CommandGate is the pool's admission hook for deadline-aware command
-// scheduling. sched.EDF satisfies it. Acquire blocks until a slot is
-// granted — at most until deadline — and returns a release function,
-// or fails with the gate's typed error (e.g. sched.ErrShed,
-// sched.ErrLate); errors.Is must work on the result. A zero deadline
-// means the command has no bound.
-type CommandGate interface {
-	Acquire(tenant string, deadline time.Time) (func(), error)
 }
 
 func (c PoolConfig) withDefaults() PoolConfig {
@@ -98,9 +77,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	}
 	if c.ReconnectBackoff <= 0 {
 		c.ReconnectBackoff = 10 * time.Millisecond
-	}
-	if c.GateTenant == "" {
-		c.GateTenant = "default"
 	}
 	c.Batch = c.Batch.withDefaults()
 	return c
@@ -417,21 +393,6 @@ func (p *HostPool) reconnect(s *qpSlot) {
 	}
 }
 
-// gateAcquire enters the pool's command gate (when one is configured)
-// with a deadline of now+CommandTimeout, covering the whole command
-// including retries. The returned release is safe to call when the
-// gate is nil.
-func (p *HostPool) gateAcquire() (func(), error) {
-	if p.cfg.Gate == nil {
-		return func() {}, nil
-	}
-	var deadline time.Time
-	if p.cfg.CommandTimeout > 0 {
-		deadline = time.Now().Add(p.cfg.CommandTimeout)
-	}
-	return p.cfg.Gate.Acquire(p.cfg.GateTenant, deadline)
-}
-
 // do runs one command on a selected queue pair; idempotent commands are
 // retried with backoff on transport failures and timeouts. A completion
 // with a non-OK status is a definitive answer, not a transport failure,
@@ -444,11 +405,6 @@ func (p *HostPool) do(cmd *Command, idempotent bool) (Response, error) {
 // in a registered buffer (see Host.submitPayload). An OK completion whose
 // payload disagrees with the command is ErrBadResponse.
 func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer, idempotent bool) (Response, error) {
-	release, err := p.gateAcquire()
-	if err != nil {
-		return Response{}, err
-	}
-	defer release()
 	attempts := 1
 	if idempotent {
 		attempts += p.cfg.MaxRetries
@@ -499,9 +455,7 @@ func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer
 		lastQP = s.id
 		// Retry elsewhere first: this pair, still up or re-dialled, would win again.
 		start = s.id + 1
-		if !errors.Is(err, ErrTimeout) {
-			// The queue pair is dead; a timed-out queue pair stays up
-			// (its command was abandoned, not its connection).
+		if transportFailure(err) {
 			p.noteFailure(s, h)
 		}
 	}
@@ -511,6 +465,14 @@ func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer
 	return Response{}, lastErr
 }
 
+// transportFailure reports whether a submission error means the queue
+// pair's connection is dead. A timeout abandons its command, not its
+// connection, and a refusal (a full slot ring, an oversize capsule)
+// happens before any byte is written: the queue pair stays up for both.
+func transportFailure(err error) bool {
+	return !errors.Is(err, ErrTimeout) && !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrCapsuleTooLarge)
+}
+
 // WriteAt writes data at the namespace offset. The payload is aliased,
 // not copied: it rides to the socket as its own iovec, and the caller
 // must not mutate it until WriteAt returns (see docs/batching.md for
@@ -518,6 +480,9 @@ func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer
 // the pool cannot know whether a failed round trip mutated the
 // namespace, so the error surfaces to the caller.
 func (p *HostPool) WriteAt(off int64, data []byte) error {
+	if err := capsuleLimit("write", int64(len(data))); err != nil {
+		return err
+	}
 	resp, err := p.do(&Command{Opcode: OpWriteCmd, Offset: uint64(off), Data: data}, false)
 	return checkResp(resp, err, "write")
 }
@@ -530,6 +495,9 @@ func (p *HostPool) WriteAtV(off int64, bufs [][]byte) error {
 	total := vecBytes(bufs)
 	if total == 0 {
 		return nil
+	}
+	if err := capsuleLimit("write", int64(total)); err != nil {
+		return err
 	}
 	resp, err := p.doPayload(&Command{Opcode: OpWriteCmd, Offset: uint64(off)}, bufs, total, nil, false)
 	return checkResp(resp, err, "write")
@@ -576,7 +544,7 @@ func (p *HostPool) Flush() error {
 	errs := make([]error, len(p.slots))
 	flushOn := func(s *qpSlot, h *Host) {
 		resp, err := h.submitPayload(&Command{Opcode: OpFlushCmd}, nil, 0, nil)
-		if err != nil && !errors.Is(err, ErrTimeout) {
+		if err != nil && transportFailure(err) {
 			p.noteFailure(s, h)
 		}
 		errs[s.id] = checkResp(resp, err, "flush")

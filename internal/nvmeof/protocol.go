@@ -227,7 +227,7 @@ func WriteCommand(w io.Writer, c *Command) error {
 // peer would misparse the extension bytes as data.
 func WriteCommandV(w io.Writer, c *Command, version uint16) error {
 	if len(c.Data) > MaxDataLen {
-		return fmt.Errorf("nvmeof: in-capsule data %d exceeds limit", len(c.Data))
+		return fmt.Errorf("nvmeof: in-capsule data %d: %w", len(c.Data), ErrCapsuleTooLarge)
 	}
 	if c.Traced && version < VersionTrace {
 		return fmt.Errorf("nvmeof: traced command on version-%d queue pair", version)

@@ -343,6 +343,9 @@ func TestAbandonedSlotNotReissued(t *testing.T) {
 	}
 }
 
+// A full slot ring refuses the command with ErrQueueFull before any
+// byte reaches the wire, and the queue pair stays up: the refusal is
+// not a transport failure.
 func TestQueueFullRejected(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
 	p := dialOne(t, addr, 1, PoolConfig{})
@@ -360,20 +363,72 @@ func TestQueueFullRejected(t *testing.T) {
 	if len(held) != hostQueueDepth {
 		t.Fatalf("drained %d slots, want %d", len(held), hostQueueDepth)
 	}
-	// An IDENTIFY on exactly this pair, outside the pool's retry and
-	// re-dial: the ring's own answer.
-	identify := func() error {
-		resp, err := h.submitPayload(&Command{Opcode: OpIdentify}, nil, 0, nil)
-		return checkResp(resp, err, "identify")
+	if err := p.WriteAt(0, []byte("refused")); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("write with a full slot ring: %v, want ErrQueueFull", err)
 	}
-	if err := identify(); err == nil {
-		t.Fatal("command accepted with a full slot ring")
+	if _, err := p.ReadAt(0, 8); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("read with a full slot ring: %v, want ErrQueueFull", err)
 	}
 	for _, idx := range held {
 		h.freeRing.push(idx)
 	}
-	if err := identify(); err != nil {
+	assertSameQueuePair(t, p, h)
+	if _, err := p.Identify(); err != nil {
 		t.Fatalf("identify after queue drained: %v", err)
+	}
+}
+
+// assertSameQueuePair fails unless h still occupies the pool's only
+// slot and is healthy: nothing tore the queue pair down.
+func assertSameQueuePair(t *testing.T, p *HostPool, h *Host) {
+	t.Helper()
+	s := p.slots[0]
+	s.mu.Lock()
+	cur := s.host
+	s.mu.Unlock()
+	if cur != h || !h.Healthy() {
+		t.Fatal("a refused command tore down its queue pair")
+	}
+}
+
+// A payload no capsule can carry is refused with ErrCapsuleTooLarge
+// before placement, and another caller's write already in flight on the
+// same queue pair completes: the refusal closes no connection. A pool
+// that took the refusal for a transport failure would close the pair,
+// and the in-flight write would fail with "use of closed network
+// connection".
+func TestRefusedCommandKeepsQueuePair(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batch=%v", batch), func(t *testing.T) {
+			tgt := NewTarget()
+			if err := tgt.AddNamespace(1, NewMemNamespaceWithLatency(model.MB, 200*time.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+			addr, err := tgt.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { tgt.Close() })
+			p := dialOne(t, addr, 1, PoolConfig{Batch: BatchConfig{Enabled: batch}})
+			h := p.slots[0].host
+
+			inflight := make(chan error, 1)
+			go func() { inflight <- p.WriteAt(0, make([]byte, 4096)) }()
+			for h.InFlight() == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if err := p.WriteAt(4096, make([]byte, MaxDataLen+1)); !errors.Is(err, ErrCapsuleTooLarge) {
+				t.Fatalf("oversize write: %v, want ErrCapsuleTooLarge", err)
+			}
+			half := make([]byte, MaxDataLen/2+1)
+			if err := p.WriteAtV(4096, [][]byte{half, half}); !errors.Is(err, ErrCapsuleTooLarge) {
+				t.Fatalf("oversize vectored write: %v, want ErrCapsuleTooLarge", err)
+			}
+			if err := <-inflight; err != nil {
+				t.Fatalf("in-flight write failed after another caller's refusal: %v", err)
+			}
+			assertSameQueuePair(t, p, h)
+		})
 	}
 }
 
@@ -471,8 +526,8 @@ func TestReadLengthValidatedClientSide(t *testing.T) {
 	if _, err := h.ReadAt(0, -5); err == nil {
 		t.Error("negative read length accepted")
 	}
-	if _, err := h.ReadAt(0, MaxDataLen+1); err == nil {
-		t.Error("read length above MaxDataLen accepted")
+	if _, err := h.ReadAt(0, MaxDataLen+1); !errors.Is(err, ErrCapsuleTooLarge) {
+		t.Errorf("read length above MaxDataLen: %v, want ErrCapsuleTooLarge", err)
 	}
 	// The queue pair stays usable.
 	if _, err := h.ReadAt(0, 16); err != nil {

@@ -1,7 +1,7 @@
 // Package campaign is the multi-tenant QoS campaign runner: it stands
 // up real NVMe-oF TCP targets, wires per-tenant admission control
-// (qos.Controller), a shared deadline gate (sched.EDF via
-// nvmeof.PoolConfig.Gate), and per-tenant host pools, then drives
+// (qos.Controller), a shared FIFO gate that stands in for one shared
+// device (see gate), and per-tenant host pools, then drives
 // seeded tenant workloads — victim, aggressor, bursty, restart-storm
 // shapes from internal/workload — with optional fault injection
 // mid-campaign. Everything is derived from one seed, so a failure
@@ -31,7 +31,6 @@ import (
 	"github.com/nvme-cr/nvmecr/internal/faults"
 	"github.com/nvme-cr/nvmecr/internal/nvmeof"
 	"github.com/nvme-cr/nvmecr/internal/qos"
-	"github.com/nvme-cr/nvmecr/internal/sched"
 	"github.com/nvme-cr/nvmecr/internal/telemetry"
 	"github.com/nvme-cr/nvmecr/internal/workload"
 )
@@ -58,7 +57,7 @@ type Config struct {
 	// target (default 1ms) — it sets the service-time scale every
 	// other knob is calibrated against.
 	TargetLatency time.Duration
-	// GateCapacity is the shared EDF gate's concurrency budget
+	// GateCapacity is the shared gate's concurrency budget
 	// (default 4).
 	GateCapacity int
 	// Tenants is the tenant roster. Required.
@@ -82,8 +81,8 @@ type Config struct {
 
 // The campaign's fixed pool and gate shape: queue pairs per (tenant,
 // target) pool, the gate's total and per-tenant backlog, and the
-// per-command timeout (which also sets the EDF deadline each pool
-// presents to the gate).
+// per-command timeout (which also bounds each operation's wait in the
+// gate).
 const (
 	queuePairs     = 2
 	gateQueue      = 1024
@@ -238,6 +237,20 @@ type tenantRun struct {
 	samples   []time.Duration
 }
 
+// newTenantRun registers spec's tenant with the admission controller
+// and its instruments in reg.
+func newTenantRun(spec TenantSpec, ctrl *qos.Controller, reg *telemetry.Registry) *tenantRun {
+	l := telemetry.Labels{"tenant": spec.Name}
+	return &tenantRun{
+		spec:       spec,
+		tenant:     ctrl.Tenant(spec.Name, spec.Limits),
+		completedC: reg.Counter(qos.MetricCompleted, l),
+		failedC:    reg.Counter(qos.MetricFailed, l),
+		shedC:      reg.Counter(qos.MetricShed, l),
+		latencyH:   reg.Histogram(qos.MetricLatency, nil, l),
+	}
+}
+
 // rankRegion is one rank's private byte range on one target, plus what
 // the campaign knows about its content: the last acked write pattern,
 // and whether a later failed or timed-out WRITE may or may not have
@@ -247,7 +260,6 @@ type tenantRun struct {
 type rankRegion struct {
 	target        int
 	base          int64
-	size          int64
 	lastAcked     []byte
 	indeterminate bool
 }
@@ -318,12 +330,8 @@ func Run(cfg Config) (*Result, error) {
 		defer tgt.Close()
 	}
 
-	// Shared deadline gate and admission controller.
-	gate := sched.NewEDF(sched.EDFConfig{
-		Capacity:      cfg.GateCapacity,
-		MaxWaiters:    gateQueue,
-		TenantWaiters: tenantQueue,
-	})
+	// Shared gate and admission controller.
+	g := newGate(cfg.GateCapacity, gateQueue, tenantQueue)
 	ctrl := qos.NewController(reg)
 	if cfg.DisableAdmission {
 		ctrl.SetEnforcement(false)
@@ -338,20 +346,11 @@ func Run(cfg Config) (*Result, error) {
 	// Per-tenant pools (one per target) and instruments.
 	runs := make([]*tenantRun, len(cfg.Tenants))
 	for ti, spec := range cfg.Tenants {
-		tr := &tenantRun{
-			spec:       spec,
-			tenant:     ctrl.Tenant(spec.Name, spec.Limits),
-			completedC: reg.Counter(qos.MetricCompleted, telemetry.Labels{"tenant": spec.Name}),
-			failedC:    reg.Counter(qos.MetricFailed, telemetry.Labels{"tenant": spec.Name}),
-			shedC:      reg.Counter(qos.MetricShed, telemetry.Labels{"tenant": spec.Name}),
-			latencyH:   reg.Histogram(qos.MetricLatency, nil, telemetry.Labels{"tenant": spec.Name}),
-		}
+		tr := newTenantRun(spec, ctrl, reg)
 		for i := 0; i < cfg.Targets; i++ {
 			pc := nvmeof.PoolConfig{
 				QueuePairs:     queuePairs,
 				CommandTimeout: commandTimeout,
-				Gate:           gate,
-				GateTenant:     spec.Name,
 				RetryBackoff:   time.Millisecond,
 			}
 			if plan != nil {
@@ -377,7 +376,6 @@ func Run(cfg Config) (*Result, error) {
 			regions[ti][r] = &rankRegion{
 				target: global % cfg.Targets,
 				base:   int64(global/cfg.Targets) * regionBytes,
-				size:   tr.spec.Shape.OpBytes,
 			}
 			global++
 		}
@@ -403,7 +401,7 @@ func Run(cfg Config) (*Result, error) {
 				if !sustained {
 					defer finite.Done()
 				}
-				runRank(cfg, tr, regions[ti][r], ti, r, sustained, stop)
+				runRank(cfg, g, tr, regions[ti][r], ti, r, sustained, stop)
 			}()
 		}
 	}
@@ -512,7 +510,7 @@ func Run(cfg Config) (*Result, error) {
 
 // runRank drives one rank's op stream until its shape's op count is
 // done (or, for sustained aggressors, until stop closes).
-func runRank(cfg Config, tr *tenantRun, reg *rankRegion, tenantIdx, rank int, sustained bool, stop chan struct{}) {
+func runRank(cfg Config, g *gate, tr *tenantRun, reg *rankRegion, tenantIdx, rank int, sustained bool, stop chan struct{}) {
 	shape := tr.spec.Shape
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(tenantIdx)<<40 ^ int64(rank)<<16))
 	pool := tr.pools[reg.target]
@@ -555,13 +553,19 @@ func runRank(cfg Config, tr *tenantRun, reg *rankRegion, tenantIdx, rank int, su
 		tr.admitted++
 		tr.mu.Unlock()
 
-		var err error
-		t0 := time.Now()
-		if isRead {
-			_, err = pool.ReadAt(reg.base, shape.OpBytes)
-		} else {
+		if !isRead {
 			fillPattern(buf, cfg.Seed, tenantIdx, rank, op)
-			err = pool.WriteAt(reg.base, buf)
+		}
+		// The latency covers the wait in the gate.
+		t0 := time.Now()
+		err := g.acquire(tr.spec.Name, t0.Add(commandTimeout))
+		if err == nil {
+			if isRead {
+				_, err = pool.ReadAt(reg.base, shape.OpBytes)
+			} else {
+				err = pool.WriteAt(reg.base, buf)
+			}
+			g.release()
 		}
 		lat := time.Since(t0)
 
@@ -577,11 +581,11 @@ func runRank(cfg Config, tr *tenantRun, reg *rankRegion, tenantIdx, rank int, su
 				reg.lastAcked = append(reg.lastAcked[:0], buf...)
 				reg.indeterminate = false
 			}
-		case errors.Is(err, sched.ErrShed):
+		case errors.Is(err, errShed):
 			// Refused before touching the wire: a definite outcome.
 			tr.shed++
 			tr.shedC.Inc()
-		case errors.Is(err, sched.ErrLate):
+		case errors.Is(err, errLate):
 			tr.late++
 			tr.shedC.Inc()
 		default:

@@ -105,7 +105,7 @@ func TestCampaignFairness(t *testing.T) {
 }
 
 // The break-demo: with admission enforcement disabled, the sustained
-// aggressor's ranks stack the deadline gate's queue and the victim's
+// aggressor's ranks stack the gate's queue and the victim's
 // p99.9 blows through the bound the property campaign holds — proving
 // the suite detects a broken admission path rather than vacuously
 // passing.

@@ -10,14 +10,15 @@
 // (a *Tenant satisfies the vfs.Admission interface), and the mount
 // dispatch consults quotas before admission, so a tenant that is both
 // at its byte quota and out of admission tokens gets the quota error
-// (vfs.ErrNoSpace), never a misclassified ErrAdmission. Deadline
-// scheduling for admitted commands lives in sched.EDF, wired into
-// nvmeof.HostPool via PoolConfig.Gate; the campaign runner in
-// internal/qos/campaign drives all three against real TCP targets.
+// (vfs.ErrNoSpace), never a misclassified ErrAdmission. No scheduler
+// orders admitted commands: as in the paper, each microfs instance
+// keeps its own queue. The campaign runner in internal/qos/campaign
+// drives admission against real TCP targets, behind a FIFO gate that
+// stands in for one shared device.
 //
 // Telemetry: nvmecr_qos_admitted_total{tenant},
 // nvmecr_qos_rejected_total{tenant,reason}, and — written by the
-// campaign runner and the pool gate path —
+// campaign runner —
 // nvmecr_qos_completed_total{tenant}, nvmecr_qos_failed_total{tenant},
 // nvmecr_qos_shed_total{tenant}, nvmecr_qos_latency_seconds{tenant}.
 package qos

@@ -104,11 +104,11 @@ echo "== go test -race (mount table / multi-tenant namespace)"
 # per-mount telemetry must be race-clean.
 go test -race ./internal/vfs
 
-echo "== go test -race (qos admission + deadline gate)"
-# Token buckets are hit from every rank goroutine and the EDF gate
-# hands slots directly between goroutines under its lock; both must be
-# race-clean, as must the pool's gate acquire/release composition.
-go test -race ./internal/qos ./internal/sched
+echo "== go test -race (qos admission + the campaign's gate)"
+# Token buckets are hit from every rank goroutine and the campaign's
+# gate hands slots directly between goroutines under its lock; both
+# must be race-clean.
+go test -race ./internal/qos/...
 
 echo "== multi-tenant QoS campaign (short mode)"
 # 10 seeded iterations of the mixed campaign — victim + 32-rank
