@@ -5,7 +5,10 @@
 // from 4 KB to 32 KB blocks — and make allocation a pointer bump.
 package blockpool
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Pool allocates fixed-size blocks from a contiguous partition using a
 // circular free list. The zero value is not usable; call New.
@@ -139,16 +142,40 @@ func (p *Pool) Snapshot() State {
 	return State{BlockSize: p.blockSize, NBlocks: p.nblocks, Free: free, Used: p.used}
 }
 
-// Restore rebuilds a pool from a snapshot.
-func Restore(s State) (*Pool, error) {
-	if s.BlockSize <= 0 || s.NBlocks <= 0 || int64(len(s.Free)) != s.NBlocks-s.Used {
-		return nil, fmt.Errorf("blockpool: inconsistent snapshot (%d blocks, %d used, %d free listed)",
-			s.NBlocks, s.Used, len(s.Free))
+// ErrBadState reports a snapshot State that does not describe a pool
+// over the partition it is restored onto.
+var ErrBadState = errors.New("blockpool: snapshot state does not fit the partition")
+
+// Restore rebuilds a pool from a snapshot, over a partition of size bytes
+// in blockSize-byte hugeblocks (New's geometry). It refuses with
+// ErrBadState a state of another geometry, a used count outside [0,
+// blocks], a free list of the wrong length, and one that names a block
+// out of range or twice; nothing is allocated until the geometry and the
+// counts check out.
+func Restore(s State, size, blockSize int64) (*Pool, error) {
+	n := s.NBlocks
+	switch {
+	case blockSize <= 0 || n <= 0 || s.BlockSize != blockSize || n != size/blockSize:
+		return nil, fmt.Errorf("%w: %d blocks of %d bytes on a partition of %d bytes in %d-byte blocks",
+			ErrBadState, n, s.BlockSize, size, blockSize)
+	case s.Used < 0 || s.Used > n:
+		return nil, fmt.Errorf("%w: %d of %d blocks used", ErrBadState, s.Used, n)
+	case int64(len(s.Free)) != n-s.Used:
+		return nil, fmt.Errorf("%w: %d free blocks listed, %d of %d used", ErrBadState, len(s.Free), s.Used, n)
 	}
-	p := &Pool{blockSize: s.BlockSize, nblocks: s.NBlocks, free: make([]int64, s.NBlocks), used: s.Used}
-	copy(p.free, s.Free)
-	p.head = 0
-	p.tail = int64(len(s.Free)) % s.NBlocks
+	p := &Pool{blockSize: blockSize, nblocks: n, free: make([]int64, n), used: s.Used}
+	// Until the copy below, free marks the blocks listed so far.
+	for _, b := range s.Free {
+		if b < 0 || b >= n {
+			return nil, fmt.Errorf("%w: free block %d out of range [0,%d)", ErrBadState, b, n)
+		}
+		if p.free[b] != 0 {
+			return nil, fmt.Errorf("%w: free block %d listed twice", ErrBadState, b)
+		}
+		p.free[b] = 1
+	}
+	clear(p.free[copy(p.free, s.Free):])
+	p.tail = int64(len(s.Free)) % n
 	return p, nil
 }
 

@@ -1,6 +1,7 @@
 package blockpool
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -152,7 +153,7 @@ func TestSnapshotRestoreExactOrder(t *testing.T) {
 	p.FreeBlock(2) // perturb the circular order
 	snap := p.Snapshot()
 
-	q, err := Restore(snap)
+	q, err := Restore(snap, 16*64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +175,45 @@ func TestSnapshotRestoreExactOrder(t *testing.T) {
 	}
 }
 
+// TestRestoreValidation: Restore refuses, with ErrBadState, every state
+// that does not describe a pool over the partition it is given. Against
+// the Restore that checked only the free list's length, six rows were
+// accepted: a block listed twice, out of range or negative, a negative
+// used count, and both geometries the partition does not have. A block
+// listed twice is handed to two files. The row with more blocks than the
+// partition is left out of that demo: it asked for 8 TiB of free list.
 func TestRestoreValidation(t *testing.T) {
-	if _, err := Restore(State{}); err == nil {
-		t.Error("empty snapshot accepted")
+	const size, bs = 4 * 64, 64 // four blocks
+	for _, tc := range []struct {
+		name string
+		s    State
+	}{
+		{"empty", State{}},
+		{"free list too long", State{BlockSize: bs, NBlocks: 4, Used: 1, Free: []int64{0, 1, 2, 3}}},
+		{"free list too short", State{BlockSize: bs, NBlocks: 4, Used: 1, Free: []int64{0, 1}}},
+		{"block listed twice", State{BlockSize: bs, NBlocks: 4, Used: 1, Free: []int64{0, 1, 1}}},
+		{"block out of range", State{BlockSize: bs, NBlocks: 4, Used: 1, Free: []int64{0, 1, 4}}},
+		{"negative block", State{BlockSize: bs, NBlocks: 4, Used: 1, Free: []int64{0, -1, 2}}},
+		{"negative used", State{BlockSize: bs, NBlocks: 4, Used: -1, Free: []int64{0, 1, 2, 3, 0}}},
+		{"used past the pool", State{BlockSize: bs, NBlocks: 4, Used: 5}},
+		{"other block size", State{BlockSize: 2 * bs, NBlocks: 2, Used: 2}},
+		{"more blocks than the partition", State{BlockSize: bs, NBlocks: 1 << 40, Used: 1<<40 - 1, Free: []int64{0}}},
+		{"fewer blocks than the partition", State{BlockSize: bs, NBlocks: 3, Used: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := Restore(tc.s, size, bs); !errors.Is(err, ErrBadState) {
+				t.Errorf("Restore(%+v) = %v, want ErrBadState", tc.s, err)
+			}
+		})
 	}
-	if _, err := Restore(State{BlockSize: 64, NBlocks: 4, Used: 1, Free: []int64{0, 1}}); err == nil {
-		t.Error("inconsistent free-list length accepted")
+	p, err := Restore(State{BlockSize: bs, NBlocks: 4, Used: 1, Free: []int64{3, 0, 2}}, size, bs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []int64{3, 0, 2} {
+		if b, err := p.Alloc(); err != nil || b != want {
+			t.Fatalf("Alloc = %d, %v, want %d", b, err, want)
+		}
 	}
 }
 

@@ -30,8 +30,16 @@ func (f *file) WriteN(p *sim.Proc, n int64) (int64, error) {
 }
 
 func (f *file) write(p *sim.Proc, data []byte, n int64) (int64, error) {
+	f.inst.enter(p)
+	defer f.inst.leave()
+	defer f.inst.traceSpan(p, "microfs.write", n)()
+	return f.writeIn(p, data, n)
+}
+
+// writeIn is write inside the instance. It defers nothing, so that the
+// two defers of write, with its one return, stay open-coded.
+func (f *file) writeIn(p *sim.Proc, data []byte, n int64) (int64, error) {
 	inst := f.inst
-	defer inst.traceSpan(p, "microfs.write", n)()
 	if f.closed {
 		return 0, vfs.ErrClosed
 	}
@@ -78,7 +86,7 @@ func (f *file) write(p *sim.Proc, data []byte, n int64) (int64, error) {
 	// it yet, so a short one is staged and leaves with its neighbours as
 	// one command (see stagePiece); every other write goes to the device
 	// itself, behind what is staged, so the device sees call order.
-	staged := coalesced && data != nil && n < stageBytes && !inst.flushing
+	staged := coalesced && data != nil && n < stageBytes
 	if !staged {
 		if err := inst.flushStage(p); err != nil {
 			return 0, err
@@ -141,22 +149,13 @@ func (inst *Instance) stagePiece(p *sim.Proc, devOff int64, piece []byte) error 
 // timed-out command may still be reading the buffer — and the next flush
 // point sends it again.
 func (inst *Instance) flushStage(p *sim.Proc) error {
-	run := inst.stage
-	if len(run) == 0 {
+	if len(inst.stage) == 0 {
 		return nil
 	}
-	// Detached while the command is in flight: under sim another process
-	// (the snapshot thread, or the writer during the thread's flush) can
-	// enter the instance while this one sleeps in Plane.Write, and must
-	// find neither a run to send twice nor a buffer to append to.
-	inst.stage, inst.flushing = nil, true
-	err := inst.cfg.Plane.Write(p, inst.stageOff, int64(len(run)), run, inst.pool.BlockSize())
-	inst.flushing = false
-	if err != nil {
-		inst.stage = run
+	if err := inst.cfg.Plane.Write(p, inst.stageOff, int64(len(inst.stage)), inst.stage, inst.pool.BlockSize()); err != nil {
 		return err
 	}
-	inst.stage = run[:0]
+	inst.stage = inst.stage[:0]
 	return nil
 }
 
@@ -175,6 +174,8 @@ func (f *file) ReadN(p *sim.Proc, n int64) (int64, error) {
 // is non-nil (len(buf) >= n) and for timing only otherwise.
 func (f *file) read(p *sim.Proc, n int64, buf []byte) (int64, error) {
 	inst := f.inst
+	inst.enter(p)
+	defer inst.leave()
 	if f.closed {
 		return 0, vfs.ErrClosed
 	}
@@ -230,6 +231,8 @@ func (f *file) SeekTo(offset int64) error {
 // whichever file they belong to, so Fsync on any handle makes every
 // write acknowledged so far durable.
 func (f *file) Fsync(p *sim.Proc) error {
+	f.inst.enter(p)
+	defer f.inst.leave()
 	defer f.inst.traceSpan(p, "microfs.fsync", -1)()
 	if f.closed {
 		return vfs.ErrClosed
@@ -237,7 +240,6 @@ func (f *file) Fsync(p *sim.Proc) error {
 	if err := f.inst.flushStage(p); err != nil {
 		return err
 	}
-	f.inst.awaitReset(p)
 	if err := f.inst.log.Sync(f.inst.logWriter(p)); err != nil {
 		return err
 	}
@@ -250,13 +252,14 @@ func (f *file) Fsync(p *sim.Proc) error {
 // the background snapshot thread, which checkpoints internal metadata
 // when the application's checkpoint phase ends.
 func (f *file) Close(p *sim.Proc) error {
+	f.inst.enter(p)
+	defer f.inst.leave()
 	if f.closed {
 		return vfs.ErrClosed
 	}
 	var err error
 	if f.writable {
 		if err = f.inst.flushStage(p); err == nil {
-			f.inst.awaitReset(p)
 			err = f.inst.log.Sync(f.inst.logWriter(p))
 		}
 	}

@@ -200,13 +200,13 @@ type Instance struct {
 	bgStop   bool
 	bgWG     *sim.WaitGroup
 
-	// snapshot mutual exclusion between the background thread and the
-	// forced (log-full) path. resetting holds from a snapshot's decision
-	// to reset the log until it has: no log call starts meanwhile (see
-	// awaitReset).
-	snapBusy  bool
-	resetting bool
-	snapDone  *sim.Signal
+	// The exclusion (see enter): busy holds while a process is inside,
+	// queued counts the processes waiting for it, and left wakes them.
+	// waits counts the entries that had to wait.
+	busy   bool
+	queued int
+	left   *sim.Signal
+	waits  int64
 
 	// snapLen is the size of the latest committed snapshot (0 when
 	// none); snapSlot is the A/B body slot the live header points to.
@@ -215,11 +215,9 @@ type Instance struct {
 
 	// stage is the write path's one staged run: the bytes of coalesced
 	// writes not yet sent, device-contiguous from stageOff, in a buffer of
-	// stageBytes allocated by the first write that stages. flushing
-	// reports that the run is detached and in flight (see flushStage).
+	// stageBytes allocated by the first write that stages.
 	stage    []byte
 	stageOff int64
-	flushing bool
 
 	stats Stats
 }
@@ -255,7 +253,7 @@ func New(env *sim.Env, cfg Config) (*Instance, error) {
 		nextIno:  rootIno,
 		dataBase: dataBase,
 		closeSig: env.NewSignal(),
-		snapDone: env.NewSignal(),
+		left:     env.NewSignal(),
 	}
 	log, err := wal.New(wal.Options{
 		Capacity:   cfg.LogBytes,
@@ -272,6 +270,34 @@ func New(env *sim.Env, cfg Config) (*Instance, error) {
 	inst.tree.Insert(rootPath, rootIno)
 	inst.nextIno = rootIno + 1
 	return inst, nil
+}
+
+// enter waits until no other process is inside the instance and lets p
+// in; leave lets the next one in. Every public operation and SnapshotNow
+// holds the instance from start to end, so an operation never meets
+// another half done, and a snapshot folds the whole log. The log, the
+// staged run and the DRAM metadata therefore have one caller at a time.
+// Under sim one process runs at a time, so the flag needs no lock, and
+// an entry that finds the instance free takes neither the Env's lock nor
+// an event. Lock order: the instance first, then the GlobalNS lock.
+func (inst *Instance) enter(p *sim.Proc) {
+	if inst.busy {
+		inst.waits++
+	}
+	for inst.busy {
+		inst.queued++
+		inst.left.Wait(p)
+		inst.queued--
+	}
+	inst.busy = true
+}
+
+// leave ends the holder's stay; see enter.
+func (inst *Instance) leave() {
+	inst.busy = false
+	if inst.queued > 0 {
+		inst.left.Fire()
+	}
 }
 
 // logWriter returns the WAL flush callback for process p, wrapped by the

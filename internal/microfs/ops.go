@@ -31,18 +31,18 @@ func (inst *Instance) metaLock(p *sim.Proc) func() {
 	return g.Lock.Release
 }
 
-// logOp appends a provenance record (flushing it to the SSD, unless it
+// logOp appends a provenance record (writing it to the SSD, unless it
 // is a write coalesced into the log's last record, which it reports: see
 // file.write) and, when provenance is disabled, additionally journals the
 // full inode and physical per-block records the way conventional
 // filesystems do.
 func (inst *Instance) logOp(p *sim.Proc, rec wal.Record) (coalesced bool, err error) {
 	inst.acct.Charge(p, vfs.User, inst.cfg.Host.LogAppend)
-	inst.awaitReset(p)
 	coalesced, err = inst.log.Append(inst.logWriter(p), rec)
 	if errors.Is(err, wal.ErrLogFull) {
-		// Forced synchronous snapshot to reclaim log space.
-		if serr := inst.SnapshotNow(p); serr != nil {
+		// Forced synchronous snapshot to reclaim log space, by the
+		// process that already holds the instance.
+		if serr := inst.snapshot(p); serr != nil {
 			return false, serr
 		}
 		coalesced, err = inst.log.Append(inst.logWriter(p), rec)
@@ -71,6 +71,8 @@ func (inst *Instance) logOp(p *sim.Proc, rec wal.Record) (coalesced bool, err er
 
 // Mkdir implements vfs.Client.
 func (inst *Instance) Mkdir(p *sim.Proc, path string, mode uint32) error {
+	inst.enter(p)
+	defer inst.leave()
 	defer inst.metaLock(p)()
 	path, err := normalize(path)
 	if err != nil {
@@ -109,6 +111,8 @@ func (inst *Instance) create(p *sim.Proc, op wal.Op, path string, mode uint32) (
 // replayed block placement is unchanged); O_APPEND positions the handle
 // at end-of-file.
 func (inst *Instance) Open(p *sim.Proc, path string, flags vfs.OpenFlags, mode uint32) (vfs.File, error) {
+	inst.enter(p)
+	defer inst.leave()
 	path, err := normalize(path)
 	if err != nil {
 		return nil, err
@@ -164,6 +168,8 @@ func (inst *Instance) Open(p *sim.Proc, path string, flags vfs.OpenFlags, mode u
 
 // Unlink implements vfs.Client.
 func (inst *Instance) Unlink(p *sim.Proc, path string) error {
+	inst.enter(p)
+	defer inst.leave()
 	defer inst.metaLock(p)()
 	path, err := normalize(path)
 	if err != nil {
@@ -192,6 +198,8 @@ func (inst *Instance) Unlink(p *sim.Proc, path string) error {
 // process's private namespace, so no coordination is needed; one
 // provenance record makes it durable.
 func (inst *Instance) Rename(p *sim.Proc, oldPath, newPath string) error {
+	inst.enter(p)
+	defer inst.leave()
 	defer inst.metaLock(p)()
 	oldPath, err := normalize(oldPath)
 	if err != nil {
@@ -262,6 +270,8 @@ func (inst *Instance) applyRename(oldPath, newPath string) error {
 // ReadDir implements vfs.Client: the B+Tree's ordered iteration makes
 // the listing a single range scan.
 func (inst *Instance) ReadDir(p *sim.Proc, path string) ([]vfs.FileInfo, error) {
+	inst.enter(p)
+	defer inst.leave()
 	path, err := normalize(path)
 	if err != nil {
 		return nil, err
@@ -299,6 +309,8 @@ func (inst *Instance) ReadDir(p *sim.Proc, path string) ([]vfs.FileInfo, error) 
 
 // Stat implements vfs.Client.
 func (inst *Instance) Stat(p *sim.Proc, path string) (vfs.FileInfo, error) {
+	inst.enter(p)
+	defer inst.leave()
 	path, err := normalize(path)
 	if err != nil {
 		return vfs.FileInfo{}, err

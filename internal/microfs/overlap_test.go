@@ -2,6 +2,7 @@ package microfs
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // slowSnapPlane delays every write into the snapshot region by 1 ms, so
-// that a snapshot outlasts the operations that overlap it, and every
+// that a snapshot outlasts the operations that arrive during it, and every
 // write into the log region by logDelay. header, when set, is fired as a
 // snapshot header's write begins.
 type slowSnapPlane struct {
@@ -65,14 +66,16 @@ func recovered(t *testing.T, p *sim.Proc, r *rig, path string) []byte {
 }
 
 // TestSnapshotOutlivesOverlappingOp is ROADMAP hazard 2 (c): a snapshot
-// that enters while another process is inside an operation, and is still
-// running after that operation returns, writes the log on its own behalf.
-// When the instance kept one "current process", saved and restored around
-// every operation as a stack, the writer's return left it empty under the
-// live snapshot, and the snapshot's log.Sync reported the pending
-// extension of /g as written without sending it. Against that code:
+// started while another process is inside an operation. When the two
+// could interleave, the snapshot outlived the rename and wrote the log on
+// the writer's behalf; with one "current process" kept as a stack, it
+// reported /g's pending extension as written without sending it
+// ("recovered /g: 1024 bytes, want 8192"). Now the snapshot waits for the
+// rename and runs once the writer sleeps outside the instance. Break-demo:
+// Rename without enter lets the snapshot build its image before the
+// rename is logged, and its reset drops the record:
 //
-//	recovered /g: 1024 bytes, want 8192
+//	recovered /b: vfs: file does not exist
 func TestSnapshotOutlivesOverlappingOp(t *testing.T) {
 	r, _ := newSlowSnapRig(t)
 	payload := seeded(7, 8<<10)
@@ -81,41 +84,47 @@ func TestSnapshotOutlivesOverlappingOp(t *testing.T) {
 		if err := f.Close(p); err != nil {
 			t.Fatal(err)
 		}
-		snapshotIn(t, r) // enters at the rename's first sleep
+		snapshotIn(t, r) // arrives at the rename's first sleep
 		if err := r.inst.Rename(p, "/a", "/b"); err != nil {
 			t.Fatal(err)
+		}
+		if r.inst.Stats().Snapshots != 0 {
+			t.Error("the snapshot ran inside the rename")
 		}
 		g := mustOpen(t, p, r.inst, "/g", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL)
 		if _, err := vfs.WriteAll(p, g, payload, 1024); err != nil {
 			t.Fatal(err)
 		}
-		p.Sleep(10 * time.Millisecond) // the snapshot commits the log meanwhile
+		p.Sleep(10 * time.Millisecond) // the snapshot folds the log meanwhile
 		if r.inst.Stats().Snapshots != 1 {
 			t.Fatal("the snapshot did not finish while the writer slept")
 		}
 		if err := g.Fsync(p); err != nil {
 			t.Fatal(err)
 		}
-		if got := recovered(t, p, r, "/g"); !bytes.Equal(got, payload) {
+		fresh := r.freshInstance(t)
+		if err := fresh.Recover(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Stat(p, "/b"); err != nil {
+			t.Errorf("recovered /b: %v", err)
+		}
+		if got := readBack(t, p, fresh, "/g"); !bytes.Equal(got, payload) {
 			t.Errorf("recovered /g: %d bytes, want %d", len(got), len(payload))
 		}
 	})
 }
 
-// TestSnapshotMeetsExtension is ROADMAP hazard 2 (a): a write logged
-// while a snapshot writes its body may extend a record below the head the
-// snapshot built its image at. The snapshot's Reset then dropped the
-// extension ("extension only"), or, when a later record kept the log,
-// replay from LogStart skipped it ("and a create"). SnapshotNow now seals
-// the log's coalescing window as it builds the image, so the write is a
-// record of its own at or past that head. Against the unsealed log:
+// TestSnapshotMeetsExtension is ROADMAP hazard 2 (a): a write arriving
+// while a snapshot writes its body. When the two could interleave, the
+// write extended a record below the head the image was built at, and the
+// snapshot's reset dropped the extension, or replay from the snapshot's
+// log offset skipped it. Now the append waits for the snapshot and lands
+// in the log the snapshot leaves behind. Break-demo: Open and write
+// without enter, and in both subtests:
 //
-//	extension_only: recovered /f: 4096 bytes, want 8192
-//	and_a_create: recovered /f: 4096 bytes, want 8192
-//
-// An Append still in flight at the reset test is reachable too: its
-// record, at the head the image was built at, does not move the head until
-// its page write returns. TestSnapshotMeetsAppendInFlight scripts it.
+//	the append did not wait for the snapshot
+//	recovered /f: 4096 bytes, want 8192
 func TestSnapshotMeetsExtension(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -138,6 +147,9 @@ func TestSnapshotMeetsExtension(t *testing.T) {
 				if _, err := f.Write(p, payload[4<<10:]); err != nil {
 					t.Fatal(err)
 				}
+				if r.inst.Stats().Snapshots != 1 {
+					t.Error("the append did not wait for the snapshot")
+				}
 				if tc.create {
 					mustOpen(t, p, r.inst, "/h", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL).Close(p)
 				}
@@ -156,15 +168,16 @@ func TestSnapshotMeetsExtension(t *testing.T) {
 	}
 }
 
-// TestSnapshotMeetsAppendInFlight: a record whose page write is still in
-// flight when the snapshot decides whether to reset the log sits at the
-// head the image was built at, without the operation it logs. Resetting
-// then drops a record that is about to be acknowledged: it lands in the
-// old epoch, and the Append returning into the reset log leaves its head
-// past bytes it never encoded, so the next records are lost too. The
-// snapshot keeps the log instead. Resetting under it, the recovered
-// instance has no /d/e:
+// TestSnapshotMeetsAppendInFlight: a snapshot that arrives while a
+// record's page write is in flight. When the two could interleave, the
+// snapshot built its image without the operation the record logs and,
+// with its reset, dropped a record about to be acknowledged: it landed in the
+// old epoch, and the Append returning into the reset log left its head
+// past bytes it never encoded, so the next records were lost too. Now the
+// snapshot waits for the mkdir, and its header reaches the device after
+// the mkdir's log page. Break-demo: Mkdir without enter:
 //
+//	the snapshot ran during the mkdir's log write
 //	vfs: file does not exist
 func TestSnapshotMeetsAppendInFlight(t *testing.T) {
 	r, slow := newSlowSnapRig(t)
@@ -172,13 +185,17 @@ func TestSnapshotMeetsAppendInFlight(t *testing.T) {
 	r.run(t, func(p *sim.Proc) {
 		mustOpen(t, p, r.inst, "/a", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL).Close(p)
 		slow.logDelay = 5 * time.Millisecond // outlasts the snapshot's body write
-		snapshotIn(t, r)                     // enters at the mkdir's first sleep
+		snapshotIn(t, r)                     // arrives at the mkdir's first sleep
 		if err := r.inst.Mkdir(p, "/d", 0o755); err != nil {
 			t.Fatal(err)
 		}
 		slow.logDelay = 0
+		if r.inst.Stats().Snapshots != 0 {
+			t.Error("the snapshot ran during the mkdir's log write")
+		}
+		p.Sleep(10 * time.Millisecond)
 		if r.inst.Stats().Snapshots != 1 {
-			t.Fatal("the snapshot did not finish during the mkdir's log write")
+			t.Fatal("the snapshot did not run once the mkdir returned")
 		}
 		f := mustOpen(t, p, r.inst, "/d/e", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL)
 		if _, err := f.Write(p, payload); err != nil {
@@ -193,14 +210,13 @@ func TestSnapshotMeetsAppendInFlight(t *testing.T) {
 	})
 }
 
-// TestSnapshotMeetsAppendAtHeader: a snapshot decides to reset the log
-// before it commits its header, and the header's write takes time. A
-// record logged while it is in flight lands in the epoch the header
-// retires and is acknowledged; Reset then drops it. The snapshot now holds
-// every log call back from its decision to its Reset. Against the code
-// that closed the window at the decision only, the recovered instance has
-// no /d:
+// TestSnapshotMeetsAppendAtHeader: a record logged while a snapshot's
+// header write is in flight. When the two could interleave, the record
+// landed in the epoch the header retires and was acknowledged; the
+// snapshot's reset then dropped it. Now the mkdir waits for the snapshot.
+// Break-demo: Mkdir without enter, and the recovered instance has no /d:
 //
+//	the mkdir did not wait for the snapshot
 //	vfs: file does not exist
 func TestSnapshotMeetsAppendAtHeader(t *testing.T) {
 	r, slow := newSlowSnapRig(t)
@@ -208,10 +224,13 @@ func TestSnapshotMeetsAppendAtHeader(t *testing.T) {
 		mustOpen(t, p, r.inst, "/a", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL).Close(p)
 		slow.header = r.env.NewSignal()
 		snapshotIn(t, r)
-		slow.header.Wait(p) // the body is written and the reset decided
+		slow.header.Wait(p) // the body is written, the header on its way
 		slow.header = nil
 		if err := r.inst.Mkdir(p, "/d", 0o755); err != nil {
 			t.Fatal(err)
+		}
+		if r.inst.Stats().Snapshots != 1 {
+			t.Error("the mkdir did not wait for the snapshot")
 		}
 		p.Sleep(10 * time.Millisecond)
 		if r.inst.Stats().Snapshots != 1 {
@@ -225,6 +244,52 @@ func TestSnapshotMeetsAppendAtHeader(t *testing.T) {
 			t.Error(err)
 		}
 	})
+}
+
+// TestCheckpointShapeMeetsNoWait drives the checkpoint shape the runtime
+// serves (comd.RankBody's, with files open together) with the background
+// thread on: each epoch writes, fsyncs and closes N files, then computes.
+// The thread wakes at the last close and snapshots during the compute
+// phase, so no entry to the instance waits, the thread's included: the
+// exclusion costs this shape nothing. Break-demo: a compute phase of
+// 10 µs, shorter than a snapshot, and each later epoch's first Open
+// queues behind one:
+//
+//	4 entries waited at the exclusion, want 0
+func TestCheckpointShapeMeetsNoWait(t *testing.T) {
+	const files, epochs, chunk = 4, 5, 16 << 10
+	r := newRig(t, func(cfg *Config) {
+		cfg.SnapThreshold = 0.001 // one epoch's records trip it
+	})
+	payload := seeded(11, 4*chunk)
+	r.run(t, func(p *sim.Proc) {
+		r.inst.StartBackground()
+		for e := 0; e < epochs; e++ {
+			open := make([]vfs.File, files)
+			for i := range open {
+				open[i] = mustOpen(t, p, r.inst, fmt.Sprintf("/rank0.ckpt%d.%d", e, i), vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL)
+				if _, err := vfs.WriteAll(p, open[i], payload, chunk); err != nil {
+					t.Fatal(err)
+				}
+				if err := open[i].Fsync(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, f := range open {
+				if err := f.Close(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.Sleep(50 * time.Millisecond) // compute phase
+		}
+		r.inst.StopBackground(p)
+	})
+	if n := r.inst.Stats().Snapshots; n != epochs {
+		t.Errorf("%d snapshots, want one per epoch (%d)", n, epochs)
+	}
+	if r.inst.waits != 0 {
+		t.Errorf("%d entries waited at the exclusion, want 0", r.inst.waits)
+	}
 }
 
 // TestLogWriterAllocs guards the per-process log writer against costing

@@ -1,12 +1,17 @@
 package microfs
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"runtime"
 	"strings"
 	"testing"
 
+	"github.com/nvme-cr/nvmecr/internal/blockpool"
 	"github.com/nvme-cr/nvmecr/internal/model"
 	"github.com/nvme-cr/nvmecr/internal/plane"
 	"github.com/nvme-cr/nvmecr/internal/sim"
@@ -244,5 +249,61 @@ func BenchmarkRecover(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
 		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/record")
 		b.ReportMetric(float64(records), "records")
+	})
+}
+
+// TestRecoverRefusesDuplicateFreeBlock: a snapshot whose body is
+// CRC-valid but lists a free block twice is refused by Recover with
+// blockpool.ErrBadState. Against the Restore that checked only the free
+// list's length, Recover accepted it, and the pool would have handed the
+// block to two files:
+//
+//	Recover over a free list naming block 2 twice: <nil>, want blockpool.ErrBadState
+func TestRecoverRefusesDuplicateFreeBlock(t *testing.T) {
+	r := newRig(t, nil)
+	r.run(t, func(p *sim.Proc) {
+		f := mustOpen(t, p, r.inst, "/f", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL)
+		if _, err := f.Write(p, seeded(12, 4<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.inst.SnapshotNow(p); err != nil {
+			t.Fatal(err)
+		}
+		// Rewrite the live snapshot with its second free block replaced by
+		// its first, re-encoded and re-checksummed.
+		hdr, err := r.cfg.Plane.Read(p, r.cfg.LogBytes, snapHeaderBytes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot := int(hdr[16])
+		body, err := r.cfg.Plane.Read(p, r.inst.slotBase(slot), int64(binary.LittleEndian.Uint64(hdr[4:])), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var img snapImage
+		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&img); err != nil {
+			t.Fatal(err)
+		}
+		dup := img.Pool.Free[0]
+		img.Pool.Free[1] = dup
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
+			t.Fatal(err)
+		}
+		body = buf.Bytes()
+		binary.LittleEndian.PutUint64(hdr[4:], uint64(len(body)))
+		binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(body))
+		if err := r.cfg.Plane.Write(p, r.inst.slotBase(slot), int64(len(body)), body, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.cfg.Plane.Write(p, r.cfg.LogBytes, snapHeaderBytes, hdr, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.freshInstance(t).Recover(p); !errors.Is(err, blockpool.ErrBadState) {
+			t.Errorf("Recover over a free list naming block %d twice: %v, want blockpool.ErrBadState", dup, err)
+		}
 	})
 }

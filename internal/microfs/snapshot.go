@@ -53,9 +53,11 @@ type snapImage struct {
 	Inodes  []snapInode
 	Paths   []snapPath
 	Pool    blockpool.State
-	// LogEpoch is the epoch whose records follow this snapshot;
-	// LogStart is the byte offset within that epoch from which replay
-	// must begin (records before it are folded into the snapshot).
+	// LogEpoch is the epoch whose records follow this snapshot: the
+	// log's next, since a snapshot folds every record and resets the log.
+	// LogStart, the offset replay began at when a snapshot could keep the
+	// log, is always 0; it stays so that the body's encoding, and its
+	// size on the device, do not change.
 	LogEpoch byte
 	LogStart int64
 }
@@ -66,39 +68,30 @@ type snapPath struct {
 }
 
 // SnapshotNow checkpoints the instance's DRAM metadata (inodes, block
-// pool, B+Tree) to the reserved snapshot region and, when no operations
-// raced with it, truncates the provenance log. It is called by the
-// background thread between application checkpoints, or synchronously
-// when the log fills.
+// pool, B+Tree) to the reserved snapshot region and truncates the
+// provenance log. It is called by the background thread between
+// application checkpoints; it waits for any operation in progress on the
+// instance to end, and no operation starts until it has.
 func (inst *Instance) SnapshotNow(p *sim.Proc) error {
+	inst.enter(p)
+	defer inst.leave()
+	return inst.snapshot(p)
+}
+
+// snapshot is SnapshotNow for a process inside the instance: the
+// background thread's, or the one whose record found the log full. Every
+// record so far is in the image it builds, so its header retires the
+// whole log, a pending extension included.
+func (inst *Instance) snapshot(p *sim.Proc) error {
 	defer inst.traceSpan(p, "microfs.snapshot", -1)()
-	if inst.snapBusy {
-		// Another process (background thread vs. forced path) is
-		// already snapshotting; wait for it.
-		inst.snapDone.Wait(p)
-		return nil
-	}
-	inst.snapBusy = true
-	defer func() {
-		inst.snapBusy, inst.resetting = false, false
-		inst.snapDone.Fire()
-	}()
 	// The image admits every size in DRAM, staged bytes included.
 	if err := inst.flushStage(p); err != nil {
 		return err
 	}
-
-	// A write logged from here on must be a record at or past buildHead,
-	// which the reset test sees and replay from LogStart reaches: Reset
-	// would drop an extension of a record below it, and replay skip it.
-	inst.log.Seal()
-	buildEpoch := inst.log.Epoch()
-	buildHead := inst.log.Head()
 	img := snapImage{
 		NextIno:  inst.nextIno,
 		Pool:     inst.pool.Snapshot(),
 		LogEpoch: inst.log.NextEpoch(),
-		LogStart: 0,
 	}
 	for _, ino := range inst.inodes {
 		img.Inodes = append(img.Inodes, snapInode{
@@ -128,33 +121,6 @@ func (inst *Instance) SnapshotNow(p *sim.Proc) error {
 	if err := inst.cfg.Plane.Write(p, inst.slotBase(slot), int64(len(body)), body, hb); err != nil {
 		return err
 	}
-	// If operations were logged while the body was being written, or one
-	// is being logged now, the snapshot must not claim the post-reset
-	// epoch: it instead points at the suffix of the current epoch. One
-	// that resets holds every log call back until it has (awaitReset): a
-	// record logged while the header is in flight would be acknowledged
-	// in the epoch the header retires, and Reset would drop it.
-	reset := inst.log.Head() == buildHead && inst.log.Epoch() == buildEpoch && !inst.log.Appending()
-	inst.resetting = reset
-	if !reset {
-		// The log lives on, so its pending write extension is committed
-		// here; on the other path Reset discards it with the records the
-		// snapshot replaces. Either way a snapshot leaves none behind.
-		if err := inst.log.Sync(inst.logWriter(p)); err != nil {
-			return err
-		}
-		img.LogEpoch = inst.log.Epoch()
-		img.LogStart = buildHead
-		// Re-encode with the corrected pointers.
-		buf.Reset()
-		if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
-			return fmt.Errorf("microfs: snapshot re-encode: %w", err)
-		}
-		body = buf.Bytes()
-		if err := inst.cfg.Plane.Write(p, inst.slotBase(slot), int64(len(body)), body, hb); err != nil {
-			return err
-		}
-	}
 	// Commit: the 32-byte header is a single sector-sized write.
 	hdr := make([]byte, snapHeaderBytes)
 	binary.LittleEndian.PutUint32(hdr[0:], snapMagic)
@@ -165,20 +131,10 @@ func (inst *Instance) SnapshotNow(p *sim.Proc) error {
 		return err
 	}
 	inst.snapSlot = slot
-	if reset {
-		inst.log.Reset()
-	}
+	inst.log.Reset()
 	inst.snapLen = snapHeaderBytes + int64(len(body))
 	inst.stats.Snapshots++
 	return nil
-}
-
-// awaitReset returns once no snapshot is between deciding to reset the
-// log and resetting it; every Append and Sync waits here first.
-func (inst *Instance) awaitReset(p *sim.Proc) {
-	for inst.resetting {
-		inst.snapDone.Wait(p)
-	}
 }
 
 // StartBackground launches the dedicated snapshot thread. It wakes on
@@ -249,7 +205,6 @@ func (inst *Instance) Recover(p *sim.Proc) error {
 	}
 	inst.resetMeta()
 	expectEpoch := byte(1)
-	replayFrom := int64(0)
 	if binary.LittleEndian.Uint32(hdr[0:]) == snapMagic {
 		bodyLen := int64(binary.LittleEndian.Uint64(hdr[4:]))
 		wantCRC := binary.LittleEndian.Uint32(hdr[12:])
@@ -276,15 +231,11 @@ func (inst *Instance) Recover(p *sim.Proc) error {
 			return err
 		}
 		expectEpoch = img.LogEpoch
-		replayFrom = img.LogStart
 		inst.snapLen = snapHeaderBytes + bodyLen
 	}
 	err = inst.log.Load(func(off, n int64) ([]byte, error) {
 		return inst.cfg.Plane.Read(p, off, n, hb)
 	}, expectEpoch, func(lr wal.LocatedRecord) error {
-		if lr.Off < replayFrom {
-			return nil
-		}
 		inst.acct.Charge(p, vfs.User, inst.cfg.Host.ReplayPerRecord)
 		if err := inst.replay(lr.Record); err != nil {
 			return fmt.Errorf("microfs: replaying %v at %d: %w", lr.Op, lr.Off, err)
@@ -314,7 +265,7 @@ func (inst *Instance) resetMeta() {
 
 // restoreSnapshot loads a decoded snapshot image.
 func (inst *Instance) restoreSnapshot(img *snapImage) error {
-	pool, err := blockpool.Restore(img.Pool)
+	pool, err := blockpool.Restore(img.Pool, inst.cfg.Plane.Size()-inst.dataBase, inst.cfg.HugeblockBytes)
 	if err != nil {
 		return err
 	}

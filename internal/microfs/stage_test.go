@@ -248,11 +248,16 @@ func (s *sizingPlane) Write(p *sim.Proc, off, length int64, data []byte, cmdUnit
 }
 
 // TestSnapshotThreadMeetsStagedAppends runs the background snapshot thread
-// against a writer appending to a reopened file in 1 KiB calls. The thread
-// commits the log from inside SnapshotNow, so it sends the run staged so
-// far between two of the writer's calls, and the next calls arrive while
-// that command sleeps. A run left attached meanwhile takes their bytes
-// and drops them when the command returns.
+// against a writer appending to a reopened file in 1 KiB calls. When the
+// two could interleave, the thread sent the run staged so far between two
+// of the writer's calls, the next calls arrived while that command slept,
+// and a run left attached meanwhile took their bytes and dropped them
+// when the command returned. Now the thread waits until the writer is
+// outside the instance, so every run the writer begins leaves whole.
+// Break-demo: write without enter, and the thread's flush takes the run
+// from under the writer:
+//
+//	data commands of [1024 262144 162816 1024 262144] bytes: the thread sent a run the writer had begun
 func TestSnapshotThreadMeetsStagedAppends(t *testing.T) {
 	const chunk = 16 << 10
 	var sizes *sizingPlane
@@ -274,9 +279,8 @@ func TestSnapshotThreadMeetsStagedAppends(t *testing.T) {
 		if err := f.Close(p); err != nil { // wakes the thread
 			t.Fatal(err)
 		}
-		// A record of another kind first, so that the log's head moves
-		// under the snapshot and it keeps the log (ROADMAP item 2 (a) is
-		// the case where only an extension does not).
+		// The thread arrives during the mkdir, and queues until the writer
+		// is done with the instance.
 		if err := r.inst.Mkdir(p, "/d", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -285,19 +289,23 @@ func TestSnapshotThreadMeetsStagedAppends(t *testing.T) {
 		if _, err := vfs.WriteAll(p, f, payload[8*chunk:], 1024); err != nil {
 			t.Fatal(err)
 		}
-		// The first call's own command, then runs: one cut short is the
-		// thread's, and the calls that met it in flight follow on their own.
-		met := false
-		for i, n := range sizes.lengths[:len(sizes.lengths)-1] {
-			met = met || 1024 < n && n < stageBytes && sizes.lengths[i+1] == 1024
-		}
-		if !met {
-			t.Errorf("data commands of %v bytes: the thread no longer sends a run the writer has begun", sizes.lengths)
+		// The first call's own command, then full runs: none cut short.
+		for _, n := range sizes.lengths[1:] {
+			if n != stageBytes {
+				t.Errorf("data commands of %v bytes: the thread sent a run the writer had begun", sizes.lengths)
+				break
+			}
 		}
 		if err := f.Close(p); err != nil {
 			t.Fatal(err)
 		}
 		r.inst.StopBackground(p)
+		if r.inst.waits == 0 {
+			t.Error("the thread never queued behind the writer")
+		}
+		if r.inst.Stats().Snapshots != 1 {
+			t.Errorf("%d snapshots, want the thread's one", r.inst.Stats().Snapshots)
+		}
 		if got := readBack(t, p, r.inst, "/f"); !bytes.Equal(got, payload) {
 			t.Errorf("live /f: %d bytes, equal=%v", len(got), bytes.Equal(got, payload))
 		}

@@ -302,7 +302,7 @@ func TestLoadStreamsWhatDecodeFinds(t *testing.T) {
 			t.Fatalf("seed %d: image differs from the device below the head", seed)
 		}
 
-		// Appending continues the log the device holds.
+		// An Append continues the log the device holds.
 		var probes []Record
 		for i, n := 0, 1+rng.Intn(40); i < n; i++ {
 			r := randomRecord(rng, 4000) // enough of them cross into a new block

@@ -32,7 +32,7 @@ func (d *mirrorDevice) write(off int64, data []byte) error {
 // TestAppendRollsBackOnFlushError is the regression test for the
 // partial-write audit: a failed flush must leave the in-memory tail
 // exactly where the on-disk tail is. Before the fix, Append advanced
-// head/appended/live before flushing, so records acknowledged after a
+// head/appended/live before the flush, so records acknowledged after a
 // failed one sat beyond torn bytes on the device and were silently
 // dropped by replay (scan stops at the first corrupt record).
 func TestAppendRollsBackOnFlushError(t *testing.T) {

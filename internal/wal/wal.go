@@ -12,6 +12,10 @@
 // The writer belongs to the call: Append and Sync write through the one
 // they are handed, and a Log made by New reaches no device until then.
 //
+// A Log has one caller at a time: no call begins while another, its
+// write included, is in progress. The owner serializes its calls (microfs
+// lets one process into an instance at a time); nothing here checks.
+//
 // Durability contract. A record that Append adds to the log is on the
 // device when Append returns. An extension coalesced into the log's last
 // record changes the in-memory image only; it reaches the device with
@@ -103,10 +107,11 @@ var (
 // WriteFunc persists len(data) bytes at byte offset off within the log
 // region for the operation that hands it to Append or Sync, which call it
 // synchronously, once per appended record or Sync that finds an extension
-// pending, always with whole pages in ascending order. The paper flushes
-// the log before processing every subsequent operation; here a coalesced
-// extension waits for the next record or Sync (see the package comment
-// and DESIGN.md).
+// pending, always with whole pages in ascending order. It must not call
+// back into the Log: the call that handed it over is still in progress.
+// The paper flushes the log before processing every subsequent operation;
+// here a coalesced extension waits for the next record or Sync (see the
+// package comment and DESIGN.md).
 type WriteFunc func(off int64, data []byte) error
 
 // Log is the provenance log for one runtime instance.
@@ -128,20 +133,13 @@ type Log struct {
 	below []span
 
 	// last is the byte offset of the newest record appended since the
-	// last Reset or Load, the one coalescing candidate unless sealed (see
-	// Seal); -1 when there is none. dirty reports that last's length and
-	// CRC, extended in memory, have not reached the device.
-	last   int64
-	dirty  bool
-	sealed bool
-	// seq counts the records appended and the extensions coalesced, so
-	// that a Sync can tell whether the log changed under its write.
-	seq uint64
+	// last Reset or Load, the one coalescing candidate; -1 when there is
+	// none. dirty reports that last's length and CRC, extended in memory,
+	// have not reached the device.
+	last  int64
+	dirty bool
 
 	live int64 // records since the last Reset
-	// appending counts Appends whose record is on its way to the device:
-	// encoded at head, which moves past it only once the write returns.
-	appending int
 
 	// Stats.
 	appended  int64
@@ -231,7 +229,6 @@ func (l *Log) Append(w WriteFunc, r Record) (coalesced bool, err error) {
 		binary.LittleEndian.PutUint32(rec[headerSize:], crc32.ChecksumIEEE(rec[:headerSize]))
 		l.dirty = true
 		l.coalesced++
-		l.seq++
 		return true, nil
 	}
 	size := int64(EncodedSize(r))
@@ -249,11 +246,7 @@ func (l *Log) Append(w WriteFunc, r Record) (coalesced bool, err error) {
 	if l.dirty {
 		from = l.last + extOff
 	}
-	l.seq++
-	l.appending++
-	err = l.flushRange(w, from, off+size-from)
-	l.appending--
-	if err != nil {
+	if err = l.flushRange(w, from, off+size-from); err != nil {
 		// The record may be absent or torn on the device. Un-append it:
 		// were head/appended/last advanced here, every later
 		// acknowledged record would sit beyond a torn one on disk and
@@ -267,7 +260,7 @@ func (l *Log) Append(w WriteFunc, r Record) (coalesced bool, err error) {
 	l.head += size
 	l.appended++
 	l.live++
-	l.last, l.dirty, l.sealed = off, false, false
+	l.last, l.dirty = off, false
 	return false, nil
 }
 
@@ -310,7 +303,7 @@ func (l *Log) reserve(end int64) {
 // target is a barrier.
 func (l *Log) extendsLast(r Record) bool {
 	off := l.last
-	if r.Op != OpWrite || !l.coalesce || off < 0 || l.sealed {
+	if r.Op != OpWrite || !l.coalesce || off < 0 {
 		return false
 	}
 	rec := l.image[off-l.base:]
@@ -334,29 +327,18 @@ func (l *Log) extendsLast(r Record) bool {
 // Sync persists a pending extension through w, making every coalesced
 // write acknowledged so far part of the device's log. It is the log half
 // of the caller's fsync. After a failed Sync the extension is still
-// pending and the next Sync or record flush repairs the page. w may
-// yield to the log's appender: an extension coalesced while the page is
-// on its way, into the same record or a newer one, stays pending. (An
-// Append needs no such guard: one caller appends at a time, and only a
-// Sync overlaps it.)
+// pending and the next Sync or record flush repairs the page. Like every
+// call, Sync has the log to itself until it returns, its write included.
 func (l *Log) Sync(w WriteFunc) error {
 	if !l.dirty {
 		return nil
 	}
-	seq := l.seq
 	if err := l.flushRange(w, l.last+extOff, extEnd-extOff); err != nil {
 		return err
 	}
-	if l.seq == seq {
-		l.dirty = false
-	}
+	l.dirty = false
 	return nil
 }
-
-// Seal ends the coalescing window: the next write is appended as a fresh
-// record, whatever the last record is. It commits nothing; a pending
-// extension stays pending until the next Sync or record flush.
-func (l *Log) Seal() { l.sealed = true }
 
 // flushRange persists the log pages covering [off, off+n) through w.
 func (l *Log) flushRange(w WriteFunc, off, n int64) error {
@@ -396,9 +378,6 @@ func (l *Log) FillFraction() float64 {
 
 // Head returns the current append offset (diagnostics).
 func (l *Log) Head() int64 { return l.head }
-
-// Appending reports whether an Append's record is on its way to the device.
-func (l *Log) Appending() bool { return l.appending > 0 }
 
 // Stats reports appended records, coalesced records, device writes, and
 // device bytes since creation.
@@ -533,7 +512,7 @@ const loadChunk = 64 << 10
 // Only a record that straddles the end of a chunk is copied, to be
 // walked in one piece. Load then positions the append head after the last
 // valid record, with the head's page as the image and the chunks kept
-// below it. Appending to the loaded log continues the same epoch; l's
+// below it. An Append to the loaded log continues the same epoch; l's
 // counters start over. An error from read or visit ends the load there
 // and is returned as it is; l is then the log it was before the call,
 // and Load may be called again.

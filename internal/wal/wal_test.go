@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,85 +150,6 @@ func TestCoalesceStopsAtNamespaceRecords(t *testing.T) {
 		if co, _ := l.Append(discard, Record{Op: OpWrite, Inode: 1, Offset: 30, Length: 10}); !co {
 			t.Errorf("write after a %v record did not coalesce into the record that followed it", barrier.Op)
 		}
-	}
-}
-
-// TestSealKeepsPendingExtension: after Seal a contiguous write is a
-// record of its own, and the extension pending at Seal still reaches the
-// device, with that record's flush or with Sync.
-func TestSealKeepsPendingExtension(t *testing.T) {
-	for _, viaSync := range []bool{false, true} {
-		dev := make([]byte, 1<<12)
-		w := capture(dev)
-		l := newLog(t, Options{Capacity: 1 << 12})
-		l.Append(w, Record{Op: OpWrite, Inode: 1, Offset: 0, Length: 10})
-		l.Append(w, Record{Op: OpWrite, Inode: 1, Offset: 10, Length: 10})
-		l.Seal()
-		if viaSync {
-			if err := l.Sync(w); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if co, _ := l.Append(w, Record{Op: OpWrite, Inode: 1, Offset: 20, Length: 10}); co {
-			t.Fatal("a write coalesced into a sealed record")
-		}
-		want := []Record{{Op: OpWrite, Inode: 1, Offset: 0, Length: 20}, {Op: OpWrite, Inode: 1, Offset: 20, Length: 10}}
-		if got, err := Decode(dev, l.Epoch()); err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("sync first %v: device decodes to %+v (%v), want %+v", viaSync, got, err, want)
-		}
-		if co, _ := l.Append(w, Record{Op: OpWrite, Inode: 1, Offset: 30, Length: 10}); !co {
-			t.Error("the record after Seal takes no extensions")
-		}
-	}
-}
-
-// TestSyncMeetsCoalesce: a Sync whose page write yields — to the rank,
-// while a snapshot syncs — must not count as sent an extension coalesced
-// while the page was on its way, into a newer record or into the one it
-// carries. Clearing the pending state unconditionally, the next Sync
-// found nothing to send and the fsynced extension never reached the
-// device:
-//
-//	newer_record: device decodes to a last write of 100 bytes, want 200
-//	same_record: device decodes to a last write of 200 bytes, want 300
-func TestSyncMeetsCoalesce(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		overlap []Record // appended while the Sync's page is in flight
-		want    uint64
-	}{
-		{"newer record", []Record{{Op: OpWrite, Inode: 2, Length: 100}, {Op: OpWrite, Inode: 2, Offset: 100, Length: 100}}, 200},
-		{"same record", []Record{{Op: OpWrite, Inode: 1, Offset: 200, Length: 100}}, 300},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dev := make([]byte, 1<<12)
-			w := capture(dev)
-			l := newLog(t, Options{Capacity: 1 << 12})
-			l.Append(w, Record{Op: OpWrite, Inode: 1, Length: 100})
-			l.Append(w, Record{Op: OpWrite, Inode: 1, Offset: 100, Length: 100}) // pending
-			inFlight := func(off int64, data []byte) error {
-				w(off, data) // what the command carries left with it
-				for _, r := range tc.overlap {
-					if _, err := l.Append(w, r); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			if err := l.Sync(inFlight); err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Sync(w); err != nil { // the rank's fsync
-				t.Fatal(err)
-			}
-			got, err := Decode(dev, l.Epoch())
-			if err != nil || len(got) == 0 {
-				t.Fatalf("device decodes to %+v, %v", got, err)
-			}
-			if last := got[len(got)-1]; last.Length != tc.want {
-				t.Errorf("device decodes to a last write of %d bytes, want %d", last.Length, tc.want)
-			}
-		})
 	}
 }
 
