@@ -13,6 +13,7 @@ import (
 	"github.com/nvme-cr/nvmecr/internal/microfs"
 	"github.com/nvme-cr/nvmecr/internal/model"
 	"github.com/nvme-cr/nvmecr/internal/nvme"
+	"github.com/nvme-cr/nvmecr/internal/plane"
 	"github.com/nvme-cr/nvmecr/internal/sim"
 	"github.com/nvme-cr/nvmecr/internal/spdk"
 	"github.com/nvme-cr/nvmecr/internal/vfs"
@@ -123,6 +124,22 @@ const (
 	// record CRC exists to catch.
 	logPageBytes = 512
 )
+
+// untimed hides a plane's plane.Charger: the real transport's shape, over
+// which microfs charges no directory tail blocks and the log flushes only
+// the bytes it changed, so the crash and tear draws meet sub-page log
+// commands.
+type untimed struct{ plane.Plane }
+
+// timeModel is the plane an iteration runs over: p itself at even seeds,
+// which have a time model as every simulator plane does, and p without
+// one at odd seeds. The seeds a suite runs alternate between the two.
+func timeModel(seed int64, p plane.Plane) plane.Plane {
+	if seed%2 != 0 {
+		return untimed{p}
+	}
+	return p
+}
 
 // randomCrashPlan draws one fault schedule: fault-free baselines,
 // crashes at an nth device write, torn writes (a command-aligned prefix
@@ -251,7 +268,7 @@ func crashPropIteration(t *testing.T, seed int64, shape crashPropShape) {
 	}
 	cp := faults.NewCrashPlane(base, plan, 0)
 	cfg := microfs.Config{
-		Plane:    cp,
+		Plane:    timeModel(seed, cp),
 		Host:     params.Host,
 		Features: microfs.AllFeatures(),
 		Account:  acct,
@@ -563,7 +580,7 @@ func crashPropIteration(t *testing.T, seed int64, shape crashPropShape) {
 			return
 		}
 		rcfg := cfg
-		rcfg.Plane = recPlane
+		rcfg.Plane = timeModel(seed, recPlane)
 		rcfg.WrapLogWrite = nil
 		rec, err := microfs.New(env, rcfg)
 		if err != nil {

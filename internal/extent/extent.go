@@ -7,6 +7,7 @@ package extent
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -15,7 +16,8 @@ import (
 // simulation engine guarantees single-threaded access, and the TCP
 // NVMe-oF target wraps it in its own lock.
 type Store struct {
-	// extents sorted by offset, non-overlapping, non-adjacent-merged.
+	// extents sorted by offset, non-overlapping; adjacent extents merge
+	// up to mergeMax (see Write).
 	extents []extent
 	bytes   int64 // total stored payload bytes
 }
@@ -85,39 +87,84 @@ func (s *Store) Write(off int64, data []byte) error {
 			return nil
 		}
 	}
-	// Splice path. The result is assembled already sorted: extents
-	// wholly before the write, then the left remainder of the first
-	// overlapped extent, then the new extent, then the right remainder
-	// of the last overlapped extent, then the untouched tail.
-	out := make([]extent, 0, len(s.extents)+2)
-	out = append(out, s.extents[:i]...)
-	var right *extent
-	j := i
-	for ; j < len(s.extents) && s.extents[j].off < end; j++ {
-		e := s.extents[j]
-		s.bytes -= int64(len(e.data))
-		if e.off < off {
-			left := e.data[:off-e.off]
-			out = append(out, extent{off: e.off, data: left})
-			s.bytes += int64(len(left))
-		}
-		if e.end() > end {
-			// Only the last overlapped extent can reach past end
-			// (extents are disjoint), so at most one right remainder.
-			right = &extent{off: end, data: e.data[end-e.off:]}
-			s.bytes += int64(len(right.data))
+	// Merge path: the write starts past an extent's first byte, no later
+	// than its end, runs past that end and overlaps no other extent: the
+	// shape of a log that lands each record where the last one stopped
+	// (over the zero byte that marked its head). The write is copied
+	// over the extent's tail and the rest appended to it, with capacity
+	// doubling, while the extent stays within mergeMax: one that kept
+	// growing past it would be copied whole by each reallocation. A write
+	// from an extent's first byte replaces all of it and takes the splice
+	// path, sized exactly: a rewrite does not grow. The pieces of a split
+	// extent share its array, each at its own offsets; growing in place
+	// writes only at offsets no extent covers.
+	m := i - 1 // the extent the write starts in, past its first byte, or right after
+	if i < len(s.extents) && s.extents[i].off < off {
+		m = i
+	}
+	if m >= 0 && s.extents[m].end() >= off && (m+1 == len(s.extents) || end <= s.extents[m+1].off) {
+		if e := &s.extents[m]; end-e.off <= mergeMax {
+			n := copy(e.data[off-e.off:], data)
+			e.data = grow(e.data, data[n:])
+			s.bytes += int64(len(data) - n)
+			return nil
 		}
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	out = append(out, extent{off: off, data: cp})
-	s.bytes += int64(len(cp))
-	if right != nil {
-		out = append(out, *right)
-	}
-	out = append(out, s.extents[j:]...)
-	s.extents = out
+	s.splice(i, off, end, cp)
 	return nil
+}
+
+// mergeMax bounds the extent the merge path grows: 64 KiB holds over a
+// thousand log records and is copied at most once per doubling.
+const mergeMax = 64 << 10
+
+// grow appends rest to b, doubling b's capacity (up to mergeMax) when it
+// runs out.
+func grow(b, rest []byte) []byte {
+	if need := len(b) + len(rest); need > cap(b) {
+		nb := make([]byte, len(b), min(max(2*cap(b), need), mergeMax))
+		copy(nb, b)
+		b = nb
+	}
+	return append(b, rest...)
+}
+
+// splice replaces extents[i:j], the extents overlapping [off, end), with
+// what of them lies outside that range and, between the two, mid (when
+// non-nil), keeping extents sorted and disjoint. The slice is changed in
+// place: no extent outside [i, j) moves unless the count changes.
+func (s *Store) splice(i int, off, end int64, mid []byte) {
+	var repl [3]extent
+	n := 0
+	j := i
+	var right []byte
+	for ; j < len(s.extents) && s.extents[j].off < end; j++ {
+		e := s.extents[j]
+		s.bytes -= int64(len(e.data))
+		if e.off < off {
+			repl[n] = extent{off: e.off, data: e.data[:off-e.off]}
+			n++
+		}
+		if e.end() > end {
+			// Only the last overlapped extent can reach past end
+			// (extents are disjoint), so at most one right remainder.
+			right = e.data[end-e.off:]
+		}
+	}
+	if mid != nil {
+		repl[n] = extent{off: off, data: mid}
+		n++
+	}
+	if right != nil {
+		repl[n] = extent{off: end, data: right}
+		n++
+	}
+	for _, e := range repl[:n] {
+		s.bytes += int64(len(e.data))
+	}
+	s.extents = slices.Replace(s.extents, i, j, repl[:n]...)
 }
 
 // Read copies up to length bytes starting at off into a fresh slice.
@@ -163,29 +210,10 @@ func (s *Store) Trim(off, length int64) {
 	if length <= 0 {
 		return
 	}
-	end := off + length
 	i := sort.Search(len(s.extents), func(i int) bool {
 		return s.extents[i].end() > off
 	})
-	var out []extent
-	out = append(out, s.extents[:i]...)
-	j := i
-	for ; j < len(s.extents) && s.extents[j].off < end; j++ {
-		e := s.extents[j]
-		s.bytes -= int64(len(e.data))
-		if e.off < off {
-			left := e.data[:off-e.off]
-			out = append(out, extent{off: e.off, data: left})
-			s.bytes += int64(len(left))
-		}
-		if e.end() > end {
-			right := e.data[end-e.off:]
-			out = append(out, extent{off: end, data: right})
-			s.bytes += int64(len(right))
-		}
-	}
-	out = append(out, s.extents[j:]...)
-	s.extents = out
+	s.splice(i, off, off+length, nil)
 }
 
 // Reset discards everything.

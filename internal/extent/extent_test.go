@@ -3,6 +3,7 @@ package extent
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -318,4 +319,195 @@ func FuzzReadInto(f *testing.F) {
 		}
 		checkReadInto(t, s, ref, int64(off), int64(n))
 	})
+}
+
+// checkShape asserts the store's structural invariants: extents sorted,
+// disjoint and non-empty, the byte count their sum, and none longer than
+// mergeMax when no single write was (the merge path's bound).
+func checkShape(t testing.TB, s *Store) {
+	t.Helper()
+	var sum int64
+	for k, e := range s.extents {
+		if len(e.data) == 0 {
+			t.Fatalf("extent %d at %d is empty", k, e.off)
+		}
+		if k > 0 && s.extents[k-1].end() > e.off {
+			t.Fatalf("extent %d [%d,%d) overlaps or precedes extent %d ending at %d", k, e.off, e.end(), k-1, s.extents[k-1].end())
+		}
+		if len(e.data) > mergeMax {
+			t.Fatalf("extent %d at %d holds %d bytes, over mergeMax", k, e.off, len(e.data))
+		}
+		sum += int64(len(e.data))
+	}
+	if sum != s.bytes {
+		t.Fatalf("Bytes() = %d, the extents hold %d", s.bytes, sum)
+	}
+}
+
+// FuzzStore runs Write, Trim, ReadInto and Clone, decoded from the
+// fuzzer's bytes, against a model: a flat byte array and a bitmap of the
+// bytes written. Every op keeps extents sorted and disjoint, none longer
+// than mergeMax (no single write is), and Bytes() equal to the bits set;
+// every read returns the model's bytes, zeros in its gaps, and reports
+// full coverage exactly when every bit in its range is set. A clone
+// replaces the store, and the store it was cloned from is scribbled over,
+// so that any byte the two still share shows up as a mismatch.
+//
+// Five bytes make an op: its kind, a 16-bit offset (in units of 2 bytes)
+// and a 16-bit length (capped at 16 KiB). Kind 1 is the log's shape, a
+// write that starts up to 3 bytes before where the last write ended.
+//
+// Break-demos: with the merge path's test that the write ends before the
+// next extent starts taken out, the fourth seed fails; with its mergeMax
+// bound taken out, the third:
+//
+//	extent 1 [200,300) overlaps or precedes extent 0 ending at 250
+//	extent 0 at 0 holds 65636 bytes, over mergeMax
+func FuzzStore(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 40, 0, 1, 0, 0, 60, 0, 1, 0, 0, 50, 0})
+	f.Add([]byte{0, 10, 0, 0, 16, 2, 12, 0, 8, 0, 3, 0, 0, 0, 64, 4, 0, 0, 0, 0, 0, 10, 0, 0, 1})
+	// Log-shaped appends past mergeMax, then a read across the bound.
+	logShape := []byte{0, 0, 0, 100, 0}
+	for k := 0; k < 80; k++ {
+		logShape = append(logShape, 1, 0, 0, 0, 4) // 1 KiB records
+	}
+	f.Add(append(logShape, 3, 0, 0, 0, 0x40))
+	// A write that starts inside [0, 100) and runs over [200, 300).
+	f.Add([]byte{0, 0, 0, 100, 0, 0, 100, 0, 100, 0, 0, 25, 0, 200, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const space = 1 << 17
+		s := New()
+		ref := make([]byte, space)
+		written := make([]bool, space)
+		var cursor int64
+		for k := 0; k+5 <= len(ops); k += 5 {
+			kind := ops[k] % 5
+			off := int64(ops[k+1])<<1 | int64(ops[k+2])<<9
+			n := min(int64(ops[k+3])|int64(ops[k+4])<<8, 16<<10)
+			if kind == 1 {
+				off = max(cursor-int64(ops[k+1]%4), 0)
+			}
+			n = min(n, space-off)
+			switch kind {
+			case 0, 1:
+				data := make([]byte, n)
+				for i := range data {
+					data[i] = byte(k*7+i) | 1
+				}
+				if err := s.Write(off, data); err != nil {
+					t.Fatal(err)
+				}
+				copy(ref[off:], data)
+				for i := off; i < off+n; i++ {
+					written[i] = true
+				}
+				cursor = off + n
+			case 2:
+				s.Trim(off, n)
+				clear(ref[off : off+n])
+				for i := off; i < off+n; i++ {
+					written[i] = false
+				}
+			case 3:
+				dst := bytes.Repeat([]byte{0xEE}, int(n))
+				full := s.ReadInto(off, dst)
+				if !bytes.Equal(dst, ref[off:off+n]) {
+					t.Fatalf("op %d: ReadInto(%d, %d bytes) = %v, want %v", k/5, off, n, dst, ref[off:off+n])
+				}
+				want := !slices.Contains(written[off:off+n], false)
+				if full != want {
+					t.Fatalf("op %d: ReadInto(%d, %d bytes) full=%v, want %v", k/5, off, n, full, want)
+				}
+			case 4:
+				c := s.Clone()
+				for _, e := range s.extents {
+					for i := range e.data {
+						e.data[i] ^= 0xFF
+					}
+				}
+				s = c
+			}
+			checkShape(t, s)
+		}
+		var count int64
+		for _, w := range written {
+			if w {
+				count++
+			}
+		}
+		if s.Bytes() != count {
+			t.Fatalf("Bytes() = %d, %d bytes written", s.Bytes(), count)
+		}
+		got := make([]byte, space)
+		s.ReadInto(0, got)
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("byte %d = %d, want %d", i, got[i], ref[i])
+			}
+		}
+	})
+}
+
+// The benchmarks below time the three shapes the target's store sees.
+// Each resets its store on a fixed cycle, so ns/op does not depend on
+// b.N.
+
+// BenchmarkStoreAppend is the log over the real transport: records of
+// 40 to 100 bytes, each written with the zero byte that marks the new
+// head, the next one starting on that byte.
+func BenchmarkStoreAppend(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	rec := make([]byte, 101)
+	s := New()
+	var head int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if head > 4<<20 { // a 4 MiB log region, reset by a snapshot
+			s.Reset()
+			head = 0
+		}
+		n := int64(40 + rng.Intn(61))
+		if err := s.Write(head, rec[:n+1]); err != nil {
+			b.Fatal(err)
+		}
+		head += n
+	}
+}
+
+// BenchmarkStoreRandom is 4 KiB writes at random 512-byte-aligned
+// offsets of a 16 MiB region, fresh every 4096 writes.
+func BenchmarkStoreRandom(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	data := make([]byte, 4<<10)
+	s := New()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%4096 == 0 {
+			s.Reset()
+		}
+		if err := s.Write(rng.Int63n(32<<10)*512, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreOverwrite is a checkpoint round after the first: 4 KiB
+// writes at random 512-byte-aligned offsets of a 4 MiB region written
+// before in 4 KiB pages.
+func BenchmarkStoreOverwrite(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	data := make([]byte, 4<<10)
+	s := New()
+	for off := int64(0); off < 4<<20; off += 4 << 10 {
+		if err := s.Write(off, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Write(rng.Int63n(8<<10-8)*512, data); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

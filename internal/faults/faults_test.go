@@ -166,3 +166,41 @@ func TestTornAppendFunc(t *testing.T) {
 		t.Fatalf("device holds %q, want full first flush + 3-byte torn prefix", dev)
 	}
 }
+
+// TestTornAppendStraddle: a flush is a straddle when it crosses a log
+// page boundary, whatever its length, and a straddle tear at Arg =
+// pageBytes keeps what lies before the first boundary it crosses — the
+// whole first page of a page-aligned flush, as before the log could
+// flush only the bytes it changed.
+func TestTornAppendStraddle(t *testing.T) {
+	const page = 128
+	for _, tc := range []struct {
+		name      string
+		off, n    int64
+		straddles bool
+		keep      int64
+	}{
+		{"pages", 2 * page, 2 * page, true, page},
+		{"one page", 2 * page, page, false, 0},
+		{"exact, crossing", 100, 60, true, 28},
+		{"exact, ending on the boundary", 100, 28, false, 0},
+		{"exact, from the boundary", page, 60, false, 0},
+	} {
+		var landed int64
+		inner := func(off int64, data []byte) error {
+			if off != tc.off {
+				t.Fatalf("%s: landed at %d, want %d", tc.name, off, tc.off)
+			}
+			landed = int64(len(data))
+			return nil
+		}
+		p := NewPlan(1, Rule{Layer: LayerWAL, Op: "append-straddle", Kind: KindTornWrite, Arg: page})
+		err := TornAppendFunc(p, 0, page, nil, inner)(tc.off, make([]byte, tc.n))
+		if tc.straddles != IsInjected(err) {
+			t.Errorf("%s: [%d,+%d) injected=%v, want a straddle=%v", tc.name, tc.off, tc.n, IsInjected(err), tc.straddles)
+		}
+		if tc.straddles && landed != tc.keep {
+			t.Errorf("%s: the tear kept %d bytes, want %d", tc.name, landed, tc.keep)
+		}
+	}
+}

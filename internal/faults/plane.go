@@ -139,13 +139,16 @@ func (c *CrashPlane) Size() int64 { return c.inner.Size() }
 // never acknowledges a record the device does not hold; a wal.Sync that
 // fails keeps its write extension pending for the next flush.
 //
-// Every flush evaluates the "append" point. A flush spanning more than
-// one log page — a record straddling a page boundary, the one shape a
-// page-atomic device can tear mid-record, or a record flushed together
-// with the pending extension on the page before it — additionally
-// evaluates "append-straddle" first, so a plan can target exactly the
-// tears that the record CRC exists to catch (Arg: pageBytes cuts at the
-// boundary).
+// Every flush evaluates the "append" point, whose tear keeps Arg bytes
+// from the flush's start. A flush that crosses a log page boundary — a
+// record straddling one, the one shape a page-atomic device can tear
+// mid-record, or a record flushed together with the pending extension on
+// the page before it — additionally evaluates "append-straddle" first, so
+// a plan can target exactly the tears that the record CRC exists to
+// catch. A straddle tear's Arg counts from the start of the flush's first
+// page, which is the flush's own start when the log flushes whole pages:
+// Arg = pageBytes cuts at the first boundary the flush crosses, whether
+// the flush carries pages or only the bytes that changed.
 // pageBytes is the log's device page size (wal.Options.PageSize);
 // <= 0 uses the WAL default of 4096.
 //
@@ -161,10 +164,12 @@ func TornAppendFunc(plan *Plan, rank int, pageBytes int64, now func() int64, inn
 			t = now()
 		}
 		inj, ok := Injection{}, false
-		if int64(len(data)) > pageBytes {
+		straddle := (off+int64(len(data))-1)/pageBytes > off/pageBytes
+		if straddle {
 			inj, ok = plan.Eval(Point{Layer: LayerWAL, Op: "append-straddle", Rank: rank, Now: time.Duration(t)})
 		}
 		if !ok {
+			straddle = false
 			inj, ok = plan.Eval(Point{Layer: LayerWAL, Op: "append", Rank: rank, Now: time.Duration(t)})
 		}
 		if !ok {
@@ -178,10 +183,10 @@ func TornAppendFunc(plan *Plan, rank int, pageBytes int64, now func() int64, inn
 			keep := inj.Arg
 			if keep < 0 {
 				keep = int64(len(data)) / 2
+			} else if straddle {
+				keep -= off % pageBytes
 			}
-			if keep > int64(len(data)) {
-				keep = int64(len(data))
-			}
+			keep = min(keep, int64(len(data)))
 			if keep > 0 && inner != nil {
 				if err := inner(off, data[:keep]); err != nil {
 					return err

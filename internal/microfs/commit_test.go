@@ -121,6 +121,46 @@ func (r *rig) checkAdmitted(t *testing.T, p *sim.Proc, content map[uint64][]byte
 	}
 }
 
+// TestMetadataOpChargesOneLogPage is the simulator's side of nvmeof's
+// TestMetadataOpIsOneWriteOverTCP: over a plane with a time model a
+// create, a mkdir and a rename each still flush one whole log page, the
+// paper's write unit, which keeps the paper tables where they are. Over
+// the real transport the same flush carries the record's bytes alone.
+func TestMetadataOpChargesOneLogPage(t *testing.T) {
+	type flush struct{ off, n int64 }
+	var flushes []flush
+	r := newRig(t, func(cfg *Config) {
+		cfg.WrapLogWrite = func(w wal.WriteFunc) wal.WriteFunc {
+			return func(off int64, data []byte) error {
+				flushes = append(flushes, flush{off, int64(len(data))})
+				return w(off, data)
+			}
+		}
+	})
+	const page = 4 << 10 // the log's default
+	r.run(t, func(p *sim.Proc) {
+		for _, op := range []struct {
+			name string
+			do   func() error
+		}{
+			{"create", func() error {
+				_, err := r.inst.Open(p, "/f", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
+				return err
+			}},
+			{"mkdir", func() error { return r.inst.Mkdir(p, "/d", 0o755) }},
+			{"rename", func() error { return r.inst.Rename(p, "/f", "/d/g") }},
+		} {
+			before := len(flushes)
+			if err := op.do(); err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+			if got := flushes[before:]; len(got) != 1 || got[0].off%page != 0 || got[0].n != page {
+				t.Errorf("%s: log flushes %+v, want one whole %d-byte page", op.name, got, page)
+			}
+		}
+	})
+}
+
 // TestDeviceSeesOneCommandPerRun pins the write path's device contract:
 // a checkpoint file written in N contiguous calls costs the first call's
 // data command, one per run of stageBytes the rest fills or leaves

@@ -73,9 +73,9 @@ func TestCrashDuringSnapshotKeepsOldSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Budget: create logs a page (1 write; faultPlane is no
+		// Budget: create logs its record (1 write; faultPlane is no
 		// plane.Charger, so the directory's tail block is not charged),
-		// the data write logs a page + one extent (2 more), the snapshot
+		// the data write logs a record + one extent (2 more), the snapshot
 		// body is the 4th — the header commit is the first dropped write.
 		fp := &faultPlane{inner: base, writesLeft: 4}
 		cfg := r.cfg

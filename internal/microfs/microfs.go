@@ -255,10 +255,14 @@ func New(env *sim.Env, cfg Config) (*Instance, error) {
 		closeSig: env.NewSignal(),
 		left:     env.NewSignal(),
 	}
+	// A plane with a time model is charged a log page per flush, the
+	// paper's write unit; the real transport sends the bytes that changed.
+	_, timed := cfg.Plane.(plane.Charger)
 	log, err := wal.New(wal.Options{
 		Capacity:   cfg.LogBytes,
 		PageSize:   cfg.LogPageBytes,
 		NoCoalesce: cfg.NoCoalesce,
+		ExactFlush: !timed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("microfs: %w", err)
@@ -314,8 +318,8 @@ func (inst *Instance) logWriter(p *sim.Proc) wal.WriteFunc {
 	return inst.logW
 }
 
-// logWrite persists log pages through the data plane on p's behalf.
-// Staged data goes first — whatever record kind the page carries, it may
+// logWrite persists a log flush through the data plane on p's behalf.
+// Staged data goes first — whatever record kind the flush carries, it may
 // carry the extension that admits the staged bytes too — and while that
 // fails no log byte moves.
 func (inst *Instance) logWrite(p *sim.Proc, off int64, data []byte) error {

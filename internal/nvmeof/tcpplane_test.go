@@ -9,6 +9,7 @@ import (
 	"github.com/nvme-cr/nvmecr/internal/model"
 	"github.com/nvme-cr/nvmecr/internal/sim"
 	"github.com/nvme-cr/nvmecr/internal/vfs"
+	"github.com/nvme-cr/nvmecr/internal/wal"
 )
 
 func TestTCPPlaneBounds(t *testing.T) {
@@ -198,13 +199,17 @@ func microfsOverTCP(t *testing.T, env *sim.Env, addr string, features microfs.Fe
 }
 
 // TestMetadataOpIsOneWriteOverTCP: over the real transport a create, a
-// mkdir and a rename are one command each, the page of the log that
-// records them. The simulator also charges the parent directory's tail
-// block, which nothing reads back; a TCPPlane models no time, so it is no
-// plane.Charger, and that block is not sent. It used to go as 32 KiB of
-// zeros, a second WRITE per operation:
+// mkdir and a rename are one command each, carrying the log record that
+// records them and the zero byte at the log's new head. The simulator
+// also charges the parent directory's tail block, which nothing reads
+// back, and a whole log page per record (microfs's
+// TestMetadataOpChargesOneLogPage); a TCPPlane models no time, so it is
+// no plane.Charger, and neither is sent. The tail block used to go as
+// 32 KiB of zeros, a second WRITE per operation, and the record as its
+// 4 KiB page:
 //
 //	create: the target saw 2 commands carrying 36864 bytes, want 1 carrying 4096
+//	create: the target saw 1 commands carrying 4096 bytes, want 1 carrying 39
 func TestMetadataOpIsOneWriteOverTCP(t *testing.T) {
 	tgt, addr := startTarget(t, map[uint32]int64{1: 64 * model.MB})
 	env := sim.NewEnv()
@@ -212,14 +217,15 @@ func TestMetadataOpIsOneWriteOverTCP(t *testing.T) {
 	env.Go("ops", func(p *sim.Proc) {
 		for _, op := range []struct {
 			name string
+			rec  wal.Record
 			do   func() error
 		}{
-			{"create", func() error {
+			{"create", wal.Record{Op: wal.OpCreate, Path: "/f"}, func() error {
 				_, err := inst.Open(p, "/f", vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
 				return err
 			}},
-			{"mkdir", func() error { return inst.Mkdir(p, "/d", 0o755) }},
-			{"rename", func() error { return inst.Rename(p, "/f", "/d/g") }},
+			{"mkdir", wal.Record{Op: wal.OpMkdir, Path: "/d"}, func() error { return inst.Mkdir(p, "/d", 0o755) }},
+			{"rename", wal.Record{Op: wal.OpRename, Path: "/f", Path2: "/d/g"}, func() error { return inst.Rename(p, "/f", "/d/g") }},
 		} {
 			before := tgt.Snapshot()
 			if err := op.do(); err != nil {
@@ -227,9 +233,9 @@ func TestMetadataOpIsOneWriteOverTCP(t *testing.T) {
 				return
 			}
 			after := tgt.Snapshot()
-			const page = 4 << 10 // the log's
-			if cmds, in := after.Commands-before.Commands, after.BytesIn-before.BytesIn; cmds != 1 || in != page {
-				t.Errorf("%s: the target saw %d commands carrying %d bytes, want 1 carrying %d", op.name, cmds, in, page)
+			want := uint64(wal.EncodedSize(op.rec) + 1)
+			if cmds, in := after.Commands-before.Commands, after.BytesIn-before.BytesIn; cmds != 1 || in != want {
+				t.Errorf("%s: the target saw %d commands carrying %d bytes, want 1 carrying %d", op.name, cmds, in, want)
 			}
 		}
 	})

@@ -337,3 +337,60 @@ func TestLoadStreamsWhatDecodeFinds(t *testing.T) {
 		t.Errorf("only %d records straddled a chunk end over all seeds", straddled)
 	}
 }
+
+// TestLoadAcrossFlushModes: the flush mode is no part of the on-device
+// format. A region that a log in one mode wrote, over stale bytes, loads
+// in the other mode, which keeps appending to it; the device then decodes,
+// with a clean stop at the head, to every record both lives appended.
+func TestLoadAcrossFlushModes(t *testing.T) {
+	const capacity, page = 1 << 13, 512
+	for _, first := range []bool{false, true} {
+		dev := bytes.Repeat([]byte{byte(OpMkdir)}, capacity) // a same-epoch header no CRC matches
+		w := capture(dev)
+		var want []Record
+		life := func(l *Log, n int) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				ino := uint64(len(want) + 2)
+				r := createRec(40+7*i%50, int(ino))
+				if _, err := l.Append(w, r); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, r)
+				first := Record{Op: OpWrite, Inode: ino, Length: 100}
+				if _, err := l.Append(w, first); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, first)
+				// An extension, unless its length field would straddle a page.
+				ext := Record{Op: OpWrite, Inode: ino, Offset: 100, Length: 50}
+				co, err := l.Append(w, ext)
+				switch {
+				case err != nil:
+					t.Fatal(err)
+				case co:
+					want[len(want)-1].Length += ext.Length
+				default:
+					want = append(want, ext)
+				}
+				if err := l.Sync(w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		l := newLog(t, Options{Capacity: capacity, PageSize: page, ExactFlush: first})
+		life(l, 20)
+
+		next := newLog(t, Options{Capacity: capacity, PageSize: page, ExactFlush: !first})
+		var loaded []Record
+		err := next.Load(func(off, n int64) ([]byte, error) { return dev[off : off+n], nil }, l.Epoch(),
+			func(lr LocatedRecord) error { loaded = append(loaded, lr.Record); return nil })
+		if err != nil || !reflect.DeepEqual(loaded, want) {
+			t.Fatalf("exact=%v wrote, exact=%v loaded %d records (%v), want %d", first, !first, len(loaded), err, len(want))
+		}
+		life(next, 20)
+		if got, err := Decode(dev, l.Epoch()); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("exact=%v wrote, exact=%v appended: the device decodes to %d records (%v), want %d", first, !first, len(got), err, len(want))
+		}
+	}
+}

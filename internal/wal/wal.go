@@ -22,6 +22,14 @@
 // the next record's flush or with Sync, whichever comes first — the
 // caller's durability points (fsync, close of a written file). Until
 // then the device holds the same records with a shorter last write.
+//
+// Write unit. A flush carries either the whole log pages its bytes fall
+// in (the default: the paper's timing model charges a page per record)
+// or, with Options.ExactFlush, exactly the bytes it changed: a pending
+// extension's length and CRC, the new record, and one zero byte at the
+// new head, where replay stops on the same OpInvalid test that a page's
+// zero tail gives it. The on-device format is the same in both modes, so
+// a region written in one loads and keeps appending in the other.
 package wal
 
 import (
@@ -107,7 +115,10 @@ var (
 // WriteFunc persists len(data) bytes at byte offset off within the log
 // region for the operation that hands it to Append or Sync, which call it
 // synchronously, once per appended record or Sync that finds an extension
-// pending, always with whole pages in ascending order. It must not call
+// pending, with one ascending range: whole pages, or with
+// Options.ExactFlush the bytes that changed (see the package comment).
+// A page stays the unit of atomicity either way: coalescing never mutates
+// a record across a page boundary (extendsLast). It must not call
 // back into the Log: the call that handed it over is still in progress.
 // The paper flushes the log before processing every subsequent operation;
 // here a coalesced extension waits for the next record or Sync (see the
@@ -119,15 +130,16 @@ type Log struct {
 	capacity int64
 	pageSize int64
 	coalesce bool
+	exact    bool
 
 	epoch byte
 	head  int64
 
 	// The in-memory mirror of the region's live prefix. image holds the
 	// region from the page-aligned offset base on: everything Append,
-	// extendsLast and flushRange touch. What lies below base is kept, for
-	// Image only, in the buffers it arrived in — the chunks Load read, the
-	// blocks Append filled — oldest first.
+	// extendsLast and flush touch; past the head, zeros. What lies below
+	// base is kept, for Image only, in the buffers it arrived in — the
+	// chunks Load read, the blocks Append filled — oldest first.
 	image []byte
 	base  int64
 	below []span
@@ -163,6 +175,10 @@ type Options struct {
 	// NoCoalesce disables log record coalescing (for the ablation
 	// benchmarks).
 	NoCoalesce bool
+	// ExactFlush makes every flush carry only the bytes it changed
+	// instead of the pages they fall in: for a device with no time model,
+	// where a page's unchanged bytes are cost and nothing else.
+	ExactFlush bool
 }
 
 // New creates a log.
@@ -177,6 +193,7 @@ func New(opts Options) (*Log, error) {
 		capacity: opts.Capacity,
 		pageSize: opts.PageSize,
 		coalesce: !opts.NoCoalesce,
+		exact:    opts.ExactFlush,
 		epoch:    1,
 		last:     -1,
 	}, nil
@@ -236,25 +253,30 @@ func (l *Log) Append(w WriteFunc, r Record) (coalesced bool, err error) {
 		return false, ErrLogFull
 	}
 	off := l.head
-	l.reserve(off + size)
+	to := off + size
+	if l.exact && to < l.capacity {
+		to++ // the zero at the new head; the image holds zeros past the head
+	}
+	l.reserve(to)
 	l.encode(l.image[off-l.base:off-l.base+size], r)
 	// The pending extension sits in the record that ends where this one
-	// begins, so one ascending page range covers both, at most a page
-	// longer than the record's own. A device that tears it between pages
-	// keeps the extension and loses the record, never the reverse.
+	// begins, so one ascending range covers both, at most a page longer
+	// than the record's own. A device that tears it between pages keeps
+	// the extension and loses the record, never the reverse.
 	from := off
 	if l.dirty {
 		from = l.last + extOff
 	}
-	if err = l.flushRange(w, from, off+size-from); err != nil {
+	if err = l.flush(w, from, to); err != nil {
 		// The record may be absent or torn on the device. Un-append it:
 		// were head/appended/last advanced here, every later
 		// acknowledged record would sit beyond a torn one on disk and
 		// be silently lost at replay (the walk stops at the first corrupt
-		// record). Marking the slot invalid keeps Image()/Decode
-		// consistent with "not appended". A pending extension stays
-		// pending: the next flush writes its page again.
-		l.image[off-l.base] = byte(OpInvalid)
+		// record). Zeroing the whole slot keeps Image()/Decode consistent
+		// with "not appended" and the image zero past the head, so a
+		// shorter record appended here next sends no stale tail. A
+		// pending extension stays pending: the next flush writes it again.
+		clear(l.image[off-l.base : off-l.base+size])
 		return false, err
 	}
 	l.head += size
@@ -333,23 +355,23 @@ func (l *Log) Sync(w WriteFunc) error {
 	if !l.dirty {
 		return nil
 	}
-	if err := l.flushRange(w, l.last+extOff, extEnd-extOff); err != nil {
+	if err := l.flush(w, l.last+extOff, l.last+extEnd); err != nil {
 		return err
 	}
 	l.dirty = false
 	return nil
 }
 
-// flushRange persists the log pages covering [off, off+n) through w.
-func (l *Log) flushRange(w WriteFunc, off, n int64) error {
-	start := off / l.pageSize * l.pageSize
-	end := (off + n + l.pageSize - 1) / l.pageSize * l.pageSize
-	if end > l.capacity {
-		end = l.capacity
+// flush persists the log bytes [from, to) through w: exactly those with
+// ExactFlush, else the whole pages covering them.
+func (l *Log) flush(w WriteFunc, from, to int64) error {
+	if !l.exact {
+		from = from / l.pageSize * l.pageSize
+		to = min((to+l.pageSize-1)/l.pageSize*l.pageSize, l.capacity)
 	}
 	l.devWrites++
-	l.devBytes += end - start
-	return w(start, l.image[start-l.base:end-l.base])
+	l.devBytes += to - from
+	return w(from, l.image[from-l.base:to-l.base])
 }
 
 // Reset discards all records (after the caller has checkpointed

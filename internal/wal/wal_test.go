@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -405,14 +407,34 @@ func TestOversizedModeRejected(t *testing.T) {
 	}
 }
 
-// Property: under any sequence of Append, Sync and Reset the device holds
-// what the contract says. Right after a record's append and after Sync
-// the device's log is the in-memory log, byte for byte below the head;
-// in between it decodes to the same records, the last one a write no
-// longer than in memory. Every flush is whole pages, one per record or
-// Sync, and a record's flush is at most one page longer than the record's
-// own pages.
+// Property: under any sequence of Append, Sync, Reset and dropped
+// flushes the device holds what the contract says, in both flush modes.
+// Right after a record's append and after Sync the device's log is the
+// in-memory log, byte for byte below the head; in between it decodes to
+// the same records, the last one a write no longer than in memory. A
+// record or a Sync costs one flush, and a failed one leaves the log as it
+// was. Page mode flushes whole pages, a record's at most one page longer
+// than the record's own pages; exact mode flushes exactly what changed:
+// a pending extension's length and CRC, the record, and the zero byte at
+// the new head. In both modes every byte a flush carries past the head
+// is zero, so replay stops at the head.
+//
+// Break-demo: with a refused append clearing only its op byte, both modes
+// fail here: a shorter record appended at the refused one's offset sends
+// the refused one's tail past the head, a page of it or the one byte,
+//
+//	pages seed 1: after a record's append: a flush carried byte 0x83 at 36 past the head 36
+//	exact seed 1: after a record's append: a flush carried byte 0x83 at 36 past the head 36
 func TestPropertyDeviceFollowsLog(t *testing.T) {
+	for _, mode := range []struct {
+		name  string
+		exact bool
+	}{{"pages", false}, {"exact", true}} {
+		t.Run(mode.name, func(t *testing.T) { propertyDeviceFollowsLog(t, mode.name, mode.exact) })
+	}
+}
+
+func propertyDeviceFollowsLog(t *testing.T, name string, exact bool) {
 	const (
 		capacity = 2048
 		page     = 128
@@ -420,38 +442,72 @@ func TestPropertyDeviceFollowsLog(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dev := make([]byte, capacity)
-		var flushes, flushed int64
-		l := newLog(t, Options{Capacity: capacity, PageSize: page})
+		type flush struct{ off, n int64 }
+		var (
+			flushes int64
+			last    flush
+			drop    bool // the next flush fails and nothing of it lands
+		)
+		l := newLog(t, Options{Capacity: capacity, PageSize: page, ExactFlush: exact})
 		w := func(off int64, data []byte) error {
-			if off%page != 0 || (len(data)%page != 0 && off+int64(len(data)) != capacity) {
-				t.Fatalf("seed %d: flush [%d,+%d) is not whole pages", seed, off, len(data))
+			if !exact && (off%page != 0 || (len(data)%page != 0 && off+int64(len(data)) != capacity)) {
+				t.Fatalf("%s seed %d: flush [%d,+%d) is not whole pages", name, seed, off, len(data))
 			}
 			flushes++
-			flushed = int64(len(data))
+			last = flush{off, int64(len(data))}
+			if drop {
+				drop = false
+				return errors.New("dropped")
+			}
 			copy(dev[off:], data)
 			return nil
 		}
-		synced := func(what string) {
+		fail := func(what string, format string, args ...any) {
 			t.Helper()
+			t.Fatalf("%s seed %d: after %s: %s", name, seed, what, fmt.Sprintf(format, args...))
+		}
+		// flushed checks the last flush: exactly [from, to) in exact mode,
+		// and zeros past the head in both.
+		flushed := func(what string, from, to int64) {
+			t.Helper()
+			if exact && last != (flush{from, to - from}) {
+				fail(what, "flush [%d,+%d), want [%d,+%d)", last.off, last.n, from, to-from)
+			}
+			for i := max(l.Head(), last.off); i < last.off+last.n; i++ {
+				if dev[i] != 0 {
+					fail(what, "a flush carried byte %#x at %d past the head %d", dev[i], i, l.Head())
+				}
+			}
 			if !bytes.Equal(dev[:l.Head()], l.Image()[:l.Head()]) {
-				t.Fatalf("seed %d: device differs from the log below the head after %s", seed, what)
+				fail(what, "device differs from the log below the head")
 			}
 		}
+		pending := false           // an extension the device does not hold yet
 		pos := map[uint64]uint64{} // next contiguous offset per inode
 		for step := 0; step < 200; step++ {
 			before := flushes
+			drop = rng.Intn(10) == 0
 			switch k := rng.Intn(20); {
 			case k == 0:
 				l.Reset()
+				pending = false
 				continue
 			case k < 3:
-				if err := l.Sync(w); err != nil {
-					t.Fatal(err)
+				head, want := l.Head(), before
+				if pending {
+					want++
 				}
-				if flushes > before+1 {
-					t.Fatalf("seed %d: Sync flushed %d times", seed, flushes-before)
+				err := l.Sync(w)
+				if flushes != want {
+					fail("Sync", "%d flushes with an extension pending=%v", flushes-before, pending)
 				}
-				synced("Sync")
+				if err != nil {
+					continue
+				}
+				if pending {
+					flushed("Sync", head-(extEnd-extOff), head)
+				}
+				pending = false
 				continue
 			}
 			var r Record
@@ -462,7 +518,6 @@ func TestPropertyDeviceFollowsLog(t *testing.T) {
 				if rng.Intn(8) == 0 {
 					r.Offset += 7 // a gap breaks the run
 				}
-				pos[ino] = r.Offset + r.Length
 			case k < 9:
 				r = Record{Op: OpCreate, Path: "/" + strings.Repeat("n", rng.Intn(150)), Inode: uint64(rng.Intn(9)), Mode: 0o644}
 			default:
@@ -472,21 +527,33 @@ func TestPropertyDeviceFollowsLog(t *testing.T) {
 			co, err := l.Append(w, r)
 			if err == ErrLogFull {
 				l.Reset()
+				pending = false
 				continue
 			}
-			if err != nil {
-				t.Fatal(err)
+			if err != nil && (co || flushes != before+1 || l.Head() != head) {
+				fail("a refused append", "coalesced=%v, %d flushes, head %d -> %d", co, flushes-before, head, l.Head())
 			}
-			if co {
+			if err == nil && r.Op == OpWrite {
+				pos[r.Inode] = r.Offset + r.Length
+			}
+			switch {
+			case err != nil:
+			case co:
 				if flushes != before {
-					t.Fatalf("seed %d: a coalesced write reached the device", seed)
+					fail("a coalesced write", "it reached the device")
 				}
-			} else {
+				pending = true
+			default:
 				own := (l.Head()+page-1)/page*page - head/page*page
-				if flushes != before+1 || flushed > own+page {
-					t.Fatalf("seed %d: record [%d,%d) cost %d flushes, the last of %d bytes", seed, head, l.Head(), flushes-before, flushed)
+				if flushes != before+1 || (!exact && last.n > own+page) {
+					fail("a record's append", "record [%d,%d) cost %d flushes, the last of %d bytes", head, l.Head(), flushes-before, last.n)
 				}
-				synced("a record's append")
+				from := head
+				if pending {
+					from -= extEnd - extOff
+				}
+				flushed("a record's append", from, min(l.Head()+1, capacity))
+				pending = false
 			}
 			// Past the head lie an earlier epoch's bytes, which may stop
 			// the scan with ErrCorrupt as a torn tail does: the records
@@ -494,7 +561,7 @@ func TestPropertyDeviceFollowsLog(t *testing.T) {
 			inMem, _ := Decode(l.Image(), l.Epoch())
 			onDev, _ := Decode(dev, l.Epoch())
 			if int64(len(inMem)) != l.Records() || len(onDev) != len(inMem) {
-				t.Fatalf("seed %d: device decodes to %d records, log to %d, %d are live", seed, len(onDev), len(inMem), l.Records())
+				fail("step", "device decodes to %d records, log to %d, %d are live", len(onDev), len(inMem), l.Records())
 			}
 			for i, want := range inMem {
 				got := onDev[i]
@@ -502,7 +569,7 @@ func TestPropertyDeviceFollowsLog(t *testing.T) {
 					got.Length = want.Length
 				}
 				if got != want {
-					t.Fatalf("seed %d: device record %d = %+v, log has %+v", seed, i, onDev[i], want)
+					fail("step", "device record %d = %+v, log has %+v", i, onDev[i], want)
 				}
 			}
 		}

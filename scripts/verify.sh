@@ -197,8 +197,12 @@ go run ./benchmark -selfcheck -workload ckpt_large
 echo "== go test -race (runtime core)"
 go test -race ./internal/core
 
-echo "== go test -race (fault injection + provenance log + microfs)"
-go test -race ./internal/faults ./internal/wal ./internal/microfs
+echo "== go test -race (fault injection + extent store + provenance log + microfs)"
+# The extent store backs every MemNamespace stripe, which the target's
+# queue pairs reach under that stripe's lock, and the log's write unit
+# follows the plane under it: both packages run under -race with the
+# layers that drive them.
+go test -race ./internal/faults ./internal/extent ./internal/wal ./internal/microfs
 
 echo "== crash-consistency property suite (short mode)"
 go test -short -count=1 -run CrashProp ./internal/core
