@@ -31,8 +31,8 @@ type healthzDoc struct {
 }
 
 // startAdmin serves /metrics (Prometheus text exposition of the
-// target's registry), /healthz (per-layer JSON rollup; plaintext kept
-// behind ?format=text for legacy probes), /health (the engine's full
+// target's registry), /healthz (per-layer JSON rollup, 503 once the
+// rollup is suspect or dead), /health (the engine's full
 // per-subject verdicts), /debug/flight (the flight recorder's last
 // commands per queue pair), /tenants (the mount table, when -tenants
 // is set), /qos (per-tenant admission buckets, when -qos-ops or
@@ -56,11 +56,6 @@ func startAdmin(addr string, tgt *nvmeof.Target, mounts *vfs.Namespace, ctrl *qo
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		snap := tgt.Snapshot()
-		if r.URL.Query().Get("format") == "text" {
-			fmt.Fprintf(w, "ok\nqueue_pairs %d\ncommands %d\nerrors %d\n",
-				len(snap.QueuePairs), snap.Commands, snap.Errors)
-			return
-		}
 		doc := healthzDoc{
 			Layers:     map[string]health.LayerHealth{},
 			QueuePairs: len(snap.QueuePairs),

@@ -13,9 +13,9 @@ import (
 	"github.com/nvme-cr/nvmecr/internal/vfs"
 )
 
-// TestBatchedSteadyStateAllocs is the polled-path allocation gate: the
-// batched small-command steady state — slot ring, merge path, vectored
-// flush, completion fan-out — must run at zero heap allocations per
+// TestBatchedSteadyStateAllocs is the slot-ring submission path's
+// allocation gate: the batched small-command steady state — slot ring,
+// merge path, vectored flush, completion fan-out — must run at zero heap allocations per
 // operation. The count is process-wide (testing.Benchmark measures
 // mallocs across every goroutine, the in-process target included), so
 // a regression on either end of the fabric trips it.

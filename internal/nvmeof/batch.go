@@ -15,11 +15,9 @@ import (
 // vectored wire write (net.Buffers, one writev on a TCP connection), so
 // the per-command syscall cost — the dominant software cost of small
 // commands, the cost the paper keeps off the critical path (§IV) —
-// is amortized across the batch. The wire format is unchanged: a batch
-// is byte-for-byte the capsules that would have been sent singly, so
-// batched initiators interoperate with every target and no version
-// negotiation is involved (capsules are self-delimiting; see
-// docs/batching.md).
+// is amortized across the batch. A batch has no wire format of its
+// own: it is byte-for-byte the capsules that would have been sent
+// singly, and capsules are self-delimiting (see docs/batching.md).
 //
 // The zero value disables batching.
 type BatchConfig struct {
@@ -117,61 +115,15 @@ type batcher struct {
 // reason to exist.
 const coalesceMin = 4096
 
-// validateCommand applies WriteCommandV's rejection rules before a
+// validateCommand applies WriteCommand's rejection rule before a
 // command is committed to a batch: once enqueued its header bytes are
-// final, so anything WriteCommandV would refuse must be refused here.
+// final, so anything WriteCommand would refuse must be refused here.
 // extra is payload carried outside c.Data (a vectored WRITE's total).
-func validateCommand(c *Command, version uint16, extra int) error {
+func validateCommand(c *Command, extra int) error {
 	if len(c.Data)+extra > MaxDataLen {
 		return fmt.Errorf("nvmeof: in-capsule data %d: %w", len(c.Data)+extra, ErrCapsuleTooLarge)
 	}
-	if c.Traced && version < VersionTrace {
-		return fmt.Errorf("nvmeof: traced command on version-%d queue pair", version)
-	}
 	return nil
-}
-
-// encodeCommandHeader renders cmd's fixed header (plus the trace-ID
-// extension when present) into a fresh slice, leaving the payload to
-// ride as its own iovec. The bytes are identical to what WriteCommandV
-// puts on the wire before the payload — pinned by
-// TestBatchWireBytesPinned so the formats can never diverge.
-func encodeCommandHeader(c *Command) []byte {
-	hdr := make([]byte, cmdHdrLen+traceExtLen)
-	return hdr[:encodeCommandHeaderInto(hdr, c)]
-}
-
-// encodeCommandHeaderInto renders the header into buf (which must hold
-// cmdHdrLen+traceExtLen bytes) and returns the encoded length, so the
-// hot path can use a pendingCmd's inline buffer with no allocation.
-func encodeCommandHeaderInto(buf []byte, c *Command) int {
-	return encodeCommandHeaderIntoN(buf, c, len(c.Data))
-}
-
-// encodeCommandHeaderIntoN is encodeCommandHeaderInto with an explicit
-// payload length, for capsules whose data arrives as a vector of
-// slices (WriteAtV) rather than c.Data.
-func encodeCommandHeaderIntoN(buf []byte, c *Command, payload int) int {
-	n := cmdHdrLen
-	if c.Traced {
-		n += traceExtLen
-	}
-	binary.LittleEndian.PutUint32(buf[0:], cmdMagic)
-	buf[4] = byte(c.Opcode)
-	buf[5] = 0
-	if c.Traced {
-		buf[5] = cmdFlagTraced
-	}
-	binary.LittleEndian.PutUint16(buf[6:], c.CID)
-	binary.LittleEndian.PutUint32(buf[8:], c.NSID)
-	binary.LittleEndian.PutUint64(buf[12:], c.Offset)
-	binary.LittleEndian.PutUint32(buf[20:], c.Length)
-	binary.LittleEndian.PutUint32(buf[24:], uint32(payload))
-	binary.LittleEndian.PutUint16(buf[28:], c.ProposeVersion)
-	if c.Traced {
-		binary.LittleEndian.PutUint64(buf[cmdHdrLen:], c.TraceID)
-	}
-	return n
 }
 
 // submitBatched enqueues one slot for the next vectored flush and
@@ -182,7 +134,7 @@ func encodeCommandHeaderIntoN(buf []byte, c *Command, payload int) int {
 func (h *Host) submitBatched(s *hostSlot) (Response, int, error) {
 	cmd := &s.cmd
 	selfPayload := len(cmd.Data) + s.vecLen
-	if err := validateCommand(cmd, uint16(h.version.Load()), s.vecLen); err != nil {
+	if err := validateCommand(cmd, s.vecLen); err != nil {
 		h.freeSlot(s)
 		return Response{}, 0, err
 	}
@@ -243,7 +195,7 @@ func (h *Host) submitBatched(s *hostSlot) (Response, int, error) {
 	pc.payload = selfPayload
 	pc.endOff = cmd.Offset + uint64(selfPayload)
 	pc.merge = b.cfg.MergeWrites && cmd.Opcode == OpWriteCmd && !cmd.Traced && selfPayload > 0
-	pc.hdr = pc.hdrBuf[:encodeCommandHeaderIntoN(pc.hdrBuf[:], cmd, selfPayload)]
+	pc.hdr = pc.hdrBuf[:encodeCommandHeader(pc.hdrBuf[:], cmd, selfPayload)]
 	if s.vec != nil {
 		pc.data = append(pc.data, s.vec...)
 	} else if len(cmd.Data) > 0 {

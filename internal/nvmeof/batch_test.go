@@ -2,6 +2,7 @@ package nvmeof
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -13,31 +14,58 @@ import (
 	"github.com/nvme-cr/nvmecr/internal/telemetry"
 )
 
-// TestBatchWireBytesPinned pins encodeCommandHeader to WriteCommandV:
-// the batcher renders headers itself (so payloads can ride as separate
-// iovecs), and the two encodings must never diverge — a batch is
-// byte-for-byte the capsules a direct sender would emit.
+// TestBatchWireBytesPinned pins the command encoder — the one the
+// batcher, the direct path and WriteCommand all render headers through
+// — against literal bytes, so an untraced capsule stays the plain
+// format byte for byte and a batch stays the concatenation of such
+// capsules. The header is magic, opcode, flags, CID, NSID, offset,
+// length, data length and four reserved bytes, then the trace ID when
+// flagged, then the data. Writing the traced flag to byte 6 instead of
+// byte 5, or leaving a stale buffer's bytes 28-31 in place, fails it.
 func TestBatchWireBytesPinned(t *testing.T) {
-	cmds := []*Command{
-		{Opcode: OpConnect, NSID: 7, ProposeVersion: MaxVersion},
-		{Opcode: OpWriteCmd, CID: 42, NSID: 1, Offset: 1 << 30, Data: []byte("payload")},
-		{Opcode: OpReadCmd, CID: 0xFFFF, NSID: 3, Offset: 4096, Length: 8192},
-		{Opcode: OpFlushCmd, CID: 9},
-		{Opcode: OpWriteCmd, CID: 11, Offset: 512, Traced: true, TraceID: 0xDEADBEEFCAFE, Data: []byte("traced")},
+	cases := []struct {
+		cmd  *Command
+		want string
+	}{
+		{
+			&Command{Opcode: OpWriteCmd, CID: 42, NSID: 1, Offset: 1 << 30, Data: []byte("payload")},
+			"464d564e" + "02" + "00" + "2a00" + "01000000" + "0000004000000000" + "00000000" + "07000000" + "00000000" +
+				"7061796c6f6164",
+		},
+		{
+			&Command{Opcode: OpWriteCmd, CID: 11, NSID: 1, Offset: 512, Traced: true, TraceID: 0xDEADBEEFCAFE, Data: []byte("traced")},
+			"464d564e" + "02" + "01" + "0b00" + "01000000" + "0002000000000000" + "00000000" + "06000000" + "00000000" +
+				"fecaefbeadde0000" + "747261636564",
+		},
+		{
+			&Command{Opcode: OpConnect, NSID: 7},
+			"464d564e" + "01" + "00" + "0000" + "07000000" + "0000000000000000" + "00000000" + "00000000" + "00000000",
+		},
 	}
-	for _, cmd := range cmds {
-		version := VersionLegacy
-		if cmd.Traced {
-			version = VersionTrace
+	for _, tc := range cases {
+		want, err := hex.DecodeString(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A stale slot buffer: every byte the encoder leaves alone
+		// shows up as 0xff.
+		var buf [cmdHdrLen + traceExtLen]byte
+		for i := range buf {
+			buf[i] = 0xff
+		}
+		n := encodeCommandHeader(buf[:], tc.cmd, len(tc.cmd.Data))
+		if !bytes.Equal(buf[28:32], make([]byte, 4)) {
+			t.Errorf("%s: reserved bytes 28-31 = %x, want zero", tc.cmd.Opcode, buf[28:32])
+		}
+		if got := append(buf[:n:n], tc.cmd.Data...); !bytes.Equal(got, want) {
+			t.Errorf("%s: encodeCommandHeader\n got:  %x\n want: %x", tc.cmd.Opcode, got, want)
 		}
 		var direct bytes.Buffer
-		if err := WriteCommandV(&direct, cmd, version); err != nil {
-			t.Fatalf("%s: %v", cmd.Opcode, err)
+		if err := WriteCommand(&direct, tc.cmd); err != nil {
+			t.Fatalf("%s: %v", tc.cmd.Opcode, err)
 		}
-		batched := append(encodeCommandHeader(cmd), cmd.Data...)
-		if !bytes.Equal(direct.Bytes(), batched) {
-			t.Errorf("%s: batched encoding diverges from WriteCommandV\n direct:  %x\n batched: %x",
-				cmd.Opcode, direct.Bytes(), batched)
+		if !bytes.Equal(direct.Bytes(), want) {
+			t.Errorf("%s: WriteCommand\n got:  %x\n want: %x", tc.cmd.Opcode, direct.Bytes(), want)
 		}
 	}
 }

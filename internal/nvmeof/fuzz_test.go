@@ -2,6 +2,7 @@ package nvmeof
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 )
@@ -16,147 +17,85 @@ func FuzzReadCommand(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		cmd, err := ReadCommand(bytes.NewReader(wire))
-		if err != nil {
-			return
-		}
-		if int64(len(cmd.Data)) > MaxDataLen {
-			t.Fatalf("parser accepted %d bytes of in-capsule data", len(cmd.Data))
-		}
-		// A parsed command must re-encode and re-parse identically.
-		var out bytes.Buffer
-		if err := WriteCommand(&out, cmd); err != nil {
-			t.Fatalf("re-encode of parsed command failed: %v", err)
-		}
-		again, err := ReadCommand(&out)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if again.Opcode != cmd.Opcode || again.CID != cmd.CID || again.NSID != cmd.NSID ||
-			again.Offset != cmd.Offset || again.Length != cmd.Length ||
-			again.ProposeVersion != cmd.ProposeVersion || !bytes.Equal(again.Data, cmd.Data) {
-			t.Fatal("command round trip diverged")
+		if cmd, err := ReadCommand(bytes.NewReader(wire)); err == nil {
+			roundTripCommand(t, cmd)
 		}
 	})
 }
 
-// FuzzReadCommandVersioned hardens the versioned parser: arbitrary
-// bytes on a VersionTrace queue pair must never panic, the trace-ID
-// extension must round-trip, and a traced capsule must be rejected —
-// not misparsed — by a legacy (version-0) parser.
+// FuzzReadCommandVersioned hardens the trace-ID extension, which the
+// retired capsule version 1 introduced: a traced capsule must
+// round-trip, and must encode as its untraced form plus only the flag
+// bit in header byte 5 and the 8 bytes after the fixed header, so an
+// untraced capsule stays byte-identical to one from before tracing.
 func FuzzReadCommandVersioned(f *testing.F) {
 	// Traced WRITE with the 8-byte trace-ID extension.
 	var traced bytes.Buffer
-	WriteCommandV(&traced, &Command{
+	WriteCommand(&traced, &Command{
 		Opcode: OpWriteCmd, CID: 7, NSID: 1, Offset: 4096,
 		Traced: true, TraceID: 0xDEADBEEFCAFE, Data: []byte("payload"),
-	}, VersionTrace)
+	})
 	f.Add(traced.Bytes())
-	// Untraced capsule on a v1 queue pair (extension absent).
+	// Untraced READ (extension absent).
 	var plain bytes.Buffer
-	WriteCommandV(&plain, &Command{Opcode: OpReadCmd, CID: 9, Length: 64}, VersionTrace)
+	WriteCommand(&plain, &Command{Opcode: OpReadCmd, CID: 9, Length: 64})
 	f.Add(plain.Bytes())
 	// Truncated extension: header promises a trace ID, stream ends.
 	f.Add(traced.Bytes()[:cmdHdrLen+3])
-	// CONNECT carrying a proposed version.
+	// CONNECT with non-zero reserved bytes 28-29.
 	var connect bytes.Buffer
-	WriteCommandV(&connect, &Command{Opcode: OpConnect, NSID: 1, ProposeVersion: MaxVersion}, VersionLegacy)
+	WriteCommand(&connect, &Command{Opcode: OpConnect, NSID: 1})
+	connect.Bytes()[28] = 1
 	f.Add(connect.Bytes())
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		cmd, err := ReadCommandV(bytes.NewReader(wire), VersionTrace)
-		if err != nil {
+		cmd, err := ReadCommand(bytes.NewReader(wire))
+		if err != nil || !cmd.Traced {
 			return
 		}
-		if int64(len(cmd.Data)) > MaxDataLen {
-			t.Fatalf("parser accepted %d bytes of in-capsule data", len(cmd.Data))
+		encoded := roundTripCommand(t, cmd)
+		untraced := *cmd
+		untraced.Traced, untraced.TraceID = false, 0
+		var u bytes.Buffer
+		if err := WriteCommand(&u, &untraced); err != nil {
+			t.Fatalf("encode of untraced form failed: %v", err)
 		}
-		// Round trip at the negotiated version preserves everything,
-		// trace ID included.
-		var out bytes.Buffer
-		if err := WriteCommandV(&out, cmd, VersionTrace); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		encoded := out.Bytes()
-		again, err := ReadCommandV(bytes.NewReader(encoded), VersionTrace)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if again.Traced != cmd.Traced || again.TraceID != cmd.TraceID ||
-			again.ProposeVersion != cmd.ProposeVersion ||
-			again.Opcode != cmd.Opcode || again.CID != cmd.CID || !bytes.Equal(again.Data, cmd.Data) {
-			t.Fatal("versioned command round trip diverged")
-		}
-		// A legacy parser must reject the traced form outright: the
-		// flags byte is unknown to version 0, and silently dropping the
-		// extension would desynchronise the stream.
-		if cmd.Traced {
-			if _, err := ReadCommand(bytes.NewReader(encoded)); err == nil {
-				t.Fatal("version-0 parser accepted a traced capsule")
-			}
-		} else {
-			// Without the extension the wire format is identical.
-			legacy, err := ReadCommand(bytes.NewReader(encoded))
-			if err != nil {
-				t.Fatalf("version-0 parse of untraced capsule failed: %v", err)
-			}
-			if legacy.Opcode != cmd.Opcode || legacy.CID != cmd.CID {
-				t.Fatal("untraced capsule diverged across versions")
-			}
+		want := append([]byte{}, u.Bytes()[:cmdHdrLen]...)
+		want[5] = cmdFlagTraced
+		want = binary.LittleEndian.AppendUint64(want, cmd.TraceID)
+		want = append(want, u.Bytes()[cmdHdrLen:]...)
+		if !bytes.Equal(encoded, want) {
+			t.Fatalf("traced capsule is not its untraced form plus the extension:\n got %x\nwant %x", encoded, want)
 		}
 	})
 }
 
-// FuzzReadResponseVersioned does the same for completion capsules with
-// the phase-timing extension.
-func FuzzReadResponseVersioned(f *testing.F) {
-	var phased bytes.Buffer
-	WriteResponseV(&phased, &Response{
-		CID: 3, Status: StatusOK, Value: 42,
-		Phases: &PhaseTimings{WireReadNS: 100, QueueNS: 200, ServiceNS: 300, WireWriteNS: 400},
-		Data:   []byte("x"),
-	}, VersionTrace)
-	f.Add(phased.Bytes())
-	// Truncated phase extension.
-	f.Add(phased.Bytes()[:rspHdrLen+7])
-	var plain bytes.Buffer
-	WriteResponseV(&plain, &Response{CID: 5, Status: StatusInvalidOpcode}, VersionTrace)
-	f.Add(plain.Bytes())
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, wire []byte) {
-		resp, err := ReadResponseV(bytes.NewReader(wire), VersionTrace)
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := WriteResponseV(&out, resp, VersionTrace); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		encoded := out.Bytes()
-		again, err := ReadResponseV(bytes.NewReader(encoded), VersionTrace)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if again.CID != resp.CID || again.Status != resp.Status || again.Value != resp.Value ||
-			!bytes.Equal(again.Data, resp.Data) {
-			t.Fatal("versioned response round trip diverged")
-		}
-		if (again.Phases == nil) != (resp.Phases == nil) {
-			t.Fatal("phase extension lost in round trip")
-		}
-		if resp.Phases != nil {
-			if *again.Phases != *resp.Phases {
-				t.Fatal("phase timings diverged")
-			}
-			// Legacy parsers must reject, not misparse, a phased capsule.
-			if _, err := ReadResponse(bytes.NewReader(encoded)); err == nil {
-				t.Fatal("version-0 parser accepted a phased capsule")
-			}
-		}
-	})
+// roundTripCommand checks that a parsed command re-encodes and
+// re-parses identically, trace-ID extension included, and returns its
+// encoding.
+func roundTripCommand(t *testing.T, cmd *Command) []byte {
+	t.Helper()
+	if int64(len(cmd.Data)) > MaxDataLen {
+		t.Fatalf("parser accepted %d bytes of in-capsule data", len(cmd.Data))
+	}
+	var out bytes.Buffer
+	if err := WriteCommand(&out, cmd); err != nil {
+		t.Fatalf("re-encode of parsed command failed: %v", err)
+	}
+	encoded := out.Bytes()
+	again, err := ReadCommand(bytes.NewReader(encoded))
+	if err != nil {
+		t.Fatalf("re-parse failed: %v", err)
+	}
+	if again.Opcode != cmd.Opcode || again.CID != cmd.CID || again.NSID != cmd.NSID ||
+		again.Offset != cmd.Offset || again.Length != cmd.Length ||
+		again.Traced != cmd.Traced || again.TraceID != cmd.TraceID ||
+		!bytes.Equal(again.Data, cmd.Data) {
+		t.Fatal("command round trip diverged")
+	}
+	return encoded
 }
 
 // FuzzReadResponse does the same for the host's completion parser.
@@ -175,23 +114,80 @@ func FuzzReadResponse(f *testing.F) {
 	f.Add(mismatched.Bytes())
 
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		resp, err := ReadResponse(bytes.NewReader(wire))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := WriteResponse(&out, resp); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		again, err := ReadResponse(&out)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if again.CID != resp.CID || again.Status != resp.Status || again.Value != resp.Value ||
-			!bytes.Equal(again.Data, resp.Data) {
-			t.Fatal("response round trip diverged")
+		if resp, err := ReadResponse(bytes.NewReader(wire)); err == nil {
+			roundTripResponse(t, resp)
 		}
 	})
+}
+
+// FuzzReadResponseVersioned does the same as FuzzReadCommandVersioned
+// for completion capsules with the phase-timing extension: the flag is
+// the high bit of the status, the 32 bytes follow the fixed header.
+func FuzzReadResponseVersioned(f *testing.F) {
+	var phased bytes.Buffer
+	WriteResponse(&phased, &Response{
+		CID: 3, Status: StatusOK, Value: 42,
+		Phases: &PhaseTimings{WireReadNS: 100, QueueNS: 200, ServiceNS: 300, WireWriteNS: 400},
+		Data:   []byte("x"),
+	})
+	f.Add(phased.Bytes())
+	// Truncated phase extension.
+	f.Add(phased.Bytes()[:rspHdrLen+7])
+	var plain bytes.Buffer
+	WriteResponse(&plain, &Response{CID: 5, Status: StatusInvalidOpcode})
+	f.Add(plain.Bytes())
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		resp, err := ReadResponse(bytes.NewReader(wire))
+		if err != nil || resp.Phases == nil {
+			return
+		}
+		encoded := roundTripResponse(t, resp)
+		unphased := *resp
+		unphased.Phases = nil
+		var u bytes.Buffer
+		if err := WriteResponse(&u, &unphased); err != nil {
+			t.Fatalf("encode of unphased form failed: %v", err)
+		}
+		const hdr = rspHdrLen + 4
+		want := append([]byte{}, u.Bytes()[:hdr]...)
+		binary.LittleEndian.PutUint16(want[6:], resp.Status|respFlagPhases)
+		for _, ns := range []uint64{resp.Phases.WireReadNS, resp.Phases.QueueNS, resp.Phases.ServiceNS, resp.Phases.WireWriteNS} {
+			want = binary.LittleEndian.AppendUint64(want, ns)
+		}
+		want = append(want, u.Bytes()[hdr:]...)
+		if !bytes.Equal(encoded, want) {
+			t.Fatalf("phased completion is not its plain form plus the extension:\n got %x\nwant %x", encoded, want)
+		}
+	})
+}
+
+// roundTripResponse checks that a parsed completion re-encodes and
+// re-parses identically, phase-timing extension included, and returns
+// its encoding.
+func roundTripResponse(t *testing.T, resp *Response) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := WriteResponse(&out, resp); err != nil {
+		t.Fatalf("re-encode failed: %v", err)
+	}
+	encoded := out.Bytes()
+	again, err := ReadResponse(bytes.NewReader(encoded))
+	if err != nil {
+		t.Fatalf("re-parse failed: %v", err)
+	}
+	if again.CID != resp.CID || again.Status != resp.Status || again.Value != resp.Value ||
+		!bytes.Equal(again.Data, resp.Data) {
+		t.Fatal("response round trip diverged")
+	}
+	if (again.Phases == nil) != (resp.Phases == nil) {
+		t.Fatal("phase extension lost in round trip")
+	}
+	if resp.Phases != nil && *again.Phases != *resp.Phases {
+		t.Fatal("phase timings diverged")
+	}
+	return encoded
 }
 
 // countingReader wraps a reader and counts bytes actually consumed, so
@@ -208,8 +204,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // FuzzReadBatchedCapsules hardens the target against a corrupted
-// batched flush. A batch is a byte-exact concatenation of versioned
-// capsules, so the target parses it with the same ReadCommandV loop as
+// batched flush. A batch is a byte-exact concatenation of capsules,
+// so the target parses it with the same ReadCommand loop as
 // unbatched traffic — this fuzzer feeds it arbitrary concatenated
 // streams and checks the three invariants batching leans on:
 //
@@ -225,9 +221,9 @@ func FuzzReadBatchedCapsules(f *testing.F) {
 	// Seed with a genuine three-capsule batch (what the host's vectored
 	// flush emits), one of them traced.
 	var batch bytes.Buffer
-	WriteCommandV(&batch, &Command{Opcode: OpWriteCmd, CID: 11, NSID: 1, Offset: 0, Data: bytes.Repeat([]byte{0xA1}, 512)}, VersionTrace)
-	WriteCommandV(&batch, &Command{Opcode: OpWriteCmd, CID: 12, NSID: 1, Offset: 512, Traced: true, TraceID: 0xBEEF, Data: bytes.Repeat([]byte{0xA2}, 512)}, VersionTrace)
-	WriteCommandV(&batch, &Command{Opcode: OpFlushCmd, CID: 13, NSID: 1}, VersionTrace)
+	WriteCommand(&batch, &Command{Opcode: OpWriteCmd, CID: 11, NSID: 1, Offset: 0, Data: bytes.Repeat([]byte{0xA1}, 512)})
+	WriteCommand(&batch, &Command{Opcode: OpWriteCmd, CID: 12, NSID: 1, Offset: 512, Traced: true, TraceID: 0xBEEF, Data: bytes.Repeat([]byte{0xA2}, 512)})
+	WriteCommand(&batch, &Command{Opcode: OpFlushCmd, CID: 13, NSID: 1})
 	f.Add(batch.Bytes())
 	// A batch truncated mid-payload (torn vectored write).
 	f.Add(batch.Bytes()[:batch.Len()-100])
@@ -243,7 +239,7 @@ func FuzzReadBatchedCapsules(f *testing.F) {
 		var parsed []*Command
 		for {
 			before := cr.n
-			cmd, err := ReadCommandV(cr, VersionTrace)
+			cmd, err := ReadCommand(cr)
 			if err != nil {
 				break // corruption rejected cleanly; prefix stays valid
 			}
@@ -252,7 +248,7 @@ func FuzzReadBatchedCapsules(f *testing.F) {
 			}
 			// Invariant 2: consumed bytes == canonical encoding length.
 			var canon bytes.Buffer
-			if err := WriteCommandV(&canon, cmd, VersionTrace); err != nil {
+			if err := WriteCommand(&canon, cmd); err != nil {
 				t.Fatalf("re-encode of parsed capsule failed: %v", err)
 			}
 			if consumed := cr.n - before; consumed != int64(canon.Len()) {
@@ -272,13 +268,13 @@ func FuzzReadBatchedCapsules(f *testing.F) {
 		// opcodes and payloads.
 		var rebatch bytes.Buffer
 		for _, cmd := range parsed {
-			if err := WriteCommandV(&rebatch, cmd, VersionTrace); err != nil {
+			if err := WriteCommand(&rebatch, cmd); err != nil {
 				t.Fatalf("re-batching failed: %v", err)
 			}
 		}
 		rr := bytes.NewReader(rebatch.Bytes())
 		for i, want := range parsed {
-			got, err := ReadCommandV(rr, VersionTrace)
+			got, err := ReadCommand(rr)
 			if err != nil {
 				t.Fatalf("re-parse of re-batched capsule %d failed: %v", i, err)
 			}

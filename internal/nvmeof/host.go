@@ -76,13 +76,8 @@ type Host struct {
 	tel  qpTelemetry
 	qpID int
 
-	// version is the negotiated capsule version. Written by dialSlot
-	// after the CONNECT round trip, read by the read loop and by every
-	// submit; atomic because the read loop is already parsing when
-	// negotiation completes.
-	version atomic.Uint32
-	tracer  *telemetry.Tracer
-	flight  *FlightRecorder
+	tracer *telemetry.Tracer
+	flight *FlightRecorder
 }
 
 // traceSeq and traceBase generate process-unique trace IDs: the base
@@ -119,9 +114,6 @@ func (h *Host) Healthy() bool {
 func (h *Host) InFlight() int {
 	return int(h.inflightN.Load())
 }
-
-// CapsuleVersion reports the capsule version negotiated at CONNECT.
-func (h *Host) CapsuleVersion() uint16 { return uint16(h.version.Load()) }
 
 // acquireSlot pops a free slot and resets the per-command state the
 // previous occupant left behind (payload references are cleared here,
@@ -209,16 +201,10 @@ func (h *Host) unregisterSlot(s *hostSlot) {
 // buffered channel, so nothing here escapes per command.
 func (h *Host) readLoop() {
 	br := bufio.NewReaderSize(h.conn, sockBufSize)
-	// The version is consulted lazily, after each response's fixed
-	// header is read: the CONNECT completion is parsed while the
-	// negotiated version is still being decided, but any response that
-	// could carry an extension arrives strictly after dialSlot stored
-	// it.
-	version := func() uint16 { return uint16(h.version.Load()) }
 	var resp Response
 	var scratch [protoScratchLen]byte
 	for {
-		if err := readResponseInto(br, version, &resp, &scratch); err != nil {
+		if err := readResponseInto(br, &resp, &scratch); err != nil {
 			h.fail(err)
 			return
 		}
@@ -346,7 +332,7 @@ func (h *Host) submitPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer
 // touch it again.
 func (h *Host) roundTrip(s *hostSlot) (Response, error) {
 	cmd := &s.cmd
-	if h.tracer != nil && uint16(h.version.Load()) >= VersionTrace {
+	if h.tracer != nil {
 		cmd.Traced = true
 		cmd.TraceID = nextTraceID()
 	}
@@ -498,7 +484,7 @@ func (h *Host) awaitResponse(s *hostSlot) (Response, error) {
 // header and payload as separate iovecs, no intermediate copy — and
 // waits for its completion.
 func (h *Host) submitDirect(s *hostSlot) (Response, error) {
-	if err := validateCommand(&s.cmd, uint16(h.version.Load()), s.vecLen); err != nil {
+	if err := validateCommand(&s.cmd, s.vecLen); err != nil {
 		h.freeSlot(s)
 		return Response{}, err
 	}
@@ -506,7 +492,7 @@ func (h *Host) submitDirect(s *hostSlot) (Response, error) {
 		return Response{}, err
 	}
 	h.sendMu.Lock()
-	n := encodeCommandHeaderIntoN(s.pc.hdrBuf[:], &s.cmd, len(s.cmd.Data)+s.vecLen)
+	n := encodeCommandHeader(s.pc.hdrBuf[:], &s.cmd, len(s.cmd.Data)+s.vecLen)
 	iov := append(h.iov[:0], s.pc.hdrBuf[:n])
 	if s.vec != nil {
 		iov = append(iov, s.vec...)

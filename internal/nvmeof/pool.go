@@ -48,12 +48,11 @@ type PoolConfig struct {
 	// Telemetry is the registry every queue pair records into. Nil
 	// gets a private registry, so Snapshot always reports live counts.
 	Telemetry *telemetry.Registry
-	// Tracer, when non-nil, makes every queue pair offer the trace
-	// capsule extension at CONNECT and, once negotiated, stamp every
-	// command with a trace ID and emit one correlated "nvmeof.cmd" span
-	// per completion carrying the target-reported wire/queue/service
-	// phase breakdown. Nil keeps the legacy wire format and adds zero
-	// bytes to any capsule.
+	// Tracer, when non-nil, makes every queue pair stamp every command,
+	// CONNECT included, with a trace ID and emit one correlated
+	// "nvmeof.cmd" span per completion carrying the target-reported
+	// wire/queue/service phase breakdown. Nil adds zero bytes to any
+	// capsule.
 	Tracer *telemetry.Tracer
 	// Batch configures each queue pair's submission batcher (see
 	// BatchConfig). The zero value keeps the direct path.
@@ -189,13 +188,7 @@ func (p *HostPool) dialSlot(i int) (*Host, error) {
 		h.batch = &batcher{cfg: p.cfg.Batch}
 	}
 	go h.readLoop()
-	// Offer the trace extension only when a tracer will consume it, so
-	// untraced queue pairs keep the legacy wire format bit-for-bit.
-	var propose uint16
-	if p.cfg.Tracer != nil {
-		propose = MaxVersion
-	}
-	resp, err := h.submitPayload(&Command{Opcode: OpConnect, NSID: p.nsid, ProposeVersion: propose}, nil, 0, nil)
+	resp, err := h.submitPayload(&Command{Opcode: OpConnect, NSID: p.nsid}, nil, 0, nil)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("nvmeof: connect: %w", err)
@@ -204,12 +197,6 @@ func (p *HostPool) dialSlot(i int) (*Host, error) {
 		conn.Close()
 		return nil, fmt.Errorf("nvmeof: connect: %s", statusText(resp.Status))
 	}
-	negotiated := DecodeNegotiatedVersion(resp.Data)
-	if negotiated > MaxVersion {
-		conn.Close()
-		return nil, fmt.Errorf("nvmeof: connect: target negotiated unsupported capsule version %d", negotiated)
-	}
-	h.version.Store(uint32(negotiated))
 	h.nsSize = int64(resp.Value)
 	return h, nil
 }

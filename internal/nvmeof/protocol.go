@@ -13,24 +13,20 @@ import (
 // (one connection per queue, command IDs matching completions) follow
 // the fabrics model.
 //
-// The capsule header is versioned. Version 0 is the original wire
-// format; version 1 (VersionTrace) adds two optional extensions for
-// distributed per-command tracing:
+// Two optional extensions carry distributed per-command tracing, each
+// announced by the capsule that carries it:
 //
 //   - command capsules may carry an 8-byte trace ID after the fixed
-//     header, announced by a flags bit in the previously spare header
-//     byte 5;
+//     header, announced by a flags bit in header byte 5;
 //   - response capsules may carry a 32-byte phase-timing block between
 //     the fixed header and the data, announced by the high bit of the
-//     status field (real statuses are small; legacy peers never see the
-//     bit because extensions are only sent after negotiation).
+//     status field (real statuses are small).
 //
-// The version is negotiated per queue pair at CONNECT: the initiator
-// offers its version in spare command-header bytes that legacy targets
-// ignore, and a version-aware target answers with the negotiated
-// version as connect-response payload that legacy initiators ignore.
-// Either side missing means version 0, so old peers interoperate with
-// new ones bit-for-bit.
+// Both ends of a queue pair come from one build (the runtime is carved
+// at job start and released with the job), so there is no version to
+// negotiate: an untraced capsule is the plain format, byte for byte.
+// Command-header bytes 28-31 are reserved: written as zero, ignored on
+// read.
 
 // Opcode identifies a capsule command.
 type Opcode uint8
@@ -122,26 +118,6 @@ func statusText(s uint16) string {
 	}
 }
 
-// Capsule protocol versions, negotiated per queue pair at CONNECT.
-const (
-	// VersionLegacy is the original wire format with no extensions.
-	VersionLegacy uint16 = 0
-	// VersionTrace adds the trace-ID command extension and the
-	// phase-timings response extension.
-	VersionTrace uint16 = 1
-	// MaxVersion is the highest version this build speaks.
-	MaxVersion = VersionTrace
-)
-
-// NegotiateVersion folds an initiator's offer into the version a queue
-// pair will speak: the lower of the offer and what this build supports.
-func NegotiateVersion(proposed uint16) uint16 {
-	if proposed > MaxVersion {
-		return MaxVersion
-	}
-	return proposed
-}
-
 const (
 	cmdMagic  = 0x4E564D46 // "NVMF"
 	respMagic = 0x4E564D52 // "NVMR"
@@ -170,13 +146,7 @@ type Command struct {
 	Length uint32
 	Data   []byte
 
-	// ProposeVersion is the capsule version the initiator offers on
-	// OpConnect. It rides in spare header bytes that legacy targets
-	// ignore (and that legacy initiators leave zero), so negotiation
-	// is invisible to version-0 peers. Meaningless on other opcodes.
-	ProposeVersion uint16
 	// Traced marks the command as carrying the trace-ID extension.
-	// Only valid on VersionTrace queue pairs.
 	Traced  bool
 	TraceID uint64
 }
@@ -211,48 +181,18 @@ type Response struct {
 	Data   []byte
 
 	// Phases, when non-nil, is the phase-timings extension of a traced
-	// command's completion. Only valid on VersionTrace queue pairs.
+	// command's completion.
 	Phases *PhaseTimings
 }
 
-// WriteCommand encodes and writes a command capsule in the legacy
-// (version 0) format. Traced commands need WriteCommandV.
+// WriteCommand encodes and writes a command capsule.
 func WriteCommand(w io.Writer, c *Command) error {
-	return WriteCommandV(w, c, VersionLegacy)
-}
-
-// WriteCommandV encodes and writes a command capsule at the negotiated
-// capsule version. Writing a traced command on a queue pair that did
-// not negotiate VersionTrace is an error, never a silent downgrade: the
-// peer would misparse the extension bytes as data.
-func WriteCommandV(w io.Writer, c *Command, version uint16) error {
 	if len(c.Data) > MaxDataLen {
 		return fmt.Errorf("nvmeof: in-capsule data %d: %w", len(c.Data), ErrCapsuleTooLarge)
 	}
-	if c.Traced && version < VersionTrace {
-		return fmt.Errorf("nvmeof: traced command on version-%d queue pair", version)
-	}
-	var hdr [cmdHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], cmdMagic)
-	hdr[4] = byte(c.Opcode)
-	if c.Traced {
-		hdr[5] = cmdFlagTraced
-	}
-	binary.LittleEndian.PutUint16(hdr[6:], c.CID)
-	binary.LittleEndian.PutUint32(hdr[8:], c.NSID)
-	binary.LittleEndian.PutUint64(hdr[12:], c.Offset)
-	binary.LittleEndian.PutUint32(hdr[20:], c.Length)
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(c.Data)))
-	binary.LittleEndian.PutUint16(hdr[28:], c.ProposeVersion)
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr [cmdHdrLen + traceExtLen]byte
+	if _, err := w.Write(hdr[:encodeCommandHeader(hdr[:], c, len(c.Data))]); err != nil {
 		return err
-	}
-	if c.Traced {
-		var ext [traceExtLen]byte
-		binary.LittleEndian.PutUint64(ext[:], c.TraceID)
-		if _, err := w.Write(ext[:]); err != nil {
-			return err
-		}
 	}
 	if len(c.Data) > 0 {
 		if _, err := w.Write(c.Data); err != nil {
@@ -262,28 +202,41 @@ func WriteCommandV(w io.Writer, c *Command, version uint16) error {
 	return nil
 }
 
-// ReadCommand reads one command capsule at the legacy (version 0)
-// format: any extension flag is a protocol error.
+// encodeCommandHeader renders c's fixed header, plus the trace-ID
+// extension when c is traced, into buf (which must hold
+// cmdHdrLen+traceExtLen bytes) and returns the encoded length. payload
+// is the data length the header declares: the batcher and the direct
+// path send the data as separate iovecs, possibly a vector of slices
+// (WriteAtV) rather than c.Data.
+func encodeCommandHeader(buf []byte, c *Command, payload int) int {
+	n := cmdHdrLen
+	if c.Traced {
+		n += traceExtLen
+	}
+	binary.LittleEndian.PutUint32(buf[0:], cmdMagic)
+	buf[4] = byte(c.Opcode)
+	buf[5] = 0
+	if c.Traced {
+		buf[5] = cmdFlagTraced
+	}
+	binary.LittleEndian.PutUint16(buf[6:], c.CID)
+	binary.LittleEndian.PutUint32(buf[8:], c.NSID)
+	binary.LittleEndian.PutUint64(buf[12:], c.Offset)
+	binary.LittleEndian.PutUint32(buf[20:], c.Length)
+	binary.LittleEndian.PutUint32(buf[24:], uint32(payload))
+	binary.LittleEndian.PutUint32(buf[28:], 0) // reserved
+	if c.Traced {
+		binary.LittleEndian.PutUint64(buf[cmdHdrLen:], c.TraceID)
+	}
+	return n
+}
+
+// ReadCommand reads one command capsule.
 func ReadCommand(r io.Reader) (*Command, error) {
-	return ReadCommandV(r, VersionLegacy)
-}
-
-// ReadCommandV reads one command capsule at the negotiated version.
-func ReadCommandV(r io.Reader, version uint16) (*Command, error) {
-	return readCommandFn(r, func() uint16 { return version })
-}
-
-// readCommandFn is ReadCommandV with the version supplied lazily: it is
-// consulted only after the fixed header has been read. The target's
-// reader goroutine needs this, because the negotiated version is stored
-// by the service loop when it processes CONNECT — strictly before the
-// first byte of any post-negotiation capsule arrives, but possibly
-// after the reader has already blocked waiting for that byte.
-func readCommandFn(r io.Reader, version func() uint16) (*Command, error) {
 	c := &Command{}
 	var buf []byte
 	var scratch [protoScratchLen]byte
-	if err := readCommandInto(r, version, c, &buf, &scratch); err != nil {
+	if err := readCommandInto(r, c, &buf, &scratch); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -325,12 +278,12 @@ const sockBufSize = 64 << 10
 // staged block: cmdHdrLen and phaseExtLen (both 32).
 const protoScratchLen = cmdHdrLen
 
-// readCommandInto is readCommandFn into caller-owned storage: the
+// readCommandInto is ReadCommand into caller-owned storage: the
 // Command is overwritten in place and the payload lands in *bufp's
 // backing when it fits (larger payloads get a fresh allocation that is
 // not retained). The target's serve loop runs this per slot, so the
 // steady state reads capsules with zero allocations.
-func readCommandInto(r io.Reader, version func() uint16, c *Command, bufp *[]byte, scratch *[protoScratchLen]byte) error {
+func readCommandInto(r io.Reader, c *Command, bufp *[]byte, scratch *[protoScratchLen]byte) error {
 	hdr := scratch[:cmdHdrLen]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return err
@@ -343,19 +296,15 @@ func readCommandInto(r io.Reader, version func() uint16, c *Command, bufp *[]byt
 		return fmt.Errorf("nvmeof: unknown command flags %#x", flags)
 	}
 	*c = Command{
-		Opcode:         Opcode(hdr[4]),
-		CID:            binary.LittleEndian.Uint16(hdr[6:]),
-		NSID:           binary.LittleEndian.Uint32(hdr[8:]),
-		Offset:         binary.LittleEndian.Uint64(hdr[12:]),
-		Length:         binary.LittleEndian.Uint32(hdr[20:]),
-		ProposeVersion: binary.LittleEndian.Uint16(hdr[28:]),
+		Opcode: Opcode(hdr[4]),
+		CID:    binary.LittleEndian.Uint16(hdr[6:]),
+		NSID:   binary.LittleEndian.Uint32(hdr[8:]),
+		Offset: binary.LittleEndian.Uint64(hdr[12:]),
+		Length: binary.LittleEndian.Uint32(hdr[20:]),
 	}
 	// Extracted before the trace extension reuses the scratch bytes.
 	dataLen := binary.LittleEndian.Uint32(hdr[24:])
 	if flags&cmdFlagTraced != 0 {
-		if version() < VersionTrace {
-			return fmt.Errorf("nvmeof: traced command on version-%d queue pair", version())
-		}
 		ext := scratch[:traceExtLen]
 		if _, err := io.ReadFull(r, ext); err != nil {
 			return err
@@ -376,31 +325,21 @@ func readCommandInto(r io.Reader, version func() uint16, c *Command, bufp *[]byt
 	return nil
 }
 
-// WriteResponse encodes and writes a response capsule in the legacy
-// (version 0) format. Responses with phase timings need WriteResponseV.
+// WriteResponse encodes and writes a response capsule.
 func WriteResponse(w io.Writer, r *Response) error {
-	return WriteResponseV(w, r, VersionLegacy)
-}
-
-// WriteResponseV encodes and writes a response capsule at the
-// negotiated capsule version.
-func WriteResponseV(w io.Writer, r *Response, version uint16) error {
 	var scratch [protoScratchLen]byte
-	return writeResponseScratch(w, r, version, &scratch)
+	return writeResponseScratch(w, r, &scratch)
 }
 
-// writeResponseScratch is WriteResponseV staging the header and phase
+// writeResponseScratch is WriteResponse staging the header and phase
 // extension in caller-owned scratch, so a serve loop that owns one
 // scratch array per connection emits responses with zero allocations.
-func writeResponseScratch(w io.Writer, r *Response, version uint16, scratch *[protoScratchLen]byte) error {
+func writeResponseScratch(w io.Writer, r *Response, scratch *[protoScratchLen]byte) error {
 	if len(r.Data) > MaxDataLen {
 		return fmt.Errorf("nvmeof: response data %d exceeds limit", len(r.Data))
 	}
 	if r.Status&respFlagPhases != 0 {
 		return fmt.Errorf("nvmeof: status %#x collides with the phase-extension flag", r.Status)
-	}
-	if r.Phases != nil && version < VersionTrace {
-		return fmt.Errorf("nvmeof: phase timings on version-%d queue pair", version)
 	}
 	status := r.Status
 	if r.Phases != nil {
@@ -434,37 +373,23 @@ func writeResponseScratch(w io.Writer, r *Response, version uint16, scratch *[pr
 	return nil
 }
 
-// ReadResponse reads one response capsule at the legacy (version 0)
-// format: a phase-extension flag is a protocol error.
+// ReadResponse reads one response capsule.
 func ReadResponse(r io.Reader) (*Response, error) {
-	return ReadResponseV(r, VersionLegacy)
-}
-
-// ReadResponseV reads one response capsule at the negotiated version.
-func ReadResponseV(r io.Reader, version uint16) (*Response, error) {
-	return readResponseFn(r, func() uint16 { return version })
-}
-
-// readResponseFn is ReadResponseV with the version supplied lazily,
-// consulted only after the fixed header has been read (see
-// readCommandFn; the host's read loop has the mirror-image race with
-// DialConfig storing the negotiated version).
-func readResponseFn(r io.Reader, version func() uint16) (*Response, error) {
 	out := &Response{}
 	var scratch [protoScratchLen]byte
-	if err := readResponseInto(r, version, out, &scratch); err != nil {
+	if err := readResponseInto(r, out, &scratch); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// readResponseInto is readResponseFn into a caller-owned Response,
+// readResponseInto is ReadResponse into a caller-owned Response,
 // overwritten in place. The host's read loop runs this with one reused
 // Response, so data-less completions (every WRITE/FLUSH) are parsed
 // with zero allocations. Data and Phases, when present, are freshly
 // allocated: both escape into the waiter's copy of the response and
 // must not be overwritten by the next capsule.
-func readResponseInto(r io.Reader, version func() uint16, out *Response, scratch *[protoScratchLen]byte) error {
+func readResponseInto(r io.Reader, out *Response, scratch *[protoScratchLen]byte) error {
 	hdr := scratch[:rspHdrLen+4]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return err
@@ -481,9 +406,6 @@ func readResponseInto(r io.Reader, version func() uint16, out *Response, scratch
 	// Extracted before the phase extension reuses the scratch bytes.
 	dataLen := binary.LittleEndian.Uint32(hdr[8:])
 	if status&respFlagPhases != 0 {
-		if version() < VersionTrace {
-			return fmt.Errorf("nvmeof: phase timings on version-%d queue pair", version())
-		}
 		ext := scratch[:phaseExtLen]
 		if _, err := io.ReadFull(r, ext); err != nil {
 			return err
@@ -505,23 +427,4 @@ func readResponseInto(r io.Reader, version func() uint16, out *Response, scratch
 		}
 	}
 	return nil
-}
-
-// encodeNegotiatedVersion renders the CONNECT-response negotiation
-// payload: two little-endian bytes carrying the version the target
-// will speak on this queue pair.
-func encodeNegotiatedVersion(v uint16) []byte {
-	out := make([]byte, 2)
-	binary.LittleEndian.PutUint16(out, v)
-	return out
-}
-
-// DecodeNegotiatedVersion extracts the negotiated capsule version from
-// a CONNECT response payload. Legacy targets attach no payload, which
-// decodes as VersionLegacy.
-func DecodeNegotiatedVersion(data []byte) uint16 {
-	if len(data) < 2 {
-		return VersionLegacy
-	}
-	return binary.LittleEndian.Uint16(data)
 }

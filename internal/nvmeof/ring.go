@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// This file is the polled submission path's spine: a bounded MPMC ring
+// This file is the slot-ring submission path's spine: a bounded MPMC ring
 // of slot indices (the free list every submitter acquires from) and the
 // per-queue-pair slot array it indexes. The design follows the SPDK
 // run-to-completion model the paper's data path is built on (§IV): all

@@ -211,7 +211,7 @@ func FuzzIndexRing(f *testing.F) {
 
 // BenchmarkIndexRing measures the free list's single-threaded cycle
 // cost: one pop plus one push, the per-command ring overhead of the
-// polled submission path.
+// slot-ring submission path.
 func BenchmarkIndexRing(b *testing.B) {
 	r := newIndexRing(hostQueueDepth, 0)
 	for i := 0; i < hostQueueDepth; i++ {

@@ -178,8 +178,7 @@ type qpConn struct {
 	id   int
 	conn net.Conn
 
-	nsid    atomic.Uint32 // namespace bound by CONNECT (0 = admin / none)
-	version atomic.Uint32 // capsule version negotiated at CONNECT
+	nsid atomic.Uint32 // namespace bound by CONNECT (0 = admin / none)
 	// lost is set when the reader leaves on a reset, EOF or malformed
 	// capsule — anything but a draining Close's read deadline.
 	lost atomic.Bool
@@ -447,13 +446,9 @@ func (t *Target) serve(conn net.Conn) {
 		// Reader: owns br. Exits (closing the submission queue) on
 		// EOF, a read deadline from a draining Close, or a protocol
 		// violation; only the deadline leaves a peer that still wants
-		// answers (see qpConn.lost). The negotiated version is consulted
-		// lazily, after each fixed header: the service loop stores it
-		// when it processes CONNECT, strictly before any
-		// post-negotiation capsule's first byte arrives.
+		// answers (see qpConn.lost).
 		defer close(sq)
 		leave := func(err error) { qp.lost.Store(!errors.Is(err, os.ErrDeadlineExceeded)) }
-		version := func() uint16 { return uint16(qp.version.Load()) }
 		var scratch [protoScratchLen]byte
 		for {
 			// Acquire the slot before blocking for the first byte: the
@@ -468,7 +463,7 @@ func (t *Target) serve(conn net.Conn) {
 				return
 			}
 			s.readStart = time.Now()
-			if err := readCommandInto(br, version, &s.cmd, &s.dataBuf, &scratch); err != nil {
+			if err := readCommandInto(br, &s.cmd, &s.dataBuf, &scratch); err != nil {
 				leave(err)
 				return
 			}
@@ -569,15 +564,6 @@ func (t *Target) serve(conn net.Conn) {
 					qp.nsid.Store(cmd.NSID)
 				}
 			}
-			if resp.Status == StatusOK && cmd.ProposeVersion > 0 {
-				// Version-aware initiator: answer with the version
-				// this queue pair will speak. Legacy initiators never
-				// propose and get no payload; legacy targets never
-				// attach one, which decodes as version 0.
-				negotiated := NegotiateVersion(cmd.ProposeVersion)
-				resp.Data = encodeNegotiatedVersion(negotiated)
-				qp.version.Store(uint32(negotiated))
-			}
 		case OpIdentify:
 			if connected == nil {
 				resp.Status = StatusNotConnected
@@ -629,7 +615,7 @@ func (t *Target) serve(conn net.Conn) {
 		var writeStart time.Time
 		if cmd.Traced {
 			writeStart = time.Now()
-			// The extension block lives in the slot; WriteResponseV
+			// The extension block lives in the slot; the response write
 			// serializes it synchronously, before the slot is reused.
 			s.phases = PhaseTimings{
 				WireReadNS:  clamp1(s.wireRead),
@@ -645,7 +631,7 @@ func (t *Target) serve(conn net.Conn) {
 		}
 		t.bytesOut.Add(uint64(len(resp.Data)))
 		qp.bytesOut.Add(uint64(len(resp.Data)))
-		err := writeResponseScratch(bw, resp, uint16(qp.version.Load()), &respScratch)
+		err := writeResponseScratch(bw, resp, &respScratch)
 		if err == nil && len(sq) == 0 {
 			// No command waiting for service: flush the pipelined
 			// responses.

@@ -19,9 +19,6 @@ func TestTracedCommandPhases(t *testing.T) {
 	tr := telemetry.NewTracer(&traceBuf)
 	h := dialOne(t, addr, 1, PoolConfig{Tracer: tr})
 
-	if got := h.slots[0].host.CapsuleVersion(); got != VersionTrace {
-		t.Fatalf("negotiated version %d, want %d", got, VersionTrace)
-	}
 	const writes = 16
 	for i := 0; i < writes; i++ {
 		if err := h.WriteAt(int64(i)*4096, bytes.Repeat([]byte{byte(i)}, 4096)); err != nil {
@@ -44,12 +41,11 @@ func TestTracedCommandPhases(t *testing.T) {
 		cmds = append(cmds, ev)
 		seen[ev.Attrs["op"].(string)] = true
 	}
-	// CONNECT predates negotiation (it performs it), so it is never
-	// traced; everything after must be.
-	if want := writes + 2; len(cmds) != want {
+	// Every command is traced, CONNECT included.
+	if want := writes + 3; len(cmds) != want {
 		t.Fatalf("traced %d commands, want %d", len(cmds), want)
 	}
-	for _, op := range []string{"WRITE", "READ", "FLUSH"} {
+	for _, op := range []string{"CONNECT", "WRITE", "READ", "FLUSH"} {
 		if !seen[op] {
 			t.Errorf("no traced %s command", op)
 		}
@@ -80,11 +76,6 @@ func TestTracedCommandPhases(t *testing.T) {
 	}
 	for _, recs := range tsnap {
 		for _, rec := range recs {
-			// CONNECT predates negotiation, so it is never traced and
-			// carries no phase decomposition; every traced command must.
-			if rec.Opcode == OpConnect {
-				continue
-			}
 			if !rec.HasPhases {
 				t.Fatalf("target record without phases: %+v", rec)
 			}
@@ -159,16 +150,12 @@ func TestPhaseQuantilesMatchPrometheus(t *testing.T) {
 	}
 }
 
-// TestLegacyClientInterop pins backward compatibility: an initiator
-// that never proposes a capsule version (tracing off — the wire format
-// is byte-identical to the pre-versioning protocol) must complete every
-// operation against a version-aware target.
-func TestLegacyClientInterop(t *testing.T) {
+// TestUntracedClient pins the plain capsule path: an initiator with no
+// tracer (no capsule carries an extension) must complete every
+// operation, on a namespace queue pair and on the admin queue pair.
+func TestUntracedClient(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
 	h := dialOne(t, addr, 1, PoolConfig{})
-	if got := h.slots[0].host.CapsuleVersion(); got != VersionLegacy {
-		t.Fatalf("legacy dial negotiated version %d, want %d", got, VersionLegacy)
-	}
 	if err := h.WriteAt(0, []byte("legacy")); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +173,7 @@ func TestLegacyClientInterop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Admin plane stays legacy-compatible too.
+	// The admin plane speaks the same plain capsules.
 	adm := dialOne(t, addr, 0, PoolConfig{})
 	nsid, err := adm.CreateNamespace(64 * 1024)
 	if err != nil {
@@ -201,26 +188,5 @@ func TestLegacyClientInterop(t *testing.T) {
 	}
 	if err := adm.DeleteNamespace(nsid); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestVersionNegotiationCapsAtTarget: a host proposing more than the
-// target supports gets the target's maximum, never a version it did
-// not offer.
-func TestVersionNegotiation(t *testing.T) {
-	if got := NegotiateVersion(0); got != VersionLegacy {
-		t.Errorf("NegotiateVersion(0) = %d", got)
-	}
-	if got := NegotiateVersion(VersionTrace); got != VersionTrace {
-		t.Errorf("NegotiateVersion(%d) = %d", VersionTrace, got)
-	}
-	if got := NegotiateVersion(MaxVersion + 5); got != MaxVersion {
-		t.Errorf("NegotiateVersion(%d) = %d, want cap at %d", MaxVersion+5, got, MaxVersion)
-	}
-	if got := DecodeNegotiatedVersion(nil); got != VersionLegacy {
-		t.Errorf("DecodeNegotiatedVersion(nil) = %d", got)
-	}
-	if got := DecodeNegotiatedVersion([]byte{1}); got != VersionLegacy {
-		t.Errorf("DecodeNegotiatedVersion(short) = %d", got)
 	}
 }

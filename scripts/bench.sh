@@ -22,7 +22,7 @@
 #     at qp>=4
 #   - striped throughput at targets=2 >= 1.1x targets=1 (aggregate
 #     device bandwidth must actually scale)
-#   - batched steady state at qp=4 runs at 0 allocs/op (the polled
+#   - batched steady state at qp=4 runs at 0 allocs/op (the slot-ring
 #     zero-copy submission path's contract; counted process-wide,
 #     in-process target included)
 #   - mirrored R=2 writes >= 0.45x RAID-0 (ideal 0.5x: every byte hits

@@ -89,7 +89,7 @@ echo "== go test -race (concurrent transport + telemetry)"
 go test -race ./internal/nvmeof ./internal/telemetry ./internal/balancer
 
 echo "== go test -race (slot ring + registered buffer lifetime)"
-# The polled submission path's lock-free spine and the zero-copy buffer
+# The slot-ring submission path's lock-free spine and the zero-copy buffer
 # contract, named explicitly so a test rename cannot silently drop
 # them: the MPMC index ring under concurrent push/pop across the
 # ticket-wraparound boundary, and buffer mutate-after-completion safety
@@ -231,7 +231,7 @@ grep -q '"traceEvents"' "$tmp/chrome.json" || { echo "chrome export invalid"; ex
 echo "== nvmecrd /health smoke test"
 # Boot the daemon on ephemeral ports and check the three health
 # surfaces: /health (per-subject verdicts), /healthz (per-layer JSON
-# rollup), and the legacy plaintext form behind ?format=text.
+# rollup), and /metrics.
 go build -o "$tmp/nvmecrd" ./cmd/nvmecrd
 "$tmp/nvmecrd" -addr 127.0.0.1:0 -admin 127.0.0.1:0 -stats 0 \
 	-health-interval 50ms >"$tmp/nvmecrd.log" 2>&1 &
@@ -254,8 +254,6 @@ curl -fsS "http://$admin/health" | grep -q '"status"' \
 	|| { echo "/health missing status field"; exit 1; }
 curl -fsS "http://$admin/healthz" | grep -q '"layers"' \
 	|| { echo "/healthz missing layers rollup"; exit 1; }
-curl -fsS "http://$admin/healthz?format=text" | grep -q '^ok' \
-	|| { echo "/healthz?format=text lost the legacy form"; exit 1; }
 curl -fsS "http://$admin/metrics" | grep -q '^nvmecr_health_state' \
 	|| { echo "/metrics missing nvmecr_health_state"; exit 1; }
 kill "$daemon"
