@@ -1,108 +1,55 @@
 package nvmeof
 
 import (
-	"fmt"
+	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
-// BufferPool hands out fixed-size registered buffers for zero-copy
-// WRITE submission (Host.WriteAtBuffer, HostPool.WriteAtBuffer). A
-// registered buffer's bytes ride to the socket as their own iovec —
-// no staging copy — which makes buffer lifetime a transport concern:
-// the payload must stay immutable from submission until the transport
-// is provably done with it, and on the timeout path that moment is
-// NOT when the call returns (the capsule may still sit in a pending
-// batch, or the abandoned command's bytes may still be draining into
-// the socket).
-//
-// The pool enforces that contract with a registration count. Acquiring
-// a buffer gives the caller one reference; each in-flight submission
-// pins one more; Release while any pin is held PANICS — that panic is
-// the use-after-register detection, turning a silent in-flight capsule
-// corruption into a loud programming error at the exact call site.
-type BufferPool struct {
-	size int
+// READ payload classes: powers of two from sockBufSize (2^16) to
+// MaxDataLen (2^23). Smaller payloads are not worth a pool round trip.
+const (
+	payloadMinShift = 16
+	payloadMaxShift = 23
+)
 
-	mu   sync.Mutex
-	free []*Buffer
-}
+// payloadPool is the package's free list of READ payload buffers. Class
+// k holds buffers whose capacity is in [2^k, 2^(k+1)). readResponseInto
+// takes every READ payload from it; a payload whose bytes have been
+// copied out and that never left the package — a stripe member's buffer
+// once scattered, a chunk of a long TCPPlane read once appended, a late
+// answer to an abandoned command — goes back. A buffer handed to a
+// caller of the package is the caller's alone (plane.Plane.Read) and
+// never comes back.
+var payloadPool [payloadMaxShift - payloadMinShift + 1]sync.Pool
 
-// NewBufferPool creates a pool of size-byte buffers. Buffers are
-// allocated on demand and recycled on Release, so steady-state
-// acquisition allocates nothing.
-func NewBufferPool(size int) *BufferPool {
-	if size <= 0 || size > MaxDataLen {
-		panic(fmt.Sprintf("nvmeof: buffer pool size %d out of range (0, %d]", size, MaxDataLen))
+// payloadClass returns the pool class a capacity or length of n falls
+// in, or -1 outside the pooled range.
+func payloadClass(n int) int {
+	k := bits.Len(uint(n)) - 1
+	if n < 1<<payloadMinShift || k > payloadMaxShift {
+		return -1
 	}
-	return &BufferPool{size: size}
+	return k - payloadMinShift
 }
 
-// BufferSize returns the fixed size of this pool's buffers.
-func (p *BufferPool) BufferSize() int { return p.size }
-
-// Get acquires a buffer. The caller owns it (one reference) until
-// Release; its contents are uninitialized (previous occupant's bytes).
-func (p *BufferPool) Get() *Buffer {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		b.refs.Store(1)
-		return b
+// takePayload returns a buffer of length n whose bytes are not zeroed:
+// the caller overwrites every one of them. A hit has a capacity of at
+// least n and under 2n; a miss allocates exactly n, as if there were no
+// pool.
+func takePayload(n int) []byte {
+	if k := payloadClass(n); k >= 0 {
+		if b, _ := payloadPool[k].Get().(*[]byte); b != nil && cap(*b) >= n {
+			return (*b)[:n]
+		}
 	}
-	p.mu.Unlock()
-	b := &Buffer{pool: p, buf: make([]byte, p.size)}
-	b.refs.Store(1)
-	return b
+	return make([]byte, n)
 }
 
-// Buffer is one registered payload buffer. The reference count is 1
-// while only the caller holds it; every in-flight submission that
-// aliases its bytes adds one (register) and drops it when the
-// transport is done — completion consumed, slot swept on failure, or
-// abandoned slot reclaimed after a late completion (unregister).
-type Buffer struct {
-	pool *BufferPool
-	buf  []byte
-	refs atomic.Int32
-}
-
-// Bytes returns the buffer's backing slice. Callers fill it before
-// submission; mutating it while registered corrupts the in-flight
-// capsule (which is exactly what the registration count exists to
-// catch on the Release path).
-func (b *Buffer) Bytes() []byte { return b.buf }
-
-// Registered reports whether any in-flight submission currently pins
-// this buffer.
-func (b *Buffer) Registered() bool { return b.refs.Load() > 1 }
-
-// register pins the buffer for one in-flight submission.
-func (b *Buffer) register() { b.refs.Add(1) }
-
-// unregister drops one in-flight pin.
-func (b *Buffer) unregister() {
-	if b.refs.Add(-1) < 1 {
-		panic("nvmeof: buffer unregistered more times than registered")
+// recyclePayload gives b to the next takePayload. The caller must hold
+// the only reference to b's bytes.
+func recyclePayload(b []byte) {
+	if k := payloadClass(cap(b)); k >= 0 {
+		b = b[:0]
+		payloadPool[k].Put(&b)
 	}
-}
-
-// Release returns the buffer to its pool. It panics while the buffer
-// is still registered to an in-flight submission: releasing (and then
-// reusing or mutating) a buffer whose bytes the transport still owns
-// is the zero-copy use-after-free, and a timed-out WriteAtBuffer is
-// the canonical way to hit it — the command was abandoned, not
-// completed, so its capsule may still be in flight. Poll Registered
-// (or retry Release later) after a timeout.
-func (b *Buffer) Release() {
-	if !b.refs.CompareAndSwap(1, 0) {
-		panic(fmt.Sprintf("nvmeof: buffer released while registered to %d in-flight submission(s)", b.refs.Load()-1))
-	}
-	p := b.pool
-	p.mu.Lock()
-	p.free = append(p.free, b)
-	p.mu.Unlock()
 }

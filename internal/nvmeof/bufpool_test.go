@@ -2,145 +2,53 @@ package nvmeof
 
 import (
 	"bytes"
-	"net"
+	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/nvme-cr/nvmecr/internal/model"
+	"github.com/nvme-cr/nvmecr/internal/plane"
 )
 
-// TestBufferPoolRecycle pins the pool contract: Release returns the
-// buffer for reuse, and steady-state Get hands recycled buffers back
-// instead of allocating.
-func TestBufferPoolRecycle(t *testing.T) {
-	p := NewBufferPool(4096)
-	if p.BufferSize() != 4096 {
-		t.Fatalf("BufferSize = %d", p.BufferSize())
+// TestPayloadPoolClasses pins the free list's shape: pooled classes run
+// from sockBufSize to MaxDataLen, and whatever a take returns — a hit or
+// a miss — is exactly as long as asked, with a capacity under twice
+// that, even when the class holds buffers too short for it.
+func TestPayloadPoolClasses(t *testing.T) {
+	if 1<<payloadMinShift != sockBufSize || 1<<payloadMaxShift != MaxDataLen {
+		t.Fatalf("classes [2^%d, 2^%d], want [sockBufSize %d, MaxDataLen %d]",
+			payloadMinShift, payloadMaxShift, sockBufSize, MaxDataLen)
 	}
-	a := p.Get()
-	if len(a.Bytes()) != 4096 {
-		t.Fatalf("buffer length %d", len(a.Bytes()))
+	for _, tc := range []struct{ n, class int }{
+		{sockBufSize - 1, -1}, {sockBufSize, 0}, {2*sockBufSize - 1, 0},
+		{2 * sockBufSize, 1}, {MaxDataLen, payloadMaxShift - payloadMinShift},
+		{2 * MaxDataLen, -1},
+	} {
+		if got := payloadClass(tc.n); got != tc.class {
+			t.Errorf("payloadClass(%d) = %d, want %d", tc.n, got, tc.class)
+		}
 	}
-	if a.Registered() {
-		t.Fatal("fresh buffer reports registered")
+	for _, n := range []int{80 << 10, 96 << 10, 100 << 10, 127 << 10, 128 << 10} {
+		for i := 0; i < 8; i++ {
+			recyclePayload(make([]byte, 96<<10))
+			got := takePayload(n)
+			if len(got) != n || cap(got) >= 2*n {
+				t.Fatalf("take of %d bytes: len %d cap %d", n, len(got), cap(got))
+			}
+			recyclePayload(got)
+		}
 	}
-	a.Release()
-	b := p.Get()
-	if a != b {
-		t.Fatal("Release did not recycle the buffer")
-	}
-	b.Release()
 }
 
-// TestBufferReleaseWhileRegisteredPanics pins the use-after-register
-// detector: releasing a buffer some in-flight submission still pins
-// must panic rather than let the caller mutate bytes the transport
-// still owns.
-func TestBufferReleaseWhileRegisteredPanics(t *testing.T) {
-	p := NewBufferPool(512)
-	b := p.Get()
-	b.register() // as a submission would
-	if !b.Registered() {
-		t.Fatal("registered buffer reports unregistered")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Release while registered did not panic")
-			}
-		}()
-		b.Release()
-	}()
-	b.unregister()
-	b.Release() // now legal
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("over-unregister did not panic")
-			}
-		}()
-		c := p.Get()
-		c.unregister()
-	}()
-}
-
-// TestBufferTimeoutKeepsRegistration is the end-to-end detector test: a
-// WriteAtBuffer that times out has NOT returned the buffer's bytes to
-// the caller — the abandoned capsule may still be draining into the
-// socket — so the buffer must still report registered and Release must
-// panic. Once the stalled target finally answers, the read loop
-// reclaims the abandoned slot, drops the pin, and Release succeeds.
-func TestBufferTimeoutKeepsRegistration(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		// Answer CONNECT, then stall the WRITE until released.
-		cmd, err := ReadCommand(conn)
-		if err != nil || cmd.Opcode != OpConnect {
-			return
-		}
-		WriteResponse(conn, &Response{CID: cmd.CID, Status: StatusOK})
-		cmd, err = ReadCommand(conn)
-		if err != nil || cmd.Opcode != OpWriteCmd {
-			return
-		}
-		<-release
-		WriteResponse(conn, &Response{CID: cmd.CID, Status: StatusOK})
-	}()
-
-	h := dialOne(t, ln.Addr().String(), 1, PoolConfig{CommandTimeout: 50 * time.Millisecond})
-	pool := NewBufferPool(1024)
-	buf := pool.Get()
-	copy(buf.Bytes(), bytes.Repeat([]byte{0xAB}, 1024))
-	if err := h.WriteAtBuffer(0, buf); err == nil {
-		t.Fatal("stalled write did not time out")
-	}
-	if !buf.Registered() {
-		t.Fatal("timed-out buffer dropped its registration while the capsule may still be in flight")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Release after timeout did not panic while still registered")
-			}
-		}()
-		buf.Release()
-	}()
-
-	close(release) // late completion: the read loop reclaims the slot
-	deadline := time.After(5 * time.Second)
-	for buf.Registered() {
-		select {
-		case <-deadline:
-			t.Fatal("registration never dropped after the late completion")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	buf.Release()
-	<-done
-}
-
-// TestBufferLifetimeUnderLoad is the -race lifetime test: once
-// WriteAtBuffer returns successfully, the transport is provably done
-// with the bytes — mutating and reusing the buffer immediately must be
-// race-free even with batching, merging, and concurrent submitters in
-// play. scripts/verify.sh runs this with -race; a transport goroutine
-// still touching a completed buffer's bytes shows up as a data race.
-func TestBufferLifetimeUnderLoad(t *testing.T) {
+// TestWritePayloadLifetimeUnderLoad is the -race lifetime test of the
+// WRITE payload contract: once WriteAt or WriteAtV returns successfully
+// the transport is done with the caller's bytes, so scribbling over them
+// at once must be race-free and must not reach the target — with
+// batching, merging and concurrent submitters in play. scripts/verify.sh
+// runs it with -race; a transport goroutine still touching a completed
+// payload shows up as a data race, and one that sends it late as a
+// read-back mismatch.
+func TestWritePayloadLifetimeUnderLoad(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: 64 * model.MB})
 	p, err := DialPool(addr, 1, PoolConfig{
 		QueuePairs: 2,
@@ -153,31 +61,174 @@ func TestBufferLifetimeUnderLoad(t *testing.T) {
 
 	const workers = 8
 	const writes = 300
-	pool := NewBufferPool(2048)
+	const size = 2048
+	fill := func(buf []byte, w, i int) {
+		for j := range buf {
+			buf[j] = byte(w ^ i ^ j)
+		}
+	}
+	at := func(w, i int) int64 { return int64(w)*size + int64(i%4)*workers*size }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			buf := pool.Get()
-			defer buf.Release()
+			buf := make([]byte, size)
 			for i := 0; i < writes; i++ {
-				// Mutate the payload each iteration: safe exactly
-				// because the previous WriteAtBuffer completed.
-				for j := range buf.Bytes() {
-					buf.Bytes()[j] = byte(w ^ i ^ j)
+				fill(buf, w, i)
+				var err error
+				if i%2 == 0 {
+					err = p.WriteAt(at(w, i), buf)
+				} else {
+					cut := (w*31 + i*17) % size
+					err = p.WriteAtV(at(w, i), [][]byte{buf[:cut], buf[cut:]})
 				}
-				off := int64(w)*2048 + int64(i%4)*int64(workers)*2048
-				if err := p.WriteAtBuffer(off, buf); err != nil {
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				if buf.Registered() {
-					t.Error("buffer still registered after a completed write")
-					return
+				// The call returned: the bytes are the caller's again.
+				for j := range buf {
+					buf[j] = 0xEE
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	want := make([]byte, size)
+	for w := 0; w < workers; w++ {
+		for i := writes - 4; i < writes; i++ {
+			got, err := p.ReadAt(at(w, i), size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(want, w, i)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("worker %d write %d: the target holds bytes other than the payload at its return", w, i)
+			}
+		}
+	}
+}
+
+// TestReadPayloadRecycling holds the payload pool to its one rule: only
+// a READ payload that dies inside the package goes back to it, never a
+// buffer a caller was handed. Over loopback targets, several goroutines
+// per plane read distinct pseudo-random bytes — random offsets and
+// sequential runs, so TCPPlane read-ahead windows are cut too — and keep
+// every result through all the reads after it; at the end each kept
+// result must still equal the oracle. The planes cover every place a
+// buffer goes back: a RAID-0 StripedPlane (member buffers once
+// scattered, window slices among them), a mirror with read verification
+// (the non-authority copies; the authority is the result), a one-group
+// mirror (its result is a member's buffer, which must not go back) and
+// a TCPPlane read above maxChunk (its chunks once appended), next to
+// one-capsule and windowed TCPPlane reads that must not go back.
+//
+// Break-demos, each run red three times out of three: recycling the
+// one-member result in StripedPlane.Read ("mirror, one group" and
+// "mirror, verify" fail with a kept result overwritten by a later read),
+// and recycling the window slice TCPPlane.Read has just handed out
+// ("tcpplane" fails the same way, and so do the mirrors, whose members
+// cut windows of their own).
+func TestReadPayloadRecycling(t *testing.T) {
+	const unit = 64 * model.KB
+	const childSize = 8 * model.MB
+	children := func(t *testing.T, n int) []plane.Plane {
+		out := make([]plane.Plane, n)
+		for i := range out {
+			_, addr := startTarget(t, map[uint32]int64{1: childSize})
+			pool, err := DialPool(addr, 1, PoolConfig{QueuePairs: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { pool.Close() })
+			if out[i], err = NewTCPPlane(pool, 0, childSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	mirror := func(t *testing.T, verify bool) plane.Plane {
+		m, err := NewMirroredPlane(children(t, 2), unit, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetVerifyReads(verify)
+		return m
+	}
+	for _, tc := range []struct {
+		name    string
+		plane   func(t *testing.T) plane.Plane
+		lengths []int64 // drawn from at random, one per run of reads
+		reads   int     // per goroutine
+	}{
+		{"raid0", func(t *testing.T) plane.Plane {
+			s, err := NewStripedPlane(children(t, 2), unit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, []int64{unit, 2 * unit, 3 * unit, 4 * unit}, 48},
+		{"mirror, verify", func(t *testing.T) plane.Plane { return mirror(t, true) },
+			[]int64{unit, 96 * model.KB, 2 * unit}, 48},
+		{"mirror, one group", func(t *testing.T) plane.Plane { return mirror(t, false) },
+			[]int64{unit, 96 * model.KB, 2 * unit}, 48},
+		{"tcpplane", func(t *testing.T) plane.Plane { return children(t, 1)[0] },
+			[]int64{unit, unit, unit, maxChunk + unit}, 24},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := tc.plane(t)
+			size := pl.Size()
+			oracle := make([]byte, size)
+			rand.New(rand.NewSource(34)).Read(oracle)
+			for off := int64(0); off < size; off += maxChunk {
+				n := min(maxChunk, size-off)
+				if err := pl.Write(nil, off, n, oracle[off:off+n], 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			type kept struct {
+				off int64
+				b   []byte
+			}
+			const goroutines = 3
+			results := make([][]kept, goroutines)
+			var wg sync.WaitGroup
+			for g := range results {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(g)))
+					var off, n int64
+					for i := 0; i < tc.reads; i++ {
+						if next := off + n; i%4 == 0 || next+n > size || n > maxChunk {
+							// A new run: random length and place.
+							n = tc.lengths[rng.Intn(len(tc.lengths))]
+							off = rng.Int63n(size - n + 1)
+						} else {
+							off = next
+						}
+						b, err := pl.Read(nil, off, n, 0)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						results[g] = append(results[g], kept{off, b})
+					}
+				}(g)
+			}
+			wg.Wait()
+			for g, rs := range results {
+				for i, r := range rs {
+					if want := oracle[r.off : r.off+int64(len(r.b))]; !bytes.Equal(r.b, want) {
+						t.Fatalf("goroutine %d read %d [%d,+%d): a kept result was overwritten after it was returned",
+							g, i, r.off, len(r.b))
+					}
+				}
+			}
+		})
+	}
 }

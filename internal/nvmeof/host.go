@@ -134,7 +134,6 @@ func (h *Host) acquireSlot() (*hostSlot, error) {
 	s.cmd = Command{}
 	s.vec = nil
 	s.vecLen = 0
-	s.reg = nil
 	s.leaderStat = nil
 	s.followers = s.followers[:0]
 	pc := &s.pc
@@ -164,10 +163,6 @@ func (h *Host) registerSlot(s *hostSlot) error {
 // freeSlot returns an owned slot (freshly acquired, or delivered and
 // consumed) to the free ring.
 func (h *Host) freeSlot(s *hostSlot) {
-	if s.reg != nil {
-		s.reg.unregister()
-		s.reg = nil
-	}
 	s.state.Store(slotFree)
 	h.freeRing.push(s.idx)
 }
@@ -179,10 +174,6 @@ func (h *Host) unregisterSlot(s *hostSlot) {
 	if s.state.CompareAndSwap(slotInflight, slotFree) {
 		h.respMu.Unlock()
 		h.tel.ringOcc.Set(int64(h.inflightN.Add(-1)))
-		if s.reg != nil {
-			s.reg.unregister()
-			s.reg = nil
-		}
 		h.freeRing.push(s.idx)
 		return
 	}
@@ -215,7 +206,8 @@ func (h *Host) readLoop() {
 // deliver routes one completion to its slot: dispatch is an array index
 // (CID = slot index + 1). An abandoned (timed-out) slot is reclaimed
 // here — its CID was never reissued while the target could still answer
-// it. Unknown or duplicate CIDs are dropped.
+// it — and the payload nobody waits for goes back to the pool. Unknown
+// or duplicate CIDs are dropped.
 func (h *Host) deliver(resp *Response) {
 	cid := int(resp.CID)
 	if cid < 1 || cid > len(h.slots) {
@@ -230,12 +222,9 @@ func (h *Host) deliver(resp *Response) {
 		h.fanOut(s, resp)
 	case s.state.CompareAndSwap(slotAbandoned, slotFree):
 		h.inflightN.Add(-1)
-		if s.reg != nil {
-			s.reg.unregister()
-			s.reg = nil
-		}
 		h.fanOut(s, resp)
 		h.freeRing.push(s.idx)
+		recyclePayload(resp.Data)
 	default:
 		// Duplicate or unsolicited completion: drop.
 	}
@@ -252,10 +241,6 @@ func (h *Host) fanOut(s *hostSlot, resp *Response) {
 		case f.state.CompareAndSwap(slotMergeWait, slotDelivered):
 			f.ch <- *resp
 		case f.state.CompareAndSwap(slotAbandoned, slotFree):
-			if f.reg != nil {
-				f.reg.unregister()
-				f.reg = nil
-			}
 			h.freeRing.push(fi)
 		}
 	}
@@ -278,16 +263,9 @@ func (h *Host) fail(err error) {
 		s := &h.slots[i]
 		if s.state.CompareAndSwap(slotInflight, slotFailed) ||
 			s.state.CompareAndSwap(slotMergeWait, slotFailed) {
-			if s.reg != nil {
-				s.reg.unregister()
-				s.reg = nil
-			}
 			close(s.ch)
-		} else if s.state.CompareAndSwap(slotAbandoned, slotFailed) {
-			if s.reg != nil {
-				s.reg.unregister()
-				s.reg = nil
-			}
+		} else {
+			s.state.CompareAndSwap(slotAbandoned, slotFailed)
 		}
 	}
 	h.inflightN.Store(0)
@@ -308,20 +286,14 @@ func (h *Host) lastErr() error {
 // fresh slot (the pool's retry loop reuses one Command value across
 // attempts and queue pairs) and runs the round trip. A WRITE's payload
 // may be more than cmd.Data can say: vec, when non-nil, is a gather list
-// of vecLen bytes that rides as one iovec per slice (WriteAtV); reg,
-// when non-nil, is the registered buffer backing cmd.Data, pinned until
-// the transport is done with its bytes (WriteAtBuffer).
-func (h *Host) submitPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer) (Response, error) {
+// of vecLen bytes that rides as one iovec per slice (WriteAtV).
+func (h *Host) submitPayload(cmd *Command, vec [][]byte, vecLen int) (Response, error) {
 	s, err := h.acquireSlot()
 	if err != nil {
 		return Response{}, err
 	}
 	s.cmd = *cmd
 	s.vec, s.vecLen = vec, vecLen
-	if reg != nil {
-		reg.register()
-		s.reg = reg
-	}
 	return h.roundTrip(s)
 }
 

@@ -188,7 +188,7 @@ func (p *HostPool) dialSlot(i int) (*Host, error) {
 		h.batch = &batcher{cfg: p.cfg.Batch}
 	}
 	go h.readLoop()
-	resp, err := h.submitPayload(&Command{Opcode: OpConnect, NSID: p.nsid}, nil, 0, nil)
+	resp, err := h.submitPayload(&Command{Opcode: OpConnect, NSID: p.nsid}, nil, 0)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("nvmeof: connect: %w", err)
@@ -385,13 +385,13 @@ func (p *HostPool) reconnect(s *qpSlot) {
 // with a non-OK status is a definitive answer, not a transport failure,
 // and is returned without retrying.
 func (p *HostPool) do(cmd *Command, idempotent bool) (Response, error) {
-	return p.doPayload(cmd, nil, 0, nil, idempotent)
+	return p.doPayload(cmd, nil, 0, idempotent)
 }
 
-// doPayload is do for a WRITE whose payload rides outside cmd.Data or
-// in a registered buffer (see Host.submitPayload). An OK completion whose
-// payload disagrees with the command is ErrBadResponse.
-func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer, idempotent bool) (Response, error) {
+// doPayload is do for a WRITE whose payload rides outside cmd.Data (see
+// Host.submitPayload). An OK completion whose payload disagrees with the
+// command is ErrBadResponse.
+func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, idempotent bool) (Response, error) {
 	attempts := 1
 	if idempotent {
 		attempts += p.cfg.MaxRetries
@@ -428,7 +428,7 @@ func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, reg *Buffer
 		}
 		// submitPayload records commands, errors, bytes, latency, and
 		// the slot's flight ring (via the pool-shared recorder).
-		resp, err := h.submitPayload(cmd, vec, vecLen, reg)
+		resp, err := h.submitPayload(cmd, vec, vecLen)
 		if err == nil {
 			// A malformed answer is still an answer: no retry, and the
 			// queue pair stays up.
@@ -462,10 +462,10 @@ func transportFailure(err error) bool {
 
 // WriteAt writes data at the namespace offset. The payload is aliased,
 // not copied: it rides to the socket as its own iovec, and the caller
-// must not mutate it until WriteAt returns (see docs/batching.md for
-// the registration contract on the timeout path). WRITE is not retried:
-// the pool cannot know whether a failed round trip mutated the
-// namespace, so the error surfaces to the caller.
+// must not mutate it until WriteAt returns — and after a timeout not at
+// all, since the abandoned capsule may still be on its way to the
+// socket. WRITE is not retried: the pool cannot know whether a failed
+// round trip mutated the namespace, so the error surfaces to the caller.
 func (p *HostPool) WriteAt(off int64, data []byte) error {
 	if err := capsuleLimit("write", int64(len(data))); err != nil {
 		return err
@@ -486,19 +486,7 @@ func (p *HostPool) WriteAtV(off int64, bufs [][]byte) error {
 	if err := capsuleLimit("write", int64(total)); err != nil {
 		return err
 	}
-	resp, err := p.doPayload(&Command{Opcode: OpWriteCmd, Offset: uint64(off)}, bufs, total, nil, false)
-	return checkResp(resp, err, "write")
-}
-
-// WriteAtBuffer writes a registered buffer's contents at the namespace
-// offset. The buffer stays registered (pinned) until the transport is
-// provably done with its bytes — including the timeout path, where the
-// capsule may still be awaiting a batched flush after WriteAtBuffer
-// returned. Buffer.Release panics while the pin is held, which is the
-// use-after-register detection the zero-copy contract needs. Not
-// retried.
-func (p *HostPool) WriteAtBuffer(off int64, buf *Buffer) error {
-	resp, err := p.doPayload(&Command{Opcode: OpWriteCmd, Offset: uint64(off), Data: buf.Bytes()}, nil, 0, buf, false)
+	resp, err := p.doPayload(&Command{Opcode: OpWriteCmd, Offset: uint64(off)}, bufs, total, false)
 	return checkResp(resp, err, "write")
 }
 
@@ -530,7 +518,7 @@ func (p *HostPool) Flush() error {
 	}
 	errs := make([]error, len(p.slots))
 	flushOn := func(s *qpSlot, h *Host) {
-		resp, err := h.submitPayload(&Command{Opcode: OpFlushCmd}, nil, 0, nil)
+		resp, err := h.submitPayload(&Command{Opcode: OpFlushCmd}, nil, 0)
 		if err != nil && transportFailure(err) {
 			p.noteFailure(s, h)
 		}

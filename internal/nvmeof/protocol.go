@@ -386,9 +386,10 @@ func ReadResponse(r io.Reader) (*Response, error) {
 // readResponseInto is ReadResponse into a caller-owned Response,
 // overwritten in place. The host's read loop runs this with one reused
 // Response, so data-less completions (every WRITE/FLUSH) are parsed
-// with zero allocations. Data and Phases, when present, are freshly
-// allocated: both escape into the waiter's copy of the response and
-// must not be overwritten by the next capsule.
+// with zero allocations. Data and Phases, when present, are never
+// shared with the next capsule: both escape into the waiter's copy of
+// the response. Data comes from the payload pool (bufpool.go) and is
+// not zeroed: ReadFull overwrites every byte, and a failed read drops it.
 func readResponseInto(r io.Reader, out *Response, scratch *[protoScratchLen]byte) error {
 	hdr := scratch[:rspHdrLen+4]
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -421,7 +422,7 @@ func readResponseInto(r io.Reader, out *Response, scratch *[protoScratchLen]byte
 		return fmt.Errorf("nvmeof: response data %d exceeds limit", dataLen)
 	}
 	if dataLen > 0 {
-		out.Data = make([]byte, dataLen)
+		out.Data = takePayload(int(dataLen))
 		if _, err := io.ReadFull(r, out.Data); err != nil {
 			return err
 		}

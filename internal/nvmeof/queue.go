@@ -12,7 +12,8 @@ type Queue interface {
 	NamespaceSize() int64
 	// WriteAt writes data at the namespace offset.
 	WriteAt(off int64, data []byte) error
-	// ReadAt reads length bytes from the namespace offset.
+	// ReadAt reads length bytes from the namespace offset. The result
+	// belongs to the caller alone, as a plane.Plane.Read result does.
 	ReadAt(off, length int64) ([]byte, error)
 	// Flush issues a durability barrier.
 	Flush() error

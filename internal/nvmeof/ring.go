@@ -60,9 +60,6 @@ type hostSlot struct {
 	// the wire as separate iovecs with no intermediate copy.
 	vec    [][]byte
 	vecLen int
-	// reg, when non-nil, is the registered buffer pinned by this
-	// submission; unpinned when the slot leaves the in-flight world.
-	reg *Buffer
 
 	pc pendingCmd
 

@@ -658,10 +658,11 @@ func (s *StripedPlane) readWhole(p *sim.Proc, live []memberView, e groupExtent, 
 
 // readVerify reads every live member of a group, compares, and repairs
 // divergent copies from the lowest-index live member (the authority),
-// whose buffer it returns. Divergence can only exist on bytes whose
-// write was never acknowledged — an acked write landed on every
-// attached member — so any of the copies is a legal result; picking
-// the lowest index makes repair deterministic.
+// whose buffer it returns; the other copies go back to the payload pool.
+// Divergence can only exist on bytes whose write was never acknowledged
+// — an acked write landed on every attached member — so any of the
+// copies is a legal result; picking the lowest index makes repair
+// deterministic.
 func (s *StripedPlane) readVerify(p *sim.Proc, live []memberView, e groupExtent, cmdUnit int64) ([]byte, error) {
 	copies := make([][]byte, len(live))
 	for i, m := range live {
@@ -683,12 +684,16 @@ func (s *StripedPlane) readVerify(p *sim.Proc, live []memberView, e groupExtent,
 			}
 		}
 	}
+	for _, c := range copies[1:] {
+		recyclePayload(c)
+	}
 	return authority, nil
 }
 
 // readSplit serves one group extent as one contiguous part per live
-// member, each scattered into place as it arrives — the mirror reads at
-// RAID-0 aggregate bandwidth. Any part's failure fails the split.
+// member, each scattered into place as it arrives and then given back to
+// the payload pool — the mirror reads at RAID-0 aggregate bandwidth. Any
+// part's failure fails the split.
 func (s *StripedPlane) readSplit(live []memberView, e groupExtent, out []byte, off, cmdUnit int64) error {
 	members := append([]memberView(nil), live...) // the parts outlive the caller's stack backing
 	part := e.n / int64(len(members))
@@ -704,6 +709,7 @@ func (s *StripedPlane) readSplit(live []memberView, e groupExtent, out []byte, o
 		}
 		if err == nil {
 			s.scatter(out, off, e.group, at, chunk)
+			recyclePayload(chunk)
 		}
 		return nils.filter(err)
 	})
@@ -719,6 +725,8 @@ func (s *StripedPlane) readSplit(live []memberView, e groupExtent, out []byte, o
 // process, no verify) and the extent is large enough to amortize the
 // extra commands; one member with failover otherwise, and whenever a
 // split part failed — rather than reasoning about which parts survived.
+// A member's buffer dies here once scattered: it goes back to the
+// payload pool for the next READ to land in.
 func (s *StripedPlane) readExtent(p *sim.Proc, snap []memberView, e groupExtent, out []byte, off, cmdUnit int64) error {
 	var liveBuf [inlineChildren]memberView
 	live := s.members(snap, e.group, false, liveBuf[:0])
@@ -732,6 +740,7 @@ func (s *StripedPlane) readExtent(p *sim.Proc, snap []memberView, e groupExtent,
 	chunk, err := s.readWhole(p, live, e, cmdUnit)
 	if err == nil {
 		s.scatter(out, off, e.group, e.off, chunk)
+		recyclePayload(chunk)
 	}
 	return err
 }
@@ -753,7 +762,8 @@ func (s *StripedPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]by
 	touched := s.geo.Touched(off, length)
 	if touched == 1 {
 		// One member holds the whole range in order: nothing to
-		// interleave, so its buffer is the result.
+		// interleave, so its buffer is the result — the caller's now,
+		// never the payload pool's.
 		e := s.extent(off, length, 0)
 		var liveBuf [inlineChildren]memberView
 		out, err := s.readWhole(p, s.members(snap, e.group, false, liveBuf[:0]), e, cmdUnit)

@@ -24,7 +24,11 @@ type Plane interface {
 	// returns (nil, nil) — never a zero-filled buffer posing as data.
 	// Composite planes (striping, mirroring) must propagate this
 	// all-or-nothing: if any backing device consulted by the request
-	// returns nil, the whole read is nil.
+	// returns nil, the whole read is nil. A result belongs to its caller
+	// alone: the plane keeps no reference to its bytes and hands none of
+	// them to another caller, so the caller may overwrite, append to or
+	// recycle it (a composite plane gives its members' buffers back to a
+	// free list once it has copied them out).
 	Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, error)
 	// Flush is a durability barrier.
 	Flush(p *sim.Proc) error

@@ -88,15 +88,17 @@ echo "== go test -race (concurrent transport + telemetry)"
 # equivalence property test.
 go test -race ./internal/nvmeof ./internal/telemetry ./internal/balancer
 
-echo "== go test -race (slot ring + registered buffer lifetime)"
-# The slot-ring submission path's lock-free spine and the zero-copy buffer
-# contract, named explicitly so a test rename cannot silently drop
+echo "== go test -race (slot ring + payload lifetimes)"
+# The slot-ring submission path's lock-free spine and both payload
+# contracts, named explicitly so a test rename cannot silently drop
 # them: the MPMC index ring under concurrent push/pop across the
-# ticket-wraparound boundary, and buffer mutate-after-completion safety
+# ticket-wraparound boundary; WRITE payload mutate-after-return safety
 # under batching and merge (a transport goroutine still touching a
-# completed buffer's bytes is a -race failure here). -count=1 defeats
-# the cache so the race detector actually re-executes them.
-go test -race -count=1 -run 'TestIndexRing|TestBuffer' ./internal/nvmeof
+# completed payload's bytes is a -race failure here); and READ payload
+# recycling, where a buffer handed to a caller must never go back to the
+# payload pool. -count=1 defeats the cache so the race detector
+# actually re-executes them.
+go test -race -count=1 -run 'TestIndexRing|TestWritePayloadLifetimeUnderLoad|TestReadPayloadRecycling' ./internal/nvmeof
 
 echo "== go test -race (mount table / multi-tenant namespace)"
 # The vfs.Namespace is used from live goroutines (nvmecrd -tenants), not
