@@ -67,9 +67,10 @@ func TestDeviceBoundBytesPerOp(t *testing.T) {
 // TestReadPathAllocBytes is the read-path allocation gate: a read costs
 // one allocation of its own size, with or without a stripe — the
 // response payload the host hands up through a TCPPlane, the buffer a
-// stripe interleaves its members into, while the members' payloads go
-// back to the payload pool for the next READ. Small sequential reads
-// cost the same per byte: the read-ahead window hands out the buffers it
+// stripe interleaves its members into or a one-group mirror splits its
+// replicas' parts into, while the members' payloads go back to the
+// payload free list for the next READ. Small sequential reads cost the
+// same per byte: the read-ahead window hands out the buffers it
 // fetches, it does not copy out of them. Heap bytes are process-wide
 // (the in-process targets included), so a fresh slice per READ on
 // either end of the socket, a member buffer the stripe drops instead of
@@ -99,6 +100,10 @@ func TestReadPathAllocBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mirrored, err := NewMirroredPlane(children, 128*model.KB, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name  string
 		plane plane.Plane
@@ -111,6 +116,8 @@ func TestReadPathAllocBytes(t *testing.T) {
 		// unread (at most maxReuseBuf) is cut short by the partition end.
 		{"tcpplane, 16 KiB sequential", children[0], 16 * model.KB, childSize, 1.1},
 		{"striped(2)", striped, length, length, 1.1},
+		// One group: every read splits into one part per replica.
+		{"mirrored(2), one group", mirrored, length, length, 1.1},
 	} {
 		if err := tc.plane.Write(nil, 0, length, make([]byte, length), 0); err != nil {
 			t.Fatal(err)

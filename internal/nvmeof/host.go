@@ -224,7 +224,7 @@ func (h *Host) deliver(resp *Response) {
 		h.inflightN.Add(-1)
 		h.fanOut(s, resp)
 		h.freeRing.push(s.idx)
-		recyclePayload(resp.Data)
+		payloads.recycle(resp.Data)
 	default:
 		// Duplicate or unsolicited completion: drop.
 	}

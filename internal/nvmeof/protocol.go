@@ -388,7 +388,7 @@ func ReadResponse(r io.Reader) (*Response, error) {
 // Response, so data-less completions (every WRITE/FLUSH) are parsed
 // with zero allocations. Data and Phases, when present, are never
 // shared with the next capsule: both escape into the waiter's copy of
-// the response. Data comes from the payload pool (bufpool.go) and is
+// the response. Data comes from the payload free list (bufpool.go) and is
 // not zeroed: ReadFull overwrites every byte, and a failed read drops it.
 func readResponseInto(r io.Reader, out *Response, scratch *[protoScratchLen]byte) error {
 	hdr := scratch[:rspHdrLen+4]
@@ -422,7 +422,7 @@ func readResponseInto(r io.Reader, out *Response, scratch *[protoScratchLen]byte
 		return fmt.Errorf("nvmeof: response data %d exceeds limit", dataLen)
 	}
 	if dataLen > 0 {
-		out.Data = takePayload(int(dataLen))
+		out.Data = payloads.take(int(dataLen))
 		if _, err := io.ReadFull(r, out.Data); err != nil {
 			return err
 		}

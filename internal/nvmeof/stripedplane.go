@@ -658,10 +658,10 @@ func (s *StripedPlane) readWhole(p *sim.Proc, live []memberView, e groupExtent, 
 
 // readVerify reads every live member of a group, compares, and repairs
 // divergent copies from the lowest-index live member (the authority),
-// whose buffer it returns; the other copies go back to the payload pool.
-// Divergence can only exist on bytes whose write was never acknowledged
-// — an acked write landed on every attached member — so any of the
-// copies is a legal result; picking the lowest index makes repair
+// whose buffer it returns; the other copies go back to the payload free
+// list. Divergence can only exist on bytes whose write was never
+// acknowledged — an acked write landed on every attached member — so any
+// of the copies is a legal result; picking the lowest index makes repair
 // deterministic.
 func (s *StripedPlane) readVerify(p *sim.Proc, live []memberView, e groupExtent, cmdUnit int64) ([]byte, error) {
 	copies := make([][]byte, len(live))
@@ -685,15 +685,15 @@ func (s *StripedPlane) readVerify(p *sim.Proc, live []memberView, e groupExtent,
 		}
 	}
 	for _, c := range copies[1:] {
-		recyclePayload(c)
+		payloads.recycle(c)
 	}
 	return authority, nil
 }
 
 // readSplit serves one group extent as one contiguous part per live
 // member, each scattered into place as it arrives and then given back to
-// the payload pool — the mirror reads at RAID-0 aggregate bandwidth. Any
-// part's failure fails the split.
+// the payload free list — the mirror reads at RAID-0 aggregate bandwidth.
+// Any part's failure fails the split.
 func (s *StripedPlane) readSplit(live []memberView, e groupExtent, out []byte, off, cmdUnit int64) error {
 	members := append([]memberView(nil), live...) // the parts outlive the caller's stack backing
 	part := e.n / int64(len(members))
@@ -709,7 +709,7 @@ func (s *StripedPlane) readSplit(live []memberView, e groupExtent, out []byte, o
 		}
 		if err == nil {
 			s.scatter(out, off, e.group, at, chunk)
-			recyclePayload(chunk)
+			payloads.recycle(chunk)
 		}
 		return nils.filter(err)
 	})
@@ -719,18 +719,25 @@ func (s *StripedPlane) readSplit(live []memberView, e groupExtent, out []byte, o
 	return err
 }
 
+// splits reports whether a group extent is read as one part per live
+// member rather than whole from one: when there are several live
+// members, nothing orders them (no simulated process, no verify) and the
+// extent is large enough to amortize the extra commands. It is the one
+// rule, whether the request touches one group or several.
+func (s *StripedPlane) splits(p *sim.Proc, live []memberView, e groupExtent) bool {
+	return p == nil && len(live) > 1 && e.n >= 2*s.geo.Unit && !s.verifyReads.Load()
+}
+
 // readExtent serves one group's extent into its striped places in out
 // (whose first byte is striped address off): split across the live
-// members when there are several, nothing orders them (no simulated
-// process, no verify) and the extent is large enough to amortize the
-// extra commands; one member with failover otherwise, and whenever a
-// split part failed — rather than reasoning about which parts survived.
-// A member's buffer dies here once scattered: it goes back to the
-// payload pool for the next READ to land in.
+// members where splits says so; one member with failover otherwise, and
+// whenever a split part failed — rather than reasoning about which parts
+// survived. A member's buffer dies here once scattered: it goes back to
+// the payload free list for the next READ to land in.
 func (s *StripedPlane) readExtent(p *sim.Proc, snap []memberView, e groupExtent, out []byte, off, cmdUnit int64) error {
 	var liveBuf [inlineChildren]memberView
 	live := s.members(snap, e.group, false, liveBuf[:0])
-	if p == nil && len(live) > 1 && e.n >= 2*s.geo.Unit && !s.verifyReads.Load() {
+	if s.splits(p, live, e) {
 		err := s.readSplit(live, e, out, off, cmdUnit)
 		if err == nil || errors.Is(err, errNilRead) {
 			return err
@@ -740,7 +747,7 @@ func (s *StripedPlane) readExtent(p *sim.Proc, snap []memberView, e groupExtent,
 	chunk, err := s.readWhole(p, live, e, cmdUnit)
 	if err == nil {
 		s.scatter(out, off, e.group, e.off, chunk)
-		recyclePayload(chunk)
+		payloads.recycle(chunk)
 	}
 	return err
 }
@@ -761,16 +768,18 @@ func (s *StripedPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]by
 	snap := s.snapshot(snapBuf[:0])
 	touched := s.geo.Touched(off, length)
 	if touched == 1 {
-		// One member holds the whole range in order: nothing to
-		// interleave, so its buffer is the result — the caller's now,
-		// never the payload pool's.
-		e := s.extent(off, length, 0)
 		var liveBuf [inlineChildren]memberView
-		out, err := s.readWhole(p, s.members(snap, e.group, false, liveBuf[:0]), e, cmdUnit)
-		if errors.Is(err, errNilRead) {
-			return nil, nil
+		e := s.extent(off, length, 0)
+		if live := s.members(snap, e.group, false, liveBuf[:0]); !s.splits(p, live, e) {
+			// One member holds the whole range in order and serves it
+			// whole: nothing to interleave, so its buffer is the result —
+			// the caller's now, never the free list's.
+			out, err := s.readWhole(p, live, e, cmdUnit)
+			if errors.Is(err, errNilRead) {
+				return nil, nil
+			}
+			return out, err
 		}
-		return out, err
 	}
 	out := make([]byte, length)
 	var nils nilReads

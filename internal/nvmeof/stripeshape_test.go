@@ -151,10 +151,11 @@ func sortCmds(cmds []stripeCmd) {
 // one command per attached member of each touched group (one WriteV
 // where the child gathers, one Write per piece where it cannot), a read
 // one command per touched group (one per live member where a mirrored
-// extent of two units or more splits); under a simulated process the
-// commands arrive in (group-touch, member-index) order on the caller's
-// goroutine, concurrently otherwise; and in both modes the bytes are
-// those of one flat buffer.
+// extent of two units or more splits, whether the read touches one
+// group or several); under a simulated process the commands arrive in
+// (group-touch, member-index) order on the caller's goroutine,
+// concurrently otherwise; and in both modes the bytes are those of one
+// flat buffer.
 func TestStripedPlaneCommandShape(t *testing.T) {
 	const unit = 64
 	const childSize = 16 * unit
@@ -227,6 +228,89 @@ func TestStripedPlaneCommandShape(t *testing.T) {
 	}
 }
 
+// TestMirrorOneGroupReadShape pins the split rule on a one-group
+// mirror, where a read has no other group to spread over: a read of two
+// units or more with both members live is one part per member, and it
+// is one whole read from one member when it is shorter, when a member
+// is down or under a simulated process; verify mode reads every replica
+// whole. Break-demo: restoring the one-group exception in
+// StripedPlane.Read (a read that touches one group is always served
+// whole) turns both split cases red, and TestStripedPlaneCommandShape's
+// r=2/g=1/proc=false cases with them.
+func TestMirrorOneGroupReadShape(t *testing.T) {
+	const unit = 64
+	const childSize = 16 * unit
+	for _, tc := range []struct {
+		name         string
+		off, n       int64
+		down, verify bool
+		underProc    bool
+		split        bool // one read part per member
+		copies       int  // otherwise: whole reads of the range, from this many members
+	}{
+		{name: "split", off: 0, n: 2 * unit, split: true},
+		{name: "split, ragged", off: 10, n: 5*unit + 7, split: true},
+		{name: "under two units", off: 10, n: 2*unit - 1, copies: 1},
+		{name: "member down", off: 0, n: 4 * unit, down: true, copies: 1},
+		{name: "sim", off: 0, n: 4 * unit, underProc: true, copies: 1},
+		{name: "verify", off: 0, n: 4 * unit, verify: true, copies: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sp, log := recordedPlane(t, 1, 2, childSize, unit, false)
+			ref := make([]byte, childSize)
+			rand.New(rand.NewSource(35)).Read(ref)
+			if err := sp.Write(nil, 0, childSize, ref, 0); err != nil {
+				t.Fatal(err)
+			}
+			if tc.down {
+				if err := sp.SetChildDown(1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sp.SetVerifyReads(tc.verify)
+			log.take()
+			var got []byte
+			var err error
+			if tc.underProc {
+				env := sim.NewEnv()
+				env.Go("rank", func(p *sim.Proc) { got, err = sp.Read(p, tc.off, tc.n, 0) })
+				if _, runErr := env.Run(); runErr != nil {
+					t.Fatal(runErr)
+				}
+			} else {
+				got, err = sp.Read(nil, tc.off, tc.n, 0)
+			}
+			if err != nil || !bytes.Equal(got, ref[tc.off:tc.off+tc.n]) {
+				t.Fatalf("read [%d,+%d) differs from what was written (err=%v)", tc.off, tc.n, err)
+			}
+			cmds := log.take()
+			sortCmds(cmds)
+			var want []stripeCmd
+			for c := 0; c < tc.copies; c++ {
+				want = append(want, stripeCmd{child: c, op: "read", off: tc.off, n: tc.n, pieces: 1})
+			}
+			if tc.split {
+				half := tc.n / 2
+				want = []stripeCmd{
+					{child: 0, op: "read", off: tc.off, n: half, pieces: 1},
+					{child: 1, op: "read", off: tc.off + half, n: tc.n - half, pieces: 1},
+				}
+			}
+			if tc.copies == 1 && !tc.down && !tc.underProc && len(cmds) == 1 {
+				want[0].child = cmds[0].child // whichever member the round robin picked
+			}
+			if len(cmds) != len(want) {
+				t.Fatalf("%d commands, want %d: %+v", len(cmds), len(want), cmds)
+			}
+			for i := range want {
+				if cmds[i].key() != want[i] {
+					t.Fatalf("command %d = %+v, want %+v", i, cmds[i].key(), want[i])
+				}
+			}
+		})
+	}
+}
+
 func checkWriteShape(got []stripeCmd, runs []groupRun, replicas int, unit int64, vector, ordered bool, caller string) error {
 	var want []stripeCmd
 	for _, run := range runs {
@@ -269,7 +353,7 @@ func checkReadShape(got []stripeCmd, runs []groupRun, replicas int, unit int64, 
 			}
 		}
 		want := 1
-		if len(runs) > 1 && replicas > 1 && run.n >= 2*unit {
+		if replicas > 1 && run.n >= 2*unit {
 			want = replicas // split: one part per live member
 		}
 		if len(mine) != want {

@@ -219,7 +219,7 @@ func (t *TCPPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, 
 
 // readThrough reads [off, off+length) from the target in capsule-sized
 // commands, with no window involved. A read of several capsules gives
-// each chunk back to the payload pool once it is appended.
+// each chunk back to the payload free list once it is appended.
 func (t *TCPPlane) readThrough(off, length int64) ([]byte, error) {
 	if length <= maxChunk {
 		// Single capsule: the queue's buffer already belongs to the caller.
@@ -232,7 +232,7 @@ func (t *TCPPlane) readThrough(off, length int64) ([]byte, error) {
 			return nil, err
 		}
 		out = append(out, chunk...)
-		recyclePayload(chunk)
+		payloads.recycle(chunk)
 	}
 	return out, nil
 }

@@ -94,11 +94,12 @@ echo "== go test -race (slot ring + payload lifetimes)"
 # them: the MPMC index ring under concurrent push/pop across the
 # ticket-wraparound boundary; WRITE payload mutate-after-return safety
 # under batching and merge (a transport goroutine still touching a
-# completed payload's bytes is a -race failure here); and READ payload
+# completed payload's bytes is a -race failure here); READ payload
 # recycling, where a buffer handed to a caller must never go back to the
-# payload pool. -count=1 defeats the cache so the race detector
-# actually re-executes them.
-go test -race -count=1 -run 'TestIndexRing|TestWritePayloadLifetimeUnderLoad|TestReadPayloadRecycling' ./internal/nvmeof
+# payload free list; and the free list itself, state every read loop and
+# stripe shares behind one mutex. -count=1 defeats the cache so the race
+# detector actually re-executes them.
+go test -race -count=1 -run 'TestIndexRing|TestWritePayloadLifetimeUnderLoad|TestReadPayloadRecycling|TestPayloadFreeList' ./internal/nvmeof
 
 echo "== go test -race (mount table / multi-tenant namespace)"
 # The vfs.Namespace is used from live goroutines (nvmecrd -tenants), not
@@ -153,10 +154,12 @@ go test -short -count=1 -run 'TestMirroredSingleEquivalence|TestMigrationCrashRe
 echo "== allocation gates (transport)"
 # Process-wide heap counts over a live loopback target, so they only
 # mean something without -race: the batched small-command steady state
-# at 0 allocs/op, and the read path at one buffer per byte read through
-# a TCPPlane (the response payload; 1 MiB calls and sequential 16 KiB
-# calls through the read-ahead window alike) plus one more where a
-# stripe interleaves (docs/batching.md, "Read path"). New + Recover
+# at 0 allocs/op, and the read path at one buffer per byte read, at
+# most 1.1 B/B on every path: through a TCPPlane (the response payload;
+# 1 MiB calls and sequential 16 KiB calls through the read-ahead window
+# alike), through a RAID-0 stripe and through a one-group mirror whose
+# reads split across both replicas (the result; the member payloads go
+# back to the free list; docs/batching.md, "Read path"). New + Recover
 # allocate by the log the crash left, not by the log region: the gate
 # over a meta_storm-shaped log is run by name, so that a rename cannot
 # drop it silently. The write path through microfs allocates one staged
