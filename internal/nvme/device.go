@@ -42,8 +42,6 @@ const (
 	// OpFlush is a durability barrier. With capacitor-backed device
 	// RAM it completes in constant time.
 	OpFlush
-	// OpTrim deallocates a range.
-	OpTrim
 )
 
 func (o Op) String() string {
@@ -54,8 +52,6 @@ func (o Op) String() string {
 		return "read"
 	case OpFlush:
 		return "flush"
-	case OpTrim:
-		return "trim"
 	default:
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
@@ -285,10 +281,6 @@ func (ns *Namespace) Submit(p *sim.Proc, q *Queue, req Request) ([]byte, error) 
 		if d.capture {
 			out, _ = d.store.Read(abs, req.Length)
 		}
-	case OpTrim:
-		if d.capture {
-			d.store.Trim(abs, req.Length)
-		}
 	case OpFlush:
 		// Durability barrier: device RAM is capacitor-backed, so a
 		// flush only costs one command round trip (already charged).
@@ -324,7 +316,7 @@ func (d *Device) serviceTime(req Request, abs int64) time.Duration {
 		d.trackVolatile(abs, req.Length)
 	case OpRead:
 		media = model.DurFor(req.Length, p.ReadBW)
-	case OpFlush, OpTrim:
+	case OpFlush:
 		media = 0
 	}
 	return overhead + media
@@ -397,7 +389,7 @@ func (d *Device) PowerFail(capacitorsOK bool) int64 {
 }
 
 // InjectFaults attaches a fault plan: every submitted command first
-// consults it (layer "nvme", op "write"/"read"/"flush"/"trim") and may
+// consults it (layer "nvme", op "write"/"read"/"flush") and may
 // draw a media error, a channel stall, or a power loss. Nil detaches.
 func (d *Device) InjectFaults(plan *faults.Plan) { d.faults = plan }
 

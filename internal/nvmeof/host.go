@@ -2,7 +2,6 @@ package nvmeof
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -551,24 +550,13 @@ func capsuleLimit(op string, n int64) error {
 }
 
 // badPayload holds an OK completion to what its command asked for: a
-// READ returns exactly Length bytes and a LIST-NS whole 12-byte entries.
-// Short, oversized, or missing data is a protocol violation by the
-// target, never silently padded or passed through.
+// READ returns exactly Length bytes. Short, oversized, or missing data
+// is a protocol violation by the target, never silently padded or
+// passed through.
 func badPayload(cmd *Command, resp *Response) error {
-	if resp.Status != StatusOK {
-		return nil
-	}
-	switch cmd.Opcode {
-	case OpReadCmd:
-		if len(resp.Data) != int(cmd.Length) {
-			return fmt.Errorf("target returned %d bytes, want %d: %w",
-				len(resp.Data), cmd.Length, ErrBadResponse)
-		}
-	case OpListNS:
-		if len(resp.Data)%12 != 0 {
-			return fmt.Errorf("target returned %d bytes, not a multiple of 12: %w",
-				len(resp.Data), ErrBadResponse)
-		}
+	if resp.Status == StatusOK && cmd.Opcode == OpReadCmd && len(resp.Data) != int(cmd.Length) {
+		return fmt.Errorf("target returned %d bytes, want %d: %w",
+			len(resp.Data), cmd.Length, ErrBadResponse)
 	}
 	return nil
 }
@@ -580,25 +568,6 @@ func vecBytes(bufs [][]byte) int {
 		total += len(b)
 	}
 	return total
-}
-
-// NamespaceInfo describes one exported namespace.
-type NamespaceInfo struct {
-	NSID uint32
-	Size int64
-}
-
-// decodeNamespaceList parses a LIST-NS payload (whole entries: see
-// badPayload).
-func decodeNamespaceList(data []byte) []NamespaceInfo {
-	out := make([]NamespaceInfo, 0, len(data)/12)
-	for off := 0; off < len(data); off += 12 {
-		out = append(out, NamespaceInfo{
-			NSID: binary.LittleEndian.Uint32(data[off:]),
-			Size: int64(binary.LittleEndian.Uint64(data[off+4:])),
-		})
-	}
-	return out
 }
 
 // Close tears down the queue pair.

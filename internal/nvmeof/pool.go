@@ -35,7 +35,7 @@ type PoolConfig struct {
 	// touching the capsule protocol.
 	Dial func(addr string) (net.Conn, error)
 	// MaxRetries is how many extra attempts idempotent commands
-	// (READ, IDENTIFY, LIST-NS) get after a transport failure or
+	// (READ, IDENTIFY) get after a transport failure or
 	// timeout (default 2). Non-idempotent commands never retry.
 	MaxRetries int
 	// RetryBackoff is the initial delay between retries; it doubles
@@ -110,7 +110,7 @@ type HostPool struct {
 
 	slots  []*qpSlot
 	fill   int    // batching pools: fill a queue pair to this depth before spilling
-	part   uint64 // bytes of namespace per queue pair (see home); 0 on an admin pool
+	part   uint64 // bytes of namespace per queue pair (see home); 0 for an empty namespace
 	nsSize int64
 	reg    *telemetry.Registry
 	flight *FlightRecorder
@@ -159,10 +159,9 @@ func DialPool(addr string, nsid uint32, cfg PoolConfig) (*HostPool, error) {
 }
 
 // dialSlot opens the queue pair for slot i: connect, start the read
-// loop, CONNECT for the pool's namespace (NSID 0 yields an admin queue
-// pair). The pair records into the pool's registry under the slot's qp
-// label and into the slot's ring of the pool's flight recorder, so a
-// replacement dialed after an outage lands on the same series.
+// loop, CONNECT for the pool's namespace. The pair records into the
+// pool's registry under the slot's qp label and into the slot's flight
+// ring, so a replacement dialed after an outage lands on the same series.
 func (p *HostPool) dialSlot(i int) (*Host, error) {
 	conn, err := p.cfg.Dial(p.addr)
 	if err != nil {
@@ -566,31 +565,6 @@ func (p *HostPool) Identify() (int64, error) {
 		return 0, err
 	}
 	return int64(resp.Value), nil
-}
-
-// CreateNamespace creates a namespace on the target (admin pool only;
-// not retried — a duplicate grant would leak capacity).
-func (p *HostPool) CreateNamespace(size int64) (uint32, error) {
-	resp, err := p.do(&Command{Opcode: OpCreateNS, Offset: uint64(size)}, false)
-	if err := checkResp(resp, err, "create-ns"); err != nil {
-		return 0, err
-	}
-	return uint32(resp.Value), nil
-}
-
-// DeleteNamespace reclaims a namespace on the target (not retried).
-func (p *HostPool) DeleteNamespace(nsid uint32) error {
-	resp, err := p.do(&Command{Opcode: OpDeleteNS, NSID: nsid}, false)
-	return checkResp(resp, err, "delete-ns")
-}
-
-// ListNamespaces enumerates the target's exports (idempotent; retried).
-func (p *HostPool) ListNamespaces() ([]NamespaceInfo, error) {
-	resp, err := p.do(&Command{Opcode: OpListNS}, true)
-	if err := checkResp(resp, err, "list-ns"); err != nil {
-		return nil, err
-	}
-	return decodeNamespaceList(resp.Data), nil
 }
 
 // Close tears down every queue pair and stops all reconnectors.

@@ -23,10 +23,10 @@ func offHome(p *HostPool) uint64 {
 // — spill depth, shallowest-wins — is TestBatchingPoolFillFirst's.
 func TestPoolHomeByAddress(t *testing.T) {
 	const fill = 64
-	dial := func(t *testing.T, nsid uint32, size int64, pairs int, batch bool) *HostPool {
+	dial := func(t *testing.T, size int64, pairs int, batch bool) *HostPool {
 		t.Helper()
 		_, addr := startTarget(t, map[uint32]int64{1: size})
-		p, err := DialPool(addr, nsid, PoolConfig{QueuePairs: pairs, Batch: BatchConfig{Enabled: batch}})
+		p, err := DialPool(addr, 1, PoolConfig{QueuePairs: pairs, Batch: BatchConfig{Enabled: batch}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,13 +36,12 @@ func TestPoolHomeByAddress(t *testing.T) {
 
 	t.Run("acquire", func(t *testing.T) {
 		const q = 4 * model.MB // one queue pair's range of the 16 MiB namespace
-		four := dial(t, 1, 4*q, 4, true)
-		plain := dial(t, 1, 4*q, 4, false)
+		four := dial(t, 4*q, 4, true)
+		plain := dial(t, 4*q, 4, false)
 		// Three 1 MiB partitions over two pairs: the boundary is at
 		// 1.5 MiB, so the middle partition straddles it and its two halves
 		// use different pairs.
-		three := dial(t, 1, 3*model.MB, 2, true)
-		admin := dial(t, 0, q, 2, true)
+		three := dial(t, 3*model.MB, 2, true)
 		for _, tc := range []struct {
 			name  string
 			pool  *HostPool
@@ -75,9 +74,6 @@ func TestPoolHomeByAddress(t *testing.T) {
 			{"3 over 2: partition 1, low half", three, model.MB, 512, []int32{0, 0}, 0},
 			{"3 over 2: partition 1, high half", three, model.MB + model.MB/2, 512, []int32{0, 0}, 1},
 			{"3 over 2: partition 2", three, 2 * model.MB, 512, []int32{0, 0}, 1},
-
-			{"admin pool: no namespace, slot 0", admin, 0, 0, []int32{0, 0}, 0},
-			{"admin pool: CREATE-NS carries a size, not an address", admin, 64 * model.MB, 0, []int32{0, 0}, 0},
 		} {
 			undo := setDepths(tc.pool, tc.depth...)
 			s, _, err := tc.pool.acquire(tc.n, tc.pool.home(uint64(tc.off)))

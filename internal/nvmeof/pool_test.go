@@ -559,32 +559,6 @@ func TestPoolFlushIsOneRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPoolAdminLifecycle(t *testing.T) {
-	tgt := NewTargetWithCapacity(16 * model.MB)
-	addr, err := tgt.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tgt.Close()
-	// NSID 0: an admin pool, every queue pair unbound.
-	pool, err := DialPool(addr, 0, PoolConfig{QueuePairs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	nsid, err := pool.CreateNamespace(4 * model.MB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	list, err := pool.ListNamespaces()
-	if err != nil || len(list) != 1 || list[0].NSID != nsid {
-		t.Fatalf("ListNamespaces = %+v, %v", list, err)
-	}
-	if err := pool.DeleteNamespace(nsid); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // benchPool spins up a loopback target plus pool and drives concurrent
 // small writes through it, reporting MB/s. Shared by the batched and
 // unbatched dimensions of BenchmarkHostPool.

@@ -43,19 +43,6 @@ const (
 	OpFlushCmd Opcode = 0x04
 	// OpIdentify returns namespace properties.
 	OpIdentify Opcode = 0x05
-
-	// Admin command set (the scheduler's interface: namespaces are the
-	// grant granularity, created from unused space and reclaimed when
-	// jobs end).
-
-	// OpCreateNS creates a namespace of Length... (Offset carries the
-	// size in bytes); the response Value is the new NSID.
-	OpCreateNS Opcode = 0x41
-	// OpDeleteNS deletes the namespace named by NSID.
-	OpDeleteNS Opcode = 0x42
-	// OpListNS returns the exported NSIDs and sizes as response data
-	// (pairs of little-endian u32 nsid + u64 size).
-	OpListNS Opcode = 0x43
 )
 
 // String names an opcode for traces and flight-recorder dumps.
@@ -71,12 +58,6 @@ func (o Opcode) String() string {
 		return "FLUSH"
 	case OpIdentify:
 		return "IDENTIFY"
-	case OpCreateNS:
-		return "CREATE-NS"
-	case OpDeleteNS:
-		return "DELETE-NS"
-	case OpListNS:
-		return "LIST-NS"
 	default:
 		return fmt.Sprintf("OP-%#02x", uint8(o))
 	}
@@ -90,8 +71,6 @@ const (
 	StatusOutOfRange
 	StatusNotConnected
 	StatusInternal
-	StatusNoCapacity
-	StatusWrongQueue
 )
 
 // statusText maps status codes to messages.
@@ -109,10 +88,6 @@ func statusText(s uint16) string {
 		return "queue not connected"
 	case StatusInternal:
 		return "internal error"
-	case StatusNoCapacity:
-		return "no capacity for namespace"
-	case StatusWrongQueue:
-		return "wrong queue type for command"
 	default:
 		return fmt.Sprintf("status %d", s)
 	}

@@ -6,7 +6,7 @@ import "github.com/nvme-cr/nvmecr/internal/telemetry"
 // HostPool, of one queue pair or of many. Callers that only move bytes
 // to and from a connected namespace — TCPPlane, the CLIs, applications
 // — program against Queue; the concrete type stays exported for callers
-// that need pool-specific tuning or admin commands.
+// that need pool-specific tuning.
 type Queue interface {
 	// NamespaceSize returns the connected namespace's capacity.
 	NamespaceSize() int64

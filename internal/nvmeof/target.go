@@ -2,7 +2,6 @@ package nvmeof
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -39,18 +38,7 @@ type MemNamespace struct {
 	size        int64
 	delay       time.Duration
 	bytesPerSec int64 // 0 = infinite device bandwidth
-	deleted     atomic.Bool
 	stripes     []nsStripe
-}
-
-func (ns *MemNamespace) markDeleted() {
-	ns.deleted.Store(true)
-	for i := range ns.stripes {
-		s := &ns.stripes[i]
-		s.mu.Lock()
-		s.store.Reset()
-		s.mu.Unlock()
-	}
 }
 
 // NewMemNamespace creates a namespace of the given size with no modeled
@@ -116,9 +104,6 @@ func (ns *MemNamespace) writeAt(off int64, data []byte) uint16 {
 	if off < 0 || off+int64(len(data)) > ns.size {
 		return StatusOutOfRange
 	}
-	if ns.deleted.Load() {
-		return StatusInvalidNamespace
-	}
 	if d := ns.serviceDelay(int64(len(data))); d > 0 {
 		time.Sleep(d)
 	}
@@ -146,9 +131,6 @@ func (ns *MemNamespace) writeAt(off int64, data []byte) uint16 {
 func (ns *MemNamespace) readAt(off, length int64, bufp *[]byte) ([]byte, uint16) {
 	if off < 0 || length < 0 || off+length > ns.size {
 		return nil, StatusOutOfRange
-	}
-	if ns.deleted.Load() {
-		return nil, StatusInvalidNamespace
 	}
 	if d := ns.serviceDelay(length); d > 0 {
 		time.Sleep(d)
@@ -178,7 +160,7 @@ type qpConn struct {
 	id   int
 	conn net.Conn
 
-	nsid atomic.Uint32 // namespace bound by CONNECT (0 = admin / none)
+	nsid atomic.Uint32 // namespace bound by CONNECT (0 = none)
 	// lost is set when the reader leaves on a reset, EOF or malformed
 	// capsule — anything but a draining Close's read deadline.
 	lost atomic.Bool
@@ -198,8 +180,6 @@ const drainWriteGrace = 5 * time.Second
 type Target struct {
 	mu         sync.Mutex
 	namespaces map[uint32]*MemNamespace
-	nextNSID   uint32
-	capacity   int64 // 0 = unlimited
 	ln         net.Listener
 	wg         sync.WaitGroup
 	closed     bool
@@ -221,12 +201,11 @@ type Target struct {
 	flight *FlightRecorder
 }
 
-// NewTarget creates an empty target with unlimited capacity.
+// NewTarget creates a target with no namespaces (see AddNamespace).
 func NewTarget() *Target {
 	reg := telemetry.New()
 	return &Target{
 		namespaces: make(map[uint32]*MemNamespace),
-		nextNSID:   1,
 		conns:      make(map[int]*qpConn),
 		reg:        reg,
 		commands:   reg.Counter(MetricTargetCommands, nil),
@@ -236,79 +215,6 @@ func NewTarget() *Target {
 		latency:    reg.Histogram(MetricTargetLatency, nil, nil),
 		flight:     NewFlightRecorder(0),
 	}
-}
-
-// NewTargetWithCapacity bounds the total bytes exportable as namespaces
-// (the device capacity the scheduler allocates against).
-func NewTargetWithCapacity(capacity int64) *Target {
-	t := NewTarget()
-	t.capacity = capacity
-	return t
-}
-
-// usedLocked sums live namespace sizes; t.mu must be held.
-func (t *Target) usedLocked() int64 {
-	var used int64
-	for _, ns := range t.namespaces {
-		used += ns.size
-	}
-	return used
-}
-
-// createNamespace implements the admin create: pick the next free NSID.
-func (t *Target) createNamespace(size int64) (uint32, uint16) {
-	if size <= 0 {
-		return 0, StatusOutOfRange
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.capacity > 0 && t.usedLocked()+size > t.capacity {
-		return 0, StatusNoCapacity
-	}
-	for {
-		if _, taken := t.namespaces[t.nextNSID]; !taken {
-			break
-		}
-		t.nextNSID++
-	}
-	nsid := t.nextNSID
-	t.nextNSID++
-	t.namespaces[nsid] = NewMemNamespace(size)
-	return nsid, StatusOK
-}
-
-// deleteNamespace implements the admin delete.
-func (t *Target) deleteNamespace(nsid uint32) uint16 {
-	t.mu.Lock()
-	ns, ok := t.namespaces[nsid]
-	if ok {
-		delete(t.namespaces, nsid)
-	}
-	t.mu.Unlock()
-	if !ok {
-		return StatusInvalidNamespace
-	}
-	ns.markDeleted()
-	return StatusOK
-}
-
-// listNamespaces encodes the exported (nsid, size) pairs.
-func (t *Target) listNamespaces() []byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ids := make([]uint32, 0, len(t.namespaces))
-	for id := range t.namespaces {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]byte, 0, len(ids)*12)
-	for _, id := range ids {
-		var entry [12]byte
-		binary.LittleEndian.PutUint32(entry[0:], id)
-		binary.LittleEndian.PutUint64(entry[4:], uint64(t.namespaces[id].size))
-		out = append(out, entry[:]...)
-	}
-	return out
 }
 
 // AddNamespace exports a namespace under the given NSID.
@@ -496,7 +402,6 @@ func (t *Target) serve(conn net.Conn) {
 	}
 
 	var connected *MemNamespace
-	admin := false // CONNECT with NSID 0 makes this an admin queue pair
 	// readBuf backs every READ payload this queue pair returns. One is
 	// enough: this loop is serial, and writeResponseScratch has handed the
 	// whole payload to bw (copied or sent) before the next command runs.
@@ -547,22 +452,15 @@ func (t *Target) serve(conn net.Conn) {
 		*resp = Response{CID: cmd.CID, Status: StatusOK}
 		switch cmd.Opcode {
 		case OpConnect:
-			if cmd.NSID == 0 {
-				// Admin queue pair: no namespace bound.
-				connected = nil
-				admin = true
+			t.mu.Lock()
+			ns, nsOK := t.namespaces[cmd.NSID]
+			t.mu.Unlock()
+			if !nsOK {
+				resp.Status = StatusInvalidNamespace
 			} else {
-				t.mu.Lock()
-				ns, nsOK := t.namespaces[cmd.NSID]
-				t.mu.Unlock()
-				if !nsOK {
-					resp.Status = StatusInvalidNamespace
-				} else {
-					connected = ns
-					admin = false
-					resp.Value = uint64(ns.Size())
-					qp.nsid.Store(cmd.NSID)
-				}
+				connected = ns
+				resp.Value = uint64(ns.Size())
+				qp.nsid.Store(cmd.NSID)
 			}
 		case OpIdentify:
 			if connected == nil {
@@ -589,26 +487,6 @@ func (t *Target) serve(conn net.Conn) {
 				resp.Status = StatusNotConnected
 			}
 			// Data is durable on arrival (capacitor-backed model).
-		case OpCreateNS:
-			if status := adminOnly(connected, admin); status != StatusOK {
-				resp.Status = status
-				break
-			}
-			nsid, status := t.createNamespace(int64(cmd.Offset))
-			resp.Status = status
-			resp.Value = uint64(nsid)
-		case OpDeleteNS:
-			if status := adminOnly(connected, admin); status != StatusOK {
-				resp.Status = status
-				break
-			}
-			resp.Status = t.deleteNamespace(cmd.NSID)
-		case OpListNS:
-			if status := adminOnly(connected, admin); status != StatusOK {
-				resp.Status = status
-				break
-			}
-			resp.Data = t.listNamespaces()
 		default:
 			resp.Status = StatusInvalidOpcode
 		}
@@ -684,19 +562,6 @@ func holdsLoop(cmd *Command, ns *MemNamespace) bool {
 		return ns != nil && ns.serviceDelay(int64(cmd.Length)) > 0
 	}
 	return false
-}
-
-// adminOnly gates the namespace-management command set to admin queue
-// pairs: I/O queue pairs (namespace bound) get StatusWrongQueue, and a
-// connection that never issued CONNECT gets StatusNotConnected.
-func adminOnly(connected *MemNamespace, admin bool) uint16 {
-	if connected != nil {
-		return StatusWrongQueue
-	}
-	if !admin {
-		return StatusNotConnected
-	}
-	return StatusOK
 }
 
 // Telemetry returns the target's registry, for exposition (the

@@ -67,6 +67,63 @@ func TestConnectUnknownNamespace(t *testing.T) {
 	}
 }
 
+// TestWireCommandSet pins, on one raw connection, what the target
+// answers outside the five commands' happy path: I/O before CONNECT,
+// CONNECT to NSID 0, and undefined opcodes (0x41-0x43 among them),
+// unbound and bound. The queue pair survives all of it. Break-demo: a
+// serve loop that answers opcode 0x43 with StatusOK fails the "unbound"
+// and "bound" rows.
+func TestWireCommandSet(t *testing.T) {
+	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
+	if p, err := DialPool(addr, 0, PoolConfig{QueuePairs: 1}); err == nil {
+		p.Close()
+		t.Fatal("DialPool to NSID 0 succeeded")
+	}
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(c)
+	var cid uint16
+	ask := func(what string, cmd Command, want uint16) *Response {
+		t.Helper()
+		cid++
+		cmd.CID = cid
+		if err := WriteCommand(c, &cmd); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		resp, err := ReadResponse(br)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if resp.CID != cid || resp.Status != want {
+			t.Errorf("%s: CID %d status %q, want CID %d status %q",
+				what, resp.CID, statusText(resp.Status), cid, statusText(want))
+		}
+		return resp
+	}
+	undefined := []Opcode{0x41, 0x42, 0x43, 0xEE}
+
+	ask("READ before CONNECT", Command{Opcode: OpReadCmd, Length: 8}, StatusNotConnected)
+	ask("IDENTIFY before CONNECT", Command{Opcode: OpIdentify}, StatusNotConnected)
+	ask("CONNECT NSID 0", Command{Opcode: OpConnect}, StatusInvalidNamespace)
+	for _, op := range undefined {
+		ask("unbound "+op.String(), Command{Opcode: op, NSID: 1, Offset: uint64(model.MB)}, StatusInvalidOpcode)
+	}
+	if resp := ask("CONNECT NSID 1", Command{Opcode: OpConnect, NSID: 1}, StatusOK); resp.Value != uint64(model.MB) {
+		t.Errorf("CONNECT NSID 1: size %d, want %d", resp.Value, model.MB)
+	}
+	for _, op := range undefined {
+		ask("bound "+op.String(), Command{Opcode: op, NSID: 1, Offset: uint64(model.MB)}, StatusInvalidOpcode)
+	}
+	ask("WRITE", Command{Opcode: OpWriteCmd, Offset: 512, Data: []byte("still up")}, StatusOK)
+	if resp := ask("READ", Command{Opcode: OpReadCmd, Offset: 512, Length: 8}, StatusOK); string(resp.Data) != "still up" {
+		t.Errorf("READ after WRITE = %q, want %q", resp.Data, "still up")
+	}
+}
+
 func TestWriteReadRoundTripOverTCP(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{7: 16 * model.MB})
 	h := dialOne(t, addr, 7, PoolConfig{})
@@ -432,9 +489,8 @@ func TestRefusedCommandKeepsQueuePair(t *testing.T) {
 	}
 }
 
-// misbehavingReadTarget acks CONNECT and answers every READ (and every
-// LIST-NS, as a read of one 12-byte entry) with a payload whose length
-// is transformed by fn (nil return = no payload).
+// misbehavingReadTarget acks CONNECT and answers every READ with a
+// payload whose length is transformed by fn (nil return = no payload).
 func misbehavingReadTarget(t *testing.T, fn func(length uint32) []byte) string {
 	return fakeTarget(t, func(c net.Conn) {
 		defer c.Close()
@@ -450,8 +506,6 @@ func misbehavingReadTarget(t *testing.T, fn func(length uint32) []byte) string {
 				resp.Value = uint64(model.MB)
 			case OpReadCmd:
 				resp.Data = fn(cmd.Length)
-			case OpListNS:
-				resp.Data = fn(12)
 			}
 			if err := WriteResponse(c, resp); err != nil {
 				return
@@ -460,26 +514,21 @@ func misbehavingReadTarget(t *testing.T, fn func(length uint32) []byte) string {
 	})
 }
 
-// TestReadResponseLengthValidated: a READ or LIST-NS completion whose
-// payload disagrees with the request is ErrBadResponse, answered once (a
+// TestReadResponseLengthValidated: a READ completion whose payload
+// disagrees with the request is ErrBadResponse, answered once (a
 // protocol violation is an answer, not a transport failure: no retry,
 // the pair stays up) and followed by the postmortem docs/tracing.md
 // promises — one flight dump, for the queue pair that served it. The
 // READ is homed on pair 1 of two so that a dump naming slot 0 by default
 // cannot pass.
 func TestReadResponseLengthValidated(t *testing.T) {
-	read := func(p *HostPool) error { _, err := p.ReadAt(model.MB/2, 64); return err }
-	list := func(p *HostPool) error { _, err := p.ListNamespaces(); return err }
 	cases := []struct {
 		name string
 		fn   func(length uint32) []byte
-		call func(*HostPool) error
-		qp   int
 	}{
-		{"short", func(l uint32) []byte { return make([]byte, l-1) }, read, 1},
-		{"oversized", func(l uint32) []byte { return make([]byte, l+1) }, read, 1},
-		{"missing", func(l uint32) []byte { return nil }, read, 1},
-		{"list-ns", func(l uint32) []byte { return make([]byte, l+1) }, list, 0},
+		{"short", func(l uint32) []byte { return make([]byte, l-1) }},
+		{"oversized", func(l uint32) []byte { return make([]byte, l+1) }},
+		{"missing", func(l uint32) []byte { return nil }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -494,13 +543,13 @@ func TestReadResponseLengthValidated(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer p.Close()
-			if err := tc.call(p); !errors.Is(err, ErrBadResponse) {
+			if _, err := p.ReadAt(model.MB/2, 64); !errors.Is(err, ErrBadResponse) {
 				t.Errorf("%s response: %v, want ErrBadResponse", tc.name, err)
 			}
 			if got := answers.Load(); got != 1 {
 				t.Errorf("target answered %d times, want 1: a malformed answer is not retried", got)
 			}
-			if !p.Snapshot()[tc.qp].Healthy {
+			if !p.Snapshot()[1].Healthy {
 				t.Error("a malformed answer took the queue pair down")
 			}
 			dumps := flightDumps(t, &traceBuf)
@@ -510,8 +559,8 @@ func TestReadResponseLengthValidated(t *testing.T) {
 			if reason, _ := dumps[0].Attrs["reason"].(string); reason != "bad-response" {
 				t.Errorf("dump reason = %q, want bad-response", dumps[0].Attrs["reason"])
 			}
-			if qp, _ := dumps[0].Attrs["qp"].(float64); int(qp) != tc.qp {
-				t.Errorf("dump is for qp %v, want %d", dumps[0].Attrs["qp"], tc.qp)
+			if qp, _ := dumps[0].Attrs["qp"].(float64); qp != 1 {
+				t.Errorf("dump is for qp %v, want 1", dumps[0].Attrs["qp"])
 			}
 		})
 	}

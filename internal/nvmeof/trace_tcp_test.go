@@ -152,7 +152,7 @@ func TestPhaseQuantilesMatchPrometheus(t *testing.T) {
 
 // TestUntracedClient pins the plain capsule path: an initiator with no
 // tracer (no capsule carries an extension) must complete every
-// operation, on a namespace queue pair and on the admin queue pair.
+// operation.
 func TestUntracedClient(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
 	h := dialOne(t, addr, 1, PoolConfig{})
@@ -170,23 +170,6 @@ func TestUntracedClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := h.Identify(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The admin plane speaks the same plain capsules.
-	adm := dialOne(t, addr, 0, PoolConfig{})
-	nsid, err := adm.CreateNamespace(64 * 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nss, err := adm.ListNamespaces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nss) != 2 {
-		t.Fatalf("ListNamespaces = %v, want 2 entries", nss)
-	}
-	if err := adm.DeleteNamespace(nsid); err != nil {
 		t.Fatal(err)
 	}
 }
