@@ -216,12 +216,6 @@ func (s *Store) Trim(off, length int64) {
 	s.splice(i, off, off+length, nil)
 }
 
-// Reset discards everything.
-func (s *Store) Reset() {
-	s.extents = nil
-	s.bytes = 0
-}
-
 // Clone returns a deep copy of the store (used for crash snapshots).
 func (s *Store) Clone() *Store {
 	c := &Store{bytes: s.bytes, extents: make([]extent, len(s.extents))}

@@ -92,15 +92,6 @@ func TestTrim(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	s := New()
-	s.Write(0, []byte("abc"))
-	s.Reset()
-	if s.Bytes() != 0 || s.Extents() != 0 {
-		t.Fatal("Reset left data behind")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	s := New()
 	s.Write(0, []byte("abc"))
@@ -463,7 +454,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if head > 4<<20 { // a 4 MiB log region, reset by a snapshot
-			s.Reset()
+			s = New()
 			head = 0
 		}
 		n := int64(40 + rng.Intn(61))
@@ -479,11 +470,11 @@ func BenchmarkStoreAppend(b *testing.B) {
 func BenchmarkStoreRandom(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, 4<<10)
-	s := New()
+	var s *Store
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if i%4096 == 0 {
-			s.Reset()
+			s = New()
 		}
 		if err := s.Write(rng.Int63n(32<<10)*512, data); err != nil {
 			b.Fatal(err)

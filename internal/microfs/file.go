@@ -3,6 +3,7 @@ package microfs
 import (
 	"time"
 
+	"github.com/nvme-cr/nvmecr/internal/plane"
 	"github.com/nvme-cr/nvmecr/internal/sim"
 	"github.com/nvme-cr/nvmecr/internal/vfs"
 	"github.com/nvme-cr/nvmecr/internal/wal"
@@ -200,6 +201,9 @@ func (f *file) read(p *sim.Proc, n int64, buf []byte) (int64, error) {
 			dst := buf[r.fileOff-f.pos:][:r.n]
 			clear(dst[copy(dst, data):])
 		}
+		// Copied out (or, from ReadN, never needed): the next read
+		// lands in it.
+		plane.Recycle(data)
 		return err
 	})
 	if err != nil {

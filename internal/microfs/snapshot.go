@@ -11,6 +11,7 @@ import (
 	"github.com/nvme-cr/nvmecr/internal/blockpool"
 	"github.com/nvme-cr/nvmecr/internal/btree"
 	"github.com/nvme-cr/nvmecr/internal/model"
+	"github.com/nvme-cr/nvmecr/internal/plane"
 	"github.com/nvme-cr/nvmecr/internal/sim"
 	"github.com/nvme-cr/nvmecr/internal/vfs"
 	"github.com/nvme-cr/nvmecr/internal/wal"
@@ -224,7 +225,9 @@ func (inst *Instance) Recover(p *sim.Proc) error {
 			return fmt.Errorf("microfs: snapshot body corrupt")
 		}
 		var img snapImage
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&img); err != nil {
+		err = gob.NewDecoder(bytes.NewReader(body)).Decode(&img)
+		plane.Recycle(body) // the decoded image copied what it keeps
+		if err != nil {
 			return fmt.Errorf("microfs: snapshot decode: %w", err)
 		}
 		if err := inst.restoreSnapshot(&img); err != nil {
@@ -342,15 +345,19 @@ func (inst *Instance) ModelRecovery(p *sim.Proc) error {
 		return err
 	}
 	if inst.snapLen > 0 {
-		if _, err := inst.cfg.Plane.Read(p, snapBase, inst.snapLen, hb); err != nil {
+		snap, err := inst.cfg.Plane.Read(p, snapBase, inst.snapLen, hb)
+		if err != nil {
 			return err
 		}
+		plane.Recycle(snap)
 	}
 	head := inst.log.Head()
 	if head > 0 {
-		if _, err := inst.cfg.Plane.Read(p, 0, head, hb); err != nil {
+		log, err := inst.cfg.Plane.Read(p, 0, head, hb)
+		if err != nil {
 			return err
 		}
+		plane.Recycle(log)
 	}
 	inst.acct.Charge(p, vfs.User, time.Duration(inst.log.Records())*inst.cfg.Host.ReplayPerRecord)
 	return nil

@@ -74,7 +74,10 @@ func TestDeviceBoundBytesPerOp(t *testing.T) {
 // fetches, it does not copy out of them. Heap bytes are process-wide
 // (the in-process targets included), so a fresh slice per READ on
 // either end of the socket, a member buffer the stripe drops instead of
-// recycling, or a staging copy in a plane, trips it.
+// recycling, or a staging copy in a plane, trips it. Nothing here gives
+// a result back, so a stripe's result, taken from the free list, misses
+// and allocates; the microfs row, whose File.Read recycles each result,
+// holds a striped read to almost nothing.
 func TestReadPathAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -143,7 +146,77 @@ func TestReadPathAllocBytes(t *testing.T) {
 			t.Errorf("%s: %.3f heap bytes allocated per byte read, want <= %.1f", tc.name, perByte, tc.max)
 		}
 	}
+	t.Run("microfs File.Read, striped(2)", func(t *testing.T) { fileReadAllocBytes(t, striped) })
 	t.Run("recover", recoverAllocBytes)
+}
+
+// fileReadAllocBytes is the gate one layer up, in the shape of a
+// ckpt_large restart: microfs's File.Read through a 2-target
+// StripedPlane in 1 MiB calls. microfs gives each plane result back to
+// the free list once it has copied it into the caller's buffer, and the
+// next striped read takes its result from there, so a read allocates
+// almost nothing: at most 0.05 heap bytes per byte read. A result
+// microfs drops instead of recycling costs its own size (1.0).
+func fileReadAllocBytes(t *testing.T, striped plane.Plane) {
+	const fileBytes = 4 * model.MB
+	const call = 1 * model.MB
+	const max = 0.05
+	env := sim.NewEnv()
+	env.Go("reader", func(p *sim.Proc) {
+		inst, err := microfs.New(env, microfs.Config{
+			Plane: unsimulated{striped}, Features: microfs.AllFeatures(), LogBytes: 1 * model.MB, SnapBytes: 2 * model.MB,
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f, err := inst.Open(p, "/ckpt.dat", vfs.O_RDWR|vfs.O_CREATE|vfs.O_EXCL, 0o644)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf := make([]byte, call)
+		for off := int64(0); off < fileBytes; off += call {
+			if _, err := f.Write(p, buf); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		read := func(passes int) error {
+			for i := 0; i < passes; i++ {
+				if err := f.SeekTo(0); err != nil {
+					return err
+				}
+				for off := int64(0); off < fileBytes; off += call {
+					if n, err := f.Read(p, buf); err != nil || n != len(buf) {
+						return fmt.Errorf("read %d bytes at %d: %v", n, off, err)
+					}
+				}
+			}
+			return nil
+		}
+		if err := read(4); err != nil { // lazy per-connection buffers
+			t.Error(err)
+			return
+		}
+		const passes = 32
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = read(passes)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(passes*fileBytes)
+		t.Logf("%.4f heap bytes allocated per byte read", perByte)
+		if perByte > max {
+			t.Errorf("%.4f heap bytes allocated per byte read, want <= %.2f", perByte, max)
+		}
+	})
+	if _, err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // recoverAllocBytes: a restart allocates in proportion to the log the

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/nvme-cr/nvmecr/internal/plane"
 	"github.com/nvme-cr/nvmecr/internal/telemetry"
 )
 
@@ -223,7 +224,7 @@ func (h *Host) deliver(resp *Response) {
 		h.inflightN.Add(-1)
 		h.fanOut(s, resp)
 		h.freeRing.push(s.idx)
-		payloads.recycle(resp.Data)
+		plane.Recycle(resp.Data)
 	default:
 		// Duplicate or unsolicited completion: drop.
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"github.com/nvme-cr/nvmecr/internal/plane"
 )
 
 // The TCP transport speaks a capsule protocol shaped after NVMe-oF:
@@ -363,8 +365,9 @@ func ReadResponse(r io.Reader) (*Response, error) {
 // Response, so data-less completions (every WRITE/FLUSH) are parsed
 // with zero allocations. Data and Phases, when present, are never
 // shared with the next capsule: both escape into the waiter's copy of
-// the response. Data comes from the payload free list (bufpool.go) and is
-// not zeroed: ReadFull overwrites every byte, and a failed read drops it.
+// the response. Data comes from the read buffer free list
+// (plane.TakeBuffer) and is not zeroed: ReadFull overwrites every byte,
+// and a failed read drops it.
 func readResponseInto(r io.Reader, out *Response, scratch *[protoScratchLen]byte) error {
 	hdr := scratch[:rspHdrLen+4]
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -397,7 +400,7 @@ func readResponseInto(r io.Reader, out *Response, scratch *[protoScratchLen]byte
 		return fmt.Errorf("nvmeof: response data %d exceeds limit", dataLen)
 	}
 	if dataLen > 0 {
-		out.Data = payloads.take(int(dataLen))
+		out.Data = plane.TakeBuffer(int(dataLen))
 		if _, err := io.ReadFull(r, out.Data); err != nil {
 			return err
 		}

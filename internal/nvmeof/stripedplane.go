@@ -658,8 +658,8 @@ func (s *StripedPlane) readWhole(p *sim.Proc, live []memberView, e groupExtent, 
 
 // readVerify reads every live member of a group, compares, and repairs
 // divergent copies from the lowest-index live member (the authority),
-// whose buffer it returns; the other copies go back to the payload free
-// list. Divergence can only exist on bytes whose write was never
+// whose buffer it returns; the other copies go back to the free list.
+// Divergence can only exist on bytes whose write was never
 // acknowledged — an acked write landed on every attached member — so any
 // of the copies is a legal result; picking the lowest index makes repair
 // deterministic.
@@ -685,14 +685,14 @@ func (s *StripedPlane) readVerify(p *sim.Proc, live []memberView, e groupExtent,
 		}
 	}
 	for _, c := range copies[1:] {
-		payloads.recycle(c)
+		plane.Recycle(c)
 	}
 	return authority, nil
 }
 
 // readSplit serves one group extent as one contiguous part per live
 // member, each scattered into place as it arrives and then given back to
-// the payload free list — the mirror reads at RAID-0 aggregate bandwidth.
+// the free list — the mirror reads at RAID-0 aggregate bandwidth.
 // Any part's failure fails the split.
 func (s *StripedPlane) readSplit(live []memberView, e groupExtent, out []byte, off, cmdUnit int64) error {
 	members := append([]memberView(nil), live...) // the parts outlive the caller's stack backing
@@ -709,7 +709,7 @@ func (s *StripedPlane) readSplit(live []memberView, e groupExtent, out []byte, o
 		}
 		if err == nil {
 			s.scatter(out, off, e.group, at, chunk)
-			payloads.recycle(chunk)
+			plane.Recycle(chunk)
 		}
 		return nils.filter(err)
 	})
@@ -733,7 +733,7 @@ func (s *StripedPlane) splits(p *sim.Proc, live []memberView, e groupExtent) boo
 // members where splits says so; one member with failover otherwise, and
 // whenever a split part failed — rather than reasoning about which parts
 // survived. A member's buffer dies here once scattered: it goes back to
-// the payload free list for the next READ to land in.
+// the free list (plane.Recycle) for the next READ to land in.
 func (s *StripedPlane) readExtent(p *sim.Proc, snap []memberView, e groupExtent, out []byte, off, cmdUnit int64) error {
 	var liveBuf [inlineChildren]memberView
 	live := s.members(snap, e.group, false, liveBuf[:0])
@@ -747,7 +747,7 @@ func (s *StripedPlane) readExtent(p *sim.Proc, snap []memberView, e groupExtent,
 	chunk, err := s.readWhole(p, live, e, cmdUnit)
 	if err == nil {
 		s.scatter(out, off, e.group, e.off, chunk)
-		payloads.recycle(chunk)
+		plane.Recycle(chunk)
 	}
 	return err
 }
@@ -772,8 +772,8 @@ func (s *StripedPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]by
 		e := s.extent(off, length, 0)
 		if live := s.members(snap, e.group, false, liveBuf[:0]); !s.splits(p, live, e) {
 			// One member holds the whole range in order and serves it
-			// whole: nothing to interleave, so its buffer is the result —
-			// the caller's now, never the free list's.
+			// whole: nothing to interleave, so its buffer is the result,
+			// the caller's now.
 			out, err := s.readWhole(p, live, e, cmdUnit)
 			if errors.Is(err, errNilRead) {
 				return nil, nil
@@ -781,12 +781,15 @@ func (s *StripedPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]by
 			return out, err
 		}
 	}
-	out := make([]byte, length)
+	// Every byte of out is scattered into, so it comes from the free
+	// list unzeroed; it goes back when the read returns none of it.
+	out := plane.TakeBuffer(int(length))
 	var nils nilReads
 	err := fanOut(p, touched, func(i int) error {
 		return nils.filter(s.readExtent(p, snap, s.extent(off, length, i), out, off, cmdUnit))
 	})
 	if err != nil || nils.seen.Load() {
+		plane.Recycle(out)
 		return nil, err
 	}
 	return out, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/nvme-cr/nvmecr/internal/plane"
 	"github.com/nvme-cr/nvmecr/internal/sim"
 )
 
@@ -218,21 +219,23 @@ func (t *TCPPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, 
 }
 
 // readThrough reads [off, off+length) from the target in capsule-sized
-// commands, with no window involved. A read of several capsules gives
-// each chunk back to the payload free list once it is appended.
+// commands, with no window involved. A read of several capsules takes
+// its result from the free list unzeroed, copies each chunk into place
+// and gives the chunk back.
 func (t *TCPPlane) readThrough(off, length int64) ([]byte, error) {
 	if length <= maxChunk {
 		// Single capsule: the queue's buffer already belongs to the caller.
 		return t.host.ReadAt(t.base+off, length)
 	}
-	out := make([]byte, 0, length)
+	out := plane.TakeBuffer(int(length))
 	for got := int64(0); got < length; got += maxChunk {
 		chunk, err := t.host.ReadAt(t.base+off+got, min(maxChunk, length-got))
 		if err != nil {
+			plane.Recycle(out)
 			return nil, err
 		}
-		out = append(out, chunk...)
-		payloads.recycle(chunk)
+		copy(out[got:], chunk)
+		plane.Recycle(chunk)
 	}
 	return out, nil
 }

@@ -3,10 +3,12 @@ package nvmeof
 import (
 	"bytes"
 	"hash/crc32"
+	"math/rand"
 	"testing"
 
 	"github.com/nvme-cr/nvmecr/internal/microfs"
 	"github.com/nvme-cr/nvmecr/internal/model"
+	"github.com/nvme-cr/nvmecr/internal/plane"
 	"github.com/nvme-cr/nvmecr/internal/sim"
 	"github.com/nvme-cr/nvmecr/internal/vfs"
 	"github.com/nvme-cr/nvmecr/internal/wal"
@@ -59,6 +61,36 @@ func TestTCPPlaneOverPool(t *testing.T) {
 	}
 	if err := pl.Write(nil, pl.Size()-10, 20, nil, 0); err == nil {
 		t.Error("out-of-partition write accepted")
+	}
+}
+
+// TestTCPPlaneMultiCapsuleRead: a 6 MiB read is two capsules, copied
+// into a result the free list hands out unzeroed — here a buffer whose
+// every byte was written over before it went back — so each chunk must
+// land at its own offset and leave nothing of what the buffer held.
+func TestTCPPlaneMultiCapsuleRead(t *testing.T) {
+	const length = 6 * model.MB
+	_, addr := startTarget(t, map[uint32]int64{1: 8 * model.MB})
+	pl, err := NewTCPPlane(dialOne(t, addr, 1, PoolConfig{}), 0, 8*model.MB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, length)
+	rand.New(rand.NewSource(6)).Read(want)
+	if err := pl.Write(nil, 0, length, want, 0); err != nil {
+		t.Fatal(err)
+	}
+	stale := make([]byte, length)
+	for i := range stale {
+		stale[i] = 0xEE
+	}
+	plane.Recycle(stale)
+	got, err := pl.Read(nil, 0, length, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("a %d-byte read over %d-byte capsules returned other bytes than were written", length, maxChunk)
 	}
 }
 

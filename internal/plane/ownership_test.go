@@ -37,11 +37,12 @@ var ownershipReads = []struct{ off, n int64 }{
 }
 
 // checkOwnership writes a pattern over the whole plane and reads it back
-// twice. After every read it scribbles over the result, and appends to
-// it, as a caller that owns the result may; the plane must still return
-// the pattern to every read after it. A plane whose result aliases
-// anything it keeps — its backing store, a cache, another result —
-// fails.
+// twice. After every read it scribbles over the result, appends to it
+// and recycles it, as a caller that owns the result may, then takes a
+// buffer of the same size from the free list and scribbles over that;
+// the plane must still return the pattern to every read after it. A
+// plane whose result aliases anything it keeps — its backing store, a
+// cache, another result — fails.
 func checkOwnership(p *sim.Proc, pl plane.Plane) error {
 	pattern := make([]byte, ownershipSize)
 	for i := range pattern {
@@ -63,6 +64,12 @@ func checkOwnership(p *sim.Proc, pl plane.Plane) error {
 				got[i] = 0xEE
 			}
 			_ = append(got, 0xEE, 0xEE, 0xEE, 0xEE)
+			// Given back, and written again by its next holder.
+			plane.Recycle(got)
+			next := plane.TakeBuffer(len(got))
+			for i := range next {
+				next[i] = 0xDD
+			}
 		}
 	}
 	return nil

@@ -26,9 +26,10 @@ type Plane interface {
 	// all-or-nothing: if any backing device consulted by the request
 	// returns nil, the whole read is nil. A result belongs to its caller
 	// alone: the plane keeps no reference to its bytes and hands none of
-	// them to another caller, so the caller may overwrite, append to or
-	// recycle it (a composite plane gives its members' buffers back to a
-	// free list once it has copied them out).
+	// them to another caller, so the caller may overwrite or append to
+	// it, and give it back with Recycle once it holds no other reference
+	// to it (a composite plane gives its members' buffers back once it
+	// has copied them out).
 	Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, error)
 	// Flush is a durability barrier.
 	Flush(p *sim.Proc) error

@@ -96,10 +96,13 @@ echo "== go test -race (slot ring + payload lifetimes)"
 # under batching and merge (a transport goroutine still touching a
 # completed payload's bytes is a -race failure here); READ payload
 # recycling, where a buffer handed to a caller must never go back to the
-# payload free list; and the free list itself, state every read loop and
-# stripe shares behind one mutex. -count=1 defeats the cache so the race
-# detector actually re-executes them.
-go test -race -count=1 -run 'TestIndexRing|TestWritePayloadLifetimeUnderLoad|TestReadPayloadRecycling|TestPayloadFreeList' ./internal/nvmeof
+# free list; microfs's read path, which gives each plane result back
+# once copied and must never give one back before; and the free list
+# itself (internal/plane, its classes pinned to the transport in
+# internal/nvmeof), state every read loop, stripe and file system
+# instance shares behind one mutex. -count=1 defeats the cache so the
+# race detector actually re-executes them.
+go test -race -count=1 -run 'TestIndexRing|TestWritePayloadLifetimeUnderLoad|TestReadPayloadRecycling|TestFileReadRecycling|TestPayloadFreeList' ./internal/nvmeof ./internal/plane
 
 echo "== go test -race (mount table / multi-tenant namespace)"
 # The vfs.Namespace is used from live goroutines (nvmecrd -tenants), not
@@ -159,7 +162,9 @@ echo "== allocation gates (transport)"
 # 1 MiB calls and sequential 16 KiB calls through the read-ahead window
 # alike), through a RAID-0 stripe and through a one-group mirror whose
 # reads split across both replicas (the result; the member payloads go
-# back to the free list; docs/batching.md, "Read path"). New + Recover
+# back to the free list; docs/batching.md, "Read path"), and at most
+# 0.05 B/B through microfs's File.Read over a RAID-0 stripe, which gives
+# each result back for the next striped read to take. New + Recover
 # allocate by the log the crash left, not by the log region: the gate
 # over a meta_storm-shaped log is run by name, so that a rename cannot
 # drop it silently. The write path through microfs allocates one staged
