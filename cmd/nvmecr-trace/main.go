@@ -10,11 +10,10 @@
 // name), the per-opcode NVMe-oF phase breakdown (wire / queue /
 // service p50/p95/p99, from nvmeof.cmd spans), the top-K slowest
 // commands annotated with any flight-recorder context dumped into the
-// trace (nvmeof.flight events), a timeline of health-engine state
-// transitions (health.transition events) with their incident bundles
-// for forensics, and a timeline of stripe-migration state transitions
-// (rebalance.transition events). -epochs adds per-rank checkpoint-epoch
-// critical paths derived from the virtual-clock microfs spans. -chrome
+// trace (nvmeof.flight events), and a timeline of stripe-migration
+// state transitions (rebalance.transition events). -epochs adds
+// per-rank checkpoint-epoch critical paths derived from the
+// virtual-clock microfs spans. -chrome
 // exports the whole trace as Chrome trace_event JSON, loadable in
 // Perfetto (ui.perfetto.dev) or chrome://tracing: the wall and virtual
 // clocks become separate processes, ranks become threads.
@@ -82,7 +81,6 @@ func main() {
 	printPhases(w, events)
 	printSlowest(w, events, *topK)
 	printFlightDumps(w, events)
-	printHealth(w, events)
 	printRebalance(w, events)
 	if *epochs {
 		printEpochs(w, events)
@@ -344,35 +342,6 @@ func flightLine(rec map[string]any) string {
 		s += " err=" + errStr
 	}
 	return s
-}
-
-// printHealth lists the health engine's state transitions in trace
-// order: when each subject moved, where to, at what score, and which
-// incident bundle (if any) captured the moment.
-func printHealth(w io.Writer, events []telemetry.Event) {
-	var base int64
-	for _, ev := range events {
-		if ev.Name != "health.transition" {
-			continue
-		}
-		if base == 0 {
-			base = ev.WallNS
-			fmt.Fprintf(w, "Health transitions\n")
-		}
-		at := time.Duration(ev.WallNS - base)
-		line := fmt.Sprintf("  +%-12v %s/%s: %s -> %s (score %.3f)",
-			at.Round(time.Microsecond),
-			attrString(ev, "kind"), attrString(ev, "name"),
-			attrString(ev, "from"), attrString(ev, "to"),
-			mustFloat(ev, "score"))
-		if inc := attrString(ev, "incident"); inc != "" {
-			line += "  incident=" + inc
-		}
-		fmt.Fprintln(w, line)
-	}
-	if base != 0 {
-		fmt.Fprintln(w)
-	}
 }
 
 func mustFloat(ev telemetry.Event, key string) float64 {

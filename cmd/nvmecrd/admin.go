@@ -1,4 +1,4 @@
-// Admin HTTP listener: live metrics, health, and profiling for a
+// Admin HTTP listener: live metrics, liveness, and profiling for a
 // running target. Off by default; enable with -admin host:port. The
 // listener binds before serving so a bad address fails fast at startup.
 package main
@@ -13,36 +13,31 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/nvme-cr/nvmecr/internal/health"
 	"github.com/nvme-cr/nvmecr/internal/nvmeof"
 	"github.com/nvme-cr/nvmecr/internal/qos"
 	"github.com/nvme-cr/nvmecr/internal/rebalance"
 	"github.com/nvme-cr/nvmecr/internal/vfs"
 )
 
-// healthzDoc is the structured /healthz response: the health engine's
-// per-layer rollup plus the target's headline counters.
+// healthzDoc is the structured /healthz response: the target's
+// headline counters.
 type healthzDoc struct {
-	Status     health.State                  `json:"status"`
-	Layers     map[string]health.LayerHealth `json:"layers"`
-	QueuePairs int                           `json:"queue_pairs"`
-	Commands   uint64                        `json:"commands"`
-	Errors     uint64                        `json:"errors"`
+	QueuePairs int    `json:"queue_pairs"`
+	Commands   uint64 `json:"commands"`
+	Errors     uint64 `json:"errors"`
 }
 
 // startAdmin serves /metrics (Prometheus text exposition of the
-// target's registry), /healthz (per-layer JSON rollup, 503 once the
-// rollup is suspect or dead), /health (the engine's full
-// per-subject verdicts), /debug/flight (the flight recorder's last
-// commands per queue pair), /tenants (the mount table, when -tenants
-// is set), /qos (per-tenant admission buckets, when -qos-ops or
-// -qos-bytes is set), /rebalance (migration progress, and POST
-// ?child=N to force a move, when -mirror is set), and the standard
-// pprof endpoints on addr. It returns the bound address (useful with
-// ":0"). eng may be nil (-health-interval 0): /health answers 404 and
-// /healthz rolls up with no layers. mig may be nil (no -mirror):
-// /rebalance answers 404. ctrl may be nil (no QoS): /qos answers 404.
-func startAdmin(addr string, tgt *nvmeof.Target, mounts *vfs.Namespace, ctrl *qos.Controller, eng *health.Engine, mig *rebalance.Migrator) (string, error) {
+// target's registry), /healthz (the target's headline counters as
+// JSON), /debug/flight (the flight recorder's last commands per queue
+// pair), /tenants (the mount table, when -tenants is set), /qos
+// (per-tenant admission buckets, when -qos-ops or -qos-bytes is set),
+// /rebalance (migration progress, and POST ?child=N to start a move,
+// when -mirror is set), and the standard pprof endpoints on addr. It
+// returns the bound address (useful with ":0"). ctrl may be nil (no
+// QoS): /qos answers 404. mig may be nil (no -mirror): /rebalance
+// answers 404.
+func startAdmin(addr string, tgt *nvmeof.Target, mounts *vfs.Namespace, ctrl *qos.Controller, mig *rebalance.Migrator) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("admin listener: %w", err)
@@ -57,28 +52,17 @@ func startAdmin(addr string, tgt *nvmeof.Target, mounts *vfs.Namespace, ctrl *qo
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		snap := tgt.Snapshot()
 		doc := healthzDoc{
-			Layers:     map[string]health.LayerHealth{},
 			QueuePairs: len(snap.QueuePairs),
 			Commands:   snap.Commands,
 			Errors:     snap.Errors,
 		}
-		if eng != nil {
-			roll := eng.Rollup()
-			doc.Status, doc.Layers = roll.Status, roll.Layers
-		}
 		w.Header().Set("Content-Type", "application/json")
-		if doc.Status >= health.Suspect {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
 			log.Printf("nvmecrd: /healthz: %v", err)
 		}
 	})
-	if eng != nil {
-		mux.Handle("/health", health.Handler(eng))
-	}
 	if mig != nil {
 		mux.Handle("/rebalance", mig.Handler())
 	}

@@ -15,7 +15,6 @@ import (
 	"os/signal"
 	"time"
 
-	"github.com/nvme-cr/nvmecr/internal/health"
 	"github.com/nvme-cr/nvmecr/internal/model"
 	"github.com/nvme-cr/nvmecr/internal/nvmeof"
 	"github.com/nvme-cr/nvmecr/internal/qos"
@@ -30,12 +29,10 @@ func main() {
 	latency := flag.Duration("latency", 0, "simulated per-command device latency (e.g. 20us; 0 = none)")
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval (0 disables)")
 	qpStats := flag.Bool("qp-stats", false, "also report per-queue-pair stats each interval")
-	admin := flag.String("admin", "", "admin HTTP listen address for /metrics, /health, /healthz, pprof (empty disables)")
+	admin := flag.String("admin", "", "admin HTTP listen address for /metrics, /healthz, /debug/flight, pprof (empty disables)")
 	tenants := flag.String("tenants", "", "comma-separated tenant mounts `name[:quota-mb]`; each gets /tenants/<name> on an in-memory backend, with nvmecr_mount_* series on /metrics and the table on /tenants")
 	qosOps := flag.Float64("qos-ops", 0, "per-tenant admission budget in ops/sec for -tenants mounts (0 = unlimited)")
 	qosBytes := flag.Float64("qos-bytes", 0, "per-tenant admission budget in bytes/sec for -tenants mounts (0 = unlimited)")
-	healthEvery := flag.Duration("health-interval", time.Second, "health-engine evaluation cadence (0 disables the engine)")
-	incidentDir := flag.String("incident-dir", "", "directory for black-box incident bundles on SLO breach or suspect verdicts (empty disables capture)")
 	mirror := flag.String("mirror", "", "comma-separated member target addresses to aggregate as a mirrored striped plane (mirror-head mode; count must be a multiple of -mirror-replicas)")
 	mirrorReplicas := flag.Int("mirror-replicas", 2, "replicas per mirror group in -mirror mode")
 	mirrorUnitKB := flag.Int64("mirror-unit-kb", 64, "stripe unit in KiB in -mirror mode")
@@ -82,32 +79,9 @@ func main() {
 	}
 	log.Printf("nvmecrd: serving %d namespaces of %d MiB on %s", *count, *sizeMB, bound)
 
-	var eng *health.Engine
-	if *healthEvery > 0 {
-		eng = health.New(health.Config{
-			Interval: *healthEvery,
-			Registry: tgt.Telemetry(),
-			Capture:  health.CaptureConfig{Dir: *incidentDir},
-		})
-		if _, err := health.BindTarget(eng, tgt, bound, nil); err != nil {
-			log.Fatal(err)
-		}
-		if mounts != nil {
-			if _, err := health.BindNamespace(eng, mounts, nil, nil); err != nil {
-				log.Fatal(err)
-			}
-		}
-		eng.Start()
-		defer eng.Close()
-		if *incidentDir != "" {
-			log.Printf("nvmecrd: health engine every %v, incidents to %s", *healthEvery, *incidentDir)
-		} else {
-			log.Printf("nvmecrd: health engine every %v", *healthEvery)
-		}
-	}
 	var head *mirrorHead
 	if *mirror != "" {
-		head, err = startMirror(eng, tgt.Telemetry(), *mirror, *mirrorReplicas, *mirrorUnitKB, *mirrorJournal)
+		head, err = startMirror(tgt.Telemetry(), *mirror, *mirrorReplicas, *mirrorUnitKB, *mirrorJournal)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -121,11 +95,11 @@ func main() {
 		if head != nil {
 			mig = head.migrator
 		}
-		adminAddr, err := startAdmin(*admin, tgt, mounts, qosCtrl, eng, mig)
+		adminAddr, err := startAdmin(*admin, tgt, mounts, qosCtrl, mig)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("nvmecrd: admin on http://%s (/metrics, /health, /healthz, /debug/pprof)", adminAddr)
+		log.Printf("nvmecrd: admin on http://%s (/metrics, /healthz, /debug/flight, /debug/pprof)", adminAddr)
 	}
 
 	stop := make(chan os.Signal, 1)

@@ -1,24 +1,20 @@
 // Mirror-head mode: with -mirror, nvmecrd also acts as an initiator
 // that aggregates remote member targets into one R-way mirrored
-// striped plane (RAID-10 shape), wires a health subject per member
-// (TCP liveness probes through the engine's hysteresis), and runs the
-// rebalance migration plane: when a member is demoted to dead, its
-// stripes are re-replicated onto a freshly dialed spare while traffic
-// continues, journaled so an interrupted move resumes or rolls back on
-// restart. Progress is served on the admin listener at /rebalance and
-// in /metrics (nvmecr_rebalance_* series).
+// striped plane (RAID-10 shape) and runs the rebalance migration
+// plane: on POST /rebalance?child=N a member's stripes are
+// re-replicated onto a freshly dialed spare while traffic continues,
+// journaled so an interrupted move resumes or rolls back on restart.
+// Progress is served on the admin listener at /rebalance and in
+// /metrics (nvmecr_rebalance_* series).
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"strings"
 	"time"
 
-	"github.com/nvme-cr/nvmecr/internal/health"
 	"github.com/nvme-cr/nvmecr/internal/nvmeof"
 	"github.com/nvme-cr/nvmecr/internal/plane"
 	"github.com/nvme-cr/nvmecr/internal/rebalance"
@@ -32,7 +28,6 @@ type mirrorHead struct {
 	plane    *nvmeof.StripedPlane
 	migrator *rebalance.Migrator
 	journal  *rebalance.Journal
-	addrs    []string
 }
 
 // dialMirrorMember connects one member target and wraps it as a plane
@@ -94,12 +89,10 @@ func (d downPlane) Flush(*sim.Proc) error {
 
 // startMirror dials every member in spec (comma-separated addresses,
 // count a multiple of replicas), builds the mirrored plane, opens the
-// migration journal, recovers any interrupted migration, and — when
-// the health engine is running — registers one probed subject per
-// member and arms a dead-triggered migration watch on each. Member
+// migration journal, and recovers any interrupted migration. Member
 // partitions are clamped to the smallest exported namespace so the
 // geometry stays uniform.
-func startMirror(eng *health.Engine, reg *telemetry.Registry, spec string, replicas int, unitKB int64, journalPath string) (*mirrorHead, error) {
+func startMirror(reg *telemetry.Registry, spec string, replicas int, unitKB int64, journalPath string) (*mirrorHead, error) {
 	addrs := strings.Split(spec, ",")
 	for i := range addrs {
 		addrs[i] = strings.TrimSpace(addrs[i])
@@ -205,78 +198,7 @@ func startMirror(eng *health.Engine, reg *telemetry.Registry, spec string, repli
 		}
 	}
 
-	head := &mirrorHead{plane: sp, migrator: mig, journal: journal, addrs: addrs}
-	if eng != nil {
-		if err := head.watch(eng); err != nil {
-			sp.Close()
-			journal.Close()
-			return nil, err
-		}
-	}
-	return head, nil
-}
-
-// watch registers one health subject per member — TCP liveness probes
-// run through the engine's hysteresis — and arms a migration on each
-// member's demotion to dead. Because the spare is a fresh dial of the
-// member's own address, the dead-triggered migration usually cannot
-// dial it (the target is exactly what just went unreachable) and rolls
-// back; a second subscription therefore re-arms the move on the
-// subject's promotion back out of dead, when a fresh dial can succeed.
-func (h *mirrorHead) watch(eng *health.Engine) error {
-	probe := func(addr string) bool {
-		c, err := net.DialTimeout("tcp", addr, 250*time.Millisecond)
-		if err != nil {
-			return false
-		}
-		c.Close()
-		return true
-	}
-	for i, addr := range h.addrs {
-		i, addr := i, addr
-		subj, err := eng.Register(health.SubjectConfig{
-			Kind: "mirror-member",
-			Name: addr,
-			Collect: func() health.Sample {
-				return health.Sample{Live: probe(addr)}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		h.migrator.Watch(subj, i, health.Dead, func(st rebalance.Status, err error) {
-			if err != nil {
-				log.Printf("nvmecrd: migration of member %d (%s): %v", i, addr, err)
-				return
-			}
-			log.Printf("nvmecrd: member %d (%s) migrated: %s, %d bytes", i, addr, st.State, st.Copied)
-		})
-		subj.Subscribe(func(old, new health.State, _ health.Verdict) {
-			if old < health.Dead || new >= health.Dead {
-				return
-			}
-			// The target is reachable again. If the member's slot is
-			// still down — the dead-triggered migration rolled back
-			// because its spare dial hit the unreachable target — rerun
-			// the move now that the dial can land on the restarted
-			// (empty or stale) namespace.
-			if h.plane.State(i) != nvmeof.ChildDown {
-				return
-			}
-			go func() {
-				st, err := h.migrator.Migrate(i, "health:recovered")
-				if err != nil {
-					if errors.Is(err, rebalance.ErrMigrationActive) {
-						return
-					}
-					log.Printf("nvmecrd: re-admission of member %d (%s): %v", i, addr, err)
-					return
-				}
-				log.Printf("nvmecrd: member %d (%s) re-admitted: %s, %d bytes", i, addr, st.State, st.Copied)
-			}()
-		})
-	}
-	return nil
+	return &mirrorHead{plane: sp, migrator: mig, journal: journal}, nil
 }
 
 // Close tears down the plane (and with it every member pool) and the

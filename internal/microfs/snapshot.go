@@ -197,7 +197,7 @@ func (inst *Instance) Recover(p *sim.Proc) error {
 	defer inst.traceSpan(p, "microfs.restart", -1)()
 	hb := inst.pool.BlockSize()
 	snapBase := inst.cfg.LogBytes
-	hdr, err := inst.cfg.Plane.Read(p, snapBase, snapHeaderBytes, 4*model.KB)
+	hdr, err := inst.recoveryRead(p, snapBase, snapHeaderBytes, 4*model.KB)
 	if err != nil {
 		return err
 	}
@@ -216,7 +216,7 @@ func (inst *Instance) Recover(p *sim.Proc) error {
 		if bodyLen > inst.slotCapacity() {
 			return fmt.Errorf("microfs: snapshot header claims %d bytes, slot holds %d", bodyLen, inst.slotCapacity())
 		}
-		body, err := inst.cfg.Plane.Read(p, inst.slotBase(slot), bodyLen, hb)
+		body, err := inst.recoveryRead(p, inst.slotBase(slot), bodyLen, hb)
 		if err != nil {
 			return err
 		}
@@ -237,7 +237,7 @@ func (inst *Instance) Recover(p *sim.Proc) error {
 		inst.snapLen = snapHeaderBytes + bodyLen
 	}
 	err = inst.log.Load(func(off, n int64) ([]byte, error) {
-		return inst.cfg.Plane.Read(p, off, n, hb)
+		return inst.recoveryRead(p, off, n, hb)
 	}, expectEpoch, func(lr wal.LocatedRecord) error {
 		inst.acct.Charge(p, vfs.User, inst.cfg.Host.ReplayPerRecord)
 		if err := inst.replay(lr.Record); err != nil {
@@ -250,6 +250,17 @@ func (inst *Instance) Recover(p *sim.Proc) error {
 	}
 	inst.stats.Recoveries++
 	return nil
+}
+
+// recoveryRead reads bytes Recover restores from. Over a plane that
+// keeps several copies (plane.Resyncer) it makes them agree first: the
+// crashed life's last write may have reached some copies only, and what
+// this life replays must be what any copy replays after it.
+func (inst *Instance) recoveryRead(p *sim.Proc, off, n, cmdUnit int64) ([]byte, error) {
+	if r, ok := inst.cfg.Plane.(plane.Resyncer); ok {
+		return r.ReadResync(p, off, n, cmdUnit)
+	}
+	return inst.cfg.Plane.Read(p, off, n, cmdUnit)
 }
 
 // resetMeta discards DRAM metadata, returning the instance to its

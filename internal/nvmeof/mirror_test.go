@@ -157,11 +157,16 @@ func TestMirroredPlaneDegradedMatrix(t *testing.T) {
 				if err := sp.Write(nil, 0, int64(len(payload)), payload, 0); err != nil {
 					t.Fatal(err)
 				}
-				// Take `down` members of group 0 down.
+				// Take `down` members of group 0 down, noting how often
+				// each was reached before.
+				type touches struct{ reads, writes, flushes int }
+				before := make([]touches, down)
 				for d := 0; d < down; d++ {
 					if err := sp.SetChildDown(sp.Geometry().Member(0, d)); err != nil {
 						t.Fatal(err)
 					}
+					m := mems[sp.Geometry().Member(0, d)]
+					before[d] = touches{m.reads, m.writes, m.flushes}
 				}
 				// Write succeeds degraded, acked on the survivors.
 				payload2 := bytes.Repeat([]byte{0xCD}, 4*unit)
@@ -173,14 +178,16 @@ func TestMirroredPlaneDegradedMatrix(t *testing.T) {
 				if err != nil || !bytes.Equal(got, payload2) {
 					t.Fatalf("degraded read (%d/%d down): err=%v", down, replicas, err)
 				}
-				// Flush barrier succeeds across the attached survivors,
-				// and down members are skipped, not flushed.
+				// Flush barrier succeeds across the attached survivors.
 				if err := sp.Flush(nil); err != nil {
 					t.Fatalf("degraded flush (%d/%d down): %v", down, replicas, err)
 				}
+				// The degraded write, read and flush never reached a
+				// down member.
 				for d := 0; d < down; d++ {
-					if m := mems[sp.Geometry().Member(0, d)]; m.flushes != 0 {
-						t.Errorf("down member %d was flushed", d)
+					m := mems[sp.Geometry().Member(0, d)]
+					if now := (touches{m.reads, m.writes, m.flushes}); now != before[d] {
+						t.Errorf("down member %d was reached: %+v after going down, %+v before", d, now, before[d])
 					}
 				}
 				// Close visits everyone, down members included.

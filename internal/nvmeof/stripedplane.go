@@ -56,11 +56,12 @@ import (
 //
 // Children can be replaced and re-admitted while traffic flows
 // (SetChildDown / BeginRebuild / SyncChunk / SetChildLive) — the
-// migration control plane in internal/rebalance drives that dance off
-// health.Engine verdicts. Child indices are stable for the plane's
-// lifetime: replacement swaps the plane at an index, never reshuffles
-// the slice, so extents resolved against one snapshot can never
-// address the wrong member.
+// migration control plane in internal/rebalance drives that dance.
+// Child indices are stable for the plane's lifetime: replacement swaps
+// the plane at an index, never reshuffles the slice, so extents
+// resolved against one snapshot can never address the wrong member. A
+// new life of the head mounts through ReadResync, which makes the live
+// copies of what it replays agree (docs/replication.md).
 type StripedPlane struct {
 	geo       balancer.StripeGeometry
 	size      int64
@@ -620,17 +621,17 @@ func (n *nilReads) filter(err error) error {
 	return err
 }
 
-// readWhole serves one group extent from a single live member:
-// verify-reads mode reads every live member and repairs divergence;
+// readWhole serves one group extent from a single live member: a
+// verifying read reads every live member and repairs divergence;
 // otherwise one member is picked round-robin (first-live under the
 // simulator, for determinism) and siblings are tried on failure. The
 // result is the serving member's own buffer, in member-local order.
 // errNilRead reports a non-capturing member.
-func (s *StripedPlane) readWhole(p *sim.Proc, live []memberView, e groupExtent, cmdUnit int64) ([]byte, error) {
+func (s *StripedPlane) readWhole(p *sim.Proc, live []memberView, e groupExtent, cmdUnit int64, verify bool) ([]byte, error) {
 	if len(live) == 0 {
 		return nil, fmt.Errorf("nvmeof: read group %d: %w", e.group, ErrNoReplica)
 	}
-	if s.verifyReads.Load() && len(live) > 1 {
+	if verify && len(live) > 1 {
 		return s.readVerify(p, live, e, cmdUnit)
 	}
 	start := 0
@@ -660,8 +661,9 @@ func (s *StripedPlane) readWhole(p *sim.Proc, live []memberView, e groupExtent, 
 // divergent copies from the lowest-index live member (the authority),
 // whose buffer it returns; the other copies go back to the free list.
 // Divergence can only exist on bytes whose write was never
-// acknowledged — an acked write landed on every attached member — so any
-// of the copies is a legal result; picking the lowest index makes repair
+// acknowledged — an acked write landed on every attached member; a head
+// that crashed mid-write leaves one such write — so any of the copies is
+// a legal result; picking the lowest index makes repair
 // deterministic.
 func (s *StripedPlane) readVerify(p *sim.Proc, live []memberView, e groupExtent, cmdUnit int64) ([]byte, error) {
 	copies := make([][]byte, len(live))
@@ -724,8 +726,8 @@ func (s *StripedPlane) readSplit(live []memberView, e groupExtent, out []byte, o
 // members, nothing orders them (no simulated process, no verify) and the
 // extent is large enough to amortize the extra commands. It is the one
 // rule, whether the request touches one group or several.
-func (s *StripedPlane) splits(p *sim.Proc, live []memberView, e groupExtent) bool {
-	return p == nil && len(live) > 1 && e.n >= 2*s.geo.Unit && !s.verifyReads.Load()
+func (s *StripedPlane) splits(p *sim.Proc, live []memberView, e groupExtent, verify bool) bool {
+	return p == nil && len(live) > 1 && e.n >= 2*s.geo.Unit && !verify
 }
 
 // readExtent serves one group's extent into its striped places in out
@@ -734,17 +736,17 @@ func (s *StripedPlane) splits(p *sim.Proc, live []memberView, e groupExtent) boo
 // whenever a split part failed — rather than reasoning about which parts
 // survived. A member's buffer dies here once scattered: it goes back to
 // the free list (plane.Recycle) for the next READ to land in.
-func (s *StripedPlane) readExtent(p *sim.Proc, snap []memberView, e groupExtent, out []byte, off, cmdUnit int64) error {
+func (s *StripedPlane) readExtent(p *sim.Proc, snap []memberView, e groupExtent, out []byte, off, cmdUnit int64, verify bool) error {
 	var liveBuf [inlineChildren]memberView
 	live := s.members(snap, e.group, false, liveBuf[:0])
-	if s.splits(p, live, e) {
+	if s.splits(p, live, e, verify) {
 		err := s.readSplit(live, e, out, off, cmdUnit)
 		if err == nil || errors.Is(err, errNilRead) {
 			return err
 		}
 		inc(&s.failovers)
 	}
-	chunk, err := s.readWhole(p, live, e, cmdUnit)
+	chunk, err := s.readWhole(p, live, e, cmdUnit, verify)
 	if err == nil {
 		s.scatter(out, off, e.group, e.off, chunk)
 		plane.Recycle(chunk)
@@ -758,6 +760,19 @@ func (s *StripedPlane) readExtent(p *sim.Proc, snap []memberView, e groupExtent,
 // request makes the whole read nil (see the type comment), so callers
 // never see a buffer with silent zero holes.
 func (s *StripedPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, error) {
+	return s.read(p, off, length, cmdUnit, s.verifyReads.Load())
+}
+
+// ReadResync implements plane.Resyncer: it reads as verify-reads mode
+// does, whatever SetVerifyReads says, so every live member of each
+// touched group is left holding the bytes of the group's lowest-index
+// live member (the authority), which it returns. With one replica it is
+// Read.
+func (s *StripedPlane) ReadResync(p *sim.Proc, off, length, cmdUnit int64) ([]byte, error) {
+	return s.read(p, off, length, cmdUnit, true)
+}
+
+func (s *StripedPlane) read(p *sim.Proc, off, length, cmdUnit int64, verify bool) ([]byte, error) {
 	if err := s.check(off, length); err != nil {
 		return nil, err
 	}
@@ -770,11 +785,11 @@ func (s *StripedPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]by
 	if touched == 1 {
 		var liveBuf [inlineChildren]memberView
 		e := s.extent(off, length, 0)
-		if live := s.members(snap, e.group, false, liveBuf[:0]); !s.splits(p, live, e) {
+		if live := s.members(snap, e.group, false, liveBuf[:0]); !s.splits(p, live, e, verify) {
 			// One member holds the whole range in order and serves it
 			// whole: nothing to interleave, so its buffer is the result,
 			// the caller's now.
-			out, err := s.readWhole(p, live, e, cmdUnit)
+			out, err := s.readWhole(p, live, e, cmdUnit, verify)
 			if errors.Is(err, errNilRead) {
 				return nil, nil
 			}
@@ -786,7 +801,7 @@ func (s *StripedPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]by
 	out := plane.TakeBuffer(int(length))
 	var nils nilReads
 	err := fanOut(p, touched, func(i int) error {
-		return nils.filter(s.readExtent(p, snap, s.extent(off, length, i), out, off, cmdUnit))
+		return nils.filter(s.readExtent(p, snap, s.extent(off, length, i), out, off, cmdUnit, verify))
 	})
 	if err != nil || nils.seen.Load() {
 		plane.Recycle(out)
@@ -831,4 +846,7 @@ func (s *StripedPlane) Close() error {
 	return firstErr
 }
 
-var _ plane.Plane = (*StripedPlane)(nil)
+var (
+	_ plane.Plane    = (*StripedPlane)(nil)
+	_ plane.Resyncer = (*StripedPlane)(nil)
+)

@@ -58,3 +58,14 @@ type VectorWriter interface {
 	// non-nil (synthetic transfers use Plane.Write with nil data).
 	WriteV(p *sim.Proc, off int64, bufs [][]byte) error
 }
+
+// Resyncer is the optional repair extension of Plane: a plane that keeps
+// several copies of every byte (a mirror) implements it. ReadResync is a
+// Read that first makes every live copy of the range agree with one
+// authority copy, and returns the authority's bytes. A head that crashed
+// mid-write can leave that write on some copies only; recovery reads
+// through ReadResync, so every later life replays the same bytes
+// whichever copy serves it. A plane with one copy reads as Read does.
+type Resyncer interface {
+	ReadResync(p *sim.Proc, off, length, cmdUnit int64) ([]byte, error)
+}

@@ -1,9 +1,8 @@
 // Package rebalance is the migration control plane over the mirrored
-// striped data plane: it consumes health.Engine verdicts — not raw
-// telemetry series — and moves a mirror member's data off a suspect or
-// dead target onto a spare while traffic keeps flowing, journaling
-// every step so an interrupted migration resumes or rolls back cleanly
-// on restart. The data-plane mechanics (member states, write fan-out
+// striped data plane: it moves the data of the mirror member its caller
+// names off a suspect or dead target onto a spare while traffic keeps
+// flowing, journaling every step so an interrupted migration resumes or
+// rolls back cleanly on restart. The data-plane mechanics (member states, write fan-out
 // during rebuild, chunk sync ordering) live in nvmeof.StripedPlane;
 // this package owns the policy and the durability of the process:
 // which member moves, when, onto what, and how a half-done move is
@@ -72,7 +71,7 @@ type Record struct {
 	// written (progress checkpoint; recovery re-sweeps from zero
 	// regardless, the sweep is idempotent).
 	Copied int64 `json:"copied,omitempty"`
-	// Reason is why the migration started ("health:dead", "admin").
+	// Reason is why the migration started ("admin", "crash-test").
 	Reason string `json:"reason,omitempty"`
 }
 

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/nvme-cr/nvmecr/internal/faults"
-	"github.com/nvme-cr/nvmecr/internal/health"
 	"github.com/nvme-cr/nvmecr/internal/nvmeof"
 	"github.com/nvme-cr/nvmecr/internal/plane"
 	"github.com/nvme-cr/nvmecr/internal/telemetry"
@@ -141,30 +140,6 @@ func New(cfg Config) (*Migrator, error) {
 		m.activeG = cfg.Registry.Gauge(MetricActive, nil)
 	}
 	return m, nil
-}
-
-// Watch subscribes the migrator to a health subject's transitions and
-// migrates the given member when the subject is demoted to trigger or
-// worse (use health.Dead for kill-confirmed moves, health.Suspect for
-// eager draining). The migration runs on the health engine's
-// evaluation goroutine's behalf but asynchronously — verdict delivery
-// is never blocked by a sweep. Errors (including an already-active
-// migration for the child) are reported through done, which may be nil.
-func (m *Migrator) Watch(s *health.Subject, child int, trigger health.State, done func(Status, error)) {
-	if trigger <= health.Healthy {
-		trigger = health.Dead
-	}
-	s.Subscribe(func(old, new health.State, v health.Verdict) {
-		if new < trigger || old >= trigger {
-			return
-		}
-		go func() {
-			st, err := m.Migrate(child, "health:"+new.String())
-			if done != nil {
-				done(st, err)
-			}
-		}()
-	})
 }
 
 // Migrate moves one member's data onto a freshly allocated spare:

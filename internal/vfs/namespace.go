@@ -110,8 +110,7 @@ func (m *Mount) admit(op string, bytes int64) error {
 }
 
 // MountStats is a point-in-time summary of one mount's activity — the
-// mount-level analogue of the pool's per-QP snapshot, and the signal
-// set the health engine scores per-tenant SLOs over.
+// mount-level analogue of the pool's per-QP snapshot.
 type MountStats struct {
 	Ops                 uint64 // operations dispatched, all kinds
 	Errors              uint64 // failed operations
@@ -278,8 +277,8 @@ func (ns *Namespace) Mount(cfg MountConfig) (*Mount, error) {
 		m.bytesUsedG = ns.reg.Gauge("nvmecr_mount_quota_bytes_used", labels)
 		m.inodesUsedG = ns.reg.Gauge("nvmecr_mount_quota_inodes_used", labels)
 	} else {
-		// Standalone instruments: Stats stays meaningful (for the
-		// health engine's per-tenant objectives) without a registry.
+		// Standalone instruments: Stats stays meaningful without a
+		// registry.
 		m.bytesWritten = &telemetry.Counter{}
 		m.bytesRead = &telemetry.Counter{}
 		m.rejections = &telemetry.Counter{}

@@ -385,7 +385,7 @@ func TestNamespaceAccountCharging(t *testing.T) {
 }
 
 // TestMountStats covers the aggregate per-mount summary, including the
-// registry-less path the health engine's tenant objectives rely on.
+// registry-less path.
 func TestMountStats(t *testing.T) {
 	for _, withReg := range []bool{true, false} {
 		var reg *telemetry.Registry
