@@ -70,14 +70,15 @@ func TestDeviceBoundBytesPerOp(t *testing.T) {
 // stripe interleaves its members into or a one-group mirror splits its
 // replicas' parts into, while the members' payloads go back to the
 // payload free list for the next READ. Small sequential reads cost the
-// same per byte: the read-ahead window hands out the buffers it
-// fetches, it does not copy out of them. Heap bytes are process-wide
+// same per byte: each is copied out of the read-ahead window into a
+// result of its own, and the window goes back to the free list once
+// spent, for the next fetch to land in. Heap bytes are process-wide
 // (the in-process targets included), so a fresh slice per READ on
 // either end of the socket, a member buffer the stripe drops instead of
 // recycling, or a staging copy in a plane, trips it. Nothing here gives
-// a result back, so a stripe's result, taken from the free list, misses
-// and allocates; the microfs row, whose File.Read recycles each result,
-// holds a striped read to almost nothing.
+// a result back, so a stripe's result or a window's hand-out, taken
+// from the free list, misses and allocates; the microfs rows, whose
+// File.Read recycles each result, hold a read to almost nothing.
 func TestReadPathAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -146,25 +147,34 @@ func TestReadPathAllocBytes(t *testing.T) {
 			t.Errorf("%s: %.3f heap bytes allocated per byte read, want <= %.1f", tc.name, perByte, tc.max)
 		}
 	}
-	t.Run("microfs File.Read, striped(2)", func(t *testing.T) { fileReadAllocBytes(t, striped) })
+	t.Run("microfs File.Read, striped(2)", func(t *testing.T) { fileReadAllocBytes(t, unsimulated{striped}, 1*model.MB) })
+	t.Run("microfs File.Read 16 KiB, tcpplane", func(t *testing.T) {
+		_, pl := writePathPlane(t, 2*childSize)
+		fileReadAllocBytes(t, pl, 16*model.KB)
+	})
 	t.Run("recover", recoverAllocBytes)
 }
 
-// fileReadAllocBytes is the gate one layer up, in the shape of a
-// ckpt_large restart: microfs's File.Read through a 2-target
-// StripedPlane in 1 MiB calls. microfs gives each plane result back to
-// the free list once it has copied it into the caller's buffer, and the
-// next striped read takes its result from there, so a read allocates
-// almost nothing: at most 0.05 heap bytes per byte read. A result
-// microfs drops instead of recycling costs its own size (1.0).
-func fileReadAllocBytes(t *testing.T, striped plane.Plane) {
+// fileReadAllocBytes is the gate one layer up: microfs's File.Read in
+// calls of call bytes. The striped row is a ckpt_large restart, 1 MiB
+// calls through a 2-target StripedPlane; the tcpplane row a ckpt_small
+// one, 16 KiB calls through one plain TCPPlane, whose read-ahead window
+// serves all but the first two calls of each pass. microfs gives each
+// plane result back to the free list once it has copied it into the
+// caller's buffer, and the next read takes its result from there — a
+// striped result, a TCPPlane response, a window's hand-out; a spent
+// window goes back too — so a read allocates almost nothing: at most
+// 0.05 heap bytes per byte read. A result microfs drops instead of
+// recycling costs its own size (1.0). The tcpplane row read 1.13 when
+// each window was a fresh allocation whose hand-outs were slices of it,
+// under the free list's old 128 KiB floor and so never kept.
+func fileReadAllocBytes(t *testing.T, pl plane.Plane, call int64) {
 	const fileBytes = 4 * model.MB
-	const call = 1 * model.MB
 	const max = 0.05
 	env := sim.NewEnv()
 	env.Go("reader", func(p *sim.Proc) {
 		inst, err := microfs.New(env, microfs.Config{
-			Plane: unsimulated{striped}, Features: microfs.AllFeatures(), LogBytes: 1 * model.MB, SnapBytes: 2 * model.MB,
+			Plane: pl, Features: microfs.AllFeatures(), LogBytes: 1 * model.MB, SnapBytes: 2 * model.MB,
 		})
 		if err != nil {
 			t.Error(err)

@@ -15,14 +15,15 @@ import (
 )
 
 // TestPayloadFreeListClasses pins plane's read buffer free list to this
-// transport. Its smallest kept class is readAheadBelow, so a TCPPlane
-// read-ahead hand-out — every one is shorter — is never kept: it would
-// pin its whole window while the list counted only its capacity. Its
+// transport. Its smallest kept class is one 512-byte sector, so the
+// list keeps what small reads hand out: a TCPPlane read-ahead window's
+// results (16 KiB on ckpt_small), which are copied out of the window
+// and alias nothing, and meta_storm's 512 B-4 KiB file reads. Its
 // largest is MaxDataLen, the longest READ payload a capsule carries.
 func TestPayloadFreeListClasses(t *testing.T) {
-	if plane.RecycleMin != readAheadBelow || plane.RecycleMax != MaxDataLen {
-		t.Fatalf("classes [%d, %d], want [readAheadBelow %d, MaxDataLen %d]",
-			plane.RecycleMin, plane.RecycleMax, readAheadBelow, MaxDataLen)
+	if plane.RecycleMin != 512 || plane.RecycleMax != MaxDataLen {
+		t.Fatalf("classes [%d, %d], want [one sector 512, MaxDataLen %d]",
+			plane.RecycleMin, plane.RecycleMax, MaxDataLen)
 	}
 }
 
@@ -117,14 +118,11 @@ func TestWritePayloadLifetimeUnderLoad(t *testing.T) {
 //
 // Break-demos, each run red three times out of three: recycling the
 // one-member result in StripedPlane.Read ("mirror, verify" fails with a
-// kept result overwritten by a later read; the one-group mirror's
-// one-member results are all under two units, shorter than the free
-// list's smallest class, so the list drops them), and recycling the
-// result a stripe scattered into ("raid0" and "mirror, one group",
-// whose reads of two units or more split). A window slice TCPPlane.Read
-// hands out is always shorter than that class too (pinned by
-// TestPayloadFreeListClasses), so recycling one is dropped and stays
-// green here.
+// kept result overwritten by a later read), and recycling the result a
+// stripe scattered into ("raid0" and "mirror, one group", whose reads
+// of two units or more split). A TCPPlane read-ahead hand-out is copied
+// out of the window, and the window goes back only once spent or
+// replaced; TestTCPPlaneReadAheadProperty is that lifetime's suite.
 func TestReadPayloadRecycling(t *testing.T) {
 	const unit = 64 * model.KB
 	const childSize = 8 * model.MB

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/nvme-cr/nvmecr/internal/model"
+	"github.com/nvme-cr/nvmecr/internal/plane"
 )
 
 // dialPlane starts a target with one namespace of size bytes and opens
@@ -73,7 +74,17 @@ func TestTCPPlaneSyntheticWrite(t *testing.T) {
 // writes and gather writes into the fetched-but-unconsumed part of the
 // window, flushes — against a flat in-memory oracle. Every result is
 // scribbled over and appended to once checked, so a result that shared
-// bytes with a later one would corrupt it.
+// bytes with a later one would corrupt it. Then it goes back to the free
+// list, as microfs's File.Read gives it back, and before it does a
+// buffer of its length is taken from the list, scribbled over and given
+// back too, as another reader would: the take comes first, so that it
+// draws a buffer an earlier read gave back, whose window may have been
+// fetched again since. A result that aliased its window would hand that
+// window's unread bytes to the scribbler.
+//
+// Break-demo: a hand-out left as t.win[:length:length] (the window still
+// recycled once spent) is red three times out of three, with
+// "read 522 [2170705,+27402) differs from the oracle".
 func TestTCPPlaneReadAheadProperty(t *testing.T) {
 	const base, size = 1 * model.MB, 6 * model.MB
 	_, addr := startTarget(t, map[uint32]int64{1: 8 * model.MB})
@@ -108,6 +119,12 @@ func TestTCPPlaneReadAheadProperty(t *testing.T) {
 			got[i] = 0xEE
 		}
 		_ = append(got, 0xEE, 0xEE, 0xEE, 0xEE)
+		b := plane.TakeBuffer(len(got))
+		for i := range b {
+			b[i] = 0xDD
+		}
+		plane.Recycle(got)
+		plane.Recycle(b)
 	}
 	write := func(off, n int64, vectored bool) {
 		t.Helper()

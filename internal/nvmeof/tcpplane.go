@@ -34,10 +34,13 @@ var zeros [maxChunk]byte
 // modeled virtual time. It is the plane under every real deployment
 // (cmd/) and the one the end-to-end benchmark (BENCHMARK.json) times.
 //
-// Small sequential reads are served from a consumed read-ahead window
-// (docs/batching.md, "Read path"): one larger READ is fetched and each
-// of its bytes handed to exactly one caller, so a Read result is still
-// owned outright by its caller. The window assumes a single writer: a
+// Small sequential reads are served from a read-ahead window
+// (docs/batching.md, "Read path"): one larger READ is fetched into a
+// buffer the plane owns, and each read copies its bytes out into a
+// result taken from the free list (plane.TakeBuffer), so a Read result
+// is owned outright by its caller and never aliases the window. A spent
+// or replaced window goes back to the free list (plane.Recycle) for the
+// next fetch to land in. The window assumes a single writer: a
 // partition is private to one process (the paper's model) and is opened
 // through one TCPPlane, whose every Write, WriteV and Flush drops the
 // window before touching the target, so a plane never returns bytes
@@ -48,10 +51,11 @@ type TCPPlane struct {
 	base int64
 	size int64
 
-	mu   sync.Mutex // guards the window; held across a window fetch
-	next int64      // where the previous read ended, -1 after a write
-	run  int64      // bytes of the sequential reads that ended at next
-	win  []byte     // fetched and not yet handed out; win[0] is at next
+	mu      sync.Mutex // guards the window; held across a window fetch
+	next    int64      // where the previous read ended, -1 after a write
+	run     int64      // bytes of the sequential reads that ended at next
+	win     []byte     // fetched and not yet handed out; win[0] is at next
+	fetched []byte     // the whole buffer win is the tail of, the plane's alone
 }
 
 // NewTCPPlane opens a partition [base, base+size) of the connected
@@ -77,8 +81,16 @@ func (t *TCPPlane) check(off, length int64) error {
 // dropWindow forgets the read-ahead window and the run that grew it.
 func (t *TCPPlane) dropWindow() {
 	t.mu.Lock()
-	t.next, t.run, t.win = -1, 0, nil
+	t.next, t.run = -1, 0
+	t.releaseWindow()
 	t.mu.Unlock()
+}
+
+// releaseWindow gives the window's buffer back to the free list. No
+// result aliases it, so the plane holds its only reference. t.mu held.
+func (t *TCPPlane) releaseWindow() {
+	plane.Recycle(t.fetched)
+	t.win, t.fetched = nil, nil
 }
 
 // Write implements plane.Plane. Synthetic (nil-data) writes transfer
@@ -180,9 +192,11 @@ func (t *TCPPlane) WriteV(p *sim.Proc, off int64, bufs [][]byte) error {
 // sequential read of a run, like every other read, goes to the target
 // as it is; from the second on, one READ of max(2*length, bytes the run
 // has read so far) — at most maxReuseBuf, which the target serves from
-// its retained buffer, and never past the partition — is fetched and
-// this and the following reads are cut off its front, each as a
-// capacity-limited slice no other result overlaps.
+// its retained buffer, and never past the partition — is fetched into
+// the window, and this and the following reads are copied off its front
+// into results taken from the free list. The window goes back to the
+// free list once spent, and when a non-sequential read, a failed fetch,
+// a Write, a WriteV or a Flush replaces it.
 func (t *TCPPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, error) {
 	if err := t.check(off, length); err != nil {
 		return nil, err
@@ -194,10 +208,11 @@ func (t *TCPPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, 
 	seq := length < readAheadBelow && off == t.next
 	t.next = off + length
 	if !seq || t.run == 0 {
-		t.run, t.win = 0, nil
+		t.run = 0
 		if seq {
 			t.run = length
 		}
+		t.releaseWindow()
 		t.mu.Unlock()
 		return t.readThrough(off, length)
 	}
@@ -205,16 +220,21 @@ func (t *TCPPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, 
 	// dropWindow is ordered after it and discards what it fetched.
 	defer t.mu.Unlock()
 	if int64(len(t.win)) < length {
+		t.releaseWindow()
 		win, err := t.host.ReadAt(t.base+off, min(max(2*length, t.run), maxReuseBuf, t.size-off))
 		if err != nil {
-			t.next, t.run, t.win = -1, 0, nil
+			t.next, t.run = -1, 0
 			return nil, err
 		}
-		t.win = win
+		t.win, t.fetched = win, win
 	}
-	out := t.win[:length:length]
+	out := plane.TakeBuffer(int(length))
+	copy(out, t.win)
 	t.win = t.win[length:]
 	t.run += length
+	if len(t.win) == 0 {
+		t.releaseWindow()
+	}
 	return out, nil
 }
 

@@ -5,16 +5,14 @@ import (
 	"sync"
 )
 
-// The free list keeps buffers in power-of-two classes from RecycleMin
-// to RecycleMax, the longest payload one transport capsule carries. A
-// shorter buffer is not worth a free-list round trip, and may be a
-// capacity-limited slice of a larger one — a read-ahead window's
-// hand-out — that must not be kept while it pins the rest.
+// The free list keeps buffers in power-of-two classes from RecycleMin,
+// one sector, to RecycleMax, the longest payload one transport capsule
+// carries. A shorter buffer is not worth a free-list round trip.
 const (
-	RecycleMin = 1 << recycleMinShift // 128 KiB
+	RecycleMin = 1 << recycleMinShift // 512 B
 	RecycleMax = 1 << recycleMaxShift // 8 MiB
 
-	recycleMinShift = 17
+	recycleMinShift = 9
 	recycleMaxShift = 23
 )
 

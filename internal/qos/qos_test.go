@@ -155,7 +155,8 @@ func TestQuotaBeforeAdmissionClassification(t *testing.T) {
 		BytesPerSec: 1, BytesBurst: 512, // 512 byte tokens, ~no refill
 	})
 
-	ns := vfs.NewNamespace(nil)
+	reg := telemetry.New()
+	ns := vfs.NewNamespace(reg)
 	mnt, err := ns.Mount(vfs.MountConfig{
 		Path:       "/gamma",
 		Backend:    vfs.NewMemBackend(),
@@ -199,10 +200,10 @@ func TestQuotaBeforeAdmissionClassification(t *testing.T) {
 	if _, err := f.Write(nil, make([]byte, 100)); !errors.Is(err, qos.ErrAdmission) {
 		t.Fatalf("within quota, bucket empty: got %v, want ErrAdmission", err)
 	}
-	if st := mnt.Stats(); st.BytesUsed != 512 {
-		t.Fatalf("rejected write leaked quota: bytesUsed %d, want 512", st.BytesUsed)
+	if used, _ := mnt.Usage(); used != 512 {
+		t.Fatalf("rejected write leaked quota: bytesUsed %d, want 512", used)
 	}
-	if st := mnt.Stats(); st.AdmissionRejections == 0 {
+	if reg.Counter("nvmecr_mount_admission_rejections_total", telemetry.Labels{"mount": "gamma"}).Value() == 0 {
 		t.Fatal("mount admission-rejection counter never moved")
 	}
 
@@ -222,7 +223,7 @@ func TestQuotaBeforeAdmissionClassification(t *testing.T) {
 	if err := ns.Unlink(nil, "/gamma/ckpt"); err != nil {
 		t.Fatalf("unlink must bypass admission: %v", err)
 	}
-	if st := mnt.Stats(); st.BytesUsed != 0 {
-		t.Fatalf("unlink did not release quota: %d", st.BytesUsed)
+	if used, _ := mnt.Usage(); used != 0 {
+		t.Fatalf("unlink did not release quota: %d", used)
 	}
 }

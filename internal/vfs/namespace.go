@@ -48,7 +48,6 @@ type Mount struct {
 	name string
 
 	reg          *telemetry.Registry
-	ops          *telemetry.Counter // aggregate across ops; standalone, never registered
 	bytesWritten *telemetry.Counter
 	bytesRead    *telemetry.Counter
 	rejections   *telemetry.Counter
@@ -81,11 +80,8 @@ func (m *Mount) Usage() (bytes, inodes int64) {
 	return m.bytesUsed, m.inodesUsed
 }
 
-// opInc counts one operation in nvmecr_mount_ops_total{mount,op} and
-// the mount's aggregate (the latter is standalone — registering it
-// would double-count against the labeled per-op series).
+// opInc counts one operation in nvmecr_mount_ops_total{mount,op}.
 func (m *Mount) opInc(op string) {
-	m.ops.Inc()
 	if m.reg != nil {
 		m.reg.Counter("nvmecr_mount_ops_total", telemetry.Labels{"mount": m.name, "op": op}).Inc()
 	}
@@ -107,35 +103,6 @@ func (m *Mount) admit(op string, bytes int64) error {
 		return err
 	}
 	return nil
-}
-
-// MountStats is a point-in-time summary of one mount's activity — the
-// mount-level analogue of the pool's per-QP snapshot.
-type MountStats struct {
-	Ops                 uint64 // operations dispatched, all kinds
-	Errors              uint64 // failed operations
-	QuotaRejections     uint64 // operations refused by quota
-	AdmissionRejections uint64 // operations refused by admission control
-	BytesWritten        uint64
-	BytesRead           uint64
-	BytesUsed           int64 // currently charged against the byte quota
-	InodesUsed          int64 // currently charged against the inode quota
-}
-
-// Stats returns the mount's live counters. It works with or without a
-// telemetry registry and is safe for concurrent use.
-func (m *Mount) Stats() MountStats {
-	bytes, inodes := m.Usage()
-	return MountStats{
-		Ops:                 m.ops.Value(),
-		Errors:              m.errsTotal.Value(),
-		QuotaRejections:     m.rejections.Value(),
-		AdmissionRejections: m.admRejects.Value(),
-		BytesWritten:        m.bytesWritten.Value(),
-		BytesRead:           m.bytesRead.Value(),
-		BytesUsed:           bytes,
-		InodesUsed:          inodes,
-	}
 }
 
 // fault consults the mount's fault plan at an operation dispatch point.
@@ -266,7 +233,8 @@ func (ns *Namespace) Mount(cfg MountConfig) (*Mount, error) {
 	if name == "" {
 		name = path
 	}
-	m := &Mount{cfg: cfg, path: path, name: name, reg: ns.reg, ops: &telemetry.Counter{}}
+	// Without a registry every instrument stays nil, and counts nothing.
+	m := &Mount{cfg: cfg, path: path, name: name, reg: ns.reg}
 	if ns.reg != nil {
 		labels := telemetry.Labels{"mount": name}
 		m.bytesWritten = ns.reg.Counter("nvmecr_mount_bytes_written_total", labels)
@@ -276,16 +244,6 @@ func (ns *Namespace) Mount(cfg MountConfig) (*Mount, error) {
 		m.errsTotal = ns.reg.Counter("nvmecr_mount_errors_total", labels)
 		m.bytesUsedG = ns.reg.Gauge("nvmecr_mount_quota_bytes_used", labels)
 		m.inodesUsedG = ns.reg.Gauge("nvmecr_mount_quota_inodes_used", labels)
-	} else {
-		// Standalone instruments: Stats stays meaningful without a
-		// registry.
-		m.bytesWritten = &telemetry.Counter{}
-		m.bytesRead = &telemetry.Counter{}
-		m.rejections = &telemetry.Counter{}
-		m.admRejects = &telemetry.Counter{}
-		m.errsTotal = &telemetry.Counter{}
-		m.bytesUsedG = &telemetry.Gauge{}
-		m.inodesUsedG = &telemetry.Gauge{}
 	}
 	ns.mu.Lock()
 	defer ns.mu.Unlock()

@@ -384,61 +384,57 @@ func TestNamespaceAccountCharging(t *testing.T) {
 	}
 }
 
-// TestMountStats covers the aggregate per-mount summary, including the
-// registry-less path.
+// TestMountStats: a mount's summary lives in its registry series — the
+// labeled per-op counts, quota rejections, bytes written and both quota
+// gauges, which agree with Usage. A namespace without a registry keeps
+// no counts at all; its quotas are TestQuotaBytes's and TestQuotaInodes'.
 func TestMountStats(t *testing.T) {
-	for _, withReg := range []bool{true, false} {
-		var reg *telemetry.Registry
-		if withReg {
-			reg = telemetry.New()
-		}
-		ns := NewNamespace(reg)
-		m, err := ns.Mount(MountConfig{
-			Path: "/t", Backend: NewMemBackend(), QuotaBytes: 8,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := ns.Open(nil, "/t/a", O_RDWR|O_CREATE, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(nil, []byte("12345")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(nil, []byte("too much")); err == nil {
-			t.Fatal("quota breach not rejected")
-		}
-		f.Close(nil)
-		if _, err := ns.Stat(nil, "/t/a"); err != nil {
-			t.Fatal(err)
-		}
+	reg := telemetry.New()
+	ns := NewNamespace(reg)
+	m, err := ns.Mount(MountConfig{
+		Path: "/t", Backend: NewMemBackend(), QuotaBytes: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ns.Open(nil, "/t/a", O_RDWR|O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(nil, []byte("12345")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(nil, []byte("too much")); err == nil {
+		t.Fatal("quota breach not rejected")
+	}
+	f.Close(nil)
+	if _, err := ns.Stat(nil, "/t/a"); err != nil {
+		t.Fatal(err)
+	}
 
-		st := m.Stats()
-		if st.Ops < 2 {
-			t.Errorf("withReg=%v: Ops = %d, want >= 2 (open+stat)", withReg, st.Ops)
+	var snap telemetry.RegistrySnapshot
+	var ops uint64
+	for _, in := range reg.Snapshot(&snap).Instruments {
+		if in.Name == "nvmecr_mount_ops_total" && in.Labels["mount"] == "/t" {
+			ops += in.U
 		}
-		if st.QuotaRejections != 1 {
-			t.Errorf("withReg=%v: QuotaRejections = %d, want 1", withReg, st.QuotaRejections)
-		}
-		if st.BytesWritten != 5 {
-			t.Errorf("withReg=%v: BytesWritten = %d, want 5", withReg, st.BytesWritten)
-		}
-		if st.BytesUsed != 5 || st.InodesUsed != 1 {
-			t.Errorf("withReg=%v: usage = %d bytes / %d inodes, want 5/1", withReg, st.BytesUsed, st.InodesUsed)
-		}
-		if withReg {
-			// The aggregate must agree with the labeled per-op series.
-			var snap telemetry.RegistrySnapshot
-			var sum uint64
-			for _, in := range reg.Snapshot(&snap).Instruments {
-				if in.Name == "nvmecr_mount_ops_total" && in.Labels["mount"] == "/t" {
-					sum += in.U
-				}
-			}
-			if sum != st.Ops {
-				t.Errorf("per-op sum %d != aggregate %d", sum, st.Ops)
-			}
-		}
+	}
+	if ops < 2 {
+		t.Errorf("per-op series sum to %d, want >= 2 (open+stat)", ops)
+	}
+	l := telemetry.Labels{"mount": "/t"}
+	if v := reg.Counter("nvmecr_mount_quota_rejections_total", l).Value(); v != 1 {
+		t.Errorf("quota_rejections = %d, want 1", v)
+	}
+	if v := reg.Counter("nvmecr_mount_bytes_written_total", l).Value(); v != 5 {
+		t.Errorf("bytes_written = %d, want 5", v)
+	}
+	bytes, inodes := m.Usage()
+	if bytes != 5 || inodes != 1 {
+		t.Errorf("usage = %d bytes / %d inodes, want 5/1", bytes, inodes)
+	}
+	if b, i := reg.Gauge("nvmecr_mount_quota_bytes_used", l).Value(),
+		reg.Gauge("nvmecr_mount_quota_inodes_used", l).Value(); b != bytes || i != inodes {
+		t.Errorf("quota gauges = %d bytes / %d inodes, Usage says %d/%d", b, i, bytes, inodes)
 	}
 }

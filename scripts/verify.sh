@@ -96,12 +96,14 @@ echo "== go test -race (slot ring + payload lifetimes)"
 # completed payload's bytes is a -race failure here); READ payload
 # recycling, where a buffer handed to a caller must never go back to the
 # free list; microfs's read path, which gives each plane result back
-# once copied and must never give one back before; and the free list
-# itself (internal/plane, its classes pinned to the transport in
+# once copied and must never give one back before; TCPPlane's
+# read-ahead window, whose lifetime ends in plane.Recycle once spent or
+# replaced, with one reader and with two; and the free list itself
+# (internal/plane, its classes pinned to the transport in
 # internal/nvmeof), state every read loop, stripe and file system
 # instance shares behind one mutex. -count=1 defeats the cache so the
 # race detector actually re-executes them.
-go test -race -count=1 -run 'TestIndexRing|TestWritePayloadLifetimeUnderLoad|TestReadPayloadRecycling|TestFileReadRecycling|TestPayloadFreeList' ./internal/nvmeof ./internal/plane
+go test -race -count=1 -run 'TestIndexRing|TestWritePayloadLifetimeUnderLoad|TestReadPayloadRecycling|TestFileReadRecycling|TestPayloadFreeList|TestTCPPlaneReadAheadProperty|TestTCPPlaneConcurrentReaders' ./internal/nvmeof ./internal/plane
 
 echo "== go test -race (mount table / multi-tenant namespace)"
 # The vfs.Namespace is used from live goroutines (nvmecrd -tenants), not
@@ -158,17 +160,25 @@ echo "== allocation gates (transport)"
 # alike), through a RAID-0 stripe and through a one-group mirror whose
 # reads split across both replicas (the result; the member payloads go
 # back to the free list; docs/batching.md, "Read path"), and at most
-# 0.05 B/B through microfs's File.Read over a RAID-0 stripe, which gives
-# each result back for the next striped read to take. New + Recover
+# 0.05 B/B through microfs's File.Read, which gives each result back for
+# the next read to take: over a RAID-0 stripe in 1 MiB calls, and over a
+# plain TCPPlane in 16 KiB calls (ckpt_small's shape, where the
+# read-ahead window goes back to the free list too). New + Recover
 # allocate by the log the crash left, not by the log region: the gate
-# over a meta_storm-shaped log is run by name, so that a rename cannot
-# drop it silently. The write path through microfs allocates one staged
+# over a meta_storm-shaped log and the 16 KiB row are run by name, so
+# that a rename cannot drop them silently, and the 16 KiB row prints its
+# figure. The write path through microfs allocates one staged
 # run per file written in small sequential calls and none for one-write
 # files or 1 MiB calls (docs/batching.md, "Write path: staged runs"):
 # run by name too.
 go test -count=1 -run 'TestBatchedSteadyStateAllocs|TestReadPathAllocBytes' ./internal/nvmeof
 go test -count=1 -v -run 'TestReadPathAllocBytes/recover/meta_storm' ./internal/nvmeof |
 	grep -q -e '--- PASS: TestReadPathAllocBytes/recover/meta_storm'
+go test -count=1 -v -run 'TestReadPathAllocBytes/microfs_File.Read_16_KiB,_tcpplane' ./internal/nvmeof >"$tmp/alloc16k" ||
+	{ cat "$tmp/alloc16k"; exit 1; }
+grep -q -e '--- PASS: TestReadPathAllocBytes/microfs_File.Read_16_KiB,_tcpplane' "$tmp/alloc16k" ||
+	{ echo "TestReadPathAllocBytes/microfs_File.Read_16_KiB,_tcpplane did not run"; exit 1; }
+sed -n '/^=== RUN   TestReadPathAllocBytes\/microfs_File.Read_16_KiB/,/PASS/s/^.*: \([0-9.]* heap bytes\)/microfs File.Read 16 KiB, tcpplane: \1/p' "$tmp/alloc16k"
 go test -count=1 -v -run 'TestWritePathAllocBytes' ./internal/nvmeof |
 	grep -q -e '--- PASS: TestWritePathAllocBytes '
 
