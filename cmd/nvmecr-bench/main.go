@@ -26,10 +26,8 @@ func main() {
 	quick := flag.Bool("quick", false, "run at reduced scale (seconds instead of minutes)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	trace := flag.String("trace", "", "write span events as JSON Lines to `file` (see nvmecr-trace)")
-	camp := flag.String("campaign", "", "run the multi-tenant QoS campaign and write its JSON report to `file` (- for stdout)")
-	campSeed := flag.Int64("campaign-seed", 1, "seed for -campaign")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: nvmecr-bench [-quick] [-list] [-trace file] [-campaign file] [experiment ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: nvmecr-bench [-quick] [-list] [-trace file] [experiment ...]\n")
 		fmt.Fprintf(os.Stderr, "experiments: %s\n", strings.Join(harness.IDs(), " "))
 		flag.PrintDefaults()
 	}
@@ -38,23 +36,6 @@ func main() {
 	if *list {
 		for _, id := range harness.IDs() {
 			fmt.Println(id)
-		}
-		return
-	}
-	if *camp != "" {
-		out := os.Stdout
-		if *camp != "-" {
-			f, err := os.Create(*camp)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "nvmecr-bench: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := runCampaign(out, *campSeed); err != nil {
-			fmt.Fprintf(os.Stderr, "nvmecr-bench: %v\n", err)
-			os.Exit(1)
 		}
 		return
 	}

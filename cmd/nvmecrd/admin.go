@@ -14,9 +14,7 @@ import (
 	"time"
 
 	"github.com/nvme-cr/nvmecr/internal/nvmeof"
-	"github.com/nvme-cr/nvmecr/internal/qos"
 	"github.com/nvme-cr/nvmecr/internal/rebalance"
-	"github.com/nvme-cr/nvmecr/internal/vfs"
 )
 
 // healthzDoc is the structured /healthz response: the target's
@@ -30,14 +28,11 @@ type healthzDoc struct {
 // startAdmin serves /metrics (Prometheus text exposition of the
 // target's registry), /healthz (the target's headline counters as
 // JSON), /debug/flight (the flight recorder's last commands per queue
-// pair), /tenants (the mount table, when -tenants is set), /qos
-// (per-tenant admission buckets, when -qos-ops or -qos-bytes is set),
-// /rebalance (migration progress, and POST ?child=N to start a move,
-// when -mirror is set), and the standard pprof endpoints on addr. It
-// returns the bound address (useful with ":0"). ctrl may be nil (no
-// QoS): /qos answers 404. mig may be nil (no -mirror): /rebalance
-// answers 404.
-func startAdmin(addr string, tgt *nvmeof.Target, mounts *vfs.Namespace, ctrl *qos.Controller, mig *rebalance.Migrator) (string, error) {
+// pair), /rebalance (migration progress, and POST ?child=N to start a
+// move, when -mirror is set), and the standard pprof endpoints on addr.
+// It returns the bound address (useful with ":0"). mig may be nil (no
+// -mirror): /rebalance answers 404.
+func startAdmin(addr string, tgt *nvmeof.Target, mig *rebalance.Migrator) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("admin listener: %w", err)
@@ -85,26 +80,6 @@ func startAdmin(addr string, tgt *nvmeof.Target, mounts *vfs.Namespace, ctrl *qo
 			log.Printf("nvmecrd: /debug/flight: %v", err)
 		}
 	})
-	if mounts != nil {
-		mux.HandleFunc("/tenants", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(tenantTable(mounts)); err != nil {
-				log.Printf("nvmecrd: /tenants: %v", err)
-			}
-		})
-	}
-	if ctrl != nil {
-		mux.HandleFunc("/qos", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(ctrl.Snapshot()); err != nil {
-				log.Printf("nvmecrd: /qos: %v", err)
-			}
-		})
-	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -17,9 +17,7 @@ import (
 
 	"github.com/nvme-cr/nvmecr/internal/model"
 	"github.com/nvme-cr/nvmecr/internal/nvmeof"
-	"github.com/nvme-cr/nvmecr/internal/qos"
 	"github.com/nvme-cr/nvmecr/internal/rebalance"
-	"github.com/nvme-cr/nvmecr/internal/vfs"
 )
 
 func main() {
@@ -30,9 +28,6 @@ func main() {
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval (0 disables)")
 	qpStats := flag.Bool("qp-stats", false, "also report per-queue-pair stats each interval")
 	admin := flag.String("admin", "", "admin HTTP listen address for /metrics, /healthz, /debug/flight, pprof (empty disables)")
-	tenants := flag.String("tenants", "", "comma-separated tenant mounts `name[:quota-mb]`; each gets /tenants/<name> on an in-memory backend, with nvmecr_mount_* series on /metrics and the table on /tenants")
-	qosOps := flag.Float64("qos-ops", 0, "per-tenant admission budget in ops/sec for -tenants mounts (0 = unlimited)")
-	qosBytes := flag.Float64("qos-bytes", 0, "per-tenant admission budget in bytes/sec for -tenants mounts (0 = unlimited)")
 	mirror := flag.String("mirror", "", "comma-separated member target addresses to aggregate as a mirrored striped plane (mirror-head mode; count must be a multiple of -mirror-replicas)")
 	mirrorReplicas := flag.Int("mirror-replicas", 2, "replicas per mirror group in -mirror mode")
 	mirrorUnitKB := flag.Int64("mirror-unit-kb", 64, "stripe unit in KiB in -mirror mode")
@@ -45,33 +40,6 @@ func main() {
 		if err := tgt.AddNamespace(uint32(i), ns); err != nil {
 			log.Fatal(err)
 		}
-	}
-	var mounts *vfs.Namespace
-	var qosCtrl *qos.Controller
-	if *tenants != "" {
-		var lim qos.TenantLimits
-		if *qosOps > 0 || *qosBytes > 0 {
-			qosCtrl = qos.NewController(tgt.Telemetry())
-			lim = qos.TenantLimits{OpsPerSec: *qosOps, BytesPerSec: *qosBytes}
-		}
-		ns, err := buildTenantNamespace(tgt.Telemetry(), *tenants, qosCtrl, lim)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mounts = ns
-		for _, m := range ns.Mounts() {
-			qb, _ := m.Quota()
-			if qb > 0 {
-				log.Printf("nvmecrd: tenant %s mounted at %s (quota %d MiB)", m.Name(), m.Path(), qb>>20)
-			} else {
-				log.Printf("nvmecrd: tenant %s mounted at %s (no quota)", m.Name(), m.Path())
-			}
-		}
-		if qosCtrl != nil {
-			log.Printf("nvmecrd: qos admission on tenant mounts (%g ops/s, %g bytes/s per tenant)", *qosOps, *qosBytes)
-		}
-	} else if *qosOps > 0 || *qosBytes > 0 {
-		log.Fatal("nvmecrd: -qos-ops/-qos-bytes require -tenants")
 	}
 	bound, err := tgt.Listen(*addr)
 	if err != nil {
@@ -95,7 +63,7 @@ func main() {
 		if head != nil {
 			mig = head.migrator
 		}
-		adminAddr, err := startAdmin(*admin, tgt, mounts, qosCtrl, mig)
+		adminAddr, err := startAdmin(*admin, tgt, mig)
 		if err != nil {
 			log.Fatal(err)
 		}

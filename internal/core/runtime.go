@@ -23,7 +23,6 @@ import (
 	"github.com/nvme-cr/nvmecr/internal/nvme"
 	"github.com/nvme-cr/nvmecr/internal/nvmeof"
 	"github.com/nvme-cr/nvmecr/internal/plane"
-	"github.com/nvme-cr/nvmecr/internal/qos"
 	"github.com/nvme-cr/nvmecr/internal/sim"
 	"github.com/nvme-cr/nvmecr/internal/spdk"
 	"github.com/nvme-cr/nvmecr/internal/telemetry"
@@ -332,34 +331,6 @@ func (rt *Runtime) Namespace(reg *telemetry.Registry) (*vfs.Namespace, error) {
 			Path:    fmt.Sprintf("/rank%04d", rank),
 			Backend: c,
 			Name:    fmt.Sprintf("rank%04d", rank),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return ns, nil
-}
-
-// NamespaceQoS is Namespace with per-rank admission control: every
-// rank's mount gets its own qos tenant (named like the mount,
-// "rank%04d") registered on ctrl with the given limits, so one rank
-// saturating its budget is throttled with qos.ErrAdmission instead of
-// inflating its neighbors' latency. Quotas on the mounts still
-// classify first (see vfs.MountConfig.Admission).
-func (rt *Runtime) NamespaceQoS(reg *telemetry.Registry, ctrl *qos.Controller, lim qos.TenantLimits) (*vfs.Namespace, error) {
-	if ctrl == nil {
-		return nil, fmt.Errorf("core: NamespaceQoS requires a controller")
-	}
-	ns := vfs.NewNamespace(reg)
-	for rank, c := range rt.clients {
-		if c == nil {
-			return nil, fmt.Errorf("core: rank %d not initialized; call NamespaceQoS after InitRank", rank)
-		}
-		name := fmt.Sprintf("rank%04d", rank)
-		if _, err := ns.Mount(vfs.MountConfig{
-			Path:      "/" + name,
-			Backend:   c,
-			Name:      name,
-			Admission: ctrl.Tenant(name, lim),
 		}); err != nil {
 			return nil, err
 		}

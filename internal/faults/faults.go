@@ -20,8 +20,8 @@
 //     in-flight IO
 //
 // Every injection is appended to the plan's trace (for test failure
-// messages) and counted in the nvmecr_faults_injected_total telemetry
-// series when Instrument has been called.
+// messages) and emitted as a "fault.injected" event when WithTracer has
+// been called.
 package faults
 
 import (
@@ -271,7 +271,6 @@ type Plan struct {
 	trace []Injection
 	seq   int64
 
-	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
 }
 
@@ -305,17 +304,6 @@ func (p *Plan) Elapsed() time.Duration {
 		return 0
 	}
 	return time.Since(p.start)
-}
-
-// Instrument counts every injection in reg as
-// nvmecr_faults_injected_total{layer,kind}.
-func (p *Plan) Instrument(reg *telemetry.Registry) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.reg = reg
-	p.mu.Unlock()
 }
 
 // WithTracer emits one "fault.injected" event per injection into tr.
@@ -406,12 +394,6 @@ func (p *Plan) Eval(pt Point) (Injection, bool) {
 		Point: pt,
 	}
 	p.trace = append(p.trace, inj)
-	if p.reg != nil {
-		p.reg.Counter("nvmecr_faults_injected_total", telemetry.Labels{
-			"layer": pt.Layer.String(),
-			"kind":  hit.Kind.String(),
-		}).Inc()
-	}
 	if p.tracer != nil {
 		p.tracer.Emit(telemetry.Event{
 			Name: "fault.injected", Rank: pt.Rank,

@@ -128,19 +128,20 @@ func TestNilPlanIsNoop(t *testing.T) {
 }
 
 func TestTelemetryAndTraceWiring(t *testing.T) {
-	reg := telemetry.New()
+	var out strings.Builder
+	tr := telemetry.NewTracer(&out)
 	p := NewPlan(9, Rule{Layer: LayerNVMe, Nth: 1, Kind: KindMediaError})
-	p.Instrument(reg)
+	p.WithTracer(tr)
 	p.Eval(Point{Layer: LayerNVMe, Op: "write", Rank: 0})
-	got := reg.Counter("nvmecr_faults_injected_total", telemetry.Labels{
-		"layer": "nvme", "kind": "media-error",
-	}).Value()
-	if got != 1 {
-		t.Fatalf("injected counter = %d, want 1", got)
+	if n := tr.Events(); n != 1 {
+		t.Fatalf("tracer got %d events, want 1", n)
 	}
-	tr := p.FormatTrace()
-	if !strings.Contains(tr, "seed=9") || !strings.Contains(tr, "media-error") {
-		t.Fatalf("FormatTrace missing seed or kind: %q", tr)
+	if ev := out.String(); !strings.Contains(ev, `"fault.injected"`) || !strings.Contains(ev, `"media-error"`) {
+		t.Fatalf("fault event missing name or kind: %q", ev)
+	}
+	ft := p.FormatTrace()
+	if !strings.Contains(ft, "seed=9") || !strings.Contains(ft, "media-error") {
+		t.Fatalf("FormatTrace missing seed or kind: %q", ft)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"github.com/nvme-cr/nvmecr/internal/nvme"
 	"github.com/nvme-cr/nvmecr/internal/nvmeof"
 	"github.com/nvme-cr/nvmecr/internal/plane"
-	"github.com/nvme-cr/nvmecr/internal/qos"
 	"github.com/nvme-cr/nvmecr/internal/sim"
 	"github.com/nvme-cr/nvmecr/internal/spdk"
 	"github.com/nvme-cr/nvmecr/internal/telemetry"
@@ -18,25 +17,20 @@ import (
 
 func init() { register("extmt", extMT) }
 
-// extMT demonstrates the multi-tenant mount table: three tenants share
+// extMT demonstrates the multi-tenant mount table: two tenants share
 // one vfs.Namespace, each behind its own mount with its own backend —
-// tenant alpha on a microfs over a striped two-target data plane,
+// tenant alpha on a microfs over a striped two-target data plane, and
 // tenant beta on an in-memory backend with a deliberately tight byte
-// quota, and tenant gamma behind BOTH a tight quota and a qos admission
-// limit sized to exhaust at the same write. Beta drives itself into
-// ErrNoSpace while alpha's checkpoint traffic runs concurrently; gamma
-// proves the classification ordering — at quota and out of admission
-// tokens simultaneously, the breach reports ErrNoSpace (never a hang,
-// never a misclassified ErrAdmission), while a read on the same mount
-// shows the admission bucket really is empty. The experiment fails
-// unless every breach stays confined to its own mount and the
-// per-mount nvmecr_mount_* series prove the isolation.
+// quota. Beta drives itself into ErrNoSpace while alpha's checkpoint
+// traffic runs concurrently. The experiment fails unless the breach
+// stays confined to beta's mount and the per-mount nvmecr_mount_*
+// series prove the isolation.
 func extMT(opts Options) (*Table, error) {
 	t := &Table{
 		ID:        "extmt",
-		Title:     "EXTENSION — multi-tenant namespace: quota and admission breaches isolated per mount",
-		PaperNote: "beyond the paper: one front door over per-tenant backends; the paper's private namespaces (§III-B) become mounts with quotas, admission control, and telemetry",
-		Header:    []string{"tenant", "backend", "opens", "bytes-written", "quota-rejections", "admission-rejections", "breach"},
+		Title:     "EXTENSION — multi-tenant namespace: quota breaches isolated per mount",
+		PaperNote: "beyond the paper: one front door over per-tenant backends; the paper's private namespaces (§III-B) become mounts with quotas and telemetry",
+		Header:    []string{"tenant", "backend", "opens", "bytes-written", "quota-rejections", "breach"},
 	}
 	r, err := extMTRun(opts)
 	if err != nil {
@@ -44,23 +38,17 @@ func extMT(opts Options) (*Table, error) {
 	}
 	t.AddRow(r.alpha...)
 	t.AddRow(r.beta...)
-	t.AddRow(r.gamma...)
 	return t, nil
 }
 
 // extMTResult carries the formatted table rows.
 type extMTResult struct {
-	alpha, beta, gamma []string
+	alpha, beta []string
 }
 
 // extMTBetaQuota is beta's byte quota; small enough that its workload
 // breaches it within a handful of files.
 const extMTBetaQuota = 96 * model.KB
-
-// extMTGammaQuota is gamma's byte quota AND its admission byte-bucket
-// burst: one full-quota write exhausts both at once, which is exactly
-// the double-limit corner the classification check needs.
-const extMTGammaQuota = 64 * model.KB
 
 func extMTRun(opts Options) (*extMTResult, error) {
 	alphaFiles, alphaBytes := 8, int64(2*model.MB)
@@ -118,20 +106,7 @@ func extMTRun(opts Options) (*extMTResult, error) {
 	}); err != nil {
 		return nil, err
 	}
-	ctrl := qos.NewController(reg)
-	gammaTenant := ctrl.Tenant("gamma", qos.TenantLimits{
-		// Effectively no refill: the burst is the whole budget.
-		BytesPerSec: 1, BytesBurst: float64(extMTGammaQuota),
-	})
-	if _, err := nsp.Mount(vfs.MountConfig{
-		Path: "/tenants/gamma", Backend: vfs.NewMemBackend(), Name: "gamma",
-		QuotaBytes: extMTGammaQuota, QuotaInodes: 64,
-		Admission: gammaTenant,
-	}); err != nil {
-		return nil, err
-	}
-
-	var alphaErr, betaErr, gammaErr error
+	var alphaErr, betaErr error
 	betaBreached := false
 	env.Go("alpha", func(p *sim.Proc) {
 		if err := nsp.Mkdir(p, "/tenants/alpha/ckpt", 0o755); err != nil {
@@ -204,49 +179,6 @@ func extMTRun(opts Options) (*extMTResult, error) {
 			betaErr = err
 		}
 	})
-	env.Go("gamma", func(p *sim.Proc) {
-		// One write drains the byte quota and the admission bucket in
-		// the same stroke.
-		f, err := nsp.Open(p, "/tenants/gamma/full.dat", vfs.O_RDWR|vfs.O_CREATE|vfs.O_EXCL, 0o644)
-		if err != nil {
-			gammaErr = fmt.Errorf("gamma open: %w", err)
-			return
-		}
-		if _, err := vfs.WriteAllN(p, f, extMTGammaQuota, extMTGammaQuota); err != nil {
-			gammaErr = fmt.Errorf("gamma fill write: %w", err)
-			return
-		}
-		// At quota AND out of admission tokens: quota is consulted
-		// first, so the answer is ErrNoSpace — not a hang, not a
-		// misclassified ErrAdmission.
-		_, werr := f.WriteN(p, 16*model.KB)
-		if !errors.Is(werr, vfs.ErrNoSpace) {
-			gammaErr = fmt.Errorf("gamma at both limits: got %v, want ErrNoSpace", werr)
-			return
-		}
-		if errors.Is(werr, qos.ErrAdmission) {
-			gammaErr = fmt.Errorf("gamma breach misclassified as admission: %v", werr)
-			return
-		}
-		// The admission bucket really is empty: a read charges no
-		// quota, so only admission can (and does) reject it.
-		if err := f.SeekTo(0); err != nil {
-			gammaErr = err
-			return
-		}
-		if _, rerr := f.ReadN(p, 4*model.KB); !errors.Is(rerr, qos.ErrAdmission) {
-			gammaErr = fmt.Errorf("gamma read with empty bucket: got %v, want ErrAdmission", rerr)
-			return
-		}
-		if err := f.Close(p); err != nil {
-			gammaErr = err
-			return
-		}
-		// Unlink is admission-exempt: the throttled tenant frees space.
-		if err := nsp.Unlink(p, "/tenants/gamma/full.dat"); err != nil {
-			gammaErr = fmt.Errorf("gamma unlink must bypass admission: %w", err)
-		}
-	})
 	if _, err := env.Run(); err != nil {
 		return nil, err
 	}
@@ -256,36 +188,28 @@ func extMTRun(opts Options) (*extMTResult, error) {
 	if betaErr != nil {
 		return nil, fmt.Errorf("extmt: %w", betaErr)
 	}
-	if gammaErr != nil {
-		return nil, fmt.Errorf("extmt: %w", gammaErr)
-	}
 	if !betaBreached {
 		return nil, fmt.Errorf("extmt: beta never hit its quota")
 	}
 
-	row := func(name, backend string) ([]string, uint64, uint64) {
+	row := func(name, backend string) ([]string, uint64) {
 		l := telemetry.Labels{"mount": name}
 		opens := reg.Counter("nvmecr_mount_ops_total", telemetry.Labels{"mount": name, "op": "open"}).Value()
 		written := reg.Counter("nvmecr_mount_bytes_written_total", l).Value()
 		rej := reg.Counter("nvmecr_mount_quota_rejections_total", l).Value()
-		adm := reg.Counter("nvmecr_mount_admission_rejections_total", l).Value()
 		return []string{
 			name, backend, itoa(int(opens)),
-			fmt.Sprintf("%d", written), itoa(int(rej)), itoa(int(adm)),
-			fmt.Sprintf("%v", rej+adm > 0),
-		}, rej, adm
+			fmt.Sprintf("%d", written), itoa(int(rej)),
+			fmt.Sprintf("%v", rej > 0),
+		}, rej
 	}
-	alphaRow, alphaRej, alphaAdm := row("alpha", "microfs/striped×2")
-	betaRow, betaRej, _ := row("beta", "memory")
-	gammaRow, gammaRej, gammaAdm := row("gamma", "memory+qos")
-	if alphaRej != 0 || alphaAdm != 0 {
-		return nil, fmt.Errorf("extmt: alpha recorded %d quota / %d admission rejections; isolation broken", alphaRej, alphaAdm)
+	alphaRow, alphaRej := row("alpha", "microfs/striped×2")
+	betaRow, betaRej := row("beta", "memory")
+	if alphaRej != 0 {
+		return nil, fmt.Errorf("extmt: alpha recorded %d quota rejections; isolation broken", alphaRej)
 	}
 	if betaRej == 0 {
 		return nil, fmt.Errorf("extmt: beta breached quota but recorded no rejection")
 	}
-	if gammaRej == 0 || gammaAdm == 0 {
-		return nil, fmt.Errorf("extmt: gamma must record both rejection kinds: quota %d, admission %d", gammaRej, gammaAdm)
-	}
-	return &extMTResult{alpha: alphaRow, beta: betaRow, gamma: gammaRow}, nil
+	return &extMTResult{alpha: alphaRow, beta: betaRow}, nil
 }

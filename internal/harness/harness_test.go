@@ -294,34 +294,29 @@ func TestTablePrint(t *testing.T) {
 
 func TestExtMTIsolation(t *testing.T) {
 	// The acceptance pin for the multi-tenant namespace: one harness
-	// run, three tenants on different backends under one vfs.Namespace.
+	// run, two tenants on different backends under one vfs.Namespace.
 	// A quota breach on the memory mount returns ErrNoSpace (the runner
 	// fails otherwise) while the striped-microfs tenant's traffic and
-	// nvmecr_mount_* series stay clean; the gamma tenant sits at a byte
-	// quota AND an empty qos admission bucket simultaneously and must
-	// classify as quota (ErrNoSpace), recording both rejection kinds.
+	// nvmecr_mount_* series stay clean.
 	tab := runQuick(t, "extmt")
-	if len(tab.Rows) != 3 {
-		t.Fatalf("extmt rows = %d, want 3 tenants", len(tab.Rows))
+	if len(tab.Rows) != 2 {
+		t.Fatalf("extmt rows = %d, want 2 tenants", len(tab.Rows))
 	}
 	byName := map[string][]string{}
 	for _, row := range tab.Rows {
 		byName[row[0]] = row
 	}
-	alpha, beta, gamma := byName["alpha"], byName["beta"], byName["gamma"]
-	if alpha == nil || beta == nil || gamma == nil {
+	alpha, beta := byName["alpha"], byName["beta"]
+	if alpha == nil || beta == nil {
 		t.Fatalf("missing tenant rows: %v", tab.Rows)
 	}
 	// Columns: tenant, backend, opens, bytes-written, quota-rejections,
-	// admission-rejections, breach.
-	if alpha[4] != "0" || alpha[5] != "0" || alpha[6] != "false" {
-		t.Errorf("alpha saw quota or admission pressure: %v", alpha)
+	// breach.
+	if alpha[4] != "0" || alpha[5] != "false" {
+		t.Errorf("alpha saw quota pressure: %v", alpha)
 	}
-	if beta[4] == "0" || beta[6] != "true" {
+	if beta[4] == "0" || beta[5] != "true" {
 		t.Errorf("beta should have breached its quota: %v", beta)
-	}
-	if gamma[4] == "0" || gamma[5] == "0" || gamma[6] != "true" {
-		t.Errorf("gamma should have recorded both quota and admission rejections: %v", gamma)
 	}
 	if aw := cell(t, tab, 0, 3); aw <= 0 {
 		t.Errorf("alpha wrote no bytes: %v", alpha)

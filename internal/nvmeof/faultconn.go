@@ -13,10 +13,12 @@ import (
 // HostPool deadlines, idempotent retry, reconnect — against connection
 // resets, truncated or duplicated frames, and blackholed capsules.
 //
-// Write-side points carry the capsule's opcode name as the op
-// ("CONNECT", "READ", "WRITE", …) when the frame starts with a command
-// header — the initiator flushes one capsule per Write, so this is
-// exact for host-side injection — and "write" otherwise. Read-side
+// Write-side points carry the opcode name of the capsule the frame
+// starts with as the op ("CONNECT", "READ", "WRITE", …), and "write"
+// when it starts with no command header. An unbatched initiator flushes
+// one capsule per Write, so there the op is exact. A batching one hands
+// a whole batch to one Write (writeBuffers), so the op names the batch's
+// first capsule and an injection hits every capsule in it. Read-side
 // points use op "read"; the byte stream arrives in arbitrary chunks, so
 // read rules count syscalls, not capsules. Points carry rank -1 and the
 // plan's wall-clock Elapsed time.
@@ -45,10 +47,10 @@ func NewFaultConn(conn net.Conn, plan *faults.Plan) *FaultConn {
 	return &FaultConn{Conn: conn, plan: plan}
 }
 
-// FaultDialer returns a dial function (for HostConfig.Dial or
-// PoolConfig.Dial) that wraps every new connection in a FaultConn.
-// Reconnected queue pairs are wrapped too, so a plan can schedule
-// faults across an outage and its repair.
+// FaultDialer returns a dial function (for PoolConfig.Dial) that wraps
+// every new connection in a FaultConn. Reconnected queue pairs are
+// wrapped too, so a plan can schedule faults across an outage and its
+// repair.
 func FaultDialer(plan *faults.Plan) func(addr string) (net.Conn, error) {
 	return func(addr string) (net.Conn, error) {
 		conn, err := net.Dial("tcp", addr)

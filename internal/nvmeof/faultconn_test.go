@@ -2,7 +2,10 @@ package nvmeof
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -161,4 +164,136 @@ func TestFaultConnBlackholeHitsDeadline(t *testing.T) {
 	if err := h.WriteAt(0, []byte("after the blackhole")); err != nil {
 		t.Fatalf("write after blackholed command: %v", err)
 	}
+}
+
+// TestFaultConnMidWriteResetKeepsAckedWrites resets and delays WRITE
+// frames under concurrent writers on the pool shape production runs: a
+// batching, merging pool of two queue pairs. Each of eight writers owns
+// every eighth 4 KiB block, so a round of writes is contiguous across
+// writers and merges into shared capsules, and a reset takes a whole
+// batch, merged followers included, down with it. Every acknowledged
+// WRITE must read back byte for byte, every failed one must fail within
+// the command deadline, the pool must reconnect, and a later WRITE must
+// succeed.
+func TestFaultConnMidWriteResetKeepsAckedWrites(t *testing.T) {
+	const (
+		writers = 8
+		rounds  = 64
+		block   = 4 * model.KB
+		timeout = 2 * time.Second
+	)
+	_, addr := startTarget(t, map[uint32]int64{1: writers * rounds * block})
+	plan := faults.NewPlan(42,
+		// The pinned reset makes sure at least one fires.
+		faults.Rule{Name: "mid-reset", Layer: faults.LayerTCP, Op: "WRITE",
+			Probability: 0.02, Count: 2, Kind: faults.KindConnReset},
+		faults.Rule{Name: "pinned-reset", Layer: faults.LayerTCP, Op: "WRITE",
+			Nth: 10, Kind: faults.KindConnReset},
+		faults.Rule{Name: "mid-delay", Layer: faults.LayerTCP, Op: "WRITE",
+			Probability: 0.05, Count: 4, Kind: faults.KindDelay, Arg: (2 * time.Millisecond).Nanoseconds()},
+	)
+	pool, err := DialPool(addr, 1, PoolConfig{
+		QueuePairs:       2,
+		CommandTimeout:   timeout,
+		RetryBackoff:     time.Millisecond,
+		ReconnectBackoff: time.Millisecond,
+		Batch:            BatchConfig{Enabled: true, MergeWrites: true},
+		Dial:             FaultDialer(plan),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	blockData := func(k int) []byte {
+		b := make([]byte, block)
+		for i := range b {
+			b[i] = byte(k*7 + i*13)
+		}
+		binary.LittleEndian.PutUint32(b, uint32(k))
+		return b
+	}
+	acked := make([][]bool, writers)
+	var wg sync.WaitGroup
+	fail := make(chan error, writers*rounds)
+	for w := 0; w < writers; w++ {
+		acked[w] = make([]bool, rounds)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				k := r*writers + w
+				start := time.Now()
+				err := pool.WriteAt(int64(k)*block, blockData(k))
+				if err == nil {
+					acked[w][r] = true
+				} else if d := time.Since(start); d >= timeout {
+					fail <- fmt.Errorf("block %d failed after %v (deadline %v): %v", k, d, timeout, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(fail)
+	for err := range fail {
+		t.Errorf("%v\n%s", err, plan.FormatTrace())
+	}
+
+	resets, nacked := 0, 0
+	for _, inj := range plan.Trace() {
+		if inj.Kind == faults.KindConnReset {
+			resets++
+		}
+	}
+	if resets == 0 {
+		t.Fatalf("no reset fired\n%s", plan.FormatTrace())
+	}
+	for w := range acked {
+		for r, ok := range acked[w] {
+			if !ok {
+				continue
+			}
+			nacked++
+			k := r*writers + w
+			got, err := pool.ReadAt(int64(k)*block, block)
+			if err != nil {
+				t.Fatalf("read back block %d: %v", k, err)
+			}
+			if !bytes.Equal(got, blockData(k)) {
+				t.Fatalf("acknowledged block %d reads back different bytes\n%s", k, plan.FormatTrace())
+			}
+		}
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		healthy, reconnects := 0, uint64(0)
+		for _, st := range pool.Snapshot() {
+			if st.Healthy {
+				healthy++
+			}
+			reconnects += st.Reconnects
+		}
+		if healthy == 2 && reconnects >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool never reconnected: %+v", pool.Snapshot())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	after := []byte("after the resets")
+	if err := pool.WriteAt(0, after); err != nil {
+		t.Fatalf("write after reconnect: %v", err)
+	}
+	if got, err := pool.ReadAt(0, int64(len(after))); err != nil || !bytes.Equal(got, after) {
+		t.Fatalf("read after reconnect = %q, %v", got, err)
+	}
+	var merged uint64
+	for _, in := range pool.Telemetry().Snapshot(nil).Instruments {
+		if in.Name == MetricQPBatchMerged {
+			merged += in.U
+		}
+	}
+	t.Logf("%d of %d writes acknowledged, %d resets, %d merged", nacked, writers*rounds, resets, merged)
 }

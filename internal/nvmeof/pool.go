@@ -35,8 +35,10 @@ type PoolConfig struct {
 	// touching the capsule protocol.
 	Dial func(addr string) (net.Conn, error)
 	// MaxRetries is how many extra attempts idempotent commands
-	// (READ, IDENTIFY) get after a transport failure or
-	// timeout (default 2). Non-idempotent commands never retry.
+	// (READ, IDENTIFY) get after a transport failure or timeout, and a
+	// WRITE gets after a refusal that sent nothing: every queue pair
+	// down (ErrNoQueuePairs) or a full slot ring (ErrQueueFull)
+	// (default 2). A WRITE that reached a queue pair never retries.
 	MaxRetries int
 	// RetryBackoff is the initial delay between retries; it doubles
 	// per attempt (default 2ms).
@@ -380,9 +382,11 @@ func (p *HostPool) reconnect(s *qpSlot) {
 }
 
 // do runs one command on a selected queue pair; idempotent commands are
-// retried with backoff on transport failures and timeouts. A completion
-// with a non-OK status is a definitive answer, not a transport failure,
-// and is returned without retrying.
+// retried with backoff on transport failures and timeouts, and every
+// command on a refusal that sent nothing (ErrNoQueuePairs at placement,
+// ErrQueueFull at the slot ring). A completion with a non-OK status is a
+// definitive answer, not a transport failure, and is returned without
+// retrying.
 func (p *HostPool) do(cmd *Command, idempotent bool) (Response, error) {
 	return p.doPayload(cmd, nil, 0, idempotent)
 }
@@ -391,10 +395,7 @@ func (p *HostPool) do(cmd *Command, idempotent bool) (Response, error) {
 // Host.submitPayload). An OK completion whose payload disagrees with the
 // command is ErrBadResponse.
 func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, idempotent bool) (Response, error) {
-	attempts := 1
-	if idempotent {
-		attempts += p.cfg.MaxRetries
-	}
+	attempts := 1 + p.cfg.MaxRetries
 	backoff := p.cfg.RetryBackoff
 	var lastErr error
 	lastQP := -1
@@ -444,6 +445,9 @@ func (p *HostPool) doPayload(cmd *Command, vec [][]byte, vecLen int, idempotent 
 		if transportFailure(err) {
 			p.noteFailure(s, h)
 		}
+		if !idempotent && !errors.Is(err, ErrQueueFull) {
+			return Response{}, err
+		}
 	}
 	if attempts > 1 && lastQP >= 0 {
 		dumpFlight(p.cfg.Tracer, p.flight, lastQP, "retry-exhausted")
@@ -463,8 +467,12 @@ func transportFailure(err error) bool {
 // not copied: it rides to the socket as its own iovec, and the caller
 // must not mutate it until WriteAt returns — and after a timeout not at
 // all, since the abandoned capsule may still be on its way to the
-// socket. WRITE is not retried: the pool cannot know whether a failed
-// round trip mutated the namespace, so the error surfaces to the caller.
+// socket. A WRITE refused before it reached a queue pair — every pair
+// down (ErrNoQueuePairs) or a full slot ring (ErrQueueFull) — cannot
+// have changed the namespace, and retries within MaxRetries and
+// RetryBackoff. A WRITE that reached a queue pair is not retried: the
+// pool cannot know whether a failed round trip mutated the namespace,
+// so the error surfaces to the caller.
 func (p *HostPool) WriteAt(off int64, data []byte) error {
 	if err := capsuleLimit("write", int64(len(data))); err != nil {
 		return err
@@ -476,7 +484,7 @@ func (p *HostPool) WriteAt(off int64, data []byte) error {
 // WriteAtV writes the concatenation of bufs at the namespace offset
 // as ONE command, without copying them into a staging buffer: each buf
 // rides to the socket as its own iovec, under the same aliasing contract
-// as WriteAt. Like WriteAt, it is not retried.
+// as WriteAt. It retries exactly when WriteAt does.
 func (p *HostPool) WriteAtV(off int64, bufs [][]byte) error {
 	total := vecBytes(bufs)
 	if total == 0 {

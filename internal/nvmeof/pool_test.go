@@ -166,6 +166,101 @@ func TestPoolRetryAfterQueuePairFailure(t *testing.T) {
 	}
 }
 
+// TestPoolRetriesRefusedWrite: a WRITE that finds every queue pair down
+// is refused at placement, before any byte reaches the wire, so it
+// cannot have changed the namespace. It retries within MaxRetries and
+// RetryBackoff: it lands once the re-dial does, and is refused with
+// ErrNoQueuePairs once the budget is spent. The pool's Dial holds every
+// re-dial until the test releases it.
+func TestPoolRetriesRefusedWrite(t *testing.T) {
+	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
+	var gate atomic.Pointer[chan struct{}]
+	// One send per held re-dial, and a subtest holds at most one: the
+	// buffer keeps a dial from blocking on a signal no one reads.
+	dialing := make(chan struct{}, 2)
+	dial := func(a string) (net.Conn, error) {
+		if g := gate.Load(); g != nil {
+			dialing <- struct{}{}
+			<-*g
+		}
+		return net.Dial("tcp", a)
+	}
+	// sever closes the pool's only connection with re-dials held, and
+	// returns the function that lets them through.
+	sever := func(pool *HostPool) func() {
+		g := make(chan struct{})
+		gate.Store(&g)
+		pool.slots[0].mu.Lock()
+		h := pool.slots[0].host
+		pool.slots[0].mu.Unlock()
+		h.conn.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for h.Healthy() {
+			if time.Now().After(deadline) {
+				t.Fatal("queue pair still healthy after its connection closed")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		var once sync.Once
+		return func() { once.Do(func() { gate.Store(nil); close(g) }) }
+	}
+
+	t.Run("lands after reconnect", func(t *testing.T) {
+		// The backoff is long enough for the release below to land
+		// inside it.
+		pool, err := DialPool(addr, 1, PoolConfig{
+			QueuePairs: 1, MaxRetries: 2, RetryBackoff: 250 * time.Millisecond,
+			ReconnectBackoff: time.Millisecond, Dial: dial,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+		release := sever(pool)
+		defer release()
+		done := make(chan error, 1)
+		go func() { done <- pool.WriteAt(0, []byte("refused-then-landed")) }()
+		select {
+		case <-dialing:
+		case err := <-done:
+			t.Fatalf("write returned %v before the pool re-dialled", err)
+		case <-time.After(5 * time.Second):
+			t.Fatal("the refused write never started a re-dial")
+		}
+		release()
+		if err := <-done; err != nil {
+			t.Fatalf("write refused while a reconnect was in reach: %v", err)
+		}
+		got, err := pool.ReadAt(0, 19)
+		if err != nil || string(got) != "refused-then-landed" {
+			t.Fatalf("read back %q, %v", got, err)
+		}
+	})
+
+	t.Run("refused once the budget is spent", func(t *testing.T) {
+		pool, err := DialPool(addr, 1, PoolConfig{
+			QueuePairs: 1, MaxRetries: 2, RetryBackoff: 5 * time.Millisecond,
+			ReconnectBackoff: time.Millisecond, Dial: dial,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		release := sever(pool)
+		start := time.Now()
+		err = pool.WriteAt(0, []byte("never-lands"))
+		elapsed := time.Since(start)
+		release()
+		pool.Close()
+		if !errors.Is(err, ErrNoQueuePairs) {
+			t.Fatalf("write with every queue pair down: got %v, want ErrNoQueuePairs", err)
+		}
+		// Two retries wait 5 ms and then 10 ms.
+		if elapsed < 15*time.Millisecond {
+			t.Fatalf("write refused after %v: it did not wait out its retry budget", elapsed)
+		}
+	})
+}
+
 func TestPoolReconnectAfterTargetRestart(t *testing.T) {
 	tgt := NewTarget()
 	if err := tgt.AddNamespace(1, NewMemNamespace(model.MB)); err != nil {

@@ -34,11 +34,6 @@ type MountConfig struct {
 	// mount (faults.LayerVFS points, op = "open", "write", …): per-
 	// tenant fault plans without touching the shared backend layers.
 	Faults *faults.Plan
-	// Admission, when non-nil, is the tenant's admission-control hook
-	// (token buckets in internal/qos): consulted after quota
-	// reservation and before the backend, on every operation except
-	// unlink. Rejections are immediate and typed — never a hang.
-	Admission Admission
 }
 
 // Mount is one live mount: configuration plus quota usage and telemetry.
@@ -51,7 +46,6 @@ type Mount struct {
 	bytesWritten *telemetry.Counter
 	bytesRead    *telemetry.Counter
 	rejections   *telemetry.Counter
-	admRejects   *telemetry.Counter
 	errsTotal    *telemetry.Counter
 	bytesUsedG   *telemetry.Gauge
 	inodesUsedG  *telemetry.Gauge
@@ -89,21 +83,6 @@ func (m *Mount) opInc(op string) {
 
 // errInc counts one failed operation.
 func (m *Mount) errInc() { m.errsTotal.Inc() }
-
-// admit consults the mount's admission hook. Callers invoke it after
-// quota reservation (quota classification wins) and before the backend
-// call; a rejection is counted in
-// nvmecr_mount_admission_rejections_total{mount}.
-func (m *Mount) admit(op string, bytes int64) error {
-	if m.cfg.Admission == nil {
-		return nil
-	}
-	if err := m.cfg.Admission.Admit(op, bytes); err != nil {
-		m.admRejects.Inc()
-		return err
-	}
-	return nil
-}
 
 // fault consults the mount's fault plan at an operation dispatch point.
 // Stall/delay kinds sleep and let the operation proceed; every other
@@ -240,7 +219,6 @@ func (ns *Namespace) Mount(cfg MountConfig) (*Mount, error) {
 		m.bytesWritten = ns.reg.Counter("nvmecr_mount_bytes_written_total", labels)
 		m.bytesRead = ns.reg.Counter("nvmecr_mount_bytes_read_total", labels)
 		m.rejections = ns.reg.Counter("nvmecr_mount_quota_rejections_total", labels)
-		m.admRejects = ns.reg.Counter("nvmecr_mount_admission_rejections_total", labels)
 		m.errsTotal = ns.reg.Counter("nvmecr_mount_errors_total", labels)
 		m.bytesUsedG = ns.reg.Gauge("nvmecr_mount_quota_bytes_used", labels)
 		m.inodesUsedG = ns.reg.Gauge("nvmecr_mount_quota_inodes_used", labels)
@@ -423,11 +401,6 @@ func (ns *Namespace) Mkdir(p *sim.Proc, path string, mode uint32) error {
 		m.errInc()
 		return err
 	}
-	if err := m.admit("mkdir", 0); err != nil {
-		m.releaseInode()
-		m.errInc()
-		return err
-	}
 	if err := m.cfg.Backend.Mkdir(p, rel, mode); err != nil {
 		m.releaseInode()
 		m.errInc()
@@ -475,15 +448,6 @@ func (ns *Namespace) Open(p *sim.Proc, path string, flags OpenFlags, mode uint32
 			m.errInc()
 			return nil, err
 		}
-	}
-	// Admission runs after the inode-quota reservation: a tenant at
-	// both limits is classified as out of quota, not out of tokens.
-	if err := m.admit("open", 0); err != nil {
-		if creating {
-			m.releaseInode()
-		}
-		m.errInc()
-		return nil, err
 	}
 	f, err := m.cfg.Backend.Open(p, rel, flags, mode)
 	if err != nil {
@@ -570,10 +534,6 @@ func (ns *Namespace) Rename(p *sim.Proc, oldPath, newPath string) error {
 		m.errInc()
 		return ErrPerm
 	}
-	if err := m.admit("rename", 0); err != nil {
-		m.errInc()
-		return err
-	}
 	if err := m.cfg.Backend.Rename(p, relOld, relNew); err != nil {
 		m.errInc()
 		return err
@@ -594,10 +554,6 @@ func (ns *Namespace) ReadDir(p *sim.Proc, dir string) ([]FileInfo, error) {
 	if m != nil {
 		m.opInc("readdir")
 		if err := m.fault(p, "readdir"); err != nil {
-			m.errInc()
-			return nil, err
-		}
-		if err := m.admit("readdir", 0); err != nil {
 			m.errInc()
 			return nil, err
 		}
@@ -660,10 +616,6 @@ func (ns *Namespace) Stat(p *sim.Proc, path string) (FileInfo, error) {
 		m.errInc()
 		return FileInfo{}, err
 	}
-	if err := m.admit("stat", 0); err != nil {
-		m.errInc()
-		return FileInfo{}, err
-	}
 	info, err := m.cfg.Backend.Stat(p, rel)
 	if err != nil {
 		full := joinNS(m.path, rel)
@@ -717,13 +669,6 @@ func (f *mountFile) write(p *sim.Proc, n int64, do func() (int64, error)) (int64
 		f.m.errInc()
 		return 0, err
 	}
-	// Admission after the quota reservation: at quota AND over the
-	// admission limit must classify as ErrNoSpace, not ErrAdmission.
-	if err := f.m.admit("write", n); err != nil {
-		f.m.releaseBytes(growth)
-		f.m.errInc()
-		return 0, err
-	}
 	wrote, err := do()
 	if wrote < 0 {
 		wrote = 0
@@ -754,10 +699,6 @@ func (f *mountFile) Read(p *sim.Proc, buf []byte) (int, error) {
 		f.m.errInc()
 		return 0, err
 	}
-	if err := f.m.admit("read", int64(len(buf))); err != nil {
-		f.m.errInc()
-		return 0, err
-	}
 	n, err := f.File.Read(p, buf)
 	f.noteRead(int64(n))
 	return n, err
@@ -765,10 +706,6 @@ func (f *mountFile) Read(p *sim.Proc, buf []byte) (int, error) {
 
 func (f *mountFile) ReadN(p *sim.Proc, n int64) (int64, error) {
 	if err := f.m.fault(p, "read"); err != nil {
-		f.m.errInc()
-		return 0, err
-	}
-	if err := f.m.admit("read", n); err != nil {
 		f.m.errInc()
 		return 0, err
 	}

@@ -11,9 +11,10 @@ import (
 
 // TestConcurrentMultiTenant hammers one namespace from real goroutines
 // — one per tenant mount plus cross-tenant readers — under -race. The
-// simulation never runs goroutines concurrently, but MemBackend-backed
-// namespaces are also used from live daemons (nvmecrd -tenants), so the
-// mount table, quota counters, and telemetry must be race-clean.
+// simulation never runs goroutines concurrently, but the end-to-end
+// benchmark's ranks mount, unmount and write through one shared
+// namespace from their own goroutines, so the mount table, quota
+// counters, and telemetry must be race-clean.
 func TestConcurrentMultiTenant(t *testing.T) {
 	reg := telemetry.New()
 	ns := NewNamespace(reg)

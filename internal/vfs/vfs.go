@@ -125,22 +125,6 @@ func (f OpenFlags) String() string {
 	return b.String()
 }
 
-// Admission is the per-tenant admission-control hook a mount consults
-// before dispatching an operation to its backend (internal/qos's
-// *Tenant implements it). Admit must decide synchronously: nil admits
-// the operation, a typed error (qos.ErrAdmission) rejects it — it must
-// never block, so an over-limit tenant is told "no" immediately rather
-// than hung. The mount dispatch consults quotas before admission, so a
-// tenant that is simultaneously over quota and over its admission
-// limit gets the quota error (ErrNoSpace), never a misclassified
-// admission error; unlink is exempt so a throttled tenant can always
-// free space.
-type Admission interface {
-	// Admit charges one operation of `bytes` payload (0 for metadata
-	// operations) against the tenant's budget.
-	Admit(op string, bytes int64) error
-}
-
 // Backend is one filesystem implementation: the seven operations a
 // storage system must provide to serve a mount in a Namespace. Methods
 // block the calling simulation process for the modeled duration of the

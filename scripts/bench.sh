@@ -28,9 +28,6 @@
 #   - mirrored R=2 writes >= 0.45x RAID-0 (ideal 0.5x: every byte hits
 #     two devices) and mirrored reads >= 0.9x RAID-0 (replica-split
 #     reads keep RAID-0 read bandwidth)
-#   - multi-tenant QoS (BENCH_qos.json via nvmecr-bench -campaign):
-#     victim p99.9 with one admission-limited aggressor <= 3x its solo
-#     p99.9, and Jain's fairness index >= 0.8 across 4 equal tenants
 #   - bulk placement: two synchronous 1 MiB readers on a batching pool
 #     of two queue pairs >= 1.2x one reader on one (each bulk transfer
 #     gets a connection of its own; fill-first for them measured 1.0x).
@@ -144,31 +141,6 @@ if [ "$gate" = 1 ]; then
 	}
 	awk -v r="$mr" 'BEGIN { exit (r >= 0.9 ? 0 : 1) }' || {
 		echo "FAIL: mirror read regression — R=2 at ${mr}x RAID-0, below 0.9x gate (replica read-split broken?)" >&2
-		exit 1
-	}
-fi
-
-# Gate 6: multi-tenant QoS holds the victim's tail and stays fair.
-# nvmecr-bench -campaign runs the duel scenario (victim vs an
-# admission-limited aggressor over real TCP targets) and the equal-4
-# fairness scenario, and itself fails on any campaign invariant
-# violation (lost commands, telemetry drift). Full runs only: the quick
-# mode's 200ms samples are fine for throughput but the campaign's tail
-# quantiles need the real run.
-if [ "$gate" = 1 ]; then
-	qout="${BENCH_QOS_OUT:-BENCH_qos.json}"
-	echo "== nvmecr-bench -campaign (multi-tenant QoS)"
-	go run ./cmd/nvmecr-bench -campaign "$qout"
-	echo "== wrote $qout"
-	vratio="$(sed -n 's/.*"victim_p999_ratio": \([0-9.eE+-]*\).*/\1/p' "$qout" | head -1)"
-	jain="$(sed -n 's/.*"jain_equal4": \([0-9.eE+-]*\).*/\1/p' "$qout" | head -1)"
-	echo "== qos victim p99.9 under aggressor: ${vratio}x solo (gate: <= 3x), jain(4 equal tenants): ${jain} (gate: >= 0.8)"
-	awk -v r="$vratio" 'BEGIN { exit (r > 0 && r <= 3.0 ? 0 : 1) }' || {
-		echo "FAIL: qos isolation regression — victim p99.9 at ${vratio}x solo, above the 3x gate" >&2
-		exit 1
-	}
-	awk -v j="$jain" 'BEGIN { exit (j >= 0.8 ? 0 : 1) }' || {
-		echo "FAIL: qos fairness regression — Jain index ${jain} below the 0.8 gate" >&2
 		exit 1
 	}
 fi
