@@ -191,39 +191,6 @@ func BenchmarkAblationCoalescing(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPrivateNamespace compares private namespaces against
-// the emulated global-namespace lock under a create-heavy load.
-func BenchmarkAblationPrivateNamespace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		run := func(global bool) float64 {
-			opts := Options{Mode: RemoteSPDK, Features: AllFeatures(), GlobalNamespace: global}
-			job, err := NewJob(JobConfig{Ranks: 32, Options: opts})
-			if err != nil {
-				b.Fatal(err)
-			}
-			const files = 32
-			elapsed, err := job.Run(func(ctx *RankCtx) error {
-				for j := 0; j < files; j++ {
-					f, err := ctx.FS.Open(ctx.Proc, fmt.Sprintf("/f%03d", j), vfs.O_WRONLY|vfs.O_CREATE|vfs.O_EXCL, 0o644)
-					if err != nil {
-						return err
-					}
-					if err := f.Close(ctx.Proc); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return float64(32*files) / elapsed.Seconds()
-		}
-		b.ReportMetric(run(false), "creates/s-private")
-		b.ReportMetric(run(true), "creates/s-global")
-	}
-}
-
 // BenchmarkAblationProvenance compares compact operation logging against
 // physical journaling (small chunked writes make the journal traffic
 // visible).

@@ -36,7 +36,7 @@ func main() {
 
 	tgt := nvmeof.NewTarget()
 	for i := 1; i <= *count; i++ {
-		ns := nvmeof.NewMemNamespaceWithLatency(*sizeMB*model.MB, *latency)
+		ns := nvmeof.NewMemNamespaceWithModel(*sizeMB*model.MB, *latency, 0)
 		if err := tgt.AddNamespace(uint32(i), ns); err != nil {
 			log.Fatal(err)
 		}

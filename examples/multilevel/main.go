@@ -111,7 +111,7 @@ func main() {
 			errs[me] = fmt.Errorf("PFS fallback open: %w", err)
 			return
 		}
-		if _, err := vfs.ReadAllN(p, f, cfg.CheckpointBytesPerRank, cfg.ChunkBytes); err != nil {
+		if _, err := vfs.ReadAllN(p, f, cfg.CheckpointBytesPerRank, comd.ChunkBytes); err != nil {
 			errs[me] = err
 			return
 		}

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"github.com/nvme-cr/nvmecr/internal/nvme"
-	"github.com/nvme-cr/nvmecr/internal/telemetry"
 	"github.com/nvme-cr/nvmecr/internal/topology"
 )
 
@@ -74,20 +73,6 @@ func (a *Allocation) RanksPerSSD() []int {
 		out[s]++
 	}
 	return out
-}
-
-// Instrument publishes the allocation into reg: a ranks-per-SSD gauge
-// per chosen device (the balance the round-robin mapping achieves), and
-// each device's own queue-depth and throughput instruments.
-func (a *Allocation) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	for i, n := range a.RanksPerSSD() {
-		sd := a.SSDs[i]
-		reg.Gauge("nvmecr_balancer_ranks_per_ssd", telemetry.Labels{"device": sd.Device.Name}).Set(int64(n))
-		sd.Device.Instrument(reg)
-	}
 }
 
 // AllocateSSDs chooses `want` SSDs for a job whose ranks run on

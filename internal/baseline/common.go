@@ -39,10 +39,6 @@ type Server struct {
 	metaBytes   int64
 }
 
-// BytesStored returns the payload bytes this server holds (the paper's
-// Figure 7b load metric).
-func (s *Server) BytesStored() int64 { return s.bytesStored }
-
 // MetaBytes returns the metadata bytes this server holds (Table I).
 func (s *Server) MetaBytes() int64 { return s.metaBytes }
 

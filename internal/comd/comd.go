@@ -19,6 +19,14 @@ import (
 	"github.com/nvme-cr/nvmecr/internal/vfs"
 )
 
+// ChunkBytes is the application write() and read() granularity.
+const ChunkBytes = 4 * model.MB
+
+// computePerAtomStep is the virtual compute time per atom per timestep.
+// It calibrates the 448-rank weak-scaling run to ~29 s of total
+// compute, which reproduces the paper's Table II progress rates.
+const computePerAtomStep = 900 * time.Nanosecond
+
 // Config describes one CoMD run.
 type Config struct {
 	// AtomsPerRank drives the compute-phase duration (weak scaling
@@ -33,13 +41,6 @@ type Config struct {
 	// weak-scaling runs write 700 GB over 448 ranks x 10 checkpoints
 	// = ~156 MB per rank per checkpoint.
 	CheckpointBytesPerRank int64
-	// ChunkBytes is the application write() granularity (default 4 MB).
-	ChunkBytes int64
-	// ComputePerAtomStep is the virtual compute time per atom per
-	// timestep. The default (0.9µs) calibrates the 448-rank weak-
-	// scaling run to ~29 s of total compute, which reproduces the
-	// paper's Table II progress rates.
-	ComputePerAtomStep time.Duration
 	// MultiLevelEvery, when >0 with a SecondTier, sends every k-th
 	// checkpoint to the second tier (multi-level checkpointing; the
 	// paper writes one in ten to Lustre).
@@ -58,12 +59,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.CheckpointBytesPerRank <= 0 {
 		c.CheckpointBytesPerRank = 156 * model.MB
-	}
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 4 * model.MB
-	}
-	if c.ComputePerAtomStep <= 0 {
-		c.ComputePerAtomStep = 900 * time.Nanosecond
 	}
 }
 
@@ -169,7 +164,7 @@ func (a *App) RankBody(r *mpi.Rank, p *sim.Proc) error {
 	var computeTotal time.Duration
 	for ckpt := 0; ckpt < cfg.Checkpoints; ckpt++ {
 		// Compute phase.
-		compute := time.Duration(cfg.AtomsPerRank*int64(cfg.StepsPerInterval)) * cfg.ComputePerAtomStep
+		compute := time.Duration(cfg.AtomsPerRank*int64(cfg.StepsPerInterval)) * computePerAtomStep
 		p.Sleep(compute)
 		computeTotal += compute
 
@@ -187,7 +182,7 @@ func (a *App) RankBody(r *mpi.Rank, p *sim.Proc) error {
 		if err != nil {
 			return fmt.Errorf("rank %d ckpt %d: %w", me, ckpt, err)
 		}
-		if _, err := vfs.WriteAllN(p, f, cfg.CheckpointBytesPerRank, cfg.ChunkBytes); err != nil {
+		if _, err := vfs.WriteAllN(p, f, cfg.CheckpointBytesPerRank, ChunkBytes); err != nil {
 			return fmt.Errorf("rank %d ckpt %d write: %w", me, ckpt, err)
 		}
 		if err := f.Fsync(p); err != nil {
@@ -244,7 +239,7 @@ func (a *App) Recover(r *mpi.Rank, p *sim.Proc, recovered *time.Duration) error 
 	if err != nil {
 		return fmt.Errorf("rank %d recover: %w", me, err)
 	}
-	if _, err := vfs.ReadAllN(p, f, a.cfg.CheckpointBytesPerRank, a.cfg.ChunkBytes); err != nil {
+	if _, err := vfs.ReadAllN(p, f, a.cfg.CheckpointBytesPerRank, ChunkBytes); err != nil {
 		return err
 	}
 	if err := f.Close(p); err != nil {

@@ -61,7 +61,6 @@ func TestWeakScalingRunProducesResult(t *testing.T) {
 		StepsPerInterval:       10,
 		Checkpoints:            3,
 		CheckpointBytesPerRank: 8 * model.MB,
-		ChunkBytes:             1 * model.MB,
 	}
 	env, world, app, rt := buildRun(t, 16, cfg)
 	world.Launch(func(r *mpi.Rank, p *sim.Proc) {
@@ -145,7 +144,7 @@ func TestProgressRateCalibration(t *testing.T) {
 	// scaling gives ~2.9 s of compute per interval.
 	cfg := WeakScaling()
 	cfg.setDefaults()
-	perInterval := time.Duration(cfg.AtomsPerRank*int64(cfg.StepsPerInterval)) * cfg.ComputePerAtomStep
+	perInterval := time.Duration(cfg.AtomsPerRank*int64(cfg.StepsPerInterval)) * computePerAtomStep
 	if perInterval < 2500*time.Millisecond || perInterval > 3500*time.Millisecond {
 		t.Errorf("compute per interval = %v, want ~2.9s", perInterval)
 	}

@@ -13,6 +13,7 @@ import (
 	"github.com/nvme-cr/nvmecr/internal/microfs"
 	"github.com/nvme-cr/nvmecr/internal/model"
 	"github.com/nvme-cr/nvmecr/internal/nvme"
+	"github.com/nvme-cr/nvmecr/internal/nvmeof"
 	"github.com/nvme-cr/nvmecr/internal/plane"
 	"github.com/nvme-cr/nvmecr/internal/sim"
 	"github.com/nvme-cr/nvmecr/internal/spdk"
@@ -99,11 +100,42 @@ func TestCrashPropLogFull(t *testing.T) {
 	crashPropSuite(t, rerunLogFullSeed, crashPropShape{logBytes: 4 * logPageBytes, createHeavy: true})
 }
 
-// crashPropShape is what the two suites vary: the size of the log region,
-// and whether half of all draws create a file.
+// TestCrashPropMirror is the same property over a two-replica mirror
+// (nvmeof.NewMirroredPlane over two capture-on simulated devices) whose
+// head, the process running microfs, crashes once. The plan's write
+// points are drawn at every member write, and once the crash fires on
+// either member neither takes another byte; under a simulated process
+// the mirror writes its members in order, so the last command can reach
+// member 0 and not member 1. After the crash: (a) a life with member 1
+// down and (b) one with member 0 down must each pass the oracle; (c) a
+// life over both members, whose recovery repairs them through
+// plane.Resyncer, must pass it too, and after it member 0 alone and
+// member 1 alone must recover the same namespace with the same bytes in
+// every file. Seeds and modes as in TestCrashProp (pin a printed seed in
+// rerunMirrorSeed).
+//
+// Red before microfs.Recover resynced the blocks of the last replayed
+// write record (resyncLastWrite): 14 of the 200 seeds, 1 of the 25 short
+// ones, all at (c). The first:
+//
+//	crashprop seed 12783053: after the repair, member 0 alone and member 1
+//	alone recover different lives: /ckpt/rank001-step000107-xxx….chk
+//	(45754 bytes) first differs at byte 32768
+//	  #1 torn-then-crash: torn-write(arg=11694) at process/write rank=0
+//
+// The write's record had reached both members ahead of its data, which
+// the torn write left different on the two.
+func TestCrashPropMirror(t *testing.T) {
+	crashPropSuite(t, rerunMirrorSeed, crashPropShape{logBytes: 64 * model.KB, mirror: true})
+}
+
+// crashPropShape is what the suites vary: the size of the log region,
+// whether half of all draws create a file, and whether microfs runs over
+// a two-replica mirror instead of one device.
 type crashPropShape struct {
 	logBytes    int64
 	createHeavy bool
+	mirror      bool
 }
 
 const (
@@ -116,6 +148,8 @@ const (
 	rerunSeed = 0
 	// rerunLogFullSeed is rerunSeed for TestCrashPropLogFull.
 	rerunLogFullSeed = 0
+	// rerunMirrorSeed is rerunSeed for TestCrashPropMirror.
+	rerunMirrorSeed = 0
 
 	// logPageBytes is the WAL device page size this suite runs with: the
 	// atomic log write unit the torn-append rules are quantized to. 512
@@ -256,19 +290,73 @@ func crashPropIteration(t *testing.T, seed int64, shape crashPropShape) {
 	env := sim.NewEnv()
 	params := model.Default()
 	params.SSD.CapacityGB = 1
-	dev := nvme.New(env, "ssd0", params.SSD, true)
-	ns, err := dev.CreateNamespace(64 * model.MB)
-	if err != nil {
-		t.Fatal(err)
-	}
 	acct := &vfs.Account{}
-	base, err := spdk.NewPlane(ns, 0, ns.Size(), params.Host, acct)
+	nmembers := 1
+	if shape.mirror {
+		nmembers = 2
+	}
+	var nss []*nvme.Namespace // one per member
+	for i := 0; i < nmembers; i++ {
+		dev := nvme.New(env, fmt.Sprintf("ssd%d", i), params.SSD, true)
+		ns, err := dev.CreateNamespace(64 * model.MB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nss = append(nss, ns)
+	}
+	// devices opens a fresh plane over every member's namespace: what a
+	// new life of the process starts from.
+	devices := func() ([]plane.Plane, error) {
+		var out []plane.Plane
+		for _, ns := range nss {
+			pl, err := spdk.NewPlane(ns, 0, ns.Size(), params.Host, acct)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, pl)
+		}
+		return out, nil
+	}
+	// stack is the plane microfs runs over: the one member with the
+	// seed's time model, or the two-replica mirror of both members with
+	// the members in down marked down. A mirror is never wrapped in
+	// untimed, which would hide its plane.Resyncer from recovery.
+	stack := func(members []plane.Plane, down ...int) (plane.Plane, error) {
+		if !shape.mirror {
+			return timeModel(seed, members[0]), nil
+		}
+		sp, err := nvmeof.NewMirroredPlane(members, 64*model.KB, 2)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range down {
+			if err := sp.SetChildDown(m); err != nil {
+				return nil, err
+			}
+		}
+		return sp, nil
+	}
+	bases, err := devices()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := faults.NewCrashPlane(base, plan, 0)
+	// The head's crash: one plan, drawn at every member write. Over a
+	// mirror, once it fires on either member neither takes another byte.
+	var crashes []*faults.CrashPlane
+	for _, b := range bases {
+		crashes = append(crashes, faults.NewCrashPlane(b, plan, 0))
+	}
+	members := []plane.Plane{crashes[0]}
+	if shape.mirror {
+		members = []plane.Plane{headMember{crashes[0], crashes}, headMember{crashes[1], crashes}}
+	}
+	crashed := func() bool { return headCrashed(crashes) }
+	head, err := stack(members)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := microfs.Config{
-		Plane:    timeModel(seed, cp),
+		Plane:    head,
 		Host:     params.Host,
 		Features: microfs.AllFeatures(),
 		Account:  acct,
@@ -314,7 +402,6 @@ func crashPropIteration(t *testing.T, seed int64, shape crashPropShape) {
 			pf   *propFile
 		}
 		var open []openFile
-		crashed := func() bool { return cp.Crashed() }
 		// dead: the process is gone (plane crash, torn WAL append, or
 		// epoch kill) — stop issuing operations and go recover.
 		// aborted: the iteration already failed; skip recovery.
@@ -573,116 +660,289 @@ func crashPropIteration(t *testing.T, seed int64, shape crashPropShape) {
 
 		// Crash happened (or the workload simply ended — clean shutdown
 		// is the baseline case). A fresh runtime recovers from the
-		// device through a fault-free plane.
-		recPlane, err := spdk.NewPlane(ns, 0, ns.Size(), params.Host, acct)
-		if err != nil {
-			failf("recovery plane: %v", err)
-			return
-		}
-		rcfg := cfg
-		rcfg.Plane = timeModel(seed, recPlane)
-		rcfg.WrapLogWrite = nil
-		rec, err := microfs.New(env, rcfg)
-		if err != nil {
-			failf("recovery instance: %v", err)
-			return
-		}
-		if err := rec.Recover(p); err != nil {
-			failf("recovery failed: %v", err)
-			return
-		}
-
-		// Prefix durability: every acknowledged file exists, at a size
-		// no smaller than what its last durability point covered and no
-		// larger than what was ever handed to Write, and holds exactly
-		// the written bytes below that size; acknowledged unlinks and
-		// rename sources are absent. The one in-flight (limbo)
-		// operation may have landed or not.
-		check := func(path string, pf *propFile) error {
-			fi, err := rec.Stat(p, path)
+		// device through a fault-free plane; over a mirror, with the
+		// members in down marked down.
+		recoverFrom := func(life string, down ...int) *microfs.Instance {
+			planes, err := devices()
+			var pl plane.Plane
+			if err == nil {
+				pl, err = stack(planes, down...)
+			}
 			if err != nil {
-				return fmt.Errorf("stat: %w", err)
-			}
-			if fi.Size < pf.durable {
-				return fmt.Errorf("recovered at %d bytes, %d were durable (%d written)", fi.Size, pf.durable, pf.written)
-			}
-			if fi.Size > pf.attempted {
-				return fmt.Errorf("recovered at %d bytes, only %d were ever written", fi.Size, pf.attempted)
-			}
-			size := min(fi.Size, pf.written)
-			if size == 0 {
+				failf(life+"recovery plane: %v", err)
 				return nil
 			}
-			f, err := rec.Open(p, path, vfs.O_RDONLY, 0)
+			rcfg := cfg
+			rcfg.Plane = pl
+			rcfg.WrapLogWrite = nil
+			rec, err := microfs.New(env, rcfg)
 			if err != nil {
-				return fmt.Errorf("open: %w", err)
+				failf(life+"recovery instance: %v", err)
+				return nil
 			}
-			defer f.Close(p)
-			buf := make([]byte, size)
-			n, err := f.Read(p, buf)
-			if err != nil || int64(n) != size {
-				return fmt.Errorf("read: n=%d err=%v, want %d bytes", n, err, size)
+			if err := rec.Recover(p); err != nil {
+				failf(life+"recovery failed: %v", err)
+				return nil
 			}
-			if want := patternChunk(pf.idx, 0, size); !bytes.Equal(buf, want) {
-				return fmt.Errorf("recovered bytes differ from the written content below %d (recovered at %d, %d durable, %d written)",
-					size, fi.Size, pf.durable, pf.written)
-			}
-			return nil
+			return rec
 		}
-		for path, pf := range expect {
-			if _, err := rec.Stat(p, path); err != nil {
-				// An unacknowledged unlink or rename whose log record
-				// reached the device before the crash is legitimately
-				// replayed; any other disappearance is a durability bug.
-				if limbo != nil && limbo.src == path {
-					if limbo.kind == "unlink" {
+
+		// verify is the oracle, run on one recovered life.
+		verify := func(rec *microfs.Instance, life string) bool {
+			lifef := func(format string, args ...any) {
+				t.Helper()
+				failf(life+format, args...)
+			}
+			// Prefix durability: every acknowledged file exists, at a size
+			// no smaller than what its last durability point covered and no
+			// larger than what was ever handed to Write, and holds exactly
+			// the written bytes below that size; acknowledged unlinks and
+			// rename sources are absent. The one in-flight (limbo)
+			// operation may have landed or not.
+			check := func(path string, pf *propFile) error {
+				fi, err := rec.Stat(p, path)
+				if err != nil {
+					return fmt.Errorf("stat: %w", err)
+				}
+				if fi.Size < pf.durable {
+					return fmt.Errorf("recovered at %d bytes, %d were durable (%d written)", fi.Size, pf.durable, pf.written)
+				}
+				if fi.Size > pf.attempted {
+					return fmt.Errorf("recovered at %d bytes, only %d were ever written", fi.Size, pf.attempted)
+				}
+				size := min(fi.Size, pf.written)
+				if size == 0 {
+					return nil
+				}
+				f, err := rec.Open(p, path, vfs.O_RDONLY, 0)
+				if err != nil {
+					return fmt.Errorf("open: %w", err)
+				}
+				defer f.Close(p)
+				buf := make([]byte, size)
+				n, err := f.Read(p, buf)
+				if err != nil || int64(n) != size {
+					return fmt.Errorf("read: n=%d err=%v, want %d bytes", n, err, size)
+				}
+				if want := patternChunk(pf.idx, 0, size); !bytes.Equal(buf, want) {
+					return fmt.Errorf("recovered bytes differ from the written content below %d (recovered at %d, %d durable, %d written)",
+						size, fi.Size, pf.durable, pf.written)
+				}
+				return nil
+			}
+			for path, pf := range expect {
+				if _, err := rec.Stat(p, path); err != nil {
+					// An unacknowledged unlink or rename whose log record
+					// reached the device before the crash is legitimately
+					// replayed; any other disappearance is a durability bug.
+					if limbo != nil && limbo.src == path {
+						if limbo.kind == "unlink" {
+							continue
+						}
+						if err := check(limbo.dst, pf); err != nil {
+							lifef("in-flight rename %s -> %s landed, but %s: %v", path, limbo.dst, limbo.dst, err)
+							return false
+						}
 						continue
 					}
-					if err := check(limbo.dst, pf); err != nil {
-						failf("in-flight rename %s -> %s landed, but %s: %v", path, limbo.dst, limbo.dst, err)
-						return
+					lifef("acknowledged file %s missing after recovery: %v", path, err)
+					return false
+				}
+				if err := check(path, pf); err != nil {
+					lifef("file %s: %v", path, err)
+					return false
+				}
+			}
+			for path := range gone {
+				if _, err := rec.Stat(p, path); err == nil {
+					lifef("path %s resurfaced after its removal was acknowledged", path)
+					return false
+				}
+			}
+			// Nothing torn surfaces: every recovered path must be one the
+			// workload actually issued. A path outside the issued set means
+			// replay resurrected a torn record (the record CRC's job to
+			// prevent).
+			var walk func(dir string) bool
+			walk = func(dir string) bool {
+				entries, err := rec.ReadDir(p, dir)
+				if err != nil {
+					lifef("readdir %s after recovery: %v", dir, err)
+					return false
+				}
+				for _, e := range entries {
+					if !issued[e.Path] {
+						lifef("unattributable path %q surfaced after recovery (torn record resurrected?)", e.Path)
+						return false
 					}
-					continue
+					if e.IsDir && !walk(e.Path) {
+						return false
+					}
 				}
-				failf("acknowledged file %s missing after recovery: %v", path, err)
-				return
+				return true
 			}
-			if err := check(path, pf); err != nil {
-				failf("file %s: %v", path, err)
+			return walk("/")
+		}
+
+		if !shape.mirror {
+			if rec := recoverFrom(""); rec != nil {
+				verify(rec, "")
+			}
+			return
+		}
+		// (a), (b): each member alone holds a life the oracle accepts.
+		// A recovery with one member down writes nothing, so each starts
+		// from the crash's bytes.
+		for _, down := range []int{1, 0} {
+			life := fmt.Sprintf("member %d down: ", down)
+			if rec := recoverFrom(life, down); rec == nil || !verify(rec, life) {
 				return
 			}
 		}
-		for path := range gone {
-			if _, err := rec.Stat(p, path); err == nil {
-				failf("path %s resurfaced after its removal was acknowledged", path)
+		// (c): a life over both members repairs them at mount; after it,
+		// each member alone recovers the same namespace and bytes.
+		if rec := recoverFrom("both members: "); rec == nil || !verify(rec, "both members: ") {
+			return
+		}
+		var lives [2]map[string]string
+		for i, down := range []int{1, 0} {
+			life := fmt.Sprintf("after the repair, member %d down: ", down)
+			rec := recoverFrom(life, down)
+			if rec == nil {
 				return
 			}
-		}
-		// Nothing torn surfaces: every recovered path must be one the
-		// workload actually issued. A path outside the issued set means
-		// replay resurrected a torn record (the record CRC's job to
-		// prevent).
-		var walk func(dir string) bool
-		walk = func(dir string) bool {
-			entries, err := rec.ReadDir(p, dir)
+			tree, err := recoveredTree(p, rec)
 			if err != nil {
-				failf("readdir %s after recovery: %v", dir, err)
-				return false
+				failf(life+"%v", err)
+				return
 			}
-			for _, e := range entries {
-				if !issued[e.Path] {
-					failf("unattributable path %q surfaced after recovery (torn record resurrected?)", e.Path)
-					return false
-				}
-				if e.IsDir && !walk(e.Path) {
-					return false
-				}
-			}
-			return true
+			lives[i] = tree
 		}
-		walk("/")
+		if diff := treeDiff(lives[0], lives[1]); diff != "" {
+			failf("after the repair, member 0 alone and member 1 alone recover different lives: %s", diff)
+		}
 	})
 	if _, err := env.Run(); err != nil {
 		t.Fatalf("crashprop seed %d: sim: %v\n%s", seed, err, plan.FormatTrace())
 	}
+}
+
+// headMember is one mirror member under the head's crash: its own
+// CrashPlane draws the plan's write points, and once any member's has
+// crashed the member takes no byte, reads nothing and flushes nothing,
+// as no process is left to send a command.
+type headMember struct {
+	*faults.CrashPlane
+	head []*faults.CrashPlane
+}
+
+func (m headMember) Write(p *sim.Proc, off, length int64, data []byte, cmdUnit int64) error {
+	if headCrashed(m.head) {
+		return nil
+	}
+	return m.CrashPlane.Write(p, off, length, data, cmdUnit)
+}
+
+func (m headMember) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, error) {
+	if headCrashed(m.head) {
+		return nil, errors.New("read after the head crashed (recover with fresh planes)")
+	}
+	return m.CrashPlane.Read(p, off, length, cmdUnit)
+}
+
+func (m headMember) Flush(p *sim.Proc) error {
+	if headCrashed(m.head) {
+		return nil
+	}
+	return m.CrashPlane.Flush(p)
+}
+
+func headCrashed(planes []*faults.CrashPlane) bool {
+	for _, c := range planes {
+		if c.Crashed() {
+			return true
+		}
+	}
+	return false
+}
+
+// recoveredTree lists a recovered life: every path, a directory as "dir"
+// and a file as its bytes.
+func recoveredTree(p *sim.Proc, rec *microfs.Instance) (map[string]string, error) {
+	tree := map[string]string{}
+	var walk func(dir string) error
+	walk = func(dir string) error {
+		entries, err := rec.ReadDir(p, dir)
+		if err != nil {
+			return fmt.Errorf("readdir %s: %w", dir, err)
+		}
+		for _, e := range entries {
+			if e.IsDir {
+				tree[e.Path] = "dir"
+				if err := walk(e.Path); err != nil {
+					return err
+				}
+				continue
+			}
+			data, err := readWhole(p, rec, e.Path, e.Size)
+			if err != nil {
+				return err
+			}
+			tree[e.Path] = string(data)
+		}
+		return nil
+	}
+	return tree, walk("/")
+}
+
+func readWhole(p *sim.Proc, rec *microfs.Instance, path string, size int64) ([]byte, error) {
+	f, err := rec.Open(p, path, vfs.O_RDONLY, 0)
+	if err != nil {
+		return nil, fmt.Errorf("open %s: %w", path, err)
+	}
+	defer f.Close(p)
+	buf := make([]byte, size)
+	if size == 0 {
+		return buf, nil
+	}
+	n, err := f.Read(p, buf)
+	if err != nil || int64(n) != size {
+		return nil, fmt.Errorf("read %s: n=%d err=%v, want %d bytes", path, n, err, size)
+	}
+	return buf, nil
+}
+
+// treeDiff names the first path on which two recovered lives differ, or
+// returns "".
+func treeDiff(a, b map[string]string) string {
+	var paths []string
+	for path := range a {
+		paths = append(paths, path)
+	}
+	for path := range b {
+		if _, ok := a[path]; !ok {
+			paths = append(paths, path)
+		}
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		x, inA := a[path]
+		y, inB := b[path]
+		switch {
+		case !inA || !inB:
+			return fmt.Sprintf("%s exists in only one (member 0 alone: %v, member 1 alone: %v)", path, inA, inB)
+		case x == y:
+		case x == "dir" || y == "dir":
+			return fmt.Sprintf("%s is a directory in only one", path)
+		case len(x) != len(y):
+			return fmt.Sprintf("%s is %d bytes from member 0 alone, %d from member 1 alone", path, len(x), len(y))
+		default:
+			i := 0
+			for x[i] == y[i] {
+				i++
+			}
+			return fmt.Sprintf("%s (%d bytes) first differs at byte %d", path, len(x), i)
+		}
+	}
+	return ""
 }

@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/nvme-cr/nvmecr/internal/balancer"
 	"github.com/nvme-cr/nvmecr/internal/fabric"
@@ -73,9 +72,6 @@ type Options struct {
 	Mode PlaneMode
 	// Features toggles the paper's optimizations (drilldown).
 	Features microfs.Features
-	// GlobalNamespace, when true, routes metadata through an emulated
-	// shared-namespace lock (drilldown "no private namespace" arm).
-	GlobalNamespace bool
 	// NoCoalesce disables log record coalescing (ablation).
 	NoCoalesce bool
 	// LogBytes / SnapBytes size the per-rank metadata regions
@@ -84,13 +80,6 @@ type Options struct {
 	SnapBytes int64
 	// Background enables the per-rank background snapshot thread.
 	Background bool
-	// Host overrides userspace cost constants (defaults to
-	// model.Default().Host).
-	Host model.Host
-	// Telemetry, when non-nil, receives the job's live metrics:
-	// per-device queue depth and throughput, and the balancer's
-	// ranks-per-SSD placement.
-	Telemetry *telemetry.Registry
 	// Tracer, when non-nil, receives virtual-time spans for every
 	// rank's writes, fsyncs, snapshots, and restarts.
 	Tracer *telemetry.Tracer
@@ -127,10 +116,6 @@ func (o *Options) setDefaults() {
 	if o.SnapBytes == 0 {
 		o.SnapBytes = 64 * model.MB
 	}
-	zero := model.Host{}
-	if o.Host == zero {
-		o.Host = model.Default().Host
-	}
 }
 
 // Runtime is one job's NVMe-CR runtime.
@@ -142,7 +127,6 @@ type Runtime struct {
 
 	alloc      *balancer.Allocation
 	namespaces []*nvme.Namespace // one per allocated SSD
-	globalNS   *microfs.GlobalNamespace
 
 	ranksPerSSD []int
 	clients     []*Client // indexed by world rank
@@ -189,10 +173,6 @@ func NewRuntime(env *sim.Env, world *mpi.World, fab *fabric.Fabric, devices []ba
 		clients:     make([]*Client, world.Size()),
 		targetCPUs:  make(map[int]*nvmeof.TargetCPU),
 	}
-	if opts.GlobalNamespace {
-		rt.globalNS = microfs.NewGlobalNamespace(env, 100*time.Microsecond)
-	}
-	alloc.Instrument(opts.Telemetry)
 	rt.namespaces = make([]*nvme.Namespace, len(alloc.SSDs))
 	for i, sd := range alloc.SSDs {
 		size := int64(rt.ranksPerSSD[i]) * opts.BytesPerRank
@@ -236,12 +216,11 @@ func (rt *Runtime) InitRank(p *sim.Proc, r *mpi.Rank) (*Client, error) {
 	inst, err := microfs.New(rt.env, microfs.Config{
 		Plane:      pl,
 		Account:    acct,
-		Host:       rt.opts.Host,
+		Host:       model.Default().Host,
 		Features:   rt.opts.Features,
 		LogBytes:   rt.opts.LogBytes,
 		SnapBytes:  rt.opts.SnapBytes,
 		NoCoalesce: rt.opts.NoCoalesce,
-		GlobalNS:   rt.globalNS,
 		Tracer:     rt.opts.Tracer,
 		Rank:       rank,
 	})
@@ -271,7 +250,7 @@ func (rt *Runtime) InitRank(p *sim.Proc, r *mpi.Rank) (*Client, error) {
 // buildPlane constructs the data-plane stack for one partition according
 // to the configured mode.
 func (rt *Runtime) buildPlane(part balancer.Partition, r *mpi.Rank, acct *vfs.Account) (plane.Plane, error) {
-	local, err := spdk.NewPlane(part.Namespace, part.Base, part.Size, rt.opts.Host, acct)
+	local, err := spdk.NewPlane(part.Namespace, part.Base, part.Size, model.Default().Host, acct)
 	if err != nil {
 		return nil, err
 	}
@@ -314,29 +293,6 @@ func (rt *Runtime) Finalize(p *sim.Proc, r *mpi.Rank) error {
 // Client returns the runtime client for a world rank (nil before
 // InitRank).
 func (rt *Runtime) Client(rank int) *Client { return rt.clients[rank] }
-
-// Namespace assembles a multi-tenant vfs.Namespace over the initialized
-// ranks: rank r's private microfs is mounted at /rank%04d with its rank
-// id as the telemetry label. Call after every rank has run InitRank;
-// reg may be nil to skip per-mount telemetry. The mounts share the
-// ranks' backends, so traffic through the namespace is charged to the
-// owning rank's account exactly as direct client calls are.
-func (rt *Runtime) Namespace(reg *telemetry.Registry) (*vfs.Namespace, error) {
-	ns := vfs.NewNamespace(reg)
-	for rank, c := range rt.clients {
-		if c == nil {
-			return nil, fmt.Errorf("core: rank %d not initialized; call Namespace after InitRank", rank)
-		}
-		if _, err := ns.Mount(vfs.MountConfig{
-			Path:    fmt.Sprintf("/rank%04d", rank),
-			Backend: c,
-			Name:    fmt.Sprintf("rank%04d", rank),
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return ns, nil
-}
 
 // JobStats aggregates per-instance accounting for the paper's Table I.
 type JobStats struct {

@@ -202,7 +202,7 @@ func TestRemoteDataIntegrity(t *testing.T) {
 		// fresh microfs over the same partition.
 		inst2, err := microfs.New(env, microfs.Config{
 			Plane:     mustPlane(t, rt, r, p),
-			Host:      rt.Options().Host,
+			Host:      model.Default().Host,
 			Features:  microfs.AllFeatures(),
 			LogBytes:  rt.Options().LogBytes,
 			SnapBytes: rt.Options().SnapBytes,
@@ -339,5 +339,19 @@ func TestBadOptions(t *testing.T) {
 	})
 	if _, err := env.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDefaultOptions pins the blessed default configuration.
+func TestDefaultOptions(t *testing.T) {
+	o := DefaultOptions()
+	if !o.IsDefaulted() {
+		t.Fatal("DefaultOptions().IsDefaulted() = false")
+	}
+	if o.Mode != RemoteSPDK || !o.Background || !o.Features.Provenance || !o.Features.Hugeblocks {
+		t.Fatalf("DefaultOptions() = %+v, want remote-spdk with all features and background thread", o)
+	}
+	if (Options{}).IsDefaulted() {
+		t.Fatal("zero Options claims to be defaulted")
 	}
 }

@@ -52,9 +52,6 @@ const (
 	// LayerProcess is a whole-process crash point (CrashPlane writes,
 	// harness epoch boundaries).
 	LayerProcess
-	// LayerVFS is the mount dispatch layer (vfs.Namespace): per-mount
-	// fault plans fire here, scoped to one tenant's traffic.
-	LayerVFS
 )
 
 func (l Layer) String() string {
@@ -71,8 +68,6 @@ func (l Layer) String() string {
 		return "wal"
 	case LayerProcess:
 		return "process"
-	case LayerVFS:
-		return "vfs"
 	default:
 		return fmt.Sprintf("Layer(%d)", uint8(l))
 	}

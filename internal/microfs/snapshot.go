@@ -236,6 +236,7 @@ func (inst *Instance) Recover(p *sim.Proc) error {
 		expectEpoch = img.LogEpoch
 		inst.snapLen = snapHeaderBytes + bodyLen
 	}
+	var last wal.Record
 	err = inst.log.Load(func(off, n int64) ([]byte, error) {
 		return inst.recoveryRead(p, off, n, hb)
 	}, expectEpoch, func(lr wal.LocatedRecord) error {
@@ -243,13 +244,40 @@ func (inst *Instance) Recover(p *sim.Proc) error {
 		if err := inst.replay(lr.Record); err != nil {
 			return fmt.Errorf("microfs: replaying %v at %d: %w", lr.Op, lr.Off, err)
 		}
+		last = lr.Record
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	if err := inst.resyncLastWrite(p, last); err != nil {
+		return err
+	}
 	inst.stats.Recoveries++
 	return nil
+}
+
+// resyncLastWrite makes the copies of the data a last replayed write
+// record admits agree. A write is logged before its data lands, so a
+// head that crashed inside the last write's data may have left it on
+// some copies only, and each copy alone would then recover other bytes
+// in that range. Every earlier record's data was on every copy before
+// the next record was logged. Over a plane with one copy it sends
+// nothing.
+func (inst *Instance) resyncLastWrite(p *sim.Proc, rec wal.Record) error {
+	r, ok := inst.cfg.Plane.(plane.Resyncer)
+	if !ok || rec.Op != wal.OpWrite || rec.Length == 0 {
+		return nil
+	}
+	ino, ok := inst.inodes[rec.Inode]
+	if !ok {
+		return nil
+	}
+	hb := inst.pool.BlockSize()
+	_, err := inst.eachRun(ino, int64(rec.Offset), int64(rec.Length), func(run blockRun) error {
+		return r.Resync(p, run.devOff, run.n, hb)
+	})
+	return err
 }
 
 // recoveryRead reads bytes Recover restores from. Over a plane that

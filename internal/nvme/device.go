@@ -28,7 +28,6 @@ import (
 	"github.com/nvme-cr/nvmecr/internal/faults"
 	"github.com/nvme-cr/nvmecr/internal/model"
 	"github.com/nvme-cr/nvmecr/internal/sim"
-	"github.com/nvme-cr/nvmecr/internal/telemetry"
 )
 
 // Op is the NVMe command type.
@@ -110,33 +109,6 @@ type Device struct {
 	bytesRead    int64
 	cmds         int64
 	busy         time.Duration
-
-	// Live telemetry (nil instruments until Instrument is called).
-	tel devTelemetry
-}
-
-// devTelemetry is a device's live instrument set. The zero value is a
-// valid no-op set, so Submit never branches on telemetry being wired.
-type devTelemetry struct {
-	inflight *telemetry.Gauge   // requests submitted and not yet completed
-	commands *telemetry.Counter // NVMe commands issued
-	written  *telemetry.Counter // payload bytes written
-	read     *telemetry.Counter // payload bytes read
-}
-
-// Instrument binds the device's gauges and counters into reg, labeled
-// by device name. The queue-depth gauge counts requests between
-// submission and completion — including time queued on the controller —
-// which is the per-device load signal the balancer's round-robin
-// placement is meant to flatten.
-func (d *Device) Instrument(reg *telemetry.Registry) {
-	l := telemetry.Labels{"device": d.Name}
-	d.tel = devTelemetry{
-		inflight: reg.Gauge("nvmecr_device_inflight", l),
-		commands: reg.Counter("nvmecr_device_commands_total", l),
-		written:  reg.Counter("nvmecr_device_bytes_written_total", l),
-		read:     reg.Counter("nvmecr_device_bytes_read_total", l),
-	}
 }
 
 type volExtent struct {
@@ -237,8 +209,6 @@ func (ns *Namespace) Submit(p *sim.Proc, q *Queue, req Request) ([]byte, error) 
 	}
 	abs := ns.base + req.Offset
 
-	d.tel.inflight.Add(1)
-	defer d.tel.inflight.Add(-1)
 	d.ctrl.Acquire(p)
 	start := p.Now()
 	if inj, ok := d.faults.Eval(faults.Point{
@@ -268,7 +238,6 @@ func (ns *Namespace) Submit(p *sim.Proc, q *Queue, req Request) ([]byte, error) 
 	switch req.Op {
 	case OpWrite:
 		d.bytesWritten += req.Length
-		d.tel.written.Add(uint64(req.Length))
 		if d.capture && req.Data != nil {
 			if err := d.store.Write(abs, req.Data); err != nil {
 				d.ctrl.Release()
@@ -277,7 +246,6 @@ func (ns *Namespace) Submit(p *sim.Proc, q *Queue, req Request) ([]byte, error) 
 		}
 	case OpRead:
 		d.bytesRead += req.Length
-		d.tel.read.Add(uint64(req.Length))
 		if d.capture {
 			out, _ = d.store.Read(abs, req.Length)
 		}
@@ -286,7 +254,6 @@ func (ns *Namespace) Submit(p *sim.Proc, q *Queue, req Request) ([]byte, error) 
 		// flush only costs one command round trip (already charged).
 	}
 	d.cmds += model.CmdsFor(req.Length, req.CmdUnit)
-	d.tel.commands.Add(uint64(model.CmdsFor(req.Length, req.CmdUnit)))
 	d.busy += p.Now() - start
 	d.ctrl.Release()
 	return out, nil

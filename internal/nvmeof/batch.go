@@ -23,8 +23,6 @@ import (
 type BatchConfig struct {
 	// Enabled turns the batcher on.
 	Enabled bool
-	// MaxCommands caps the capsules per flush (default 64).
-	MaxCommands int
 	// MergeWrites additionally coalesces an enqueued WRITE whose range
 	// begins exactly where the previous still-pending WRITE ends into
 	// that command's capsule: one capsule, one target service visit,
@@ -34,16 +32,13 @@ type BatchConfig struct {
 	MergeWrites bool
 }
 
-// batchMaxBytes is the batch budget: a flush is cut when the pending
-// wire bytes reach it. It also bounds merged WRITE payloads.
-const batchMaxBytes = 256 << 10
-
-func (c BatchConfig) withDefaults() BatchConfig {
-	if c.MaxCommands <= 0 {
-		c.MaxCommands = 64
-	}
-	return c
-}
+// The batch budget: a flush is cut at batchMaxCommands capsules or when
+// the pending wire bytes reach batchMaxBytes, which also bounds merged
+// WRITE payloads.
+const (
+	batchMaxCommands = 64
+	batchMaxBytes    = 256 << 10
+)
 
 // batchStat is the flush-time shape of one batch, shared by every
 // command it carried. The fields are atomic because a waiter reads
@@ -254,8 +249,8 @@ func (b *batcher) mergeTarget(cmd *Command, extra int) *hostSlot {
 func (h *Host) flushBatches(b *batcher) {
 	for len(b.pending) > 0 {
 		cut := len(b.pending)
-		if cut > b.cfg.MaxCommands {
-			cut = b.cfg.MaxCommands
+		if cut > batchMaxCommands {
+			cut = batchMaxCommands
 		}
 		wire := 0
 		for i := 0; i < cut; i++ {

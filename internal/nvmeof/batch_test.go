@@ -209,13 +209,13 @@ func TestBatchMergeAdjacentWrites(t *testing.T) {
 }
 
 // TestBatchRespectsBudgets pins the cut points: a run of submissions
-// larger than MaxCommands splits into several flushes, and every
+// larger than batchMaxCommands splits into several flushes, and every
 // command still completes.
 func TestBatchRespectsBudgets(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
 	var gate sync.Mutex
 	p := dialOne(t, addr, 1, PoolConfig{
-		Batch: BatchConfig{Enabled: true, MaxCommands: 4},
+		Batch: BatchConfig{Enabled: true},
 		Dial: func(a string) (net.Conn, error) {
 			c, err := net.Dial("tcp", a)
 			if err != nil {
@@ -227,11 +227,11 @@ func TestBatchRespectsBudgets(t *testing.T) {
 	h := p.slots[0].host
 
 	gate.Lock()
-	const writers = 10
+	const writers = 2*batchMaxCommands + 10
 	errs := make(chan error, writers)
 	for i := 0; i < writers; i++ {
 		go func(i int) {
-			errs <- p.WriteAt(int64(i)*128, []byte(fmt.Sprintf("cmd-%02d", i)))
+			errs <- p.WriteAt(int64(i)*128, []byte(fmt.Sprintf("cmd-%03d", i)))
 		}(i)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -248,12 +248,12 @@ func TestBatchRespectsBudgets(t *testing.T) {
 		}
 	}
 
-	// 9 pending commands drained after the leader's solo flush, cut at
-	// 4 per batch: at least 3 flushes total, and the batch-shape
-	// histogram records one observation per flush.
+	// writers-1 pending commands drained after the leader's solo flush,
+	// cut at batchMaxCommands per batch: at least four flushes total, and
+	// the batch-shape histogram records one observation per flush.
 	flushes := h.tel.batchFlushes.Value()
-	if flushes < 3 {
-		t.Errorf("%d flushes for %d commands with MaxCommands=4, want >= 3", flushes, writers)
+	if flushes < 4 {
+		t.Errorf("%d flushes for %d commands at %d per flush, want >= 4", flushes, writers, batchMaxCommands)
 	}
 	if cmds := h.tel.batchCmds.Count(); cmds != flushes {
 		t.Errorf("batch-commands histogram saw %d flushes, counter says %d", cmds, flushes)

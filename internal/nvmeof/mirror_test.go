@@ -282,7 +282,7 @@ func TestMirroredPlaneReadFailover(t *testing.T) {
 	}
 }
 
-// TestMirroredPlaneReadRepair: verify-reads mode detects a replica
+// TestMirroredPlaneReadRepair: ReadResync detects a replica
 // diverged behind the plane's back and rewrites it from the
 // lowest-index live member before returning.
 func TestMirroredPlaneReadRepair(t *testing.T) {
@@ -301,14 +301,13 @@ func TestMirroredPlaneReadRepair(t *testing.T) {
 	}
 	mems[1].memPlane.mu.Unlock()
 
-	// Default mode: the read is served by SOME replica — possibly the
-	// corrupt one; no verification promise. Just must not error.
+	// Read is served by SOME replica — possibly the corrupt one; no
+	// verification promise. Just must not error.
 	if _, err := sp.Read(nil, 0, int64(len(payload)), 0); err != nil {
 		t.Fatal(err)
 	}
 
-	sp.SetVerifyReads(true)
-	got, err := sp.Read(nil, 0, int64(len(payload)), 0)
+	got, err := sp.ReadResync(nil, 0, int64(len(payload)), 0)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("verify read: err=%v (authority is replica 0)", err)
 	}
@@ -319,7 +318,6 @@ func TestMirroredPlaneReadRepair(t *testing.T) {
 	if !bytes.Equal(mems[0].memPlane.data, mems[1].memPlane.data) {
 		t.Error("replica 1 still diverges after read-repair")
 	}
-	sp.SetVerifyReads(false)
 }
 
 // TestMirroredPlaneRebuildNoLostByte drives the full member-loss dance

@@ -132,7 +132,9 @@ func TestReadPayloadRecycling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetVerifyReads(verify)
+		if verify {
+			return resyncing{m}
+		}
 		return m
 	}
 	for _, tc := range []struct {
@@ -207,6 +209,14 @@ func TestReadPayloadRecycling(t *testing.T) {
 			}
 		})
 	}
+}
+
+// resyncing serves every Read through ReadResync, the one verifying
+// read.
+type resyncing struct{ *StripedPlane }
+
+func (r resyncing) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, error) {
+	return r.ReadResync(p, off, length, cmdUnit)
 }
 
 // unsimulated hands the plane beneath it no simulation process, as the

@@ -47,9 +47,6 @@ type PoolConfig struct {
 	// attempts for a failed queue pair; it doubles per attempt up to
 	// one second (default 10ms).
 	ReconnectBackoff time.Duration
-	// Telemetry is the registry every queue pair records into. Nil
-	// gets a private registry, so Snapshot always reports live counts.
-	Telemetry *telemetry.Registry
 	// Tracer, when non-nil, makes every queue pair stamp every command,
 	// CONNECT included, with a trace ID and emit one correlated
 	// "nvmeof.cmd" span per completion carrying the target-reported
@@ -79,7 +76,6 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	if c.ReconnectBackoff <= 0 {
 		c.ReconnectBackoff = 10 * time.Millisecond
 	}
-	c.Batch = c.Batch.withDefaults()
 	return c
 }
 
@@ -129,10 +125,7 @@ type HostPool struct {
 // individual failures are repaired in the background.
 func DialPool(addr string, nsid uint32, cfg PoolConfig) (*HostPool, error) {
 	cfg = cfg.withDefaults()
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.New()
-	}
+	reg := telemetry.New()
 	p := &HostPool{
 		addr:   addr,
 		nsid:   nsid,
@@ -142,7 +135,7 @@ func DialPool(addr string, nsid uint32, cfg PoolConfig) (*HostPool, error) {
 		flight: NewFlightRecorder(DefaultFlightDepth),
 	}
 	if cfg.Batch.Enabled {
-		p.fill = cfg.Batch.MaxCommands
+		p.fill = batchMaxCommands
 	}
 	for i := 0; i < cfg.QueuePairs; i++ {
 		h, err := p.dialSlot(i)

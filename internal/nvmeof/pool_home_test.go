@@ -135,7 +135,7 @@ func TestPoolHomeByAddress(t *testing.T) {
 		)
 		tgt := NewTarget()
 		// A little device time keeps the submitters overlapping.
-		if err := tgt.AddNamespace(1, NewMemNamespaceWithLatency(4*q, 200*time.Microsecond)); err != nil {
+		if err := tgt.AddNamespace(1, NewMemNamespaceWithModel(4*q, 200*time.Microsecond, 0)); err != nil {
 			t.Fatal(err)
 		}
 		addr, err := tgt.Listen("127.0.0.1:0")

@@ -410,7 +410,7 @@ func TestBatchingPoolFillFirst(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: model.MB})
 	pool, err := DialPool(addr, 1, PoolConfig{
 		QueuePairs: 4,
-		Batch:      BatchConfig{Enabled: true, MaxCommands: 4},
+		Batch:      BatchConfig{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -428,9 +428,9 @@ func TestBatchingPoolFillFirst(t *testing.T) {
 	// Push queue pair 0 to the batch command budget: acquisition must
 	// spill to queue pair 1.
 	h0 := pool.slots[0].host
-	h0.inflightN.Add(4)
+	h0.inflightN.Add(batchMaxCommands)
 	s, _, err := pool.acquire(0, 0)
-	h0.inflightN.Add(-4)
+	h0.inflightN.Add(-batchMaxCommands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,6 +446,7 @@ func TestBatchingPoolFillFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
+	const full = batchMaxCommands
 	for _, tc := range []struct {
 		pool  *HostPool
 		depth []int32
@@ -458,7 +459,8 @@ func TestBatchingPoolFillFirst(t *testing.T) {
 		{pool, []int32{3, 1, 0, 2}, MaxDataLen, 2},
 		{pool, []int32{3, 2, 1, 2}, sockBufSize, 2},
 		{pool, []int32{3, 2, 1, 2}, 512, 0},
-		{pool, []int32{4, 4, 5, 4}, 512, 0},
+		{pool, []int32{full - 1, 0, 0, 0}, 512, 0},
+		{pool, []int32{full + 1, full, full + 2, full}, 512, 1},
 		// No batcher: a small command is placed like a bulk one.
 		{plain, []int32{0, 0, 0, 0}, 512, 0},
 		{plain, []int32{1, 0, 0, 0}, 512, 1},
@@ -533,7 +535,7 @@ func TestPoolPlacementBySize(t *testing.T) {
 	tgt := NewTarget()
 	// A little device time per command keeps every caller's command in
 	// flight while its siblings choose, whatever the scheduler does.
-	if err := tgt.AddNamespace(1, NewMemNamespaceWithLatency(16*model.MB, 4*time.Millisecond)); err != nil {
+	if err := tgt.AddNamespace(1, NewMemNamespaceWithModel(16*model.MB, 4*time.Millisecond, 0)); err != nil {
 		t.Fatal(err)
 	}
 	addr, err := tgt.Listen("127.0.0.1:0")
@@ -660,7 +662,7 @@ func TestPoolFlushIsOneRoundTrip(t *testing.T) {
 func benchPool(b *testing.B, payloadSize int64, deviceLatency time.Duration, cfg PoolConfig) {
 	b.Helper()
 	tgt := NewTarget()
-	if err := tgt.AddNamespace(1, NewMemNamespaceWithLatency(256*model.MB, deviceLatency)); err != nil {
+	if err := tgt.AddNamespace(1, NewMemNamespaceWithModel(256*model.MB, deviceLatency, 0)); err != nil {
 		b.Fatal(err)
 	}
 	addr, err := tgt.Listen("127.0.0.1:0")

@@ -83,8 +83,6 @@ type StripedPlane struct {
 
 	readRR atomic.Uint64 // round-robin cursor for mirror read balance
 
-	verifyReads atomic.Bool
-
 	repairs   atomic.Pointer[telemetry.Counter]
 	failovers atomic.Pointer[telemetry.Counter]
 	degraded  atomic.Pointer[telemetry.Counter]
@@ -216,12 +214,6 @@ func (s *StripedPlane) Child(child int) plane.Plane {
 	defer s.mu.RUnlock()
 	return s.children[child]
 }
-
-// SetVerifyReads toggles read-repair mode: every mirrored read fetches
-// ALL live members, compares, and rewrites divergent copies from the
-// lowest-index live member before returning. Costly (R wire reads per
-// span) — a scrub/forensics mode, not the default.
-func (s *StripedPlane) SetVerifyReads(on bool) { s.verifyReads.Store(on) }
 
 // Instrument publishes the mirror plane's failover/repair/degraded
 // counters into reg.
@@ -760,16 +752,28 @@ func (s *StripedPlane) readExtent(p *sim.Proc, snap []memberView, e groupExtent,
 // request makes the whole read nil (see the type comment), so callers
 // never see a buffer with silent zero holes.
 func (s *StripedPlane) Read(p *sim.Proc, off, length int64, cmdUnit int64) ([]byte, error) {
-	return s.read(p, off, length, cmdUnit, s.verifyReads.Load())
+	return s.read(p, off, length, cmdUnit, false)
 }
 
-// ReadResync implements plane.Resyncer: it reads as verify-reads mode
-// does, whatever SetVerifyReads says, so every live member of each
-// touched group is left holding the bytes of the group's lowest-index
-// live member (the authority), which it returns. With one replica it is
+// ReadResync implements plane.Resyncer: it fetches every live member of
+// each touched group, compares, and rewrites divergent copies, so every
+// live member is left holding the bytes of the group's lowest-index live
+// member (the authority), which it returns. Costly (R wire reads per
+// span): recovery's repair path, never Read's. With one replica it is
 // Read.
 func (s *StripedPlane) ReadResync(p *sim.Proc, off, length, cmdUnit int64) ([]byte, error) {
 	return s.read(p, off, length, cmdUnit, true)
+}
+
+// Resync implements plane.Resyncer: ReadResync without the result. With
+// one replica there is no other copy, and it sends nothing.
+func (s *StripedPlane) Resync(p *sim.Proc, off, length, cmdUnit int64) error {
+	if s.Replicas() < 2 {
+		return nil
+	}
+	out, err := s.read(p, off, length, cmdUnit, true)
+	plane.Recycle(out)
+	return err
 }
 
 func (s *StripedPlane) read(p *sim.Proc, off, length, cmdUnit int64, verify bool) ([]byte, error) {

@@ -310,7 +310,7 @@ func TestStripedPlaneConcurrentOverTCP(t *testing.T) {
 // TestStripedPlaneReadScatterTable walks reads whose offsets and lengths
 // sit on, one before and one after stripe-unit boundaries, over 2 and 3
 // groups unmirrored and 2-way mirrored — healthy, with one member down,
-// and in verify-reads mode — each against one flat plane holding the
+// and through ReadResync — each against one flat plane holding the
 // same bytes. It covers every way a member's buffer is placed into the
 // result: returned as is, scattered whole, scattered per split part,
 // and scattered from the verify path's authority copy.
@@ -335,13 +335,14 @@ func TestStripedPlaneReadScatterTable(t *testing.T) {
 					if err := oracle.Write(nil, 0, sp.Size(), pattern, 0); err != nil {
 						t.Fatal(err)
 					}
+					read := sp.Read
 					switch mode {
 					case "member-down":
 						if err := sp.SetChildDown(sp.Geometry().Member(groups-1, 0)); err != nil {
 							t.Fatal(err)
 						}
 					case "verify":
-						sp.SetVerifyReads(true)
+						read = sp.ReadResync
 					}
 					edges := []int64{-1, 0, 1}
 					for k := int64(0); k <= int64(groups)+1; k++ {
@@ -353,7 +354,7 @@ func TestStripedPlaneReadScatterTable(t *testing.T) {
 									if off < 0 || length <= 0 || off+length > sp.Size() {
 										continue
 									}
-									got, err := sp.Read(nil, off, length, 0)
+									got, err := read(nil, off, length, 0)
 									if err != nil {
 										t.Fatalf("read [%d,+%d): %v", off, length, err)
 									}

@@ -232,7 +232,7 @@ func TestStripedPlaneCommandShape(t *testing.T) {
 // mirror, where a read has no other group to spread over: a read of two
 // units or more with both members live is one part per member, and it
 // is one whole read from one member when it is shorter, when a member
-// is down or under a simulated process; verify mode reads every replica
+// is down or under a simulated process; ReadResync reads every replica
 // whole. Break-demo: restoring the one-group exception in
 // StripedPlane.Read (a read that touches one group is always served
 // whole) turns both split cases red, and TestStripedPlaneCommandShape's
@@ -267,18 +267,21 @@ func TestMirrorOneGroupReadShape(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			sp.SetVerifyReads(tc.verify)
+			read := sp.Read
+			if tc.verify {
+				read = sp.ReadResync
+			}
 			log.take()
 			var got []byte
 			var err error
 			if tc.underProc {
 				env := sim.NewEnv()
-				env.Go("rank", func(p *sim.Proc) { got, err = sp.Read(p, tc.off, tc.n, 0) })
+				env.Go("rank", func(p *sim.Proc) { got, err = read(p, tc.off, tc.n, 0) })
 				if _, runErr := env.Run(); runErr != nil {
 					t.Fatal(runErr)
 				}
 			} else {
-				got, err = sp.Read(nil, tc.off, tc.n, 0)
+				got, err = read(nil, tc.off, tc.n, 0)
 			}
 			if err != nil || !bytes.Equal(got, ref[tc.off:tc.off+tc.n]) {
 				t.Fatalf("read [%d,+%d) differs from what was written (err=%v)", tc.off, tc.n, err)

@@ -44,15 +44,7 @@ type MemNamespace struct {
 // NewMemNamespace creates a namespace of the given size with no modeled
 // device latency.
 func NewMemNamespace(size int64) *MemNamespace {
-	return NewMemNamespaceWithLatency(size, 0)
-}
-
-// NewMemNamespaceWithLatency creates a namespace whose READ and WRITE
-// commands each cost the given modeled device service time (the SSD the
-// in-memory store stands in for is not free; the paper's drives program
-// a page in tens of microseconds).
-func NewMemNamespaceWithLatency(size int64, delay time.Duration) *MemNamespace {
-	return NewMemNamespaceWithModel(size, delay, 0)
+	return NewMemNamespaceWithModel(size, 0, 0)
 }
 
 // NewMemNamespaceWithModel creates a namespace with a two-parameter

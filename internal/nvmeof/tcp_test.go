@@ -458,7 +458,7 @@ func TestRefusedCommandKeepsQueuePair(t *testing.T) {
 	for _, batch := range []bool{false, true} {
 		t.Run(fmt.Sprintf("batch=%v", batch), func(t *testing.T) {
 			tgt := NewTarget()
-			if err := tgt.AddNamespace(1, NewMemNamespaceWithLatency(model.MB, 200*time.Millisecond)); err != nil {
+			if err := tgt.AddNamespace(1, NewMemNamespaceWithModel(model.MB, 200*time.Millisecond, 0)); err != nil {
 				t.Fatal(err)
 			}
 			addr, err := tgt.Listen("127.0.0.1:0")

@@ -80,8 +80,8 @@ type qpTelemetry struct {
 	ringOcc *telemetry.Gauge
 }
 
-// Batch-shape histogram buckets: capsules per flush tops out at the
-// MaxCommands default (64), bytes per flush at batchMaxBytes
+// Batch-shape histogram buckets: capsules per flush tops out at
+// batchMaxCommands (64), bytes per flush at batchMaxBytes
 // (256 KiB). Explicit because the registry default buckets are
 // latency-oriented.
 var (

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/nvme-cr/nvmecr/internal/telemetry"
 )
 
 // startTelemetryTarget exports one namespace and returns its address.
@@ -28,12 +26,12 @@ func startTelemetryTarget(t *testing.T, size int64) (*Target, string) {
 // check that telemetry observes real traffic, not just unit updates.
 func TestPoolRoundTripTelemetry(t *testing.T) {
 	tgt, addr := startTelemetryTarget(t, 1<<20)
-	reg := telemetry.New()
-	p, err := DialPool(addr, 1, PoolConfig{QueuePairs: 2, Telemetry: reg})
+	p, err := DialPool(addr, 1, PoolConfig{QueuePairs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	reg := p.Telemetry()
 
 	payload := make([]byte, 4096)
 	const writes = 16
@@ -122,8 +120,8 @@ func TestPoolRoundTripTelemetry(t *testing.T) {
 	}
 }
 
-// TestHostTelemetryDefaultRegistry: a pool of one with no registry
-// configured still snapshots real counts from a private registry.
+// TestHostTelemetryDefaultRegistry: a pool of one snapshots real counts
+// from the registry it keeps for itself.
 func TestHostTelemetryDefaultRegistry(t *testing.T) {
 	_, addr := startTelemetryTarget(t, 1<<20)
 	h := dialOne(t, addr, 1, PoolConfig{})
@@ -150,8 +148,7 @@ func TestHostTelemetryDefaultRegistry(t *testing.T) {
 // initiator-side error, not a latency observation.
 func TestPoolErrorTelemetry(t *testing.T) {
 	_, addr := startTelemetryTarget(t, 1<<20)
-	reg := telemetry.New()
-	p, err := DialPool(addr, 1, PoolConfig{QueuePairs: 1, Telemetry: reg})
+	p, err := DialPool(addr, 1, PoolConfig{QueuePairs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +205,11 @@ func TestQueueInterface(t *testing.T) {
 // series (registry get-or-create) and bumps the reconnect counter.
 func TestReconnectTelemetry(t *testing.T) {
 	tgt, addr := startTelemetryTarget(t, 1<<20)
-	reg := telemetry.New()
 	p, err := DialPool(addr, 1, PoolConfig{
 		QueuePairs:       1,
 		MaxRetries:       4,
 		RetryBackoff:     5 * time.Millisecond,
 		ReconnectBackoff: 5 * time.Millisecond,
-		Telemetry:        reg,
 	})
 	if err != nil {
 		t.Fatal(err)

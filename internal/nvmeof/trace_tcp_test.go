@@ -105,11 +105,8 @@ func latencyBucket(v float64) int {
 func TestPhaseQuantilesMatchPrometheus(t *testing.T) {
 	_, addr := startTarget(t, map[uint32]int64{1: 8 * model.MB})
 	var traceBuf bytes.Buffer
-	reg := telemetry.New()
-	h := dialOne(t, addr, 1, PoolConfig{
-		Tracer:    telemetry.NewTracer(&traceBuf),
-		Telemetry: reg,
-	})
+	h := dialOne(t, addr, 1, PoolConfig{Tracer: telemetry.NewTracer(&traceBuf)})
+	reg := h.Telemetry()
 	for i := 0; i < 200; i++ {
 		if err := h.WriteAt(int64(i%16)*4096, bytes.Repeat([]byte{byte(i)}, 1024)); err != nil {
 			t.Fatal(err)

@@ -66,6 +66,9 @@ type VectorWriter interface {
 // mid-write can leave that write on some copies only; recovery reads
 // through ReadResync, so every later life replays the same bytes
 // whichever copy serves it. A plane with one copy reads as Read does.
+// Resync makes the copies of a range agree and returns nothing; with
+// one copy it sends nothing.
 type Resyncer interface {
 	ReadResync(p *sim.Proc, off, length, cmdUnit int64) ([]byte, error)
+	Resync(p *sim.Proc, off, length, cmdUnit int64) error
 }

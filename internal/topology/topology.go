@@ -58,15 +58,13 @@ type Cluster struct {
 // paper's testbed: one rack of compute nodes and one rack of storage
 // nodes, one PDU per rack.
 type Config struct {
-	ComputeNodes    int // number of compute nodes (paper: 16)
-	CoresPerNode    int // cores per compute node (paper: 28)
-	StorageNodes    int // number of storage nodes (paper: 8)
-	SSDsPerStorage  int // SSDs per storage node (paper: 1)
-	ComputeRacks    int // racks holding compute nodes (paper: 1)
-	StorageRacks    int // racks holding storage nodes (paper: 1)
-	NodesPerPDU     int // nodes sharing one PDU; 0 means one PDU per rack
-	StorageCores    int // cores per storage node (paper: 28)
-	racksAreDomains bool
+	ComputeNodes   int // number of compute nodes (paper: 16)
+	CoresPerNode   int // cores per compute node (paper: 28)
+	StorageNodes   int // number of storage nodes (paper: 8)
+	SSDsPerStorage int // SSDs per storage node (paper: 1)
+	ComputeRacks   int // racks holding compute nodes (paper: 1)
+	StorageRacks   int // racks holding storage nodes (paper: 1)
+	StorageCores   int // cores per storage node (paper: 28)
 }
 
 // PaperTestbed returns the configuration of the paper's local cluster:
@@ -85,8 +83,8 @@ func PaperTestbed() Config {
 }
 
 // New builds a Cluster from the configuration. Nodes are spread evenly
-// across the requested racks; each rack forms one failure domain unless
-// NodesPerPDU subdivides it.
+// across the requested racks; each rack, behind its one PDU, forms one
+// failure domain.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.ComputeNodes <= 0 || cfg.StorageNodes <= 0 {
 		return nil, fmt.Errorf("topology: need at least one compute and one storage node (got %d, %d)",
@@ -118,16 +116,12 @@ func New(cfg Config) (*Cluster, error) {
 		perRack := (n + racks - 1) / racks
 		for i := 0; i < n; i++ {
 			r := rack + i/perRack
-			pdu := r
-			if cfg.NodesPerPDU > 0 {
-				pdu = r*1000 + (i%perRack)/cfg.NodesPerPDU
-			}
 			node := &Node{
 				ID:    id,
 				Name:  fmt.Sprintf("%s%02d", prefix, i),
 				Kind:  kind,
 				Rack:  r,
-				PDU:   pdu,
+				PDU:   r,
 				Cores: cores,
 				SSDs:  ssds,
 			}

@@ -110,23 +110,6 @@ func TestInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestPDUSubdivision(t *testing.T) {
-	cfg := PaperTestbed()
-	cfg.NodesPerPDU = 4
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 16 compute nodes with 4 per PDU in one rack: 4 compute domains.
-	domains := map[int]bool{}
-	for _, n := range c.ComputeNodes() {
-		domains[n.FailureDomain()] = true
-	}
-	if len(domains) != 4 {
-		t.Errorf("compute failure domains = %d, want 4", len(domains))
-	}
-}
-
 // Property: for arbitrary cluster shapes, every node belongs to exactly
 // one failure domain, and PartnerDomains never includes the source.
 func TestPropertyDomainsPartition(t *testing.T) {

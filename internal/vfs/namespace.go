@@ -5,9 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
-	"github.com/nvme-cr/nvmecr/internal/faults"
 	"github.com/nvme-cr/nvmecr/internal/sim"
 	"github.com/nvme-cr/nvmecr/internal/telemetry"
 )
@@ -22,18 +20,12 @@ type MountConfig struct {
 	// Name labels the mount's telemetry series (nvmecr_mount_*); it
 	// defaults to Path.
 	Name string
-	// ReadOnly rejects every mutating operation with ErrPerm.
-	ReadOnly bool
 	// QuotaBytes caps the bytes this mount may hold (0 = unlimited).
 	// Writes that would grow past the cap fail with ErrNoSpace.
 	QuotaBytes int64
 	// QuotaInodes caps files + directories created through this mount
 	// (0 = unlimited). Breaches fail with ErrNoSpace.
 	QuotaInodes int64
-	// Faults, when non-nil, is consulted at every operation on this
-	// mount (faults.LayerVFS points, op = "open", "write", …): per-
-	// tenant fault plans without touching the shared backend layers.
-	Faults *faults.Plan
 }
 
 // Mount is one live mount: configuration plus quota usage and telemetry.
@@ -83,35 +75,6 @@ func (m *Mount) opInc(op string) {
 
 // errInc counts one failed operation.
 func (m *Mount) errInc() { m.errsTotal.Inc() }
-
-// fault consults the mount's fault plan at an operation dispatch point.
-// Stall/delay kinds sleep and let the operation proceed; every other
-// kind fails the operation with a faults.Error.
-func (m *Mount) fault(p *sim.Proc, op string) error {
-	plan := m.cfg.Faults
-	if plan == nil {
-		return nil
-	}
-	var now time.Duration
-	if p != nil {
-		now = p.Now()
-	} else {
-		now = plan.Elapsed()
-	}
-	inj, ok := plan.Eval(faults.Point{Layer: faults.LayerVFS, Op: op, Rank: -1, Now: now})
-	if !ok {
-		return nil
-	}
-	switch inj.Kind {
-	case faults.KindStall, faults.KindDelay:
-		if p != nil && inj.Arg > 0 {
-			p.Sleep(time.Duration(inj.Arg))
-		}
-		return nil
-	default:
-		return &faults.Error{Inj: inj}
-	}
-}
 
 // reserveBytes charges growth against the byte quota.
 func (m *Mount) reserveBytes(n int64) error {
@@ -389,14 +352,6 @@ func (ns *Namespace) Mkdir(p *sim.Proc, path string, mode uint32) error {
 		return ErrNotExist
 	}
 	m.opInc("mkdir")
-	if err := m.fault(p, "mkdir"); err != nil {
-		m.errInc()
-		return err
-	}
-	if m.cfg.ReadOnly {
-		m.errInc()
-		return ErrPerm
-	}
 	if err := m.reserveInode(); err != nil {
 		m.errInc()
 		return err
@@ -422,15 +377,6 @@ func (ns *Namespace) Open(p *sim.Proc, path string, flags OpenFlags, mode uint32
 		return nil, ErrNotExist
 	}
 	m.opInc("open")
-	if err := m.fault(p, "open"); err != nil {
-		m.errInc()
-		return nil, err
-	}
-	mutates := flags.Writable() || flags.Has(O_CREATE) || flags.Has(O_TRUNC)
-	if mutates && m.cfg.ReadOnly {
-		m.errInc()
-		return nil, ErrPerm
-	}
 	// Establish the pre-open size for quota accounting: growth is
 	// charged relative to it, truncation and creation adjust it.
 	trackQuota := m.cfg.QuotaBytes > 0 || m.cfg.QuotaInodes > 0
@@ -479,14 +425,6 @@ func (ns *Namespace) Unlink(p *sim.Proc, path string) error {
 		return ErrNotExist
 	}
 	m.opInc("unlink")
-	if err := m.fault(p, "unlink"); err != nil {
-		m.errInc()
-		return err
-	}
-	if m.cfg.ReadOnly {
-		m.errInc()
-		return ErrPerm
-	}
 	var freed int64
 	existed := false
 	if m.cfg.QuotaBytes > 0 || m.cfg.QuotaInodes > 0 {
@@ -526,14 +464,6 @@ func (ns *Namespace) Rename(p *sim.Proc, oldPath, newPath string) error {
 	}
 	m := mOld
 	m.opInc("rename")
-	if err := m.fault(p, "rename"); err != nil {
-		m.errInc()
-		return err
-	}
-	if m.cfg.ReadOnly {
-		m.errInc()
-		return ErrPerm
-	}
 	if err := m.cfg.Backend.Rename(p, relOld, relNew); err != nil {
 		m.errInc()
 		return err
@@ -553,10 +483,6 @@ func (ns *Namespace) ReadDir(p *sim.Proc, dir string) ([]FileInfo, error) {
 	var entries []FileInfo
 	if m != nil {
 		m.opInc("readdir")
-		if err := m.fault(p, "readdir"); err != nil {
-			m.errInc()
-			return nil, err
-		}
 		dir = joinNS(m.path, rel) // normalized
 		backendEntries, rerr := m.cfg.Backend.ReadDir(p, rel)
 		if rerr != nil {
@@ -612,10 +538,6 @@ func (ns *Namespace) Stat(p *sim.Proc, path string) (FileInfo, error) {
 		return FileInfo{}, ErrNotExist
 	}
 	m.opInc("stat")
-	if err := m.fault(p, "stat"); err != nil {
-		m.errInc()
-		return FileInfo{}, err
-	}
 	info, err := m.cfg.Backend.Stat(p, rel)
 	if err != nil {
 		full := joinNS(m.path, rel)
@@ -642,7 +564,7 @@ type mountFile struct {
 }
 
 func (f *mountFile) Write(p *sim.Proc, data []byte) (int, error) {
-	n, err := f.write(p, int64(len(data)), func() (int64, error) {
+	n, err := f.write(int64(len(data)), func() (int64, error) {
 		n, err := f.File.Write(p, data)
 		return int64(n), err
 	})
@@ -650,14 +572,10 @@ func (f *mountFile) Write(p *sim.Proc, data []byte) (int, error) {
 }
 
 func (f *mountFile) WriteN(p *sim.Proc, n int64) (int64, error) {
-	return f.write(p, n, func() (int64, error) { return f.File.WriteN(p, n) })
+	return f.write(n, func() (int64, error) { return f.File.WriteN(p, n) })
 }
 
-func (f *mountFile) write(p *sim.Proc, n int64, do func() (int64, error)) (int64, error) {
-	if err := f.m.fault(p, "write"); err != nil {
-		f.m.errInc()
-		return 0, err
-	}
+func (f *mountFile) write(n int64, do func() (int64, error)) (int64, error) {
 	if n < 0 {
 		n = 0
 	}
@@ -695,20 +613,12 @@ func (f *mountFile) write(p *sim.Proc, n int64, do func() (int64, error)) (int64
 }
 
 func (f *mountFile) Read(p *sim.Proc, buf []byte) (int, error) {
-	if err := f.m.fault(p, "read"); err != nil {
-		f.m.errInc()
-		return 0, err
-	}
 	n, err := f.File.Read(p, buf)
 	f.noteRead(int64(n))
 	return n, err
 }
 
 func (f *mountFile) ReadN(p *sim.Proc, n int64) (int64, error) {
-	if err := f.m.fault(p, "read"); err != nil {
-		f.m.errInc()
-		return 0, err
-	}
 	got, err := f.File.ReadN(p, n)
 	f.noteRead(got)
 	return got, err

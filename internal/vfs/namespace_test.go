@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"github.com/nvme-cr/nvmecr/internal/faults"
 	"github.com/nvme-cr/nvmecr/internal/telemetry"
 )
 
@@ -270,41 +269,6 @@ func TestQuotaInodes(t *testing.T) {
 	}
 }
 
-func TestReadOnlyMount(t *testing.T) {
-	b := NewMemBackend()
-	f, err := b.Open(nil, "/f", O_WRONLY|O_CREATE, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write(nil, []byte("frozen"))
-	f.Close(nil)
-	ns := NewNamespace(nil)
-	if _, err := ns.Mount(MountConfig{Path: "/ro", Backend: b, ReadOnly: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ns.Open(nil, "/ro/f", O_WRONLY, 0); !errors.Is(err, ErrPerm) {
-		t.Errorf("write-open on read-only mount = %v, want ErrPerm", err)
-	}
-	if _, err := ns.Open(nil, "/ro/g", O_RDONLY|O_CREATE, 0o644); !errors.Is(err, ErrPerm) {
-		t.Errorf("create on read-only mount = %v, want ErrPerm", err)
-	}
-	if err := ns.Unlink(nil, "/ro/f"); !errors.Is(err, ErrPerm) {
-		t.Errorf("unlink on read-only mount = %v, want ErrPerm", err)
-	}
-	if err := ns.Rename(nil, "/ro/f", "/ro/g"); !errors.Is(err, ErrPerm) {
-		t.Errorf("rename on read-only mount = %v, want ErrPerm", err)
-	}
-	g, err := ns.Open(nil, "/ro/f", O_RDONLY, 0)
-	if err != nil {
-		t.Fatalf("read-open on read-only mount: %v", err)
-	}
-	buf := make([]byte, 6)
-	if n, _ := g.Read(nil, buf); string(buf[:n]) != "frozen" {
-		t.Errorf("read %q, want frozen", buf[:n])
-	}
-	g.Close(nil)
-}
-
 func TestMountTelemetry(t *testing.T) {
 	reg := telemetry.New()
 	ns := NewNamespace(reg)
@@ -338,40 +302,6 @@ func TestMountTelemetry(t *testing.T) {
 	}
 	if v := reg.Gauge("nvmecr_mount_quota_bytes_used", l).Value(); v != 5 {
 		t.Errorf("quota_bytes_used = %d, want 5", v)
-	}
-}
-
-func TestPerMountFaultPlan(t *testing.T) {
-	plan := faults.NewPlan(1, faults.Rule{
-		Name: "fail-second-open", Layer: faults.LayerVFS, Op: "open",
-		Nth: 2, Kind: faults.KindMediaError, Count: 1,
-	})
-	ns := NewNamespace(nil)
-	if _, err := ns.Mount(MountConfig{
-		Path: "/t", Backend: NewMemBackend(), Name: "t", Faults: plan,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Mount without a plan is untouched.
-	if _, err := ns.Mount(MountConfig{Path: "/clean", Backend: NewMemBackend()}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := ns.Open(nil, "/t/a", O_WRONLY|O_CREATE, 0o644)
-	if err != nil {
-		t.Fatalf("first open: %v", err)
-	}
-	f.Close(nil)
-	_, err = ns.Open(nil, "/t/b", O_WRONLY|O_CREATE, 0o644)
-	if err == nil || !faults.IsInjected(err) {
-		t.Fatalf("second open = %v, want injected fault", err)
-	}
-	if _, err := ns.Open(nil, "/t/c", O_WRONLY|O_CREATE, 0o644); err != nil {
-		t.Fatalf("third open (rule exhausted): %v", err)
-	}
-	if f, err := ns.Open(nil, "/clean/x", O_WRONLY|O_CREATE, 0o644); err != nil {
-		t.Fatalf("clean mount: %v", err)
-	} else {
-		f.Close(nil)
 	}
 }
 

@@ -46,10 +46,6 @@ import (
 
 // Re-exported core types, so downstream code imports only this package.
 type (
-	// Params is the calibrated model parameter set.
-	Params = model.Params
-	// ClusterConfig describes cluster shape.
-	ClusterConfig = topology.Config
 	// Options configures the runtime (plane mode, features, sizes).
 	Options = core.Options
 	// Features toggles the paper's individual optimizations.
@@ -76,7 +72,7 @@ type (
 type (
 	// Registry is a concurrency-safe metrics registry: counters,
 	// gauges, and latency histograms with a Prometheus text
-	// exposition. Attach one via Options.Telemetry (simulated jobs) or
+	// exposition. Pass one to NewNamespace for per-mount series, or
 	// read the registry every Target/Queue creates for itself.
 	Registry = telemetry.Registry
 	// MetricLabels distinguishes series of the same metric name.
@@ -104,8 +100,8 @@ type (
 	// Namespace is a mount table dispatching paths to backends by
 	// longest-prefix match, with per-mount quotas and telemetry.
 	Namespace = vfs.Namespace
-	// MountConfig describes one mount: path, backend, quotas, fault
-	// plan, telemetry label.
+	// MountConfig describes one mount: path, backend, quotas,
+	// telemetry label.
 	MountConfig = vfs.MountConfig
 	// MountPoint is one live mount (usage, quota, backend accessors).
 	MountPoint = vfs.Mount
@@ -150,13 +146,6 @@ const (
 	LocalKernel = core.LocalKernel
 )
 
-// DefaultParams returns the paper-calibrated model constants.
-func DefaultParams() Params { return model.Default() }
-
-// PaperTestbed returns the paper's cluster shape (16 compute nodes x 28
-// cores, 8 storage nodes x 1 SSD).
-func PaperTestbed() ClusterConfig { return topology.PaperTestbed() }
-
 // AllFeatures returns the production feature set (metadata provenance +
 // hugeblocks).
 func AllFeatures() Features { return microfs.AllFeatures() }
@@ -171,10 +160,6 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 type JobConfig struct {
 	// Ranks is the number of MPI processes (required).
 	Ranks int
-	// Topology overrides the cluster shape (default: paper testbed).
-	Topology ClusterConfig
-	// Params overrides model constants (default: DefaultParams).
-	Params *Params
 	// Options configures the runtime; the zero value and
 	// DefaultOptions() both mean production remote NVMe-oF with all
 	// features. Start from DefaultOptions() to override single fields.
@@ -203,20 +188,15 @@ type RankCtx struct {
 	FS *core.Client
 }
 
-// NewJob builds a job over a fresh simulated cluster.
+// NewJob builds a job over a fresh simulated cluster: the paper testbed
+// (topology.PaperTestbed) with the paper-calibrated model constants
+// (model.Default).
 func NewJob(cfg JobConfig) (*Job, error) {
 	if cfg.Ranks <= 0 {
 		return nil, fmt.Errorf("nvmecr: JobConfig.Ranks must be positive")
 	}
-	topo := cfg.Topology
-	if topo.ComputeNodes == 0 {
-		topo = topology.PaperTestbed()
-	}
 	params := model.Default()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
-	cluster, err := topology.New(topo)
+	cluster, err := topology.New(topology.PaperTestbed())
 	if err != nil {
 		return nil, err
 	}

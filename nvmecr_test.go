@@ -180,18 +180,3 @@ func TestDefaultOptionsFacade(t *testing.T) {
 		t.Error("NewJob overwrote an explicitly defaulted Options value")
 	}
 }
-
-func TestDefaultParamsSane(t *testing.T) {
-	p := DefaultParams()
-	if p.SSD.WriteBW <= 0 || p.Net.NICBW <= p.SSD.WriteBW {
-		t.Errorf("params implausible: %+v", p.SSD)
-	}
-	cfg := PaperTestbed()
-	if cfg.ComputeNodes != 16 || cfg.StorageNodes != 8 {
-		t.Errorf("paper testbed = %+v", cfg)
-	}
-	f := AllFeatures()
-	if !f.Provenance || !f.Hugeblocks {
-		t.Errorf("AllFeatures = %+v", f)
-	}
-}

@@ -58,6 +58,15 @@ while read -r pkg; do
 	echo "$pkg: kept for $why"
 done <"$tmp/unmeasured"
 
+echo "== settings in use"
+# Every exported field of a configuration struct (Config, Options or
+# …Config in internal/, and the root JobConfig) is set by some code
+# outside a _test.go file: a setting only tests set is one value in use,
+# and one value is a constant (ROADMAP standard 2). TestSettingsInUse
+# type-checks the module against go list -export data; a field that
+# stays unset is deleted or named, with its reason, in settingExempt.
+go test -count=1 -run '^TestSettingsInUse$' .
+
 echo "== gofmt"
 gofmt -l . >"$tmp/gofmt"
 if [ -s "$tmp/gofmt" ]; then
@@ -71,8 +80,10 @@ echo "== doc references"
 # declaration in internal/<pkg>, the module root or the standard
 # library, and every TestX, BenchmarkX and FuzzX names a test in the
 # tree (a trailing * or … is a prefix; "Measured and lost" sections are
-# exempt). A doc that still cites a deleted name fails here, not in
-# review. benchmark/README.md is not checked yet.
+# exempt). pkg.Type.Member, and Type.Member where Type is a type of the
+# module, must name a field or method of that type. A doc that still
+# cites a deleted name fails here, not in review. benchmark/README.md is
+# not checked yet.
 go test -count=1 -run '^TestDocReferences$' .
 
 if command -v shadow >/dev/null 2>&1; then
@@ -220,6 +231,9 @@ echo "== go test -race (fault injection + extent store + provenance log + microf
 go test -race ./internal/faults ./internal/extent ./internal/wal ./internal/microfs
 
 echo "== crash-consistency property suite (short mode)"
+# TestCrashProp, TestCrashPropLogFull and TestCrashPropMirror, whose head
+# crashes over a two-replica mirror and whose member-down lives must
+# agree after the repair at mount.
 go test -short -count=1 -run CrashProp ./internal/core
 
 echo "== paper experiments, quick mode (every experiment exits 0)"
